@@ -1,22 +1,12 @@
 """Certified Bezout solutions on the unit disc depending smoothly on a
 parameter: pointwise solvers, partition-of-unity gluing, and interval
-certificates for every bound the construction relies on."""
+certificates for every bound the construction relies on.
 
-from .bezout_point import (
-    PointSolution,
-    certify,
-    gcd_chain_bezout,
-    least_norm_bezout,
-    solve_point,
-    xgcd,
-)
-from .cover_pou import (
-    Cover,
-    PartitionOfUnity,
-    build_cover,
-    lipschitz_s_bound,
-    modulus_inverse,
-)
+The package level carries the two evaluators of a solved family and the
+exception classes; the pipeline lives in :mod:`coronaglue.glue` and the
+configuration loader in :mod:`coronaglue.config`.
+"""
+
 from .errors import (
     ConfigError,
     CoronaGlueError,
@@ -29,48 +19,14 @@ from .errors import (
     RationalGcd,
     RefinementExhausted,
 )
-from .glue import (
-    GluedSolution,
-    PointSolutionSet,
-    SolveOptions,
-    g_eval,
-    gtilde_eval,
-    radius_check,
-    residual_certify,
-    solve,
-    solve_at_samples,
-)
-from .hnorm import (
-    DiscKGrid,
-    NormCert,
-    coeff_lipschitz_bound,
-    delta_lower,
-    sup_disc,
-    sup_family,
-    vec_sup_norm,
-)
-from .polyalg import CPoly, ParamFamily, SPoly, ZSPoly, eval_family, partial_s
-from .smoothness import (
-    CAlphaReport,
-    cnorm_report,
-    fd_check,
-    g_partial,
-    pathmetric_modulus_bound,
-)
+from .glue import g_eval
+from .smoothness import g_partial
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CAlphaReport", "CPoly", "ConfigError", "CoronaGlueError",
-    "CoronaUncertified", "CoronaViolation", "Cover", "DiscKGrid",
-    "DomainError", "GluedSolution", "IllConditionedGcd",
-    "InternalInconsistency", "NormCert", "ParamFamily", "PartitionOfUnity",
-    "PointSolution", "PointSolutionSet", "PointSolveFailure", "RationalGcd",
-    "RefinementExhausted", "SPoly", "SolveOptions", "ZSPoly", "build_cover",
-    "certify", "cnorm_report", "coeff_lipschitz_bound", "delta_lower",
-    "eval_family", "fd_check", "g_eval", "g_partial", "gcd_chain_bezout",
-    "gtilde_eval", "least_norm_bezout", "lipschitz_s_bound",
-    "modulus_inverse", "partial_s", "pathmetric_modulus_bound",
-    "radius_check", "residual_certify", "solve", "solve_at_samples",
-    "solve_point", "sup_disc", "sup_family", "vec_sup_norm", "xgcd",
+    "ConfigError", "CoronaGlueError", "CoronaUncertified", "CoronaViolation",
+    "DomainError", "IllConditionedGcd", "InternalInconsistency",
+    "PointSolveFailure", "RationalGcd", "RefinementExhausted", "g_eval",
+    "g_partial",
 ]

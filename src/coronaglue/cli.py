@@ -1,8 +1,7 @@
 """Command-line front end: check, rescale, solve, verify, eval-grid.
 
 Exit codes: 0 for a passing run, 1 for a failed gate or verification, 2 for
-usage or configuration errors.  ``CORONA_THREADS`` caps the worker count of
-the pointwise solves; there is no other environment dependence.
+usage or configuration errors.  No command reads the environment.
 """
 
 from __future__ import annotations
@@ -18,9 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import glue, hnorm, serialize, smoothness
+from . import glue, hnorm, jets, serialize, smoothness
 from .config import ProblemConfig, load_config, save_config
-from .errors import ConfigError, CoronaGlueError, InternalInconsistency
+from .errors import (
+    ConfigError,
+    CoronaGlueError,
+    CoronaUncertified,
+    InternalInconsistency,
+)
 from .glue import SolveOptions
 from .polyalg import eval_family
 
@@ -104,15 +108,9 @@ def _print_cert(label, cert):
           f"({cert.samples_used} samples)")
 
 
-def _check_family(config: ProblemConfig, report: RunReport):
-    """Certify the corona lower bound (hard gate) and the unit sup
+def _record_certs(report: RunReport, delta, sup):
+    """Record the corona lower bound (hard gate) and the unit sup
     normalization (warning-level; `rescale` restores it)."""
-    family = config.to_family()
-    options = _solve_options(config)
-    t0 = time.perf_counter()
-    delta = hnorm.delta_lower(family, options.grid)
-    sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
-    report.timings["check"] = time.perf_counter() - t0
     report.delta_cert = delta.to_dict()
     report.sup_cert = sup.to_dict()
     _print_cert("corona lower bound", delta)
@@ -136,13 +134,18 @@ def _check_family(config: ProblemConfig, report: RunReport):
         )
         report.warnings.append(warning)
         print(f"warning: {warning}")
-    return family, delta, sup
 
 
 def cmd_check(args) -> int:
     config = load_config(args.config)
+    family = config.to_family()
+    options = _solve_options(config)
     report = RunReport(command="check")
-    _check_family(config, report)
+    t0 = time.perf_counter()
+    delta = hnorm.delta_lower(family, options.grid)
+    sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+    report.timings["check"] = time.perf_counter() - t0
+    _record_certs(report, delta, sup)
     report.settle()
     if args.out:
         report.save(args.out)
@@ -163,19 +166,21 @@ def cmd_rescale(args) -> int:
 
 def cmd_solve(args) -> int:
     config = load_config(args.config)
+    family = config.to_family()
+    options = _solve_options(config)
     report = RunReport(command="solve")
-    family, delta, _sup = _check_family(config, report)
-    if delta.lo <= 0.0:
+    t0 = time.perf_counter()
+    try:
+        glued, stage_timings = glue.solve(family, options)
+    except CoronaUncertified as exc:
+        # glue.solve stops at the gate, before its sup certificate
+        sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+        _record_certs(report, exc.certificate, sup)
         report.settle()
         if args.report:
             report.save(args.report)
         print("verdict: fail (corona condition not certified)")
         return 1
-
-    options = _solve_options(config)
-    t0 = time.perf_counter()
-    try:
-        glued, stage_timings = glue.solve(family, options)
     except CoronaGlueError as exc:
         report.add_check("pipeline", False, f"{type(exc).__name__}: {exc}")
         report.settle()
@@ -185,6 +190,7 @@ def cmd_solve(args) -> int:
         return 1
     report.timings.update(stage_timings)
     report.timings["solve_total"] = time.perf_counter() - t0
+    _record_certs(report, glued.delta_cert, glued.sup_cert)
 
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
@@ -195,10 +201,10 @@ def cmd_solve(args) -> int:
         f"certified residual hi = {glued.residual_cert.hi:.6g} <= 1/2",
     )
     t0 = time.perf_counter()
-    for order in range(config.solver.order + 1):
-        rep = smoothness.cnorm_report(glued, order,
-                                      axis_samples=config.solver.axis_samples)
-        report.cnorm_reports.append(rep.to_dict())
+    top = smoothness.cnorm_report(glued, config.solver.order,
+                                  axis_samples=config.solver.axis_samples)
+    report.cnorm_reports = [top.restricted(order).to_dict()
+                            for order in range(top.order + 1)]
     report.timings["cnorm_reports"] = time.perf_counter() - t0
 
     out = Path(args.out) if args.out else \
@@ -220,6 +226,13 @@ def cmd_solve(args) -> int:
 def _interior_random(rng, box, margin):
     return np.array([rng.uniform(a + margin * (b - a), b - margin * (b - a))
                      for a, b in box])
+
+
+def _pou_derivatives(pou, s, alphas):
+    """d^alpha of every weight at ``s`` for each alpha in ``alphas``, all read
+    from one weight jet whose order covers every alpha."""
+    wj = np.moveaxis(pou.weight_jets(s, tuple(map(max, zip(*alphas)))), 0, -1)
+    return [jets.jet_extract(wj, alpha) for alpha in alphas]
 
 
 def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
@@ -334,11 +347,11 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     report.add_check("pou_support", support_ok,
                      "bumps vanish exactly outside their radius")
     worst_dsum = 0.0
-    orders = [a for a in _multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
+    alphas = [a for a in _multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
     for _ in range(200):
         s = _interior_random(rng, family.box, 0.05)
-        for alpha in orders:
-            worst_dsum = max(worst_dsum, abs(float(pou.derivs(s, alpha).sum())))
+        for d in _pou_derivatives(pou, s, alphas):
+            worst_dsum = max(worst_dsum, abs(float(d.sum())))
     report.add_check(
         "pou_derivative_sums", worst_dsum <= POU_DERIV_TOL,
         f"max |sum d^a eta| = {worst_dsum:.3g} for 1 <= |a| <= 2 "
@@ -366,8 +379,10 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         )
 
     # norm reports: finiteness is the contract
+    top = smoothness.cnorm_report(glued, alpha_max,
+                                  axis_samples=max(s_per_axis, 2))
     for order in range(alpha_max + 1):
-        rep = smoothness.cnorm_report(glued, order, axis_samples=max(s_per_axis, 2))
+        rep = top.restricted(order)
         report.cnorm_reports.append(rep.to_dict())
         report.add_check(
             f"cnorm_finite_order_{order}",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -122,31 +121,6 @@ def bump(t):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=None)
-def bump_derivative_sup(order: int, scan: int = 4001) -> float:
-    """max_j<=order sup_t |beta^(j)(t)|, tabulated by a dense jet scan."""
-    best = 0.0
-    for t in np.linspace(0.0, 1.0 - 2 * BUMP_CLAMP, scan):
-        jet = _bump_jet_1d(float(t), order)
-        fact = 1.0
-        for j in range(order + 1):
-            if j > 1:
-                fact *= j
-            best = max(best, abs(jet[j]) * fact)
-    return best
-
-
-def _bump_jet_1d(t: float, order: int) -> np.ndarray:
-    orders = (order,)
-    if abs(t) >= 1.0 - BUMP_CLAMP:
-        return jets.jet_zero(orders)
-    tj = jets.jet_variable(t, 0, orders)
-    u = jets.jet_mul(tj, tj, orders)
-    v = jets.jet_const(1.0, orders) - u
-    w = jets.jet_reciprocal(v, orders)
-    return jets.jet_exp(-w, orders)
-
-
 class PartitionOfUnity:
     """Normalized bumps subordinate to a cover: eta_k(s) =
     beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r)."""
@@ -229,38 +203,3 @@ class PartitionOfUnity:
         alpha = tuple(int(a) for a in np.atleast_1d(alpha))
         wj = self.weight_jets(s, alpha)
         return np.array([jets.jet_extract(j, alpha) for j in wj])
-
-    def cnorm_estimate(self, order: int, grid_per_axis: int = 33):
-        """Grid estimate of sum_k max over |alpha| <= order and the grid of
-        |d^alpha eta_k|, with the tabulated envelope B * N * r^-order."""
-        box = self.cover.box
-        axes = [np.linspace(a, b, grid_per_axis) for a, b in box]
-        pts = itertools.product(*axes)
-        orders = (order,) * len(box)
-        # order 0 measures the weights themselves; higher orders measure
-        # derivatives only, so constant weights report 0.
-        indices = [ix for ix in np.ndindex(*jets.jet_shape(orders))
-                   if sum(ix) <= order and (order == 0 or sum(ix) >= 1)]
-        best = np.zeros(self.size)
-        for s in pts:
-            wj = self.weight_jets(np.asarray(s), orders)
-            for k in range(self.size):
-                for ix in indices:
-                    best[k] = max(best[k], abs(jets.jet_extract(wj[k], ix)))
-        estimate = float(best.sum())
-        r = self.cover.radius
-        envelope = (
-            bump_derivative_sup(order) * self.size
-            * (1.0 if order == 0 or math.isinf(r) else r ** (-order))
-        )
-        return PouNormReport(order, estimate, envelope, grid_per_axis)
-
-
-@dataclass(frozen=True)
-class PouNormReport:
-    """Measured weight-derivative sum next to its theoretical scale."""
-
-    order: int
-    estimate: float
-    envelope: float
-    grid_per_axis: int

@@ -6,7 +6,7 @@ Stages of :func:`solve`:
 1. certify the corona lower bound over disc x box (hard gate);
 2. pilot norm bound from solves at the box corners and midpoint;
 3. cover radius from the data's parameter Lipschitz bound and the pilot;
-4. Bezout solves at every cover center (independent, threaded);
+4. Bezout solves at every cover center, one after another;
 5. perturbation check: Lipschitz-times-radius must fit the residual budget
    (1/2 when all centers solved exactly, 1/4 with the least-norm fallback in
    play, matching the 1/4 + 1/4 budget split);
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,37 +110,20 @@ class GluedSolution:
         return self.points.c0
 
 
-def _worker_count(tasks: int) -> int:
-    env = os.environ.get("CORONA_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, tasks))
+def _solve_at(family: ParamFamily, s, options: SolveOptions) -> PointSolution:
+    return solve_point(family.freeze(np.asarray(s)), options.boundary_samples,
+                       options.degree_cap_factor, options.grid)
 
 
 def solve_at_samples(family: ParamFamily, cover: Cover,
-                     options: SolveOptions = SolveOptions(),
-                     cache: dict | None = None) -> PointSolutionSet:
-    """Freeze the family at every cover center and solve; centers are
-    independent, so they are distributed across worker threads.  ``cache``
-    lets a refinement loop reuse centers that persist between rounds."""
-
-    def task(center):
-        frozen = family.freeze(np.asarray(center))
-        return solve_point(frozen, options.boundary_samples,
-                           options.degree_cap_factor, options.grid)
-
-    cache = cache if cache is not None else {}
-    todo = [c for c in cover.centers if c not in cache]
+                     options: SolveOptions = SolveOptions()) -> PointSolutionSet:
+    """Freeze the family at every cover center and solve there."""
     try:
-        if len(todo) == 1:
-            cache[todo[0]] = task(todo[0])
-        elif todo:
-            with ThreadPoolExecutor(max_workers=_worker_count(len(todo))) as pool:
-                for center, sol in zip(todo, pool.map(task, todo)):
-                    cache[center] = sol
+        solutions = [_solve_at(family, c, options) for c in cover.centers]
     except CoronaGlueError as exc:
         exc.args = (f"pointwise solve failed: {exc.args[0]}",) + exc.args[1:]
         raise
-    return PointSolutionSet.from_solutions(cache[c] for c in cover.centers)
+    return PointSolutionSet.from_solutions(solutions)
 
 
 def radius_check(family: ParamFamily, cover: Cover, c0: float,
@@ -158,13 +139,8 @@ def radius_check(family: ParamFamily, cover: Cover, c0: float,
     return margin >= 0.0, margin, threshold
 
 
-def gtilde_eval(pou, points=None, z=None, s=None):
-    """Convex combination sum_k eta_k(s) g_{s_k}(z); shape (N_f,) + z.shape.
-
-    Accepts either (pou, points, z, s) or (glued_solution, z, s).
-    """
-    if isinstance(pou, GluedSolution):
-        pou, points, z, s = pou.pou, pou.points, points, z
+def gtilde_eval(pou: PartitionOfUnity, points: PointSolutionSet, z, s):
+    """Convex combination sum_k eta_k(s) g_{s_k}(z); shape (N_f,) + z.shape."""
     weights = pou.weights(s)
     z_arr = np.asarray(z, dtype=complex)
     n_comp = len(points.solutions[0].g)
@@ -260,9 +236,7 @@ def _pilot_c0(family: ParamFamily, options: SolveOptions) -> float:
     pts.append(tuple((a + b) / 2.0 for a, b in family.box))
     c0 = 0.0
     for s in pts:
-        sol = solve_point(family.freeze(np.asarray(s)), options.boundary_samples,
-                          options.degree_cap_factor, options.grid)
-        c0 = max(c0, sol.norm_cert.hi)
+        c0 = max(c0, _solve_at(family, s, options).norm_cert.hi)
     return c0
 
 
@@ -287,12 +261,11 @@ def solve(family: ParamFamily, options: SolveOptions = SolveOptions()):
     lip = lipschitz_s_bound(family)
     radius = modulus_inverse(1.0 / (2.0 * pilot), lip)
 
-    cache = {}
     failure_stage, failure_cert = "radius_check", None
     t0 = time.perf_counter()
     for round_index in range(options.max_refinements + 1):
         cover = build_cover(family.box, radius)
-        points = solve_at_samples(family, cover, options, cache)
+        points = solve_at_samples(family, cover, options)
         passed, _margin, _threshold = radius_check(
             family, cover, points.c0, points.all_exact
         )

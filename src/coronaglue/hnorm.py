@@ -38,10 +38,6 @@ class NormCert:
             "samples_used": self.samples_used,
         }
 
-    @staticmethod
-    def from_dict(d):
-        return NormCert(d["lo"], d["hi"], d["quantity"], d["samples_used"])
-
 
 @dataclass(frozen=True)
 class DiscKGrid:

@@ -153,16 +153,6 @@ def _as_cpoly(value) -> CPoly:
     return CPoly([complex(value)])
 
 
-def eval_poly(p: CPoly, z):
-    """Module-level alias for ``CPoly.eval``."""
-    return p.eval(z)
-
-
-def derivative_z(p: CPoly) -> CPoly:
-    """Module-level alias for ``CPoly.derivative``."""
-    return p.derivative()
-
-
 # ---------------------------------------------------------------------------
 # Parameter polynomials
 

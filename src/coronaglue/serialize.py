@@ -32,16 +32,51 @@ def _complex_list(p: CPoly):
     return [[float(c.real), float(c.imag)] for c in p.coeffs]
 
 
-def _cpoly_from_list(pairs) -> CPoly:
-    return CPoly([complex(re, im) for re, im in pairs])
+def _number(value, where: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and Infinity fail closed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _cpoly_from_list(pairs, where: str) -> CPoly:
+    return CPoly([complex(_number(re, where), _number(im, where))
+                  for re, im in pairs])
+
+
+def _cert_from_dict(d, where: str) -> NormCert:
+    lo, hi = _number(d["lo"], f"{where}.lo"), _number(d["hi"], f"{where}.hi")
+    if lo > hi:
+        raise ConfigError(f"{where} has lo = {lo!r} > hi = {hi!r}")
+    if not isinstance(d["quantity"], str):
+        raise ConfigError(f"{where}.quantity must be a string")
+    return NormCert(lo, hi, d["quantity"],
+                    _count(d["samples_used"], f"{where}.samples_used"))
+
+
+def _cover_from_dict(d, box) -> Cover:
+    if d["radius"] != "inf" and _number(d["radius"], "cover.radius") <= 0.0:
+        raise ConfigError('cover.radius must be positive or "inf"')
+    cover = Cover.from_dict(d)
+    if cover.box != box:
+        raise ConfigError("cover.box differs from domain.bounds")
+    if not cover.centers or any(len(c) != len(box) for c in cover.centers):
+        raise ConfigError(f"cover.centers must be points in {len(box)} dimensions")
+    for center in cover.centers:
+        for x in center:
+            _number(x, "cover.centers")
+    return cover
 
 
 def _encode_radius(r: float):
     return "inf" if math.isinf(r) else float(r)
-
-
-def _decode_radius(r):
-    return math.inf if r == "inf" else float(r)
 
 
 def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
@@ -69,28 +104,52 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
 
 
 def solution_from_dict(raw: dict):
-    """Rebuild (ProblemConfig, GluedSolution) from a solution dictionary."""
+    """Rebuild (ProblemConfig, GluedSolution) from a solution dictionary.
+
+    Fails closed: a missing or mistyped field, a non-finite number or a
+    certificate with lo > hi raises ConfigError, so a tampered file is
+    refused rather than verified or crashed on."""
     if not isinstance(raw, dict) or raw.get("format") != SOLUTION_FORMAT:
         raise ConfigError(f"not a {SOLUTION_FORMAT} file")
+    try:
+        return _solution_from_dict(raw)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"solution file lacks the field {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed solution file: {exc}") from exc
+
+
+def _solution_from_dict(raw: dict):
     config = ProblemConfig.from_dict(raw["config"])
+    family = config.to_family()
     result = raw["result"]
-    cover = Cover.from_dict(result["cover"])
+    cover = _cover_from_dict(result["cover"], family.box)
+    entries = result["point_solutions"]
+    if len(entries) != cover.size:
+        raise ConfigError(f"{len(entries)} point solutions for "
+                          f"{cover.size} cover centers")
     solutions = []
-    for entry in result["point_solutions"]:
+    for k, entry in enumerate(entries):
+        where = f"point_solutions[{k}]"
+        if len(entry["g"]) != family.size:
+            raise ConfigError(f"{where}.g needs {family.size} components")
         solutions.append(PointSolution(
-            g=tuple(_cpoly_from_list(gm) for gm in entry["g"]),
-            norm_cert=NormCert.from_dict(entry["norm_cert"]),
-            residual_cert=NormCert.from_dict(entry["residual_cert"]),
+            g=tuple(_cpoly_from_list(gm, f"{where}.g") for gm in entry["g"]),
+            norm_cert=_cert_from_dict(entry["norm_cert"], f"{where}.norm_cert"),
+            residual_cert=_cert_from_dict(entry["residual_cert"],
+                                          f"{where}.residual_cert"),
         ))
-    points = PointSolutionSet(tuple(solutions), float(result["c0"]))
+    points = PointSolutionSet(tuple(solutions), _number(result["c0"], "c0"))
     glued = GluedSolution(
-        family=config.to_family(),
+        family=family,
         pou=PartitionOfUnity(cover),
         points=points,
-        delta_cert=NormCert.from_dict(result["delta_cert"]),
-        sup_cert=NormCert.from_dict(result["sup_cert"]),
-        residual_cert=NormCert.from_dict(result["residual_cert"]),
-        refinements=int(result["refinements"]),
+        delta_cert=_cert_from_dict(result["delta_cert"], "delta_cert"),
+        sup_cert=_cert_from_dict(result["sup_cert"], "sup_cert"),
+        residual_cert=_cert_from_dict(result["residual_cert"], "residual_cert"),
+        refinements=_count(result["refinements"], "refinements"),
     )
     return config, glued
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import hnorm, jets
 from .glue import GluedSolution, g_eval
-from .polyalg import ParamFamily, partial_s
+from .polyalg import partial_s
 
 
 def _as_alpha(alpha, dim: int):
@@ -33,7 +33,8 @@ def _as_alpha(alpha, dim: int):
 
 
 def _solution_jets(glued: GluedSolution, z, s, orders):
-    """Jets of every component of g at (z, s); shape (N_f, *jet, *z.shape)."""
+    """Jets of every component of g at (z, s); a list of N_f arrays of shape
+    jet_shape + z.shape."""
     family = glued.family
     z_arr = np.asarray(z, dtype=complex)
     batch = z_arr.shape
@@ -55,29 +56,15 @@ def _solution_jets(glued: GluedSolution, z, s, orders):
         fj = comp.taylor_coeffs(point, orders, z_arr)
         phi = phi + jets.jet_mul(gt[m], fj, orders)
     inv = jets.jet_reciprocal(phi, orders)
-    return [jets.jet_mul(g, inv, orders) for g in gt], phi
+    return [jets.jet_mul(g, inv, orders) for g in gt]
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     """d^alpha_s of the glued solution at (z, s); order 0 reproduces the
     plain evaluator.  ``z`` may be scalar or an array."""
     alpha = _as_alpha(alpha, glued.family.dim)
-    comps, _ = _solution_jets(glued, z, s, alpha)
+    comps = _solution_jets(glued, z, s, alpha)
     return np.stack([jets.jet_extract(c, alpha) for c in comps])
-
-
-def bezout_identity_jet(glued: GluedSolution, z, s, orders) -> np.ndarray:
-    """Jet of g^T f at (z, s): equals (1, 0, 0, ...) up to rounding because
-    the identity holds exactly along the whole jet."""
-    orders = tuple(int(o) for o in orders)
-    comps, _ = _solution_jets(glued, z, s, orders)
-    z_arr = np.asarray(z, dtype=complex)
-    point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
-    acc = np.zeros(jets.jet_shape(orders) + z_arr.shape, dtype=complex)
-    for cj, comp in zip(comps, glued.family.components):
-        acc = acc + jets.jet_mul(cj, comp.taylor_coeffs(point, orders, z_arr),
-                                 orders)
-    return acc
 
 
 _FD_FLOOR = 1e-8
@@ -119,7 +106,8 @@ def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
 
 @dataclass(frozen=True)
 class CAlphaReport:
-    """Grid estimates of the C^alpha norms of the solution and the data."""
+    """Grid estimates of the C^alpha norms of the solution and the data;
+    ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order."""
 
     order: int
     g_norm_estimate: float
@@ -128,6 +116,21 @@ class CAlphaReport:
     axis_samples: int
     boundary_samples: int
     per_index: tuple
+
+    @staticmethod
+    def from_per_index(order, per_index, axis_samples, boundary_samples):
+        g_norm = max(g for _, g, _ in per_index)
+        f_norm = max(f for _, _, f in per_index)
+        ratio = g_norm / max(f_norm, float(np.finfo(float).tiny))
+        return CAlphaReport(order, g_norm, f_norm, ratio, axis_samples,
+                            boundary_samples, tuple(per_index))
+
+    def restricted(self, order: int) -> "CAlphaReport":
+        """The report of a lower order: each jet of order k holds every
+        lower order, so its per-index maxima are those with |alpha| <= order."""
+        return CAlphaReport.from_per_index(
+            order, [e for e in self.per_index if sum(e[0]) <= order],
+            self.axis_samples, self.boundary_samples)
 
     def to_dict(self):
         return {
@@ -161,7 +164,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     g_best = {ix: 0.0 for ix in indices}
     for s in itertools.product(*axes):
-        comps, _ = _solution_jets(glued, z, np.asarray(s), orders)
+        comps = _solution_jets(glued, z, np.asarray(s), orders)
         for ix in indices:
             sq = np.zeros(z.shape)
             for cj in comps:
@@ -174,41 +177,6 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
         modulus = hnorm._family_modulus_on_grid(deriv, axes, z)
         f_best[ix] = float(modulus.max())
 
-    g_norm = max(g_best.values())
-    f_norm = max(f_best.values())
-    ratio = g_norm / max(f_norm, float(np.finfo(float).tiny))
-    per_index = tuple((ix, g_best[ix], f_best[ix]) for ix in indices)
-    return CAlphaReport(order, g_norm, f_norm, ratio, axis_samples,
-                        boundary_samples, per_index)
-
-
-def pathmetric_modulus_bound(lipschitz_c1: float, t: float) -> float:
-    """Data-variation bound omega(t) <= t * L on a convex box, where the path
-    metric coincides with the ambient metric."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if lipschitz_c1 < 0:
-        raise ValueError("the Lipschitz bound must be nonnegative")
-    return t * lipschitz_c1
-
-
-def modulus_samples(family: ParamFamily, pairs: int, boundary_samples: int = 256,
-                    seed: int = 0):
-    """Measured sup_z ||f(., s) - f(., s')|| against the Lipschitz bound for
-    random parameter pairs; returns (worst measured / bound) ratios."""
-    rng = np.random.default_rng(seed)
-    z = hnorm.boundary_points(boundary_samples)
-    from .cover_pou import lipschitz_s_bound
-
-    bound = lipschitz_s_bound(family)
-    ratios = []
-    for _ in range(pairs):
-        s1 = np.array([rng.uniform(a, b) for a, b in family.box])
-        s2 = np.array([rng.uniform(a, b) for a, b in family.box])
-        diff = 0.0
-        for comp in family.components:
-            diff += np.abs(comp.freeze(s1).eval(z) - comp.freeze(s2).eval(z)) ** 2
-        measured = float(np.sqrt(diff.max()))
-        allowed = pathmetric_modulus_bound(bound, float(np.linalg.norm(s1 - s2)))
-        ratios.append(measured / allowed if allowed > 0 else 0.0)
-    return ratios
+    per_index = [(ix, g_best[ix], f_best[ix]) for ix in indices]
+    return CAlphaReport.from_per_index(order, per_index, axis_samples,
+                                       boundary_samples)

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coronaglue import cli, glue, serialize
+from coronaglue import cli, glue, hnorm, serialize, smoothness
 from coronaglue.config import ProblemConfig, load_config, save_config
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import ConfigError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -237,3 +238,122 @@ def test_two_param_solution_csv_columns(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "re_z,im_z,s1,s2,k,re_g,im_g,abs_phi"
     assert len(lines) == 1 + 2 * 2 * 4 * 2
+
+
+def _set(path, value):
+    def tamper(raw):
+        *parents, last = path
+        node = raw["result"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return tamper
+
+
+def _drop_c0(raw):
+    del raw["result"]["c0"]
+
+
+def _lo_above_hi(raw):
+    cert = raw["result"]["residual_cert"]
+    cert["lo"] = cert["hi"] + 0.1
+
+
+@pytest.mark.parametrize("tamper", [
+    _set(("point_solutions", 0, "g", 0, 0), [math.nan, 0.0]),
+    _set(("point_solutions", 0, "norm_cert", "hi"), math.inf),
+    _set(("residual_cert", "lo"), -math.inf),
+    _set(("c0",), math.nan),
+    _set(("cover", "radius"), math.inf),
+    _set(("cover", "centers", 0, 0), math.nan),
+    _set(("cover", "box"), [[0.0, 2.0]]),
+    _set(("c0",), "1.0"),
+    _set(("refinements",), 0.5),
+    _set(("point_solutions",), []),
+    _drop_c0,
+    _lo_above_hi,
+], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
+        "nan_c0", "numeric_infinite_radius", "nan_center", "foreign_box",
+        "string_c0", "float_refinements",
+        "no_point_solutions", "missing_c0", "lo_above_hi"])
+def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
+    path = tmp_path / "sol.json"
+    serialize.save_solution(_load("worked_family.json"), worked_solution, path)
+    raw = json.loads(path.read_text())
+    tamper(raw)
+    path.write_text(json.dumps(raw))  # NaN and Infinity as JSON literals
+    with pytest.raises(ConfigError):
+        serialize.load_solution(path)
+    assert cli.main(["verify", "--solution", str(path)]) == 2
+
+
+def test_cli_solve_negative_common_zero(tmp_path):
+    rep = tmp_path / "report.json"
+    code = cli.main(["solve", "--config", str(CONFIGS / "negative_common_zero.json"),
+                     "--out", str(tmp_path / "sol.json"), "--report", str(rep)])
+    assert code == 1
+    assert not (tmp_path / "sol.json").exists()
+    report = json.loads(rep.read_text())
+    assert report["verdict"] == "fail"
+    assert report["delta_cert"]["lo"] <= 0.0
+    assert report["sup_cert"] is not None
+    gate = [c for c in report["checks"] if c["name"] == "corona_lower_bound"]
+    assert len(gate) == 1 and not gate[0]["passed"]
+
+
+def test_cli_solve_certifies_the_family_once(tmp_path, monkeypatch):
+    calls = {"delta_lower": 0, "sup_family": 0}
+    for name, original in [(n, getattr(hnorm, n)) for n in calls]:
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(hnorm, name, counted)
+    code = cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
+                     "--out", str(tmp_path / "sol.json")])
+    assert code == 0
+    assert calls == {"delta_lower": 1, "sup_family": 1}
+
+
+SIXTH = 1.0 / 6.0
+
+
+@pytest.mark.parametrize("components, bounds, axis_samples, min_centers", [
+    # steep_family: (z, (1.5 + 2.5 s) - z) / 5
+    ([[[0.0], [0.2]], [[0.3, 0.5], [-0.2]]], [[0.0, 1.0]], 17, 3),
+    # ((z + 2 + 2.4 s1) / 6, (2 - z + 2.4 s2) / 6)
+    ([[[[2 * SIXTH], [0.4]], [[SIXTH]]], [[[2 * SIXTH, 0.4]], [[-SIXTH]]]],
+     [[0.0, 1.0], [0.0, 1.0]], 9, 4),
+], ids=["steep-1d", "four-center-2d"])
+def test_solve_reports_match_a_pass_per_order(tmp_path, components, bounds,
+                                              axis_samples, min_centers):
+    raw = _load("worked_family.json").to_dict()
+    raw["family"]["components"] = [{"z_coeffs": t} for t in components]
+    raw["domain"]["bounds"] = bounds
+    raw["solver"]["axis_samples"] = axis_samples
+    cfg_path, sol, rep = (tmp_path / n for n in ("cfg.json", "sol.json", "rep.json"))
+    save_config(ProblemConfig.from_dict(raw), cfg_path)
+    assert cli.main(["solve", "--config", str(cfg_path), "--out", str(sol),
+                     "--report", str(rep)]) == 0
+    _, glued = serialize.load_solution(sol)
+    assert glued.cover.size >= min_centers
+    written = json.loads(rep.read_text())["cnorm_reports"]
+    assert [r["order"] for r in written] == [0, 1, 2]
+    for order, entry in enumerate(written):
+        direct = smoothness.cnorm_report(glued, order, axis_samples=axis_samples)
+        assert entry == direct.to_dict()
+
+
+@pytest.mark.parametrize("box, radius", [
+    ([(0.0, 1.0)], 0.22),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.3),
+])
+def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
+    pou = PartitionOfUnity(build_cover(box, radius))
+    assert pou.size >= 3
+    alphas = [a for a in cli._multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
+    for _ in range(50):
+        s = np.array([rng.uniform(a, b) for a, b in box])
+        for alpha, d in zip(alphas, cli._pou_derivatives(pou, s, alphas)):
+            expected = pou.derivs(s, alpha)
+            np.testing.assert_array_equal(d, expected)
+            assert float(d.sum()) == float(expected.sum())

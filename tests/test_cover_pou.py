@@ -152,25 +152,3 @@ def test_pou_eval_midpoint_two_centers():
     pou = cp.PartitionOfUnity(cover)
     w = pou.weights([0.5])
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
-
-
-def test_cnorm_estimate_examples():
-    single = cp.PartitionOfUnity(cp.build_cover([(0.0, 1.0)], math.inf))
-    assert single.cnorm_estimate(0).estimate == pytest.approx(1.0)
-    assert single.cnorm_estimate(1).estimate == 0.0
-    assert single.cnorm_estimate(2).estimate == 0.0
-
-    two = cp.PartitionOfUnity(cp.Cover(((0.2,), (0.8,)), 0.6, ((0.0, 1.0),)))
-    zero = two.cnorm_estimate(0)
-    assert 1.0 <= zero.estimate <= two.size + 1e-9
-
-    first = two.cnorm_estimate(1, grid_per_axis=65)
-    finer = two.cnorm_estimate(1, grid_per_axis=129)
-    assert first.estimate > 0.0
-    assert abs(finer.estimate - first.estimate) <= 0.05 * finer.estimate
-    assert first.envelope > 0.0
-
-
-def test_bump_derivative_sup_table():
-    assert cp.bump_derivative_sup(0) == pytest.approx(math.exp(-1.0))
-    assert cp.bump_derivative_sup(1) > cp.bump_derivative_sup(0)

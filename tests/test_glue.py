@@ -99,13 +99,6 @@ def test_gtilde_convexity_and_locality(steep_solution):
     np.testing.assert_allclose(gt, direct, rtol=1e-12)
 
 
-def test_gtilde_eval_accepts_solution_object(steep_solution):
-    a = glue.gtilde_eval(steep_solution, 0.3 + 0.1j, [0.5])
-    b = glue.gtilde_eval(steep_solution.pou, steep_solution.points,
-                         0.3 + 0.1j, [0.5])
-    np.testing.assert_array_equal(a, b)
-
-
 def test_gtilde_mean_of_two_centers():
     family = worked_family()
     cover = Cover(((0.4,), (0.6,)), 0.3, family.box)

@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from conftest import steep_family, worked_family
-from coronaglue import glue, smoothness
+from conftest import worked_family
+from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.cover_pou import lipschitz_s_bound
-from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly, eval_family
+from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
+
+
+def bezout_identity_jet(glued, z, s, orders):
+    """Jet of g^T f at (z, s): equals (1, 0, 0, ...) up to rounding because
+    the identity holds exactly along the whole jet."""
+    comps = smoothness._solution_jets(glued, z, s, orders)
+    z_arr = np.asarray(z, dtype=complex)
+    point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
+    return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, orders, z_arr), orders)
+               for cj, comp in zip(comps, glued.family.components))
 
 
 def test_order_zero_matches_evaluator(worked_solution):
@@ -70,7 +80,7 @@ def test_fd_check_multi_center(steep_solution, rng):
 
 def test_identity_jet_is_unit(steep_solution):
     glued = steep_solution
-    jet = smoothness.bezout_identity_jet(glued, 0.4 - 0.35j, [0.37], (3,))
+    jet = bezout_identity_jet(glued, 0.4 - 0.35j, [0.37], (3,))
     assert abs(jet[0] - 1.0) <= 1e-10
     assert np.abs(jet[1:]).max() <= 1e-10
 
@@ -111,15 +121,22 @@ def test_cnorm_report_lexicographic_two_param():
     assert (0, 0) in labels and (1, 0) in labels and (0, 1) in labels
 
 
-def test_pathmetric_modulus_bound():
-    assert smoothness.pathmetric_modulus_bound(3.0, 0.0) == 0.0
-    assert smoothness.pathmetric_modulus_bound(1.0, 0.1) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        smoothness.pathmetric_modulus_bound(1.0, -0.5)
-
-
 def test_modulus_samples_respect_bound():
+    # measured sup_z ||f(., s) - f(., s')|| against the Lipschitz bound
+    # L |s - s'| for random parameter pairs
     family = worked_family()
-    ratios = smoothness.modulus_samples(family, 100)
-    assert max(ratios) <= 1.0 + 1e-9
-    assert lipschitz_s_bound(family) == pytest.approx(1.0)
+    bound = lipschitz_s_bound(family)
+    assert bound == pytest.approx(1.0)
+    rng = np.random.default_rng(0)
+    z = hnorm.boundary_points(256)
+    worst = 0.0
+    for _ in range(100):
+        s1 = np.array([rng.uniform(a, b) for a, b in family.box])
+        s2 = np.array([rng.uniform(a, b) for a, b in family.box])
+        diff = sum(np.abs(c.freeze(s1).eval(z) - c.freeze(s2).eval(z)) ** 2
+                   for c in family.components)
+        allowed = bound * float(np.linalg.norm(s1 - s2))
+        if allowed > 0:
+            worst = max(worst, float(np.sqrt(diff.max())) / allowed)
+    assert worst <= 1.0 + 1e-9
+
