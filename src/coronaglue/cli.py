@@ -347,7 +347,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     report.add_check("pou_support", support_ok,
                      "bumps vanish exactly outside their radius")
     worst_dsum = 0.0
-    alphas = [a for a in _multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
+    alphas = [a for a in jets.multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
     for _ in range(200):
         s = _interior_random(rng, family.box, 0.05)
         for d in _pou_derivatives(pou, s, alphas):
@@ -368,7 +368,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
             zpt = 0.5 * math.sqrt(rng.uniform(0, 1)) * \
                 complex(math.cos(rng.uniform(0, 2 * math.pi)),
                         math.sin(rng.uniform(0, 2 * math.pi)))
-            for alpha in _multi_indices(family.dim, order):
+            for alpha in jets.multi_indices(family.dim, order):
                 if sum(alpha) != order:
                     continue
                 worst_fd = max(worst_fd,
@@ -390,16 +390,6 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
             f"||g||_C{order} ~ {rep.g_norm_estimate:.6g}, "
             f"||f||_C{order} ~ {rep.f_norm_estimate:.6g}, ratio {rep.ratio:.6g}",
         )
-
-
-def _multi_indices(dim, max_order):
-    out = []
-    rng = range(max_order + 1)
-    if dim == 1:
-        out = [(a,) for a in rng]
-    else:
-        out = [(a, b) for a in rng for b in rng if a + b <= max_order]
-    return out
 
 
 def cmd_verify(args) -> int:

@@ -84,6 +84,30 @@ class OutputSettings:
         return {"directory": self.directory, "formats": list(self.formats)}
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, path):
+    # NaN, infinities and JSON integers beyond the float range all fail here
+    if not (_is_number(x) and abs(x) <= float(np.finfo(float).max)):
+        raise ConfigError(f"{path} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _bounds(raw):
+    """domain.bounds as ((lower, upper), ...)."""
+    if not isinstance(raw, list):
+        raise ConfigError("domain.bounds must be a list of [lower, upper] pairs")
+    bounds = []
+    for i, pair in enumerate(raw):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ConfigError(f"domain.bounds[{i}] must be a [lower, upper] pair, "
+                              f"got {pair!r}")
+        bounds.append(tuple(_number(x, f"domain.bounds[{i}]") for x in pair))
+    return tuple(bounds)
+
+
 def _int_field(raw, path, default):
     value = raw.get(path.split(".")[-1], default)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -93,14 +117,13 @@ def _int_field(raw, path, default):
 
 def _table_shape(table, path):
     """Validate a dense coefficient table; returns (depth, shape)."""
-    if isinstance(table, (int, float)) and not isinstance(table, bool):
+    if _is_number(table):
         raise ConfigError(f"{path} must be a list, got a bare number")
     if not isinstance(table, list) or not table:
         raise ConfigError(f"{path} must be a nonempty list")
-    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in table):
+    if all(_is_number(x) for x in table):
         for x in table:
-            if not math.isfinite(x):
-                raise ConfigError(f"{path} contains a non-finite value")
+            _number(x, path)
         return 1, (len(table),)
     widths = set()
     for i, row in enumerate(table):
@@ -207,12 +230,12 @@ class ProblemConfig:
             raise ConfigError("family.components must be a list")
         components = []
         for ci, entry in enumerate(comps_raw):
-            if not isinstance(entry, dict) or "z_coeffs" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("z_coeffs"), list):
                 raise ConfigError(
                     f"family.components[{ci}] needs a z_coeffs table"
                 )
             components.append(tuple(entry["z_coeffs"]))
-        bounds = tuple(tuple(float(x) for x in b) for b in bounds_raw)
+        bounds = _bounds(bounds_raw)
 
         solver_raw = raw.get("solver", {})
         if not isinstance(solver_raw, dict):
@@ -223,16 +246,21 @@ class ProblemConfig:
             for name in defaults.to_dict()
         })
         output_raw = raw.get("output", {})
+        if not isinstance(output_raw, dict):
+            raise ConfigError("output must be an object")
+        formats = output_raw.get("formats", ["json", "csv"])
+        if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
+            raise ConfigError(f"output.formats must be a list of strings, got {formats!r}")
         output = OutputSettings(
             directory=output_raw.get("directory", "."),
-            formats=tuple(output_raw.get("formats", ["json", "csv"])),
+            formats=tuple(formats),
         )
         cfg = ProblemConfig(
             components=tuple(components),
             bounds=bounds,
             solver=solver,
             output=output,
-            rescale_factor=float(raw.get("rescale_factor", 1.0)),
+            rescale_factor=_number(raw.get("rescale_factor", 1.0), "rescale_factor"),
         )
         cfg.validate()
         return cfg

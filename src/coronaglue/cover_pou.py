@@ -10,7 +10,9 @@ boundary, where every bump vanishes and the normalization is undefined.
 
 Derivatives of the normalized weights are computed by truncated-jet
 arithmetic (see :mod:`coronaglue.jets`); no symbolic differentiation and no
-finite differencing.
+finite differencing.  At a point s only the bumps whose support holds s (at
+most 2^d of them) are built, in one batched jet pass; every other weight and
+all of its derivatives are exactly zero there.
 """
 
 from __future__ import annotations
@@ -163,15 +165,24 @@ class PartitionOfUnity:
 
     def weight_jets(self, s, orders) -> np.ndarray:
         """Taylor-coefficient jets of every weight at ``s``; shape
-        (centers, *jet_shape)."""
+        (centers, *jet_shape).  Only the bumps whose support holds ``s`` (at
+        most 2^d of them) are built, in one batched pass; every other row is
+        exactly zero."""
         s = self._point(s)
         orders = tuple(int(o) for o in orders)
         if len(orders) != len(s):
             raise DomainError("jet orders must match the parameter dimension")
-        bumps = [self._center_bump_jet(s, c, orders) for c in self.cover.centers]
-        total = bumps[0].copy()
-        for b in bumps[1:]:
-            total += b
+        centers = np.asarray(self.cover.centers)
+        r = self.cover.radius
+        if math.isinf(r):
+            live = np.arange(len(centers))
+            bumps = jets.jet_const(math.exp(-1.0), orders, batch=(len(live),))
+        else:
+            diff = s - centers
+            live = np.flatnonzero((diff ** 2).sum(-1) < ((1.0 - BUMP_CLAMP) * r) ** 2)
+            bumps = self._bump_jets(diff[live], orders)
+        # one term at a time in cover order, as the jet kernels add
+        total = sum(np.moveaxis(bumps, -1, 0), np.zeros(jets.jet_shape(orders)))
         if total[(0,) * len(orders)] <= 0.0:
             raise InternalInconsistency(
                 "cover invariant violated: no bump is positive at "
@@ -179,27 +190,24 @@ class PartitionOfUnity:
                 witness=tuple(s),
             )
         inv = jets.jet_reciprocal(total, orders)
-        return np.stack([jets.jet_mul(b, inv, orders) for b in bumps])
+        out = np.zeros((len(centers),) + jets.jet_shape(orders))
+        out[live] = np.moveaxis(jets.jet_mul(bumps, inv[..., None], orders), -1, 0)
+        return out
 
-    def _center_bump_jet(self, s, center, orders) -> np.ndarray:
-        r = self.cover.radius
-        if math.isinf(r):
-            return jets.jet_const(math.exp(-1.0), orders)
-        dist2 = sum((x - c) ** 2 for x, c in zip(s, center))
-        if dist2 >= ((1.0 - BUMP_CLAMP) * r) ** 2:
-            return jets.jet_zero(orders)
-        u = jets.jet_zero(orders)
-        for axis, (x, c) in enumerate(zip(s, center)):
-            xi = jets.jet_variable(x - c, axis, orders)
+    def _bump_jets(self, diff, orders) -> np.ndarray:
+        """Jets of beta(|s - c| / r) for the offsets ``diff`` = s - c, one
+        per row, batched along the trailing axis."""
+        batch = (len(diff),)
+        u = np.zeros(jets.jet_shape(orders) + batch)
+        for axis in range(len(orders)):
+            xi = jets.jet_variable(diff[:, axis], axis, orders, batch)
             u += jets.jet_mul(xi, xi, orders)
-        u /= r * r
-        v = jets.jet_const(1.0, orders) - u
-        w = jets.jet_reciprocal(v, orders)
-        return jets.jet_exp(-w, orders)
+        u /= self.cover.radius * self.cover.radius
+        v = jets.jet_const(1.0, orders, batch) - u
+        return jets.jet_exp(-jets.jet_reciprocal(v, orders), orders)
 
     def derivs(self, s, alpha) -> np.ndarray:
         """Partial derivative d^alpha of every weight at an interior point.
         Orders with |alpha| >= 1 sum to zero across centers."""
         alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-        wj = self.weight_jets(s, alpha)
-        return np.array([jets.jet_extract(j, alpha) for j in wj])
+        return jets.jet_extract(np.moveaxis(self.weight_jets(s, alpha), 0, -1), alpha)

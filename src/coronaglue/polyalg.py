@@ -14,6 +14,9 @@ Everything is immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
@@ -242,16 +245,10 @@ class SPoly:
     def __mul__(self, other):
         if isinstance(other, SPoly):
             a, b = self.coeffs, other.coeffs
-            if self.dim == 1:
-                return SPoly(np.convolve(a, b))
-            out = np.zeros(
-                (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                dtype=np.result_type(a, b),
-            )
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0:
-                        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+            out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+                           dtype=np.result_type(a, b))
+            for e in zip(*np.nonzero(a)):
+                out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
             return SPoly(out)
         return SPoly(self.coeffs * other)
 
@@ -262,22 +259,14 @@ class SPoly:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if len(s) != self.dim:
             raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
-        if self.dim == 1:
-            val = npp.polyval(s[0], self.coeffs)
-        else:
-            val = npp.polyval2d(s[0], s[1], self.coeffs)
+        val = _polyval_axes(s, self.coeffs)
         return complex(val) if np.iscomplexobj(self.coeffs) else float(val)
 
     def eval_grid(self, axes):
         """Evaluate on the tensor grid spanned by 1-D sample arrays ``axes``."""
         if len(axes) != self.dim:
             raise ValueError("one sample array per parameter axis required")
-        if self.dim == 1:
-            return npp.polyval(np.asarray(axes[0], dtype=float), self.coeffs)
-        return npp.polygrid2d(
-            np.asarray(axes[0], dtype=float), np.asarray(axes[1], dtype=float),
-            self.coeffs,
-        )
+        return _polyval_axes([np.asarray(x, dtype=float) for x in axes], self.coeffs)
 
     def partial(self, axis: int) -> "SPoly":
         """Formal partial derivative along one parameter axis."""
@@ -287,34 +276,41 @@ class SPoly:
         """Upper bound for |value| on the box via the coefficient sum
         sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i."""
         mags = [max(abs(a), abs(b)) for a, b in box]
-        absc = np.abs(self.coeffs)
-        if self.dim == 1:
-            return float(npp.polyval(mags[0], absc))
-        return float(npp.polyval2d(mags[0], mags[1], absc))
+        return float(_polyval_axes(mags, np.abs(self.coeffs)))
 
     def taylor_coeffs(self, s0, orders):
         """Taylor coefficients about ``s0`` as an array of shape
-        ``tuple(o+1 for o in orders)``; entry gamma is d^gamma p(s0) / gamma!."""
-        out = np.zeros(
-            tuple(o + 1 for o in orders),
-            dtype=complex if np.iscomplexobj(self.coeffs) else float,
-        )
-        fact = 1.0
-        row = self
-        for g1 in range(orders[0] + 1):
-            if g1 > 0:
-                row = row.partial(0)
-                fact *= g1
-            if self.dim == 1:
-                out[g1] = row.eval(s0) / fact
-            else:
-                col, cfact = row, fact
-                for g2 in range(orders[1] + 1):
-                    if g2 > 0:
-                        col = col.partial(1)
-                        cfact *= g2
-                    out[g1, g2] = col.eval(s0) / cfact
+        ``tuple(o+1 for o in orders)``; entry gamma is d^gamma p(s0) / gamma!.
+
+        A Taylor shift along each axis in turn: the coefficient of h^k in
+        p(x + h) is sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower
+        order gives exactly the truncated bits (unlike a BLAS contraction)."""
+        out = self.coeffs
+        for axis, (x, order) in enumerate(zip(np.atleast_1d(s0), orders)):
+            binom, power = _shift_table(out.shape[axis], int(order))
+            terms = map(np.multiply.outer, (binom * float(x) ** power).T,
+                        np.moveaxis(out, axis, 0))
+            out = np.moveaxis(functools.reduce(np.add, terms), 0, axis)
         return out
+
+
+def _polyval_axes(points, coeffs):
+    """Horner along the leading coefficient axis once per entry of
+    ``points``, as numpy's polyval2d and polygrid2d do: scalars evaluate at a
+    point, 1-D arrays on their tensor grid."""
+    for x in points:
+        coeffs = npp.polyval(x, coeffs)
+    return coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_table(n, order):
+    """C(j, k) and max(j - k, 0) for 0 <= k <= order, 0 <= j < n; C(j, k) is
+    zero for k > j."""
+    table = np.array([[(math.comb(j, k), max(j - k, 0)) for j in range(n)]
+                      for k in range(order + 1)], dtype=float)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table[..., 0], table[..., 1]
 
 
 class ZSPoly:
@@ -480,13 +476,19 @@ def eval_family(family: ParamFamily, z, s) -> np.ndarray:
     return np.stack(values)
 
 
-def partial_s(family: ParamFamily, alpha) -> ParamFamily:
-    """Componentwise formal partial derivative d^alpha in the parameter."""
+def as_alpha(alpha, dim: int):
+    """A validated multi-index tuple of ``dim`` nonnegative entries."""
     alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != family.dim:
+    if len(alpha) != dim:
         raise ValueError("multi-index length must equal the parameter dimension")
     if any(a < 0 for a in alpha):
         raise ValueError("multi-index entries must be nonnegative")
+    return alpha
+
+
+def partial_s(family: ParamFamily, alpha) -> ParamFamily:
+    """Componentwise formal partial derivative d^alpha in the parameter."""
+    alpha = as_alpha(alpha, family.dim)
     comps = list(family.components)
     for axis, order in enumerate(alpha):
         for _ in range(order):

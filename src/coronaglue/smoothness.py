@@ -20,16 +20,7 @@ import numpy as np
 
 from . import hnorm, jets
 from .glue import GluedSolution, g_eval
-from .polyalg import partial_s
-
-
-def _as_alpha(alpha, dim: int):
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != dim:
-        raise ValueError("multi-index length must equal the parameter dimension")
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be nonnegative")
-    return alpha
+from .polyalg import as_alpha, partial_s
 
 
 def _solution_jets(glued: GluedSolution, z, s, orders):
@@ -42,18 +33,17 @@ def _solution_jets(glued: GluedSolution, z, s, orders):
     family.require_inside(s)
 
     eta = glued.pou.weight_jets(s, orders)
-    n_comp = family.size
     gt = [np.zeros(jets.jet_shape(orders) + batch, dtype=complex)
-          for _ in range(n_comp)]
-    for k, sol in enumerate(glued.points.solutions):
+          for _ in range(family.size)]
+    # only the centers whose bump holds s contribute
+    for k in np.flatnonzero(eta.reshape(len(eta), -1)[:, 0]):
         ej = eta[k].reshape(eta[k].shape + (1,) * len(batch))
-        for m, gm in enumerate(sol.g):
+        for m, gm in enumerate(glued.points.solutions[k].g):
             gt[m] = gt[m] + ej * np.asarray(gm.eval(z_arr))
 
     phi = np.zeros(jets.jet_shape(orders) + batch, dtype=complex)
-    point = tuple(s)
     for m, comp in enumerate(family.components):
-        fj = comp.taylor_coeffs(point, orders, z_arr)
+        fj = comp.taylor_coeffs(tuple(s), orders, z_arr)
         phi = phi + jets.jet_mul(gt[m], fj, orders)
     inv = jets.jet_reciprocal(phi, orders)
     return [jets.jet_mul(g, inv, orders) for g in gt]
@@ -62,7 +52,7 @@ def _solution_jets(glued: GluedSolution, z, s, orders):
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     """d^alpha_s of the glued solution at (z, s); order 0 reproduces the
     plain evaluator.  ``z`` may be scalar or an array."""
-    alpha = _as_alpha(alpha, glued.family.dim)
+    alpha = as_alpha(alpha, glued.family.dim)
     comps = _solution_jets(glued, z, s, alpha)
     return np.stack([jets.jet_extract(c, alpha) for c in comps])
 
@@ -74,29 +64,26 @@ def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
     """Central-difference verification of :func:`g_partial` for |alpha| in
     {1, 2}; returns the relative deviation (absolute when the derivative is
     numerically zero)."""
-    alpha = _as_alpha(alpha, glued.family.dim)
+    alpha = as_alpha(alpha, glued.family.dim)
     order = sum(alpha)
     if order not in (1, 2):
         raise ValueError("finite-difference check supports orders 1 and 2")
     s = np.atleast_1d(np.asarray(s, dtype=float))
 
-    def shift(*deltas):
-        return g_eval(glued, z, s + np.asarray(deltas))
+    def shift(delta):
+        return g_eval(glued, z, s + delta)
 
-    dim = len(s)
+    steps = np.eye(len(s)) * h
     if order == 1:
-        axis = alpha.index(1)
-        e = np.eye(dim)[axis] * h
-        fd = (shift(*e) - shift(*(-e))) / (2.0 * h)
+        e = steps[alpha.index(1)]
+        fd = (shift(e) - shift(-e)) / (2.0 * h)
     elif 2 in alpha:
-        axis = alpha.index(2)
-        e = np.eye(dim)[axis] * h
-        fd = (shift(*e) - 2.0 * shift(*np.zeros(dim)) + shift(*(-e))) / (h * h)
+        e = steps[alpha.index(2)]
+        fd = (shift(e) - 2.0 * shift(np.zeros(len(s))) + shift(-e)) / (h * h)
     else:
-        ex = np.eye(dim)[0] * h
-        ey = np.eye(dim)[1] * h
-        fd = (shift(*(ex + ey)) - shift(*(ex - ey))
-              - shift(*(-ex + ey)) + shift(*(-ex - ey))) / (4.0 * h * h)
+        ex, ey = steps
+        fd = (shift(ex + ey) - shift(ex - ey)
+              - shift(-ex + ey) + shift(-ex - ey)) / (4.0 * h * h)
 
     analytic = g_partial(glued, z, s, alpha)
     err = float(np.linalg.norm(np.ravel(fd - analytic)))
@@ -157,8 +144,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
         raise ValueError("order must be nonnegative")
     dim = family.dim
     orders = (order,) * dim
-    indices = sorted(ix for ix in np.ndindex(*jets.jet_shape(orders))
-                     if sum(ix) <= order)
+    indices = jets.multi_indices(dim, order)
     z = hnorm.boundary_points(boundary_samples)
     axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coronaglue import cli, glue, hnorm, serialize, smoothness
+from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import ConfigError
@@ -74,6 +74,40 @@ def test_config_validation_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def _edit(path, value):
+    def apply(raw):
+        *parents, last = path
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    _edit(("output",), []),
+    _edit(("output", "formats"), "json"),
+    _edit(("output", "formats"), [["json"]]),
+    _edit(("domain", "bounds"), [["0.0", 1.0]]),
+    _edit(("domain", "bounds"), [[0.0]]),
+    _edit(("domain", "bounds"), 5),
+    _edit(("domain", "bounds"), ["01"]),
+    _edit(("rescale_factor",), "2.0"),
+    _edit(("family", "components", 0, "z_coeffs"), 5),
+    _edit(("family", "components", 0, "z_coeffs"), [[10 ** 400], [0.5]]),
+    _edit(("domain", "bounds"), [[0.0, 10 ** 400]]),
+    _edit(("rescale_factor",), 10 ** 400),
+], ids=["output_list", "formats_string", "formats_nested", "bound_string",
+        "bound_one_element", "bounds_number", "bound_pair_as_string", "rescale_string",
+        "z_coeffs_number", "z_coeff_huge_int", "bound_huge_int", "rescale_huge_int"])
+def test_cli_check_refuses_malformed_config(tmp_path, edit):
+    raw = json.loads((CONFIGS / "worked_family.json").read_text())
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["check", "--config", str(path)]) == 2
 
 
 def test_rescale_identity_and_scaling(tmp_path):
@@ -350,7 +384,7 @@ def test_solve_reports_match_a_pass_per_order(tmp_path, components, bounds,
 def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
     pou = PartitionOfUnity(build_cover(box, radius))
     assert pou.size >= 3
-    alphas = [a for a in cli._multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
+    alphas = [a for a in jets.multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
     for _ in range(50):
         s = np.array([rng.uniform(a, b) for a, b in box])
         for alpha, d in zip(alphas, cli._pou_derivatives(pou, s, alphas)):

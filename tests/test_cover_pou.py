@@ -5,6 +5,7 @@ import pytest
 
 from conftest import worked_family
 from coronaglue import cover_pou as cp
+from coronaglue import jets
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
@@ -152,3 +153,63 @@ def test_pou_eval_midpoint_two_centers():
     pou = cp.PartitionOfUnity(cover)
     w = pou.weights([0.5])
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
+
+
+def _center_bump_jet(pou, s, center, orders):
+    """Reference: the bump jet of one center, built on its own."""
+    r = pou.cover.radius
+    if math.isinf(r):
+        return jets.jet_const(math.exp(-1.0), orders)
+    if sum((x - c) ** 2 for x, c in zip(s, center)) >= ((1.0 - cp.BUMP_CLAMP) * r) ** 2:
+        return np.zeros(jets.jet_shape(orders))
+    u = np.zeros(jets.jet_shape(orders))
+    for axis, (x, c) in enumerate(zip(s, center)):
+        xi = jets.jet_variable(x - c, axis, orders)
+        u += jets.jet_mul(xi, xi, orders)
+    u /= r * r
+    v = jets.jet_const(1.0, orders) - u
+    return jets.jet_exp(-jets.jet_reciprocal(v, orders), orders)
+
+
+def _reference_weight_jets(pou, s, orders):
+    """Reference: every center's bump jet, normalized one center at a time."""
+    bumps = [_center_bump_jet(pou, s, c, orders) for c in pou.cover.centers]
+    inv = jets.jet_reciprocal(sum(bumps), orders)
+    return np.stack([jets.jet_mul(b, inv, orders) for b in bumps])
+
+
+def _on_clamp_boundary(center, radius):
+    """A point s > center on the first axis with |s - center|^2 equal to or
+    just above ((1 - BUMP_CLAMP) r)^2, while the next float toward the
+    center is inside."""
+    limit = ((1.0 - cp.BUMP_CLAMP) * radius) ** 2
+    x = center[0] + (1.0 - cp.BUMP_CLAMP) * radius
+    while (x - center[0]) ** 2 < limit:
+        x = np.nextafter(x, math.inf)
+    while (np.nextafter(x, -math.inf) - center[0]) ** 2 >= limit:
+        x = np.nextafter(x, -math.inf)
+    return (float(x),) + tuple(center[1:])
+
+
+@pytest.mark.parametrize("box, radius, orders", [
+    ([(0.0, 1.0)], 0.22, (6,)),
+    ([(0.0, 1.0)], math.inf, (3,)),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.3, (2, 2)),
+    ([(0.0, 1.0), (-1.0, 0.5)], 0.45, (3, 1)),
+])
+def test_weight_jets_match_per_center_reference(rng, box, radius, orders):
+    pou = cp.PartitionOfUnity(cp.build_cover(box, radius))
+    centers = np.asarray(pou.cover.centers)
+    points = [rng.uniform([a for a, _ in box], [b for _, b in box]) for _ in range(30)]
+    if math.isfinite(radius):
+        points.append(np.array(_on_clamp_boundary(pou.cover.centers[0], radius)))
+    limit = ((1.0 - cp.BUMP_CLAMP) * radius) ** 2
+    for s in points:
+        got = pou.weight_jets(s, orders)
+        assert got.shape == (pou.size,) + jets.jet_shape(orders)
+        np.testing.assert_allclose(got, _reference_weight_jets(pou, s, orders),
+                                   rtol=1e-14, atol=0)
+        missed = ((s - centers) ** 2).sum(-1) >= limit
+        assert np.all(got[missed] == 0.0)
+        assert 1 <= np.count_nonzero(~missed) <= 2 ** len(box)
+

@@ -5,7 +5,13 @@ positions."""
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +44,29 @@ def test_tracer_targets_resolve():
             names = tuple(inspect.signature(owner).parameters)
             expected = HOOKED_ARGUMENTS[key]
             assert names[:len(expected)] == expected, key
+
+
+class _StubTracer:
+    def __init__(self):
+        self.counts = Counter()
+
+    def count(self, key, value, use_max=False):
+        self.counts[key] += value
+
+
+@pytest.mark.parametrize("box, radius", [
+    ([(0.0, 1.0)], 0.05),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.1),
+])
+def test_weight_jets_hook_reads_one_row_per_center(rng, box, radius):
+    # the hook counts returned rows: one per center, nonzero only for the
+    # at most 2^d bumps whose support holds s
+    hook = _load_tracing()._weight_jets_post
+    pou = PartitionOfUnity(build_cover(box, radius))
+    orders = (2,) * len(box)
+    for _ in range(10):
+        s = np.array([rng.uniform(a, b) for a, b in box])
+        tracer = _StubTracer()
+        hook(tracer, (pou, s, orders), {}, pou.weight_jets(s, orders), None)
+        assert tracer.counts["cover_pou.weight_jets.computed"] == pou.cover.size
+        assert 1 <= tracer.counts["cover_pou.weight_jets.useful"] <= 2 ** len(box)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npp
 
 from conftest import random_cpoly, worked_family
 from coronaglue.errors import DomainError
@@ -101,6 +104,72 @@ def test_derivative_product_rule(da, db, seed):
     b[: len(rhs.coeffs)] = rhs.coeffs
     scale = 1.0 + np.abs(b).max()
     np.testing.assert_allclose(a, b, atol=1e-12 * scale)
+
+
+def _taylor_by_partials(p, s0, orders):
+    """Reference: d^gamma p(s0) / gamma! from repeated formal partials."""
+    out = np.zeros(tuple(o + 1 for o in orders))
+    for gamma in np.ndindex(*out.shape):
+        q = p
+        for axis, g in enumerate(gamma):
+            for _ in range(g):
+                q = q.partial(axis)
+        out[gamma] = q.eval(s0) / math.prod(math.factorial(g) for g in gamma)
+    return out
+
+
+@given(st.integers(1, 2), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_taylor_coeffs_match_repeated_partials(dim, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))  # degree <= 8
+    orders = tuple(int(o) for o in rng.integers(0, 7, dim))
+    s0 = rng.uniform(-1.5, 1.5, dim)
+    got = SPoly(coeffs).taylor_coeffs(s0, orders)
+    expected = _taylor_by_partials(SPoly(coeffs), s0, orders)
+    # relative to the same coefficient of |p| at |s0|, which bounds |expected|
+    # and stays meaningful where the terms cancel
+    scale = _taylor_by_partials(SPoly(np.abs(coeffs)), np.abs(s0), orders)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+
+@given(st.integers(1, 2), st.booleans(), st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
+    # CAlphaReport.restricted reads lower orders out of the top-order jet,
+    # so every lower order must give exactly the truncated bits
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    top = tuple(int(o) for o in rng.integers(0, 7, dim))
+    s0 = rng.uniform(-1.5, 1.5, dim)
+    full = SPoly(coeffs).taylor_coeffs(s0, top)
+    for orders in np.ndindex(*(o + 1 for o in top)):
+        low = SPoly(coeffs).taylor_coeffs(s0, orders)
+        np.testing.assert_array_equal(low, full[tuple(slice(o + 1) for o in orders)])
+
+
+@given(st.integers(1, 2), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_spoly_kernels_match_numpy(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(tuple(rng.integers(1, 8, dim)))
+    b = rng.standard_normal(tuple(rng.integers(1, 8, dim)))
+    s = rng.uniform(-1.5, 1.5, dim)
+    axes = [rng.uniform(-1.5, 1.5, 5) for _ in range(dim)]
+    if dim == 1:
+        np.testing.assert_allclose((SPoly(a) * SPoly(b)).coeffs, np.convolve(a, b),
+                                   rtol=0, atol=1e-13 * np.convolve(abs(a), abs(b)).max())
+        # a single-term factor (as in residual_certify's g_k * f_k) gives
+        # np.convolve's bits
+        assert np.array_equal((SPoly(a[:1]) * SPoly(b)).coeffs, np.convolve(a[:1], b))
+        assert SPoly(a).eval(s) == npp.polyval(s[0], a)
+        assert np.array_equal(SPoly(a).eval_grid(axes), npp.polyval(axes[0], a))
+    else:
+        assert SPoly(a).eval(s) == npp.polyval2d(s[0], s[1], a)
+        assert np.array_equal(SPoly(a).eval_grid(axes), npp.polygrid2d(*axes, a))
 
 
 def test_partial_matches_finite_differences():
