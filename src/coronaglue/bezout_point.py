@@ -76,15 +76,11 @@ def _divmod_poly(num: np.ndarray, den: np.ndarray):
     return quot, rem
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _row_sub(row, quot, other):
     """(r, a, b) - quot * (r', a', b') componentwise in the Euclid identity."""
     out = []
     for x, y in zip(row, other):
-        prod = _conv(quot, y)
+        prod = np.convolve(quot, y)
         n = max(len(x), len(prod))
         acc = np.zeros(n, dtype=complex)
         acc[: len(x)] += x

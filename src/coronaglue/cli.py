@@ -7,12 +7,11 @@ usage or configuration errors.  No command reads the environment.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     InternalInconsistency,
 )
 from .glue import SolveOptions
-from .polyalg import eval_family
 
 IDENTITY_TOL = 1e-12
 NORM_SLACK = 1e-9
@@ -55,8 +53,9 @@ class RunReport:
     verdict: str = "fail"
 
     def add_check(self, name, passed, detail, witness=None):
+        """Record a check; a failing one keeps its witness."""
         entry = {"name": name, "passed": bool(passed), "detail": detail}
-        if witness is not None:
+        if witness is not None and not passed:
             entry["witness"] = witness
         self.checks.append(entry)
         return passed
@@ -69,38 +68,15 @@ class RunReport:
         self.verdict = "pass" if (gates_ok and residual_ok and delta_ok) else "fail"
         return self.verdict
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "delta_cert": self.delta_cert,
-            "sup_cert": self.sup_cert,
-            "c0": self.c0,
-            "cover_size": self.cover_size,
-            "r_final": self.r_final,
-            "residual_cert": self.residual_cert,
-            "cnorm_reports": self.cnorm_reports,
-            "timings": self.timings,
-            "checks": self.checks,
-            "warnings": self.warnings,
-            "verdict": self.verdict,
-        }
-
     def save(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def _solve_options(config: ProblemConfig) -> SolveOptions:
-    s = config.solver
-    return SolveOptions(
-        boundary_samples=s.boundary_samples,
-        radial_samples=s.radial_samples,
-        angular_samples=s.angular_samples,
-        axis_samples=s.axis_samples,
-        degree_cap_factor=s.degree_cap_factor,
-        max_refinements=s.max_refinements,
-    )
+    return SolveOptions(**{f.name: getattr(config.solver, f.name)
+                           for f in fields(SolveOptions)})
 
 
 def _print_cert(label, cert):
@@ -186,7 +162,7 @@ def cmd_solve(args) -> int:
         report.settle()
         if args.report:
             report.save(args.report)
-        print(f"solve failed: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     report.timings.update(stage_timings)
     report.timings["solve_total"] = time.perf_counter() - t0
@@ -194,7 +170,7 @@ def cmd_solve(args) -> int:
 
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
-    report.r_final = serialize._encode_radius(glued.cover.radius)
+    report.r_final = glued.cover.to_dict()["radius"]
     report.residual_cert = glued.residual_cert.to_dict()
     report.add_check(
         "residual_gate", glued.residual_cert.hi <= glue.RESIDUAL_GATE,
@@ -235,10 +211,30 @@ def _pou_derivatives(pou, s, alphas):
     return [jets.jet_extract(wj, alpha) for alpha in alphas]
 
 
+class _Worst:
+    """The largest value seen so far and a witness of its first occurrence;
+    a NaN sticks, so the check it feeds fails."""
+
+    def __init__(self, value=-1.0):
+        self.value, self.witness = value, None
+
+    def update(self, values, witness_of):
+        values = np.asarray(values)
+        i = int(np.argmax(values))  # flat index; the first NaN wins
+        v = float(values.flat[i])
+        if not v <= self.value and self.value == self.value:
+            self.value, self.witness = v, witness_of(i)
+
+
+def _l2(values):
+    return np.sqrt(glue.component_sum(np.abs(values) ** 2))
+
+
 def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
                      s_per_axis: int, alpha_max: int, report: RunReport):
-    """Re-evaluate every invariant on a fresh grid; records checks with a
-    witness point for the first breach of each kind."""
+    """Re-evaluate every invariant on a fresh grid; records checks, each
+    failing one with a witness point.  A tripped |phi| >= 1/2 guard fails
+    the check that met it and the other checks still run."""
     family = glued.family
     degenerate = radial * angular <= 1 or s_per_axis <= 1
     if degenerate:
@@ -254,115 +250,85 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
 
     # residual, certificate consistency, Bezout identity and norm bounds in
     # one sweep
-    worst_resid, resid_witness = -1.0, None
-    worst_ident, ident_witness = -1.0, None
-    worst_gt, gt_witness = -1.0, None
-    worst_norm = -1.0
-    identity_ok = True
-    for s in itertools.product(*axes):
-        s_arr = np.asarray(s)
-        phi, gt = glue.phi_eval(family, glued.pou, glued.points, z_nodes, s_arr)
-        resid = np.abs(1.0 - phi)
-        i = int(np.argmax(resid))
-        if resid[i] > worst_resid:
-            worst_resid = float(resid[i])
-            resid_witness = {"z": [float(z_nodes[i].real), float(z_nodes[i].imag)],
-                             "s": [float(x) for x in s]}
-        gt_norm = np.sqrt((np.abs(gt) ** 2).sum(axis=0))
-        i = int(np.argmax(gt_norm))
-        if gt_norm[i] > worst_gt:
-            worst_gt = float(gt_norm[i])
-            gt_witness = {"z": [float(z_nodes[i].real), float(z_nodes[i].imag)],
-                          "s": [float(x) for x in s]}
-        try:
-            g = glue.g_eval(glued, z_nodes, s_arr)
-        except InternalInconsistency as exc:
-            identity_ok = False
-            ident_witness = {"s": [float(x) for x in s], "detail": str(exc)}
-            continue
-        fv = eval_family(family, z_nodes, s_arr)
-        ident = np.abs((g * fv).sum(axis=0) - 1.0)
-        j = int(np.argmax(ident))
-        if ident[j] > worst_ident:
-            worst_ident = float(ident[j])
-            ident_witness = {"z": [float(z_nodes[j].real), float(z_nodes[j].imag)],
-                             "s": [float(x) for x in s]}
-        worst_norm = max(worst_norm, float(np.sqrt((np.abs(g) ** 2).sum(axis=0)).max()))
+    resid, gt_norm, ident, g_norm = (_Worst() for _ in range(4))
+    breach = None
+    evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+    for block in evaluator.sweep(axes):
+        resid.update(np.abs(1.0 - block.phi), block.point)
+        gt_norm.update(_l2(block.gtilde), block.point)
+        breach = breach or block.breach()
+        g = block.gtilde / block.phi[:, None]  # past a breach too, for the norms
+        ident.update(np.abs(glue.component_sum(g * block.f) - 1.0), block.point)
+        g_norm.update(_l2(g), block.point)
 
+    gate, stored_hi = glue.RESIDUAL_GATE, glued.residual_cert.hi
     report.add_check(
-        "residual_resample", worst_resid <= glue.RESIDUAL_GATE,
-        f"max |1 - gtilde^T f| = {worst_resid:.6g} on the fresh grid "
-        f"(gate {glue.RESIDUAL_GATE})",
-        witness=None if worst_resid <= glue.RESIDUAL_GATE else resid_witness,
-    )
+        "residual_resample", resid.value <= gate,
+        f"max |1 - gtilde^T f| = {resid.value:.6g} on the fresh grid (gate {gate})",
+        resid.witness)
     # any sample above a stored upper bracket proves the certificate wrong,
     # e.g. after the coefficient tables were tampered with
-    stored_hi = glued.residual_cert.hi
-    resid_consistent = worst_resid <= stored_hi * (1.0 + 1e-12) + 1e-15
     report.add_check(
-        "residual_cert_consistent", resid_consistent,
-        f"fresh-grid residual {worst_resid:.6g} vs stored certificate "
-        f"hi = {stored_hi:.6g}",
-        witness=None if resid_consistent else resid_witness,
-    )
-    gt_bound = glued.c0 * (1.0 + NORM_SLACK)
-    gt_consistent = worst_gt <= gt_bound
+        "residual_cert_consistent", resid.value <= stored_hi * (1.0 + 1e-12) + 1e-15,
+        f"fresh-grid residual {resid.value:.6g} vs stored certificate "
+        f"hi = {stored_hi:.6g}", resid.witness)
     report.add_check(
-        "gtilde_norm_consistent", gt_consistent,
-        f"sup ||gtilde|| = {worst_gt:.6g} vs stored c0 = {glued.c0:.6g}",
-        witness=None if gt_consistent else gt_witness,
-    )
+        "gtilde_norm_consistent", gt_norm.value <= glued.c0 * (1.0 + NORM_SLACK),
+        f"sup ||gtilde|| = {gt_norm.value:.6g} vs stored c0 = {glued.c0:.6g}",
+        gt_norm.witness)
     report.add_check(
-        "bezout_identity", identity_ok and worst_ident <= IDENTITY_TOL,
-        f"max |g^T f - 1| = {max(worst_ident, 0):.6g} (tolerance {IDENTITY_TOL})",
-        witness=None if identity_ok and worst_ident <= IDENTITY_TOL else ident_witness,
-    )
+        "bezout_identity", breach is None and ident.value <= IDENTITY_TOL,
+        f"max |g^T f - 1| = {ident.value:.6g} (tolerance {IDENTITY_TOL})",
+        {**breach.witness, "detail": str(breach)} if breach else ident.witness)
     bound = 2.0 * glued.c0 * (1.0 + NORM_SLACK)
     report.add_check(
-        "norm_bound", worst_norm <= bound,
-        f"sup ||g|| = {worst_norm:.6g} <= 2 c0 (1 + {NORM_SLACK}) = {bound:.6g}",
-    )
+        "norm_bound", g_norm.value <= bound,
+        f"sup ||g|| = {g_norm.value:.6g} <= 2 c0 (1 + {NORM_SLACK}) = {bound:.6g}",
+        g_norm.witness)
 
-    # partition of unity: sum, support exactness, derivative sums
+    # partition of unity: sum, support exactness, derivative sums; the
+    # random points are drawn in blocks, the same stream as one by one
     rng = np.random.default_rng(0)
     pou = glued.pou
-    worst_sum = 0.0
-    for _ in range(_POU_RANDOM_SAMPLES):
-        s = np.array([rng.uniform(a, b) for a, b in family.box])
-        worst_sum = max(worst_sum, abs(float(pou.weights(s).sum()) - 1.0))
+    size = max(1, glue.EVAL_BUDGET // pou.size)
+    lows, highs = np.array(family.box).T
+    pou_sum = _Worst(0.0)
+    for start in range(0, _POU_RANDOM_SAMPLES, size):
+        s = rng.uniform(lows, highs, (min(size, _POU_RANDOM_SAMPLES - start), family.dim))
+        pou_sum.update(np.abs(pou.weights(s).sum(-1) - 1.0),
+                       lambda i: {"s": s[i].tolist()})
     report.add_check(
-        "pou_sum", worst_sum <= POU_SUM_TOL,
-        f"max |sum eta - 1| = {worst_sum:.3g} over {_POU_RANDOM_SAMPLES} "
-        f"random points (tolerance {POU_SUM_TOL})",
-    )
-    support_ok = True
+        "pou_sum", pou_sum.value <= POU_SUM_TOL,
+        f"max |sum eta - 1| = {pou_sum.value:.3g} over {_POU_RANDOM_SAMPLES} "
+        f"random points (tolerance {POU_SUM_TOL})", pou_sum.witness)
+    support_witness = None
     if math.isfinite(pou.cover.radius):
         centers = np.asarray(pou.cover.centers)
-        for s in itertools.product(*axes):
-            b = pou.bump_values(np.asarray(s))
-            dist = np.sqrt(((np.asarray(s) - centers) ** 2).sum(-1))
-            if np.any((dist >= pou.cover.radius) & (b != 0.0)):
-                support_ok = False
+        for s in glue.grid_blocks(axes, size):
+            dist = np.sqrt(((s[:, None, :] - centers) ** 2).sum(-1))
+            i, k = np.nonzero((dist >= pou.cover.radius) & (pou.bump_values(s) != 0.0))
+            if i.size:
+                support_witness = {"s": s[i[0]].tolist(), "center": centers[k[0]].tolist()}
                 break
-    report.add_check("pou_support", support_ok,
-                     "bumps vanish exactly outside their radius")
-    worst_dsum = 0.0
+    report.add_check("pou_support", support_witness is None,
+                     "bumps vanish exactly outside their radius", support_witness)
+    dsum = _Worst(0.0)
     alphas = [a for a in jets.multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
     for _ in range(200):
         s = _interior_random(rng, family.box, 0.05)
-        for d in _pou_derivatives(pou, s, alphas):
-            worst_dsum = max(worst_dsum, abs(float(d.sum())))
+        for alpha, d in zip(alphas, _pou_derivatives(pou, s, alphas)):
+            dsum.update(abs(float(d.sum())),
+                        lambda i: {"s": s.tolist(), "alpha": list(alpha)})
     report.add_check(
-        "pou_derivative_sums", worst_dsum <= POU_DERIV_TOL,
-        f"max |sum d^a eta| = {worst_dsum:.3g} for 1 <= |a| <= 2 "
-        f"(tolerance {POU_DERIV_TOL})",
-    )
+        "pou_derivative_sums", dsum.value <= POU_DERIV_TOL,
+        f"max |sum d^a eta| = {dsum.value:.3g} for 1 <= |a| <= 2 "
+        f"(tolerance {POU_DERIV_TOL})", dsum.witness)
 
     # derivative spot checks against central differences
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
-        worst_fd = 0.0
+        fd, fd_breach = _Worst(0.0), None
         for _ in range(_FD_RANDOM_POINTS):
             s = _interior_random(rng, family.box, 0.05)
             zpt = 0.5 * math.sqrt(rng.uniform(0, 1)) * \
@@ -371,12 +337,17 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
             for alpha in jets.multi_indices(family.dim, order):
                 if sum(alpha) != order:
                     continue
-                worst_fd = max(worst_fd,
-                               smoothness.fd_check(glued, zpt, s, alpha, h))
+                try:
+                    dev = smoothness.fd_check(glued, zpt, s, alpha, h)
+                except InternalInconsistency as exc:
+                    fd_breach = fd_breach or exc
+                    continue
+                fd.update(dev, lambda i: {"z": [zpt.real, zpt.imag], "s": s.tolist(),
+                                          "alpha": list(alpha)})
         report.add_check(
-            f"fd_order_{order}", worst_fd <= tol,
-            f"max relative deviation {worst_fd:.3g} (tolerance {tol}, h = {h})",
-        )
+            f"fd_order_{order}", fd_breach is None and fd.value <= tol,
+            f"max relative deviation {fd.value:.3g} (tolerance {tol}, h = {h})",
+            {**fd_breach.witness, "detail": str(fd_breach)} if fd_breach else fd.witness)
 
     # norm reports: finiteness is the contract
     top = smoothness.cnorm_report(glued, alpha_max,
@@ -384,12 +355,14 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     for order in range(alpha_max + 1):
         rep = top.restricted(order)
         report.cnorm_reports.append(rep.to_dict())
+        alpha, g, f = next((e for e in rep.per_index if not math.isfinite(e[1])),
+                           max(rep.per_index, key=lambda e: e[1]))
         report.add_check(
             f"cnorm_finite_order_{order}",
             math.isfinite(rep.g_norm_estimate) and math.isfinite(rep.ratio),
             f"||g||_C{order} ~ {rep.g_norm_estimate:.6g}, "
             f"||f||_C{order} ~ {rep.f_norm_estimate:.6g}, ratio {rep.ratio:.6g}",
-        )
+            {"alpha": list(alpha), "g": g, "f": f})
 
 
 def cmd_verify(args) -> int:
@@ -400,7 +373,7 @@ def cmd_verify(args) -> int:
     report.residual_cert = glued.residual_cert.to_dict()
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
-    report.r_final = serialize._encode_radius(glued.cover.radius)
+    report.r_final = glued.cover.to_dict()["radius"]
     alpha_max = args.alpha if args.alpha is not None else config.solver.order
     if alpha_max > config.solver.order:
         raise ConfigError(
@@ -487,7 +460,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow ends in a refused non-finite bound or a failed check,
+        # so numpy's warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

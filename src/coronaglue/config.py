@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,17 +55,6 @@ class SolverSettings:
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"solver.{name} = {getattr(self, name)} out of range")
-
-    def to_dict(self):
-        return {
-            "boundary_samples": self.boundary_samples,
-            "radial_samples": self.radial_samples,
-            "angular_samples": self.angular_samples,
-            "axis_samples": self.axis_samples,
-            "degree_cap_factor": self.degree_cap_factor,
-            "max_refinements": self.max_refinements,
-            "order": self.order,
-        }
 
 
 @dataclass(frozen=True)
@@ -211,7 +200,7 @@ class ProblemConfig:
                 ]
             },
             "domain": {"bounds": [list(b) for b in self.bounds]},
-            "solver": self.solver.to_dict(),
+            "solver": asdict(self.solver),
             "output": self.output.to_dict(),
             "rescale_factor": self.rescale_factor,
         }
@@ -243,7 +232,7 @@ class ProblemConfig:
         defaults = SolverSettings()
         solver = SolverSettings(**{
             name: _int_field(solver_raw, f"solver.{name}", getattr(defaults, name))
-            for name in defaults.to_dict()
+            for name in asdict(defaults)
         })
         output_raw = raw.get("output", {})
         if not isinstance(output_raw, dict):

@@ -103,16 +103,6 @@ def build_cover(box, radius: float) -> Cover:
     return Cover(centers, radius, box)
 
 
-def covers_box(cover: Cover, scan_per_axis: int = 100) -> bool:
-    """Dense-grid check of the ball-cover invariant."""
-    axes = [np.linspace(a, b, scan_per_axis) for a, b in cover.box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    centers = np.asarray(cover.centers)
-    dist = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1))
-    return bool((dist.min(axis=1) <= cover.radius).all())
-
-
 def bump(t):
     """Mollifier profile exp(-1/(1-t^2)) with exact compact support."""
     t = np.asarray(t, dtype=float)
@@ -137,31 +127,35 @@ class PartitionOfUnity:
         return self.cover.size
 
     def _point(self, s) -> np.ndarray:
+        """One point as a (d,) array, or a block of points as (n, d)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if len(s) != len(self.cover.box):
+        if s.ndim > 2 or s.shape[-1] != len(self.cover.box):
             raise DomainError("point dimension does not match the box")
         return s
 
     def bump_values(self, s) -> np.ndarray:
+        """beta(|s - s_k| / r) for every center; shape s.shape[:-1] + (K,)."""
         s = self._point(s)
         centers = np.asarray(self.cover.centers)
         if math.isinf(self.cover.radius):
-            t = np.zeros(len(centers))
+            t = np.zeros(s.shape[:-1] + (len(centers),))
         else:
-            t = np.sqrt(((s - centers) ** 2).sum(-1)) / self.cover.radius
+            t = np.sqrt(((s[..., None, :] - centers) ** 2).sum(-1)) / self.cover.radius
         return np.asarray(bump(t))
 
     def weights(self, s) -> np.ndarray:
-        """Normalized weight vector; sums to 1 on the box."""
+        """Normalized weight vector at one point, or one row per point of an
+        (n, d) block; every row sums to 1 on the box."""
         b = self.bump_values(s)
-        total = b.sum()
-        if total <= 0.0:
+        total = b.sum(-1)
+        empty = np.flatnonzero(total <= 0.0)
+        if empty.size:
+            witness = np.atleast_2d(s)[empty[0]].tolist()
             raise InternalInconsistency(
-                "cover invariant violated: no bump is positive at "
-                f"{np.atleast_1d(s).tolist()}",
-                witness=s,
+                f"cover invariant violated: no bump is positive at {witness}",
+                witness=witness,
             )
-        return b / total
+        return b / total[..., None]
 
     def weight_jets(self, s, orders) -> np.ndarray:
         """Taylor-coefficient jets of every weight at ``s``; shape

@@ -2,7 +2,12 @@
 
 
 class CoronaGlueError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; keyword details (``witness``,
+    ``certificate``, ``stage``) are kept as attributes."""
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
 
 
 class DomainError(CoronaGlueError, ValueError):
@@ -22,51 +27,26 @@ class CoronaViolation(CoronaGlueError):
     """The input tuple has a common zero inside the closed unit disc, so no
     bounded solution of the Bezout equation exists."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class RationalGcd(CoronaGlueError):
     """The tuple's polynomial gcd is nonconstant but zero-free on the closed
     disc: the exact solution is rational, outside the polynomial solver's
     reach.  Carries the zero-free certificate."""
 
-    def __init__(self, message, certificate):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 class PointSolveFailure(CoronaGlueError):
     """No solver produced an acceptable residual at a sample point."""
 
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
 
 class CoronaUncertified(CoronaGlueError):
     """The lower-bound certificate could not establish a positive margin."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 class RefinementExhausted(CoronaGlueError):
     """The cover-refinement loop hit its round limit without passing the
     perturbation or residual gate."""
 
-    def __init__(self, message, stage=None, certificate=None):
-        super().__init__(message)
-        self.stage = stage
-        self.certificate = certificate
-
 
 class InternalInconsistency(CoronaGlueError):
     """An invariant guaranteed by an earlier certificate failed at evaluation
     time; the certificate must be wrong."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -16,10 +16,21 @@ Stages of :func:`solve`:
 The final solution is an evaluator: g(z,s) = gtilde(z,s) / phi(z,s) with
 phi = gtilde^T f computed pointwise, so g^T f = 1 holds to division rounding
 at every evaluated point and ||g|| <= 2 C0 wherever |phi| >= 1/2.
+
+One evaluator serves every reader of the solution.  :class:`GluedEvaluator`
+holds the point solutions evaluated on one z array (the table
+G[k, m, z] = g_{s_k, m}(z)) and returns gtilde, f and phi for blocks of
+parameter points, each array of a block within EVAL_BUDGET elements (one
+point per block when its z array alone is larger).  The
+lower end of :func:`residual_certify`, verify's sweep, the CSV export and
+the jets of the C^k reports all read from it.  :meth:`EvalBlock.breach` is
+the one |phi| >= 1/2 guard (NaN fails it): :func:`g_eval` and the CSV export
+raise it, and verify records it as a failed check with its witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -43,9 +54,10 @@ from .errors import (
     RefinementExhausted,
 )
 from .hnorm import DiscKGrid, NormCert
-from .polyalg import CPoly, ParamFamily, ZSPoly, eval_family
+from .polyalg import CPoly, ParamFamily, ZSPoly
 
 RESIDUAL_GATE = 0.5
+EVAL_BUDGET = 1 << 11   # complex elements in one array of an evaluator block
 
 
 @dataclass(frozen=True)
@@ -84,12 +96,6 @@ class PointSolutionSet:
     def all_exact(self) -> bool:
         return all(s.is_exact for s in self.solutions)
 
-    @staticmethod
-    def from_solutions(solutions):
-        solutions = tuple(solutions)
-        c0 = max(s.norm_cert.hi for s in solutions)
-        return PointSolutionSet(solutions, c0)
-
 
 @dataclass(frozen=True)
 class GluedSolution:
@@ -123,7 +129,7 @@ def solve_at_samples(family: ParamFamily, cover: Cover,
     except CoronaGlueError as exc:
         exc.args = (f"pointwise solve failed: {exc.args[0]}",) + exc.args[1:]
         raise
-    return PointSolutionSet.from_solutions(solutions)
+    return PointSolutionSet(tuple(solutions), max(s.norm_cert.hi for s in solutions))
 
 
 def radius_check(family: ParamFamily, cover: Cover, c0: float,
@@ -139,46 +145,116 @@ def radius_check(family: ParamFamily, cover: Cover, c0: float,
     return margin >= 0.0, margin, threshold
 
 
-def gtilde_eval(pou: PartitionOfUnity, points: PointSolutionSet, z, s):
-    """Convex combination sum_k eta_k(s) g_{s_k}(z); shape (N_f,) + z.shape."""
-    weights = pou.weights(s)
-    z_arr = np.asarray(z, dtype=complex)
-    n_comp = len(points.solutions[0].g)
-    out = np.zeros((n_comp,) + z_arr.shape, dtype=complex)
-    for w, sol in zip(weights, points.solutions):
-        if w == 0.0:
-            continue
-        for m, gm in enumerate(sol.g):
-            out[m] += w * np.asarray(gm.eval(z_arr))
-    return out
+@dataclass(frozen=True)
+class EvalBlock:
+    """The glued solution on a block of parameter points times one z array:
+    ``s`` is (n, d), ``z`` is (nz,), ``gtilde`` and ``f`` are (n, N_f, nz)
+    and ``phi`` = gtilde^T f is (n, nz)."""
+
+    s: np.ndarray
+    z: np.ndarray
+    gtilde: np.ndarray
+    f: np.ndarray
+    phi: np.ndarray
+
+    def point(self, i: int) -> dict:
+        """The (z, s) point of flat index ``i`` into an (n, nz) array."""
+        z, s = self.z[i % self.z.size], self.s[i // self.z.size]
+        return {"z": [float(z.real), float(z.imag)], "s": s.tolist()}
+
+    def breach(self):
+        """The |phi| >= 1/2 guard: an InternalInconsistency witnessed at the
+        smallest |phi| if any falls below 1/2 (NaN counts), else None."""
+        mods = np.abs(self.phi)
+        if (mods >= RESIDUAL_GATE).all():
+            return None
+        i = int(np.argmin(mods))
+        witness = self.point(i)
+        return InternalInconsistency(
+            f"|phi| = {mods.flat[i]:.4g} < 1/2 at z = {complex(*witness['z']):.6g}, "
+            f"s = {witness['s']}: residual certificate was wrong", witness=witness)
+
+    def g(self):
+        """g = gtilde / phi behind the guard."""
+        if (exc := self.breach()) is not None:
+            raise exc
+        return self.gtilde / self.phi[:, None]
+
+
+def component_sum(values):
+    """Sum over the component axis 1, one component at a time in order."""
+    return functools.reduce(np.add, np.moveaxis(values, 1, 0))
+
+
+class GluedEvaluator:
+    """gtilde = sum_k eta_k(s) g_{s_k}, f and phi = gtilde^T f on one z array,
+    for blocks of parameter points.
+
+    Row k of the table G[k, m, z] = g_{s_k, m}(z) is built the first time a
+    block needs center k and kept while the cache holds at most EVAL_BUDGET
+    elements; a row-major sweep reuses nearly every row before it is
+    dropped.  The weights of a block come from one batched
+    :meth:`PartitionOfUnity.weights` call, and gtilde adds the centers term
+    by term in cover order, so every value equals the per-point one bit for
+    bit."""
+
+    def __init__(self, family: ParamFamily, pou: PartitionOfUnity,
+                 points: PointSolutionSet, z):
+        self.family, self.pou, self.points = family, pou, points
+        self.z = np.asarray(z, dtype=complex).ravel()
+        self.block_size = max(1, EVAL_BUDGET // max(family.size * self.z.size,
+                                                    pou.size))
+        self._rows = {}
+
+    def row(self, k: int) -> np.ndarray:
+        """G[k]: every component of center k's solution on z; (N_f, nz)."""
+        if k not in self._rows:
+            if (len(self._rows) + 1) * self.family.size * self.z.size > EVAL_BUDGET:
+                self._rows.clear()
+            solution = self.points.solutions[k]
+            self._rows[k] = np.stack([gm.eval(self.z) for gm in solution.g])
+        return self._rows[k]
+
+    def at(self, s) -> EvalBlock:
+        """The block at the parameter points ``s``, one per row."""
+        s = np.asarray(s, dtype=float).reshape(-1, self.family.dim)
+        weights = self.pou.weights(s)
+        gtilde = np.zeros((len(s), self.family.size, self.z.size), dtype=complex)
+        for k in np.flatnonzero(weights.any(axis=0)):
+            rows = np.flatnonzero(weights[:, k])
+            gtilde[rows] += weights[rows, k, None, None] * self.row(k)
+        f = self.family.values(self.z, s)
+        return EvalBlock(s, self.z, gtilde, f, component_sum(gtilde * f))
+
+    def sweep(self, axes):
+        """Blocks over the tensor grid of ``axes`` in row-major order."""
+        return map(self.at, grid_blocks(axes, self.block_size))
+
+
+def grid_blocks(axes, size: int):
+    """The tensor grid of the 1-D arrays ``axes`` in row-major order, as
+    (n, d) arrays of at most ``size`` rows."""
+    grid = itertools.product(*axes)
+    while block := list(itertools.islice(grid, size)):
+        yield np.array(block, dtype=float)
 
 
 def phi_eval(family: ParamFamily, pou: PartitionOfUnity,
              points: PointSolutionSet, z, s):
     """phi = gtilde^T f at (z, s); returns (phi, gtilde)."""
-    gt = gtilde_eval(pou, points, z, s)
-    fv = eval_family(family, z, s)
-    return (gt * fv).sum(axis=0), gt
+    z = np.asarray(z, dtype=complex)
+    block = GluedEvaluator(family, pou, points, z).at(s)
+    return block.phi[0].reshape(z.shape), block.gtilde[0].reshape((-1,) + z.shape)
 
 
 def g_eval(glued: GluedSolution, z, s):
-    """The glued solution g = gtilde / phi; requires |phi| >= 1/2, which the
-    residual certificate guarantees -- a violation means the certificate was
-    wrong and is reported as an internal inconsistency."""
-    phi, gt = phi_eval(glued.family, glued.pou, glued.points, z, s)
-    mods = np.abs(np.asarray(phi))
-    if np.any(mods < RESIDUAL_GATE):
-        if mods.ndim:
-            bad = np.unravel_index(int(np.argmin(mods)), mods.shape)
-            zv = complex(np.asarray(z, dtype=complex)[bad])
-        else:
-            zv = complex(z)
-        raise InternalInconsistency(
-            f"|phi| = {float(mods.min()):.4g} < 1/2 at z = {zv:.6g}, "
-            f"s = {np.atleast_1d(s).tolist()}: residual certificate was wrong",
-            witness=(zv, tuple(np.atleast_1d(s))),
-        )
-    return gt / phi
+    """The glued solution g = gtilde / phi at one parameter point; requires
+    |phi| >= 1/2, which the residual certificate guarantees -- a violation
+    means the certificate was wrong and is reported as an internal
+    inconsistency."""
+    z = np.asarray(z, dtype=complex)
+    block = GluedEvaluator(glued.family, glued.pou, glued.points, z).at(s)
+    return block.g()[0].reshape((-1,) + z.shape)
 
 
 def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
@@ -222,10 +298,9 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
 
     lo = 0.0
     axes = [np.linspace(a, b, axis_samples) for a, b in box]
-    for s in itertools.product(*axes):
-        phi, _ = phi_eval(family, pou, points, z, np.asarray(s))
-        lo = max(lo, float(np.abs(1.0 - phi).max()))
-        count += z.size
+    for block in GluedEvaluator(family, pou, points, z).sweep(axes):
+        lo = float(np.maximum(lo, np.abs(1.0 - block.phi).max()))  # NaN sticks
+        count += block.phi.size
     return NormCert(lo, max(hi, lo), "glued residual sup", count)
 
 
@@ -246,7 +321,7 @@ def solve(family: ParamFamily, options: SolveOptions = SolveOptions()):
     t0 = time.perf_counter()
     delta = hnorm.delta_lower(family, options.grid)
     timings["corona_check"] = time.perf_counter() - t0
-    if delta.lo <= 0.0:
+    if not delta.lo > 0.0:
         raise CoronaUncertified(
             f"corona condition not certified: lower bound {delta.lo:.4g} <= 0 "
             "(genuine failure or insufficient grid)",

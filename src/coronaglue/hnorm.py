@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .polyalg import CPoly, ParamFamily
 
 
 @dataclass(frozen=True)
 class NormCert:
-    """Interval certificate: the bracketed quantity lies in [lo, hi]."""
+    """Interval certificate: the bracketed quantity lies in [lo, hi], both
+    finite."""
 
     lo: float
     hi: float
@@ -27,8 +29,12 @@ class NormCert:
     samples_used: int
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("certificate needs lo <= hi")
+        # written so that NaN fails: an overflowed bound certifies nothing
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"{self.quantity} is not finite: "
+                              f"[{self.lo}, {self.hi}]")
+        if not self.lo <= self.hi:
+            raise DomainError(f"{self.quantity} certificate needs lo <= hi")
 
     def to_dict(self):
         return {

@@ -60,12 +60,6 @@ class CPoly:
     def one() -> "CPoly":
         return CPoly([1.0])
 
-    @staticmethod
-    def monomial(power: int, coeff=1.0) -> "CPoly":
-        c = np.zeros(power + 1, dtype=complex)
-        c[power] = coeff
-        return CPoly(c)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -76,10 +70,6 @@ class CPoly:
     @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0
-
-    def norm1(self) -> float:
-        """Coefficient l1 norm."""
-        return float(np.sum(np.abs(self.coeffs)))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -98,9 +88,6 @@ class CPoly:
 
     def __sub__(self, other):
         return self + (-_as_cpoly(other))
-
-    def __rsub__(self, other):
-        return _as_cpoly(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, CPoly):
@@ -121,16 +108,8 @@ class CPoly:
             np.all(self.coeffs == other.coeffs)
         )
 
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self):
         return f"CPoly({list(self.coeffs)})"
-
-    # -- evaluation --------------------------------------------------------
-
-    def __call__(self, z):
-        return self.eval(z)
 
     def eval(self, z):
         """Evaluate by nested multiplication; ``z`` may be a scalar or array."""
@@ -141,13 +120,6 @@ class CPoly:
         if acc.ndim == 0:
             return complex(acc)
         return acc
-
-    def derivative(self) -> "CPoly":
-        """Formal derivative in z."""
-        if self.degree == 0:
-            return CPoly.zero()
-        j = np.arange(1, len(self.coeffs))
-        return CPoly(self.coeffs[1:] * j)
 
 
 def _as_cpoly(value) -> CPoly:
@@ -217,9 +189,6 @@ class SPoly:
             np.all(self.coeffs == other.coeffs)
         )
 
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self):
         return f"SPoly({self.coeffs.tolist()})"
 
@@ -238,21 +207,13 @@ class SPoly:
     def __neg__(self):
         return SPoly(-self.coeffs)
 
-    def __sub__(self, other):
-        other = other if isinstance(other, SPoly) else SPoly.constant(other, self.dim)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SPoly):
-            a, b = self.coeffs, other.coeffs
-            out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
-                           dtype=np.result_type(a, b))
-            for e in zip(*np.nonzero(a)):
-                out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
-            return SPoly(out)
-        return SPoly(self.coeffs * other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "SPoly"):
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+                       dtype=np.result_type(a, b))
+        for e in zip(*np.nonzero(a)):
+            out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
+        return SPoly(out)
 
     def eval(self, s):
         """Evaluate at a single point s (scalar for d=1 or length-d sequence)."""
@@ -337,10 +298,6 @@ class ZSPoly:
     def dim(self) -> int:
         return self.coeffs[0].dim
 
-    @property
-    def z_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         zero = SPoly.constant(0.0, self.dim)
@@ -351,22 +308,15 @@ class ZSPoly:
     def __neg__(self):
         return ZSPoly([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ZSPoly):
-            zero = SPoly.constant(0.0, self.dim)
-            out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return ZSPoly(out)
-        return ZSPoly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "ZSPoly"):
+        zero = SPoly.constant(0.0, self.dim)
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return ZSPoly(out)
 
     def partial(self, axis: int) -> "ZSPoly":
         return ZSPoly([c.partial(axis) for c in self.coeffs])
@@ -374,9 +324,6 @@ class ZSPoly:
     def freeze(self, s) -> CPoly:
         """Substitute the parameter, leaving a plain polynomial in z."""
         return CPoly([c.eval(s) for c in self.coeffs])
-
-    def eval(self, z, s):
-        return self.freeze(s).eval(z)
 
     def eval_sgrid(self, axes, z):
         """Evaluate on (tensor s-grid) x (z array); returns an array of shape
@@ -462,18 +409,37 @@ class ParamFamily:
         self.require_inside(s)
         return tuple(c.freeze(s) for c in self.components)
 
-    def scaled(self, factor: float) -> "ParamFamily":
-        return ParamFamily([c * float(factor) for c in self.components], self.box)
+    def values(self, z, points) -> np.ndarray:
+        """Component values f_m(z, s) at every row s of the (n, d) array
+        ``points``; shape (n, N) + z.shape.  Raises ``DomainError`` for a point
+        outside the box.
+
+        Bit for bit what ``freeze(s)`` followed by ``CPoly.eval`` gives: the
+        same Horner steps on the z-coefficients, started at the highest one
+        that is nonzero at that s."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        for s in points:
+            self.require_inside(s)
+        z = np.asarray(z, dtype=complex)
+        zf = z.reshape(1, -1)
+        out = np.empty((len(points), self.size, zf.shape[1]), dtype=complex)
+        for m, comp in enumerate(self.components):
+            coeffs = np.stack([_polyval_points(points, c.coeffs)
+                               for c in comp.coeffs], axis=1).astype(complex)
+            acc = started = 0
+            for c in np.moveaxis(coeffs[:, ::-1, None], 1, 0):
+                acc = np.where(started, acc * zf + c, c)
+                started = started | (c != 0)
+            out[:, m] = acc
+        return out.reshape(out.shape[:2] + z.shape)
 
 
-def eval_family(family: ParamFamily, z, s) -> np.ndarray:
-    """Component values (f_1(z,s), ..., f_N(z,s)); raises ``DomainError`` for
-    s outside the box.  ``z`` may be scalar or an array."""
-    family.require_inside(s)
-    values = [c.freeze(s).eval(z) for c in family.components]
-    if np.asarray(z).ndim == 0:
-        return np.array(values, dtype=complex)
-    return np.stack(values)
+def _polyval_points(points, coeffs):
+    """``_polyval_axes`` at every row of the (n, d) array ``points``: the same
+    Horner steps, one axis at a time."""
+    for axis, x in enumerate(points.T):
+        coeffs = npp.polyval(x, coeffs, tensor=axis == 0)
+    return coeffs
 
 
 def as_alpha(alpha, dim: int):

@@ -10,7 +10,6 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from pathlib import Path
@@ -20,8 +19,8 @@ import numpy as np
 from .bezout_point import PointSolution
 from .config import ProblemConfig
 from .cover_pou import Cover, PartitionOfUnity
-from .errors import ConfigError
-from .glue import GluedSolution, PointSolutionSet, phi_eval
+from .errors import ConfigError, InternalInconsistency
+from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
 from .hnorm import NormCert
 from .polyalg import CPoly
 
@@ -75,10 +74,6 @@ def _cover_from_dict(d, box) -> Cover:
     return cover
 
 
-def _encode_radius(r: float):
-    return "inf" if math.isinf(r) else float(r)
-
-
 def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
     return {
         "format": SOLUTION_FORMAT,
@@ -97,7 +92,7 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
             "delta_cert": glued.delta_cert.to_dict(),
             "sup_cert": glued.sup_cert.to_dict(),
             "residual_cert": glued.residual_cert.to_dict(),
-            "r_final": _encode_radius(glued.cover.radius),
+            "r_final": glued.cover.to_dict()["radius"],
             "refinements": glued.refinements,
         },
     }
@@ -191,7 +186,9 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
     """One CSV row per grid node per component; returns (row count, summary).
 
     Columns: re_z, im_z, s1[, s2], k, re_g, im_g, abs_phi -- k is the
-    1-based component index.  Floats carry 17 significant digits.
+    1-based component index.  Floats carry 17 significant digits.  A grid
+    point with |phi| < 1/2 raises the evaluator's InternalInconsistency and
+    removes the file.
     """
     family = glued.family
     radii, angles = polar_grid(radial, angular)
@@ -204,22 +201,23 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
         angles.size else np.array([], dtype=complex)
 
     rows = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if z_nodes.size:
-            for s in itertools.product(*axes):
-                phi, gt = phi_eval(family, glued.pou, glued.points,
-                                   z_nodes, np.asarray(s))
-                g = gt / phi
-                absphi = np.abs(phi)
-                for zi, z in enumerate(z_nodes):
-                    for k in range(family.size):
-                        cells = [_fmt(z.real), _fmt(z.imag),
-                                 *(_fmt(x) for x in s), str(k + 1),
-                                 _fmt(g[k, zi].real), _fmt(g[k, zi].imag),
-                                 _fmt(absphi[zi])]
-                        fh.write(",".join(cells) + "\n")
-                        rows += 1
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            z_cells = [f"{_fmt(z.real)},{_fmt(z.imag)}," for z in z_nodes]
+            evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+            for block in evaluator.sweep(axes) if z_nodes.size else ():
+                g, absphi = block.g().tolist(), np.abs(block.phi).tolist()
+                for g_s, absphi_s, s in zip(g, absphi, block.s):
+                    s_cells = "".join(f"{_fmt(x)}," for x in s)
+                    for zi, z_cell in enumerate(z_cells):
+                        for k, g_k in enumerate(g_s, start=1):
+                            fh.write(f"{z_cell}{s_cells}{k},{_fmt(g_k[zi].real)},"
+                                     f"{_fmt(g_k[zi].imag)},{_fmt(absphi_s[zi])}\n")
+                    rows += len(z_cells) * len(g_s)
+    except InternalInconsistency:
+        Path(path).unlink()  # no half-written export of a refused solution
+        raise
 
     summary = {
         "csv": str(Path(path).name),

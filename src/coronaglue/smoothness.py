@@ -12,6 +12,7 @@ stability under grid refinement, with the g-to-f ratio left to the reader.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,29 +20,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hnorm, jets
-from .glue import GluedSolution, g_eval
+from .glue import GluedEvaluator, GluedSolution
 from .polyalg import as_alpha, partial_s
 
 
-def _solution_jets(glued: GluedSolution, z, s, orders):
-    """Jets of every component of g at (z, s); a list of N_f arrays of shape
-    jet_shape + z.shape."""
-    family = glued.family
-    z_arr = np.asarray(z, dtype=complex)
-    batch = z_arr.shape
+def _solution_jets(evaluator: GluedEvaluator, s, orders, shape):
+    """Jets of every component of g at (z, s) for the evaluator's z array
+    reshaped to ``shape``; a list of N_f arrays of shape jet_shape + shape.
+    Each live center's solution values are its row of the evaluator's table."""
+    family = evaluator.family
+    z_arr = evaluator.z.reshape(shape)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     family.require_inside(s)
 
-    eta = glued.pou.weight_jets(s, orders)
-    gt = [np.zeros(jets.jet_shape(orders) + batch, dtype=complex)
+    eta = evaluator.pou.weight_jets(s, orders)
+    gt = [np.zeros(jets.jet_shape(orders) + shape, dtype=complex)
           for _ in range(family.size)]
     # only the centers whose bump holds s contribute
     for k in np.flatnonzero(eta.reshape(len(eta), -1)[:, 0]):
-        ej = eta[k].reshape(eta[k].shape + (1,) * len(batch))
-        for m, gm in enumerate(glued.points.solutions[k].g):
-            gt[m] = gt[m] + ej * np.asarray(gm.eval(z_arr))
+        ej = eta[k].reshape(eta[k].shape + (1,) * len(shape))
+        for m, gkm in enumerate(evaluator.row(k)):
+            gt[m] = gt[m] + ej * gkm.reshape(shape)
 
-    phi = np.zeros(jets.jet_shape(orders) + batch, dtype=complex)
+    phi = np.zeros(jets.jet_shape(orders) + shape, dtype=complex)
     for m, comp in enumerate(family.components):
         fj = comp.taylor_coeffs(tuple(s), orders, z_arr)
         phi = phi + jets.jet_mul(gt[m], fj, orders)
@@ -53,7 +54,9 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     """d^alpha_s of the glued solution at (z, s); order 0 reproduces the
     plain evaluator.  ``z`` may be scalar or an array."""
     alpha = as_alpha(alpha, glued.family.dim)
-    comps = _solution_jets(glued, z, s, alpha)
+    z = np.asarray(z, dtype=complex)
+    evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
+    comps = _solution_jets(evaluator, s, alpha, z.shape)
     return np.stack([jets.jet_extract(c, alpha) for c in comps])
 
 
@@ -69,21 +72,23 @@ def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
     if order not in (1, 2):
         raise ValueError("finite-difference check supports orders 1 and 2")
     s = np.atleast_1d(np.asarray(s, dtype=float))
-
-    def shift(delta):
-        return g_eval(glued, z, s + delta)
-
     steps = np.eye(len(s)) * h
     if order == 1:
         e = steps[alpha.index(1)]
-        fd = (shift(e) - shift(-e)) / (2.0 * h)
+        stencil, scale = ((e, 1.0), (-e, -1.0)), 2.0 * h
     elif 2 in alpha:
         e = steps[alpha.index(2)]
-        fd = (shift(e) - 2.0 * shift(np.zeros(len(s))) + shift(-e)) / (h * h)
+        stencil, scale = ((e, 1.0), (np.zeros(len(s)), -2.0), (-e, 1.0)), h * h
     else:
         ex, ey = steps
-        fd = (shift(ex + ey) - shift(ex - ey)
-              - shift(-ex + ey) + shift(-ex - ey)) / (4.0 * h * h)
+        stencil = ((ex + ey, 1.0), (ex - ey, -1.0), (-ex + ey, -1.0), (-ex - ey, 1.0))
+        scale = 4.0 * h * h
+    # the stencil points form one evaluator block, behind its |phi| guard
+    z = np.asarray(z, dtype=complex)
+    g = GluedEvaluator(glued.family, glued.pou, glued.points, z).at(
+        [s + delta for delta, _ in stencil]).g()
+    fd = (functools.reduce(np.add, [c * gi for (_, c), gi in zip(stencil, g)])
+          / scale).reshape((-1,) + z.shape)
 
     analytic = g_partial(glued, z, s, alpha)
     err = float(np.linalg.norm(np.ravel(fd - analytic)))
@@ -148,9 +153,10 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     z = hnorm.boundary_points(boundary_samples)
     axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 
+    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
     g_best = {ix: 0.0 for ix in indices}
     for s in itertools.product(*axes):
-        comps = _solution_jets(glued, z, np.asarray(s), orders)
+        comps = _solution_jets(evaluator, s, orders, z.shape)
         for ix in indices:
             sq = np.zeros(z.shape)
             for cj in comps:

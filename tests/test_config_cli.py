@@ -199,6 +199,81 @@ def test_cli_verify_catches_corruption(tmp_path):
     assert failing and any("witness" in c for c in failing)
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_cli_refuses_non_finite_certificates(tmp_path, capsys, command):
+    # |f|^2 overflows, so the corona lower bound comes out as [inf, inf]
+    raw = json.loads((CONFIGS / "worked_family.json").read_text())
+    raw["family"]["components"][0]["z_coeffs"] = [[1e300], [1e300]]
+    path, sol = tmp_path / "huge.json", tmp_path / "sol.json"
+    path.write_text(json.dumps(raw))
+    argv = {"check": ["check", "--config", str(path)],
+            "solve": ["solve", "--config", str(path), "--out", str(sol)]}[command]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "certified" not in out and "rescale" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "corona lower bound is not finite" in err
+    assert not sol.exists()
+
+
+@pytest.fixture(scope="module")
+def tripped_solution(tmp_path_factory):
+    """A solved three-center family with center 0's solution scaled by 0.2:
+    |phi| drops below 1/2 near s = 0 although the file is well formed."""
+    tmp = tmp_path_factory.mktemp("tripped")
+    sol = tmp / "solution.json"
+    assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
+                     "--out", str(sol)]) == 0
+    raw = json.loads(sol.read_text())
+    entry = raw["result"]["point_solutions"][0]
+    entry["g"] = [[[0.2 * re, 0.2 * im] for re, im in gm] for gm in entry["g"]]
+    (tmp / "tripped.json").write_text(json.dumps(raw))
+    return tmp / "tripped.json"
+
+
+def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_solution):
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify", "--solution", str(tripped_solution),
+                     "--report", str(rep)]) == 1
+    out = capsys.readouterr().out
+    checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert "cnorm_finite_order_2" in checks  # every stage ran
+    assert all(f"] {name}: " in out for name in checks)
+    assert not checks["residual_resample"]["passed"]
+    for name in ("bezout_identity", "fd_order_1", "fd_order_2"):
+        witness = checks[name]["witness"]
+        assert not checks[name]["passed"] and "|phi| = " in witness["detail"]
+        _, glued = serialize.load_solution(tripped_solution)
+        phi, _ = glue.phi_eval(glued.family, glued.pou, glued.points,
+                               complex(*witness["z"]), witness["s"])
+        assert abs(phi) < 0.5
+
+
+def test_cli_eval_grid_refuses_a_tripped_phi_guard(tmp_path, capsys, tripped_solution):
+    out = tmp_path / "grid.csv"
+    assert cli.main(["eval-grid", "--solution", str(tripped_solution),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InternalInconsistency: |phi| = ") and " s = [" in err
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, tripped_solution):
+    # negative tolerances fail every tolerance check, on top of the tampering
+    for name in ("IDENTITY_TOL", "NORM_SLACK", "POU_SUM_TOL", "POU_DERIV_TOL"):
+        monkeypatch.setattr(cli, name, -1.0)
+    monkeypatch.setattr(cli, "FD_TOLS", {1: (1e-4, -1.0), 2: (1e-3, -1.0)})
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify", "--solution", str(tripped_solution), "--z-samples", "6",
+                     "--s-samples", "6", "--report", str(rep)]) == 1
+    failing = [c for c in json.loads(rep.read_text())["checks"] if not c["passed"]]
+    assert {c["name"] for c in failing} >= {
+        "residual_resample", "residual_cert_consistent", "gtilde_norm_consistent",
+        "bezout_identity", "norm_bound", "pou_sum", "pou_derivative_sums",
+        "fd_order_1", "fd_order_2"}
+    assert all(c.get("witness") for c in failing)
+
+
 def test_cli_rescale_roundtrip(tmp_path):
     out = tmp_path / "scaled.json"
     code = cli.main([

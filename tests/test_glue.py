@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +15,7 @@ from coronaglue.errors import (
     InternalInconsistency,
 )
 from coronaglue.glue import PointSolutionSet, SolveOptions
-from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly, eval_family
+from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 
 def test_solve_at_samples_single_center():
@@ -80,12 +82,99 @@ def _point_set(cover, family, options=SolveOptions()):
     return glue.solve_at_samples(family, cover, options)
 
 
+def _reference_phi(family, pou, points, z, s):
+    """The per-point evaluator the blocked one replaced: weights at one
+    point, gtilde term by term in cover order, f through freeze and
+    CPoly.eval; returns (phi, gtilde)."""
+    z = np.asarray(z, dtype=complex)
+    gt = np.zeros((len(points.solutions[0].g),) + z.shape, dtype=complex)
+    for w, sol in zip(pou.weights(s), points.solutions):
+        if w == 0.0:
+            continue
+        for m, gm in enumerate(sol.g):
+            gt[m] += w * np.asarray(gm.eval(z))
+    fv = np.stack([p.eval(z) for p in family.freeze(s)])
+    return (gt * fv).sum(axis=0), gt
+
+
+def _two_param_points():
+    family = two_param_family()
+    cover = build_cover(family.box, 0.3)
+    assert cover.size > 4
+    return family, PartitionOfUnity(cover), _point_set(cover, family)
+
+
+def _steep_points(steep_solution):
+    return steep_solution.family, steep_solution.pou, steep_solution.points
+
+
+def _flat_points():
+    glued, _ = glue.solve(ParamFamily(
+        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        [(0.0, 1.0)]))
+    assert math.isinf(glued.cover.radius)
+    return glued.family, glued.pou, glued.points
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("case", ["steep-1d", "two-param-2d", "infinite-radius"])
+def test_evaluator_matches_per_point_reference(steep_solution, monkeypatch, case, split):
+    family, pou, points = {
+        "steep-1d": lambda: _steep_points(steep_solution),
+        "two-param-2d": _two_param_points,
+        "infinite-radius": _flat_points,
+    }[case]()
+    z = (np.linspace(0, 1, 5)[:, None]
+         * np.exp(2j * np.pi * np.arange(8) / 8)[None, :]).ravel()[4:]
+    z = np.concatenate([[0.0], z])
+    if split:  # blocks of three points, so block boundaries split the s-grid
+        monkeypatch.setattr(glue, "EVAL_BUDGET", 3 * family.size * z.size)
+    axes = [np.linspace(a, b, 7) for a, b in family.box]
+    evaluator = glue.GluedEvaluator(family, pou, points, z)
+    grid = list(itertools.product(*axes))
+    assert evaluator.block_size == (3 if split else glue.EVAL_BUDGET // (2 * z.size))
+    seen = 0
+    for block in evaluator.sweep(axes):
+        assert len(block.s) <= evaluator.block_size
+        for i, s in enumerate(block.s):
+            assert tuple(s) == grid[seen]
+            phi, gt = _reference_phi(family, pou, points, z, s)
+            assert block.phi[i].tobytes() == phi.tobytes()
+            assert block.gtilde[i].tobytes() == gt.tobytes()
+            seen += 1
+    assert seen == len(grid)
+
+
+def test_batched_weights_match_per_point_bit_for_bit(rng):
+    for box, radius in (([(0.0, 1.0)], 0.05), ([(0.0, 1.0), (-1.0, 2.0)], 0.2),
+                        ([(0.0, 1.0)], math.inf)):
+        pou = PartitionOfUnity(build_cover(box, radius))
+        lows, highs = np.array(box).T
+        s = rng.uniform(lows, highs, (300, len(box)))
+        batched = pou.weights(s)
+        for row, total, point in zip(batched, batched.sum(-1), s):
+            assert row.tobytes() == pou.weights(point).tobytes()
+            assert total == pou.weights(point).sum()  # verify's pou_sum per row
+
+
+def test_blocked_uniform_draws_match_scalar_draws():
+    # verify draws its PoU sum points in blocks; the stream, and so every
+    # later random point, must match the one-at-a-time draws
+    box = [(0.0, 1.0), (-0.5, 2.5)]
+    one, blocked = np.random.default_rng(0), np.random.default_rng(0)
+    scalar = np.array([[one.uniform(a, b) for a, b in box] for _ in range(1000)])
+    lows, highs = np.array(box).T
+    drawn = np.concatenate([blocked.uniform(lows, highs, (n, 2)) for n in (7, 300, 693)])
+    assert drawn.tobytes() == scalar.tobytes()
+    assert one.uniform(0, 1) == blocked.uniform(0, 1)
+
+
 def test_gtilde_convexity_and_locality(steep_solution):
     glued = steep_solution
     rng = np.random.default_rng(3)
     z = np.exp(2j * np.pi * rng.uniform(0, 1, 64))
     for s in rng.uniform(0, 1, 50):
-        gt = glue.gtilde_eval(glued.pou, glued.points, z, [s])
+        _, gt = glue.phi_eval(glued.family, glued.pou, glued.points, z, [s])
         norms = np.sqrt((np.abs(gt) ** 2).sum(axis=0))
         assert norms.max() <= glued.c0 + 1e-9
 
@@ -94,7 +183,7 @@ def test_gtilde_convexity_and_locality(steep_solution):
     w = glued.pou.weights([0.02])
     assert np.count_nonzero(w) == 1
     k = int(np.argmax(w))
-    gt = glue.gtilde_eval(glued.pou, glued.points, 0.37 + 0.21j, [0.02])
+    _, gt = glue.phi_eval(glued.family, glued.pou, glued.points, 0.37 + 0.21j, [0.02])
     direct = np.array([g.eval(0.37 + 0.21j) for g in glued.points.solutions[k].g])
     np.testing.assert_allclose(gt, direct, rtol=1e-12)
 
@@ -106,7 +195,7 @@ def test_gtilde_mean_of_two_centers():
     pou = PartitionOfUnity(cover)
     w = pou.weights([0.5])
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
-    gt = glue.gtilde_eval(pou, points, 0.2, [0.5])
+    _, gt = glue.phi_eval(family, pou, points, 0.2, [0.5])
     mean = 0.5 * (np.array([g.eval(0.2) for g in points.solutions[0].g])
                   + np.array([g.eval(0.2) for g in points.solutions[1].g]))
     np.testing.assert_allclose(gt, mean, rtol=1e-14)
@@ -165,7 +254,7 @@ def test_g_eval_identity_grid(worked_solution):
     sup_norm = 0.0
     for s in np.linspace(0, 1, 20):
         g = glue.g_eval(glued, z, [s])
-        f = eval_family(family, z, [s])
+        f = family.values(z, [s])[0]
         worst = max(worst, float(np.abs((g * f).sum(axis=0) - 1.0).max()))
         sup_norm = max(sup_norm, float(np.sqrt((np.abs(g) ** 2).sum(axis=0)).max()))
     assert worst <= 1e-12
@@ -192,6 +281,15 @@ def test_g_eval_guards_small_phi(worked_solution):
     )
     with pytest.raises(InternalInconsistency):
         glue.g_eval(broken, 0.2 + 0.1j, [0.5])
+    # NaN is no certified modulus either
+    nan = tuple(
+        PointSolution((CPoly([math.nan]),) * len(sol.g), sol.norm_cert,
+                      sol.residual_cert)
+        for sol in glued.points.solutions
+    )
+    with pytest.raises(InternalInconsistency):
+        glue.g_eval(dataclasses.replace(broken, points=PointSolutionSet(nan, glued.c0)),
+                    0.2 + 0.1j, [0.5])
 
 
 def test_solve_constant_family():
@@ -224,7 +322,7 @@ def test_solve_two_parameter_family():
     z = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
     for s in ([0.0, 0.0], [1.0, 0.0], [0.7, 0.9]):
         g = glue.g_eval(glued, z, s)
-        f = eval_family(glued.family, z, s)
+        f = glued.family.values(z, s)[0]
         assert float(np.abs((g * f).sum(axis=0) - 1.0).max()) <= 1e-12
 
 

@@ -12,8 +12,9 @@ from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 def bezout_identity_jet(glued, z, s, orders):
     """Jet of g^T f at (z, s): equals (1, 0, 0, ...) up to rounding because
     the identity holds exactly along the whole jet."""
-    comps = smoothness._solution_jets(glued, z, s, orders)
     z_arr = np.asarray(z, dtype=complex)
+    evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
+    comps = smoothness._solution_jets(evaluator, s, orders, z_arr.shape)
     point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
     return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, orders, z_arr), orders)
                for cj, comp in zip(comps, glued.family.components))
