@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     CoronaUncertified,
     InternalInconsistency,
 )
-from .glue import SolveOptions
 
 IDENTITY_TOL = 1e-12
 NORM_SLACK = 1e-9
@@ -74,11 +73,6 @@ class RunReport:
             fh.write("\n")
 
 
-def _solve_options(config: ProblemConfig) -> SolveOptions:
-    return SolveOptions(**{f.name: getattr(config.solver, f.name)
-                           for f in fields(SolveOptions)})
-
-
 def _print_cert(label, cert):
     print(f"{label}: [{cert.lo:.6g}, {cert.hi:.6g}] "
           f"({cert.samples_used} samples)")
@@ -115,11 +109,11 @@ def _record_certs(report: RunReport, delta, sup):
 def cmd_check(args) -> int:
     config = load_config(args.config)
     family = config.to_family()
-    options = _solve_options(config)
+    solver = config.solver
     report = RunReport(command="check")
     t0 = time.perf_counter()
-    delta = hnorm.delta_lower(family, options.grid)
-    sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+    delta = hnorm.delta_lower(family, solver.grid)
+    sup = hnorm.sup_family(family, solver.grid, solver.boundary_samples)
     report.timings["check"] = time.perf_counter() - t0
     _record_certs(report, delta, sup)
     report.settle()
@@ -143,14 +137,14 @@ def cmd_rescale(args) -> int:
 def cmd_solve(args) -> int:
     config = load_config(args.config)
     family = config.to_family()
-    options = _solve_options(config)
+    solver = config.solver
     report = RunReport(command="solve")
     t0 = time.perf_counter()
     try:
-        glued, stage_timings = glue.solve(family, options)
+        glued, stage_timings = glue.solve(family, solver)
     except CoronaUncertified as exc:
         # glue.solve stops at the gate, before its sup certificate
-        sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+        sup = hnorm.sup_family(family, solver.grid, solver.boundary_samples)
         _record_certs(report, exc.certificate, sup)
         report.settle()
         if args.report:
@@ -286,8 +280,8 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"sup ||g|| = {g_norm.value:.6g} <= 2 c0 (1 + {NORM_SLACK}) = {bound:.6g}",
         g_norm.witness)
 
-    # partition of unity: sum, support exactness, derivative sums; the
-    # random points are drawn in blocks, the same stream as one by one
+    # partition of unity: sum and derivative sums; the random points are
+    # drawn in blocks, the same stream as one by one
     rng = np.random.default_rng(0)
     pou = glued.pou
     size = max(1, glue.EVAL_BUDGET // pou.size)
@@ -301,17 +295,6 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         "pou_sum", pou_sum.value <= POU_SUM_TOL,
         f"max |sum eta - 1| = {pou_sum.value:.3g} over {_POU_RANDOM_SAMPLES} "
         f"random points (tolerance {POU_SUM_TOL})", pou_sum.witness)
-    support_witness = None
-    if math.isfinite(pou.cover.radius):
-        centers = np.asarray(pou.cover.centers)
-        for s in glue.grid_blocks(axes, size):
-            dist = np.sqrt(((s[:, None, :] - centers) ** 2).sum(-1))
-            i, k = np.nonzero((dist >= pou.cover.radius) & (pou.bump_values(s) != 0.0))
-            if i.size:
-                support_witness = {"s": s[i[0]].tolist(), "center": centers[k[0]].tolist()}
-                break
-    report.add_check("pou_support", support_witness is None,
-                     "bumps vanish exactly outside their radius", support_witness)
     dsum = _Worst(0.0)
     alphas = [a for a in jets.multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
     for _ in range(200):

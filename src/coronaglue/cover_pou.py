@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import hnorm, jets
 from .errors import DomainError, InternalInconsistency
 from .polyalg import ParamFamily
 
@@ -36,8 +36,7 @@ def lipschitz_s_bound(family: ParamFamily) -> float:
     coefficient-sum bounds on the parameter gradient."""
     total = 0.0
     for comp in family.components:
-        for axis in range(family.dim):
-            b = float(np.sum(comp.partial(axis).coeff_bounds(family.box)))
+        for b in hnorm.partial_bounds(comp, family.box):
             total += b * b
     return math.sqrt(total)
 

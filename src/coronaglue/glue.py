@@ -40,6 +40,7 @@ import numpy as np
 
 from . import hnorm
 from .bezout_point import PointSolution, RESIDUAL_ACCEPT, solve_point
+from .config import SolverSettings
 from .cover_pou import (
     Cover,
     PartitionOfUnity,
@@ -53,26 +54,11 @@ from .errors import (
     InternalInconsistency,
     RefinementExhausted,
 )
-from .hnorm import DiscKGrid, NormCert
+from .hnorm import NormCert
 from .polyalg import CPoly, ParamFamily, ZSPoly
 
 RESIDUAL_GATE = 0.5
 EVAL_BUDGET = 1 << 11   # complex elements in one array of an evaluator block
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    boundary_samples: int = 512
-    radial_samples: int = 64
-    angular_samples: int = 128
-    axis_samples: int = 33
-    degree_cap_factor: int = 8
-    max_refinements: int = 6
-
-    @property
-    def grid(self) -> DiscKGrid:
-        return DiscKGrid(self.radial_samples, self.angular_samples,
-                         self.axis_samples)
 
 
 @dataclass(frozen=True)
@@ -116,13 +102,13 @@ class GluedSolution:
         return self.points.c0
 
 
-def _solve_at(family: ParamFamily, s, options: SolveOptions) -> PointSolution:
+def _solve_at(family: ParamFamily, s, options: SolverSettings) -> PointSolution:
     return solve_point(family.freeze(np.asarray(s)), options.boundary_samples,
                        options.degree_cap_factor, options.grid)
 
 
 def solve_at_samples(family: ParamFamily, cover: Cover,
-                     options: SolveOptions = SolveOptions()) -> PointSolutionSet:
+                     options: SolverSettings = SolverSettings()) -> PointSolutionSet:
     """Freeze the family at every cover center and solve there."""
     try:
         solutions = [_solve_at(family, c, options) for c in cover.centers]
@@ -265,13 +251,14 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     Upper end: for each center k the scalar q_k = g_{s_k}^T f(., s) is a
     polynomial in (z, s); |1 - gtilde^T f| is a convex combination of the
     |1 - q_k|, so it is bounded by the worst sup of |1 - q_k| over the bump's
-    support box, certified by boundary sampling in z (maximum principle)
-    plus coefficient-sum Lipschitz slack in z and s.  Lower end: direct
-    sampling of |1 - gtilde^T f| on a global grid.
+    support box, certified by :func:`hnorm.bracket` on that box (boundary
+    sampling in z by the maximum principle, Lipschitz slack in z and s).
+    Lower end: direct sampling of |1 - gtilde^T f| on a global grid.
     """
     box = family.box
     radius = pou.cover.radius
     z = hnorm.boundary_points(boundary_samples)
+    z_mesh = hnorm.boundary_mesh_radius(boundary_samples)
     dim = family.dim
     one = ZSPoly.from_cpoly(CPoly.one(), dim)
     hi = 0.0
@@ -287,14 +274,10 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
         resid = -one
         for gm, comp in zip(sol.g, family.components):
             resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
-        axes = [np.linspace(a, b, axis_samples) for a, b in supp]
-        values = np.abs(resid.eval_sgrid(axes, z))
-        count += values.size
-        slack = (math.pi / boundary_samples) * resid.z_lipschitz_bound(supp)
-        for axis in range(dim):
-            half_step = (supp[axis][1] - supp[axis][0]) / (2.0 * (axis_samples - 1))
-            slack += float(np.sum(resid.partial(axis).coeff_bounds(supp))) * half_step
-        hi = max(hi, float(values.max()) + slack)
+        cert = hnorm.bracket((resid,), z, z_mesh, "glued residual sup", supp,
+                             axis_samples)
+        hi = max(hi, cert.hi)
+        count += cert.samples_used
 
     lo = 0.0
     axes = [np.linspace(a, b, axis_samples) for a, b in box]
@@ -304,7 +287,7 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     return NormCert(lo, max(hi, lo), "glued residual sup", count)
 
 
-def _pilot_c0(family: ParamFamily, options: SolveOptions) -> float:
+def _pilot_c0(family: ParamFamily, options: SolverSettings) -> float:
     """Norm bound from corner and midpoint solves; breaks the circular
     dependency between the cover radius and the point solutions."""
     pts = [tuple(p) for p in itertools.product(*family.box)]
@@ -315,7 +298,7 @@ def _pilot_c0(family: ParamFamily, options: SolveOptions) -> float:
     return c0
 
 
-def solve(family: ParamFamily, options: SolveOptions = SolveOptions()):
+def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
     """Full pipeline; returns (GluedSolution, stage timings in seconds)."""
     timings = {}
     t0 = time.perf_counter()

@@ -1,21 +1,36 @@
 """Certified bounds for suprema and infima of polynomial data.
 
-Every bound is a :class:`NormCert` interval produced by sampling plus a
-rigorous Lipschitz slack term built from coefficient sums.  Suprema of
-moduli are sampled on the boundary circle only (|p|^2 and l2 sums of |f_k|^2
-are subharmonic, so their maxima sit on the boundary); infima may be interior,
-so they are sampled on a polar grid of the full closed disc.
+One engine, :func:`bracket`, makes every sampled :class:`NormCert`.  It
+samples the l2 modulus (sum_k |p_k|^2)^(1/2) of a tuple of polynomials (|p|
+itself for one polynomial) on an array of z nodes, crossed, for ``ZSPoly``
+data, with a uniform grid of ``axis`` points per parameter axis of a box.
+It then widens the sampled extreme by a rigorous Lipschitz slack with one
+term per direction:
+
+* in z: z_mesh * sum_k sum_j j * b_kj, where every point of the z domain is
+  within z_mesh of a node and b_kj bounds the modulus of the z^j coefficient
+  of p_k (on the box for ``ZSPoly``);
+* per parameter axis i: the coefficient-sum bound on d p_k / d s_i, summed
+  over k, times the half step of the axis grid.
+
+A supremum keeps the sampled maximum as ``lo`` and adds the slack for ``hi``;
+an infimum keeps the sampled minimum as ``hi`` and subtracts it for ``lo``.
+Suprema of moduli are sampled on the boundary circle only (|p|^2 and l2 sums
+of |f_k|^2 are subharmonic, so their maxima sit on the boundary), with
+z_mesh = pi / samples; infima may be interior, so they are sampled on a
+polar grid of the full closed disc, with z_mesh = :func:`disc_mesh_radius`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .polyalg import CPoly, ParamFamily
+from .polyalg import CPoly, ParamFamily, ZSPoly
 
 
 @dataclass(frozen=True)
@@ -75,78 +90,89 @@ def disc_mesh_radius(radial: int, angular: int) -> float:
     return 0.5 / (radial - 1) + math.pi / angular
 
 
-def axis_samples(box, count: int):
-    return [np.linspace(a, b, count) for a, b in box]
+def boundary_mesh_radius(samples: int) -> float:
+    """Covering radius of the boundary grid along the circle: half the arc
+    between neighbouring nodes, which bounds the chord."""
+    return math.pi / samples
 
 
-def axis_mesh_radii(box, count: int):
-    return [(b - a) / (2.0 * (count - 1)) for a, b in box]
+def sample_modulus(polys, z, box=None, axis: int = 0) -> np.ndarray:
+    """The l2 modulus (sum_k |p_k|^2)^(1/2) of the tuple ``polys``: ``CPoly``
+    values on the z nodes, ``ZSPoly`` values on (tensor grid of ``axis``
+    points per axis of ``box``) x z, shape s_grid_shape + z.shape.  One
+    polynomial gives |p| itself."""
+    axes = None if box is None else [np.linspace(a, b, axis) for a, b in box]
+
+    def sample(p):
+        return p.eval(z) if axes is None else p.eval_sgrid(axes, z)
+
+    if len(polys) == 1:
+        return np.abs(sample(polys[0]))
+    return np.sqrt(functools.reduce(np.add, (np.abs(sample(p)) ** 2 for p in polys)))
 
 
-def coeff_lipschitz_bound(p: CPoly) -> float:
-    """L with |p(z) - p(w)| <= L |z - w| on the closed disc: sum_j j |a_j|."""
-    j = np.arange(len(p.coeffs))
-    return float(np.sum(j * np.abs(p.coeffs)))
+def partial_bounds(p: ZSPoly, box):
+    """Per parameter axis i, sum_j of a bound on the z^j coefficient of
+    d p / d s_i over the box: a Lipschitz constant of p in s_i over
+    disc x box."""
+    return [float(np.sum(p.partial(axis).coeff_bounds(box)))
+            for axis in range(p.dim)]
+
+
+def _z_lipschitz(p, box) -> float:
+    """sum_j j * (bound on |coefficient of z^j|): a Lipschitz constant of p
+    in z on the closed disc (for every s in the box)."""
+    bounds = np.abs(p.coeffs) if box is None else p.coeff_bounds(box)
+    return float(np.sum(np.arange(len(bounds)) * bounds))
+
+
+def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
+            inf: bool = False) -> NormCert:
+    """The certificate engine: bracket the sup (or, with ``inf``, the inf)
+    of the l2 modulus of ``polys`` over (z domain) x box.
+
+    Every point of the z domain must lie within ``z_mesh`` of a node of
+    ``z``.  The sampled extreme is widened by the Lipschitz slack
+    z_mesh * sum_k sum_j j * b_kj plus, per parameter axis, the summed
+    :func:`partial_bounds` times the axis grid's half step."""
+    polys = tuple(polys)
+    if not polys:
+        raise ValueError("empty tuple")
+    modulus = sample_modulus(polys, z, box, axis)
+    slack = z_mesh * sum(_z_lipschitz(p, box) for p in polys)
+    if box is not None:
+        per_poly = [partial_bounds(p, box) for p in polys]
+        for i, (a, b) in enumerate(box):
+            lip = sum((bounds[i] for bounds in per_poly), 0.0)
+            slack += lip * ((b - a) / (2.0 * (axis - 1)))
+    if inf:
+        hi = float(modulus.min())
+        return NormCert(hi - slack, hi, quantity, modulus.size)
+    lo = float(modulus.max())
+    return NormCert(lo, lo + slack, quantity, modulus.size)
 
 
 def sup_disc(p: CPoly, samples: int = 512) -> NormCert:
     """Bracket sup_{|z|<=1} |p(z)| from boundary samples."""
     if samples < 8:
         raise ValueError("need at least 8 boundary samples")
-    values = np.abs(p.eval(boundary_points(samples)))
-    lo = float(values.max())
-    hi = lo + (math.pi / samples) * coeff_lipschitz_bound(p)
-    return NormCert(lo, hi, "H-infinity norm", samples)
+    return bracket((p,), boundary_points(samples), boundary_mesh_radius(samples),
+                   "H-infinity norm")
 
 
 def vec_sup_norm(polys, samples: int = 512) -> NormCert:
     """Bracket sup_{|z|<=1} (sum_k |p_k(z)|^2)^(1/2) for a tuple of
-    polynomials; the slack sums the componentwise Lipschitz constants."""
-    polys = tuple(polys)
-    if not polys:
-        raise ValueError("empty tuple")
-    z = boundary_points(samples)
-    sq = np.zeros(samples)
-    for p in polys:
-        sq += np.abs(p.eval(z)) ** 2
-    lo = float(np.sqrt(sq.max()))
-    lip = sum(coeff_lipschitz_bound(p) for p in polys)
-    hi = lo + (math.pi / samples) * lip
-    return NormCert(lo, hi, "l2 sup norm", samples)
+    polynomials."""
+    return bracket(polys, boundary_points(samples), boundary_mesh_radius(samples),
+                   "l2 sup norm")
 
 
 def inf_disc(p: CPoly, grid: DiscKGrid = DiscKGrid()) -> NormCert:
     """Bracket inf_{|z|<=1} |p(z)|; the minimum can be interior, so the full
     polar grid is used."""
-    z = disc_points(grid.radial, grid.angular)
-    values = np.abs(p.eval(z))
-    hi = float(values.min())
-    lo = hi - disc_mesh_radius(grid.radial, grid.angular) * coeff_lipschitz_bound(p)
-    return NormCert(lo, hi, "inf modulus", z.size)
-
-
-def _family_modulus_on_grid(family: ParamFamily, axes, z: np.ndarray) -> np.ndarray:
-    """(sum_k |f_k|^2)^(1/2) on (tensor s-grid) x (z array)."""
-    sq = None
-    for comp in family.components:
-        vals = np.abs(comp.eval_sgrid(axes, z)) ** 2
-        sq = vals if sq is None else sq + vals
-    return np.sqrt(sq)
-
-
-def _family_z_lipschitz(family: ParamFamily) -> float:
-    return sum(c.z_lipschitz_bound(family.box) for c in family.components)
-
-
-def _family_s_lipschitz_per_axis(family: ParamFamily):
-    """Per-axis bounds on sum_k sup |d f_k / d s_i| over disc x box."""
-    out = []
-    for axis in range(family.dim):
-        total = 0.0
-        for comp in family.components:
-            total += float(np.sum(comp.partial(axis).coeff_bounds(family.box)))
-        out.append(total)
-    return out
+    return bracket((p,), disc_points(grid.radial, grid.angular),
+                   disc_mesh_radius(grid.radial, grid.angular), "inf modulus",
+                   inf=True)
 
 
 def delta_lower(family: ParamFamily, grid: DiscKGrid = DiscKGrid()) -> NormCert:
@@ -155,29 +181,15 @@ def delta_lower(family: ParamFamily, grid: DiscKGrid = DiscKGrid()) -> NormCert:
     The corona lower bound is certified iff ``lo > 0``; a nonpositive ``lo``
     means either genuine failure or an insufficient grid.
     """
-    axes = axis_samples(family.box, grid.axis)
-    z = disc_points(grid.radial, grid.angular)
-    modulus = _family_modulus_on_grid(family, axes, z)
-    hi = float(modulus.min())
-    slack = disc_mesh_radius(grid.radial, grid.angular) * _family_z_lipschitz(family)
-    for lip, h in zip(_family_s_lipschitz_per_axis(family),
-                      axis_mesh_radii(family.box, grid.axis)):
-        slack += lip * h
-    lo = hi - slack
-    return NormCert(lo, hi, "corona lower bound", modulus.size)
+    return bracket(family.components, disc_points(grid.radial, grid.angular),
+                   disc_mesh_radius(grid.radial, grid.angular),
+                   "corona lower bound", family.box, grid.axis, inf=True)
 
 
 def sup_family(family: ParamFamily, grid: DiscKGrid = DiscKGrid(),
                boundary: int = 512) -> NormCert:
     """Bracket sup over (closed disc) x K of the l2 modulus (boundary circle
     sampling in z, uniform grid in the parameter)."""
-    axes = axis_samples(family.box, grid.axis)
-    z = boundary_points(boundary)
-    modulus = _family_modulus_on_grid(family, axes, z)
-    lo = float(modulus.max())
-    slack = (math.pi / boundary) * _family_z_lipschitz(family)
-    for lip, h in zip(_family_s_lipschitz_per_axis(family),
-                      axis_mesh_radii(family.box, grid.axis)):
-        slack += lip * h
-    hi = lo + slack
-    return NormCert(lo, hi, "l2 sup norm", modulus.size)
+    return bracket(family.components, boundary_points(boundary),
+                   boundary_mesh_radius(boundary), "l2 sup norm", family.box,
+                   grid.axis)

@@ -340,11 +340,6 @@ class ZSPoly:
         """Per-z-power upper bounds for the coefficient magnitude on the box."""
         return np.array([c.abs_coeff_bound(box) for c in self.coeffs])
 
-    def z_lipschitz_bound(self, box) -> float:
-        """L with |p(z,s) - p(w,s)| <= L |z - w| on the closed disc, s in box."""
-        bounds = self.coeff_bounds(box)
-        return float(np.sum(np.arange(len(bounds)) * bounds))
-
     def taylor_coeffs(self, s0, orders, z):
         """Taylor coefficients in s about ``s0`` of z -> p(z, s); shape
         ``jet_shape + z.shape``."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,8 +164,8 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     f_best = {}
     for ix in indices:
-        deriv = partial_s(family, ix)
-        modulus = hnorm._family_modulus_on_grid(deriv, axes, z)
+        modulus = hnorm.sample_modulus(partial_s(family, ix).components, z,
+                                       family.box, axis_samples)
         f_best[ix] = float(modulus.max())
 
     per_index = [(ix, g_best[ix], f_best[ix]) for ix in indices]

@@ -90,7 +90,7 @@ def test_criterion_03_perturbation_gate(tmp_path):
     highs = {}
     for name in PASSING_CONFIGS:
         cfg = load_config(CONFIGS / name)
-        glued, _ = glue.solve(cfg.to_family(), cli._solve_options(cfg))
+        glued, _ = glue.solve(cfg.to_family(), cfg.solver)
         highs[name] = glued.residual_cert.hi
     all_pass = all(hi <= 0.5 for hi in highs.values())
 

@@ -8,13 +8,14 @@ import pytest
 from conftest import constant_family, steep_family, two_param_family, worked_family
 from coronaglue import glue, hnorm
 from coronaglue.bezout_point import PointSolution
+from coronaglue.config import SolverSettings
 from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
 from coronaglue.errors import (
     CoronaUncertified,
     CoronaViolation,
     InternalInconsistency,
 )
-from coronaglue.glue import PointSolutionSet, SolveOptions
+from coronaglue.glue import PointSolutionSet
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 
@@ -78,7 +79,7 @@ def test_radius_check_arithmetic():
     assert threshold == 0.25 and not ok
 
 
-def _point_set(cover, family, options=SolveOptions()):
+def _point_set(cover, family, options=SolverSettings()):
     return glue.solve_at_samples(family, cover, options)
 
 

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_family, random_cpoly, worked_family
-from coronaglue import hnorm
+from conftest import (constant_family, random_cpoly, steep_family,
+                      two_param_family, worked_family)
+from coronaglue import glue, hnorm
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 
 def test_coeff_lipschitz_examples():
-    assert hnorm.coeff_lipschitz_bound(CPoly([1, 2, 1])) == pytest.approx(4.0)
-    assert hnorm.coeff_lipschitz_bound(CPoly([7.0])) == 0.0
-    assert hnorm.coeff_lipschitz_bound(CPoly([0, 0, 0, 1])) == pytest.approx(3.0)
+    # sup_disc's width is its z slack (pi / n) * sum_j j |a_j|
+    for coeffs, lip in (([1, 2, 1], 4.0), ([7.0], 0.0), ([0, 0, 0, 1], 3.0)):
+        cert = hnorm.sup_disc(CPoly(coeffs), 64)
+        assert cert.hi - cert.lo == pytest.approx(math.pi / 64 * lip)
 
 
 def test_sup_disc_examples():
@@ -129,3 +132,144 @@ def test_grid_validation():
         DiscKGrid(radial=1)
     with pytest.raises(ValueError):
         hnorm.sup_disc(CPoly([1.0]), 4)
+
+
+# -- the hand-written certificates that hnorm.bracket replaced ----------------
+# Each returns (lo, hi, samples_used) by the formula its routine used before;
+# the engine must reproduce every bit.
+
+
+def _ref_lipschitz(p):
+    j = np.arange(len(p.coeffs))
+    return float(np.sum(j * np.abs(p.coeffs)))
+
+
+def _ref_sup_disc(p, samples):
+    lo = float(np.abs(p.eval(hnorm.boundary_points(samples))).max())
+    return lo, lo + (math.pi / samples) * _ref_lipschitz(p), samples
+
+
+def _ref_vec_sup_norm(polys, samples):
+    z = hnorm.boundary_points(samples)
+    sq = np.zeros(samples)
+    for p in polys:
+        sq += np.abs(p.eval(z)) ** 2
+    lo = float(np.sqrt(sq.max()))
+    return lo, lo + (math.pi / samples) * sum(_ref_lipschitz(p) for p in polys), samples
+
+
+def _ref_inf_disc(p, grid):
+    z = hnorm.disc_points(grid.radial, grid.angular)
+    hi = float(np.abs(p.eval(z)).min())
+    lip = _ref_lipschitz(p)
+    return hi - hnorm.disc_mesh_radius(grid.radial, grid.angular) * lip, hi, z.size
+
+
+def _ref_z_lipschitz(comp, box):
+    bounds = comp.coeff_bounds(box)
+    return float(np.sum(np.arange(len(bounds)) * bounds))
+
+
+def _ref_family(family, z, z_mesh, count):
+    axes = [np.linspace(a, b, count) for a, b in family.box]
+    sq = None
+    for comp in family.components:
+        vals = np.abs(comp.eval_sgrid(axes, z)) ** 2
+        sq = vals if sq is None else sq + vals
+    slack = z_mesh * sum(_ref_z_lipschitz(c, family.box) for c in family.components)
+    for axis, (a, b) in enumerate(family.box):
+        lip = 0.0
+        for comp in family.components:
+            lip += float(np.sum(comp.partial(axis).coeff_bounds(family.box)))
+        slack += lip * ((b - a) / (2.0 * (count - 1)))
+    return np.sqrt(sq), slack
+
+
+def _ref_delta_lower(family, grid):
+    modulus, slack = _ref_family(
+        family, hnorm.disc_points(grid.radial, grid.angular),
+        hnorm.disc_mesh_radius(grid.radial, grid.angular), grid.axis)
+    hi = float(modulus.min())
+    return hi - slack, hi, modulus.size
+
+
+def _ref_sup_family(family, grid, boundary):
+    modulus, slack = _ref_family(family, hnorm.boundary_points(boundary),
+                                 math.pi / boundary, grid.axis)
+    lo = float(modulus.max())
+    return lo, lo + slack, modulus.size
+
+
+def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples):
+    box, radius, dim = family.box, pou.cover.radius, family.dim
+    z = hnorm.boundary_points(boundary_samples)
+    one = ZSPoly.from_cpoly(CPoly.one(), dim)
+    hi, count = 0.0, 0
+    for center, sol in zip(pou.cover.centers, points.solutions):
+        supp = tuple((max(a, c - radius), min(b, c + radius))
+                     for (a, b), c in zip(box, center))
+        resid = -one
+        for gm, comp in zip(sol.g, family.components):
+            resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
+        axes = [np.linspace(a, b, axis_samples) for a, b in supp]
+        values = np.abs(resid.eval_sgrid(axes, z))
+        count += values.size
+        slack = (math.pi / boundary_samples) * _ref_z_lipschitz(resid, supp)
+        for axis in range(dim):
+            half_step = (supp[axis][1] - supp[axis][0]) / (2.0 * (axis_samples - 1))
+            slack += float(np.sum(resid.partial(axis).coeff_bounds(supp))) * half_step
+        hi = max(hi, float(values.max()) + slack)
+    lo = 0.0
+    axes = [np.linspace(a, b, axis_samples) for a, b in box]
+    for block in glue.GluedEvaluator(family, pou, points, z).sweep(axes):
+        lo = float(np.maximum(lo, np.abs(1.0 - block.phi).max()))
+        count += block.phi.size
+    return lo, max(hi, lo), count
+
+
+def _bits(cert):
+    return cert.lo, cert.hi, cert.samples_used
+
+
+def _random_zspoly(rng, dim):
+    z_degree = int(rng.integers(0, 4))
+    shape = tuple(int(n) for n in rng.integers(1, 4, size=dim))
+    return ZSPoly([SPoly(rng.standard_normal(shape)) for _ in range(z_degree + 1)])
+
+
+def test_engine_matches_the_old_formulas_on_cpolys():
+    rng = np.random.default_rng(51)
+    grid = DiscKGrid(radial=9, angular=20, axis=2)
+    for _ in range(25):
+        p = random_cpoly(rng, 10)
+        for samples in (8, 64, 512):
+            assert _bits(hnorm.sup_disc(p, samples)) == _ref_sup_disc(p, samples)
+        assert _bits(hnorm.inf_disc(p, grid)) == _ref_inf_disc(p, grid)
+        polys = [random_cpoly(rng, 6) for _ in range(int(rng.integers(1, 4)))]
+        assert _bits(hnorm.vec_sup_norm(polys, 128)) == _ref_vec_sup_norm(polys, 128)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_engine_matches_the_old_formulas_on_families(dim):
+    rng = np.random.default_rng(52 + dim)
+    box = [(-0.5, 1.0), (0.25, 2.0)][:dim]
+    for grid in (DiscKGrid(radial=8, angular=16, axis=5),
+                 DiscKGrid(radial=12, angular=24, axis=7)):
+        for _ in range(5):
+            family = ParamFamily([_random_zspoly(rng, dim) for _ in range(2)], box)
+            assert _bits(hnorm.delta_lower(family, grid)) == _ref_delta_lower(family, grid)
+            assert _bits(hnorm.sup_family(family, grid, 64)) == \
+                _ref_sup_family(family, grid, 64)
+
+
+@pytest.mark.parametrize("case", ["3-center-1d", "4-center-2d"])
+def test_residual_certify_matches_the_old_formula(case):
+    family, radius, size = {"3-center-1d": (steep_family(), 0.2, 3),
+                            "4-center-2d": (two_param_family(), 0.5, 4)}[case]
+    cover = build_cover(family.box, radius)
+    assert cover.size == size
+    pou = PartitionOfUnity(cover)
+    points = glue.solve_at_samples(family, cover)
+    for boundary, axis in ((256, 33), (64, 9)):
+        cert = glue.residual_certify(family, pou, points, boundary, axis)
+        assert _bits(cert) == _ref_residual_certify(family, pou, points, boundary, axis)
