@@ -201,8 +201,9 @@ def _interior_random(rng, box, margin):
 def _pou_derivatives(pou, s, alphas):
     """d^alpha of every weight at ``s`` for each alpha in ``alphas``, all read
     from one weight jet whose order covers every alpha."""
-    wj = np.moveaxis(pou.weight_jets(s, tuple(map(max, zip(*alphas)))), 0, -1)
-    return [jets.jet_extract(wj, alpha) for alpha in alphas]
+    order = max(map(sum, alphas))
+    wj = np.moveaxis(pou.weight_jets(s, order), 0, -1)
+    return [jets.jet_extract(wj, alpha, order) for alpha in alphas]
 
 
 class _Worst:
@@ -393,6 +394,13 @@ def cmd_eval_grid(args) -> int:
     return 0
 
 
+def _nonnegative(text) -> int:
+    """argparse type of the sample counts and --alpha: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coronaglue",
@@ -421,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check all invariants of a solution")
     p.add_argument("--solution", required=True)
-    p.add_argument("--z-samples", type=int, default=20,
+    p.add_argument("--z-samples", type=_nonnegative, default=20,
                    help="polar grid: radii and angles per direction")
-    p.add_argument("--s-samples", type=int, default=20,
+    p.add_argument("--s-samples", type=_nonnegative, default=20,
                    help="parameter samples per axis")
-    p.add_argument("--alpha", type=int, default=None,
+    p.add_argument("--alpha", type=_nonnegative, default=None,
                    help="max derivative order for the norm reports")
     p.add_argument("--report", help="write the run report to this path")
     p.set_defaults(func=cmd_verify)
@@ -433,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-grid", help="export solution values as CSV")
     p.add_argument("--solution", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--z-samples", type=int, default=8)
-    p.add_argument("--s-samples", type=int, default=8)
+    p.add_argument("--z-samples", type=_nonnegative, default=8)
+    p.add_argument("--s-samples", type=_nonnegative, default=8)
     p.set_defaults(func=cmd_eval_grid)
     return parser
 

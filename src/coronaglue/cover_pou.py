@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hnorm, jets
 from .errors import DomainError, InternalInconsistency
-from .polyalg import ParamFamily
+from .polyalg import ParamFamily, as_alpha
 
 BUMP_CLAMP = 1e-6      # t >= 1 - this evaluates to exactly 0
 COVER_MARGIN = 0.995   # effective radius factor used for center spacing
@@ -156,51 +156,50 @@ class PartitionOfUnity:
             )
         return b / total[..., None]
 
-    def weight_jets(self, s, orders) -> np.ndarray:
-        """Taylor-coefficient jets of every weight at ``s``; shape
-        (centers, *jet_shape).  Only the bumps whose support holds ``s`` (at
-        most 2^d of them) are built, in one batched pass; every other row is
-        exactly zero."""
+    def weight_jets(self, s, order) -> np.ndarray:
+        """Taylor-coefficient jets of every weight at ``s``, truncated at
+        total order ``order``; shape (centers, jet size).  Only the bumps
+        whose support holds ``s`` (at most 2^d of them) are built, in one
+        batched pass; every other row is exactly zero."""
         s = self._point(s)
-        orders = tuple(int(o) for o in orders)
-        if len(orders) != len(s):
-            raise DomainError("jet orders must match the parameter dimension")
+        dim, order = len(s), int(order)
         centers = np.asarray(self.cover.centers)
         r = self.cover.radius
         if math.isinf(r):
             live = np.arange(len(centers))
-            bumps = jets.jet_const(math.exp(-1.0), orders, batch=(len(live),))
+            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(len(live),))
         else:
             diff = s - centers
             live = np.flatnonzero((diff ** 2).sum(-1) < ((1.0 - BUMP_CLAMP) * r) ** 2)
-            bumps = self._bump_jets(diff[live], orders)
+            bumps = self._bump_jets(diff[live], order)
         # one term at a time in cover order, as the jet kernels add
-        total = sum(np.moveaxis(bumps, -1, 0), np.zeros(jets.jet_shape(orders)))
-        if total[(0,) * len(orders)] <= 0.0:
+        total = sum(np.moveaxis(bumps, -1, 0), jets.jet_const(0.0, dim, order))
+        if total[0] <= 0.0:
             raise InternalInconsistency(
                 "cover invariant violated: no bump is positive at "
                 f"{s.tolist()}",
                 witness=tuple(s),
             )
-        inv = jets.jet_reciprocal(total, orders)
-        out = np.zeros((len(centers),) + jets.jet_shape(orders))
-        out[live] = np.moveaxis(jets.jet_mul(bumps, inv[..., None], orders), -1, 0)
+        inv = jets.jet_reciprocal(total, dim, order)
+        out = np.zeros((len(centers), len(total)))
+        out[live] = np.moveaxis(jets.jet_mul(bumps, inv[..., None], dim, order), -1, 0)
         return out
 
-    def _bump_jets(self, diff, orders) -> np.ndarray:
+    def _bump_jets(self, diff, order) -> np.ndarray:
         """Jets of beta(|s - c| / r) for the offsets ``diff`` = s - c, one
         per row, batched along the trailing axis."""
-        batch = (len(diff),)
-        u = np.zeros(jets.jet_shape(orders) + batch)
-        for axis in range(len(orders)):
-            xi = jets.jet_variable(diff[:, axis], axis, orders, batch)
-            u += jets.jet_mul(xi, xi, orders)
+        batch, dim = diff.shape[:1], diff.shape[1]
+        u = jets.jet_const(0.0, dim, order, batch)
+        for axis in range(dim):
+            xi = jets.jet_variable(diff[:, axis], axis, dim, order, batch)
+            u += jets.jet_mul(xi, xi, dim, order)
         u /= self.cover.radius * self.cover.radius
-        v = jets.jet_const(1.0, orders, batch) - u
-        return jets.jet_exp(-jets.jet_reciprocal(v, orders), orders)
+        v = jets.jet_const(1.0, dim, order, batch) - u
+        return jets.jet_exp(-jets.jet_reciprocal(v, dim, order), dim, order)
 
     def derivs(self, s, alpha) -> np.ndarray:
         """Partial derivative d^alpha of every weight at an interior point.
         Orders with |alpha| >= 1 sum to zero across centers."""
-        alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-        return jets.jet_extract(np.moveaxis(self.weight_jets(s, alpha), 0, -1), alpha)
+        alpha = as_alpha(alpha, len(self.cover.box))
+        wj = np.moveaxis(self.weight_jets(s, sum(alpha)), 0, -1)
+        return jets.jet_extract(wj, alpha, sum(alpha))

@@ -20,6 +20,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
+from . import jets
 from .errors import DomainError
 
 _BOX_EPS = 1e-12
@@ -239,20 +240,21 @@ class SPoly:
         mags = [max(abs(a), abs(b)) for a, b in box]
         return float(_polyval_axes(mags, np.abs(self.coeffs)))
 
-    def taylor_coeffs(self, s0, orders):
-        """Taylor coefficients about ``s0`` as an array of shape
-        ``tuple(o+1 for o in orders)``; entry gamma is d^gamma p(s0) / gamma!.
+    def taylor_coeffs(self, s0, order):
+        """Taylor coefficients about ``s0`` as a jet of total order ``order``
+        (see :mod:`coronaglue.jets`); entry gamma is d^gamma p(s0) / gamma!.
 
-        A Taylor shift along each axis in turn: the coefficient of h^k in
-        p(x + h) is sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower
-        order gives exactly the truncated bits (unlike a BLAS contraction)."""
+        A Taylor shift along each axis in turn, then the entries with
+        |gamma| <= order: the coefficient of h^k in p(x + h) is
+        sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower order
+        gives exactly the truncated bits (unlike a BLAS contraction)."""
         out = self.coeffs
-        for axis, (x, order) in enumerate(zip(np.atleast_1d(s0), orders)):
+        for axis, x in enumerate(np.atleast_1d(s0)):
             binom, power = _shift_table(out.shape[axis], int(order))
             terms = map(np.multiply.outer, (binom * float(x) ** power).T,
                         np.moveaxis(out, axis, 0))
             out = np.moveaxis(functools.reduce(np.add, terms), 0, axis)
-        return out
+        return out[_jet_entries(self.dim, int(order))]
 
 
 def _polyval_axes(points, coeffs):
@@ -262,6 +264,12 @@ def _polyval_axes(points, coeffs):
     for x in points:
         coeffs = npp.polyval(x, coeffs)
     return coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_entries(dim, order):
+    """Index arrays picking the jet layout out of an (order + 1)^dim table."""
+    return tuple(np.array(jets.multi_indices(dim, order)).T)
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,16 +348,16 @@ class ZSPoly:
         """Per-z-power upper bounds for the coefficient magnitude on the box."""
         return np.array([c.abs_coeff_bound(box) for c in self.coeffs])
 
-    def taylor_coeffs(self, s0, orders, z):
-        """Taylor coefficients in s about ``s0`` of z -> p(z, s); shape
-        ``jet_shape + z.shape``."""
+    def taylor_coeffs(self, s0, order, z):
+        """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
+        total order ``order`` with batch shape ``z.shape``."""
         z = np.asarray(z, dtype=complex)
-        jets = np.stack([c.taylor_coeffs(s0, orders).astype(complex)
-                         for c in self.coeffs])
+        table = np.stack([c.taylor_coeffs(s0, order).astype(complex)
+                          for c in self.coeffs])
         powers = z[None, ...] ** np.arange(len(self.coeffs)).reshape(
             (-1,) + (1,) * z.ndim
         )
-        return np.tensordot(np.moveaxis(jets, 0, -1), powers, axes=([-1], [0]))
+        return np.tensordot(np.moveaxis(table, 0, -1), powers, axes=([-1], [0]))
 
 
 class ParamFamily:

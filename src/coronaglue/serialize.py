@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezout_point import PointSolution
-from .config import ProblemConfig
+from .config import ProblemConfig, _number
 from .cover_pou import Cover, PartitionOfUnity
 from .errors import ConfigError, InternalInconsistency
 from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
@@ -29,14 +29,6 @@ SOLUTION_FORMAT = "coronaglue-solution-v1"
 
 def _complex_list(p: CPoly):
     return [[float(c.real), float(c.imag)] for c in p.coeffs]
-
-
-def _number(value, where: str) -> float:
-    """A finite JSON number; strings, booleans, NaN and Infinity fail closed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _count(value, where: str) -> int:

@@ -23,30 +23,31 @@ from .glue import GluedEvaluator, GluedSolution
 from .polyalg import as_alpha, partial_s
 
 
-def _solution_jets(evaluator: GluedEvaluator, s, orders, shape):
-    """Jets of every component of g at (z, s) for the evaluator's z array
-    reshaped to ``shape``; a list of N_f arrays of shape jet_shape + shape.
-    Each live center's solution values are its row of the evaluator's table."""
+def _solution_jets(evaluator: GluedEvaluator, s, order, shape):
+    """Jets of every component of g at (z, s), truncated at total order
+    ``order``, for the evaluator's z array reshaped to ``shape``; a list of
+    N_f arrays of shape (jet size,) + shape.  Each live center's solution
+    values are its row of the evaluator's table."""
     family = evaluator.family
+    dim = family.dim
     z_arr = evaluator.z.reshape(shape)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     family.require_inside(s)
 
-    eta = evaluator.pou.weight_jets(s, orders)
-    gt = [np.zeros(jets.jet_shape(orders) + shape, dtype=complex)
-          for _ in range(family.size)]
+    eta = evaluator.pou.weight_jets(s, order)
+    gt = [jets.jet_const(0.0, dim, order, shape, complex) for _ in range(family.size)]
     # only the centers whose bump holds s contribute
-    for k in np.flatnonzero(eta.reshape(len(eta), -1)[:, 0]):
+    for k in np.flatnonzero(eta[:, 0]):
         ej = eta[k].reshape(eta[k].shape + (1,) * len(shape))
         for m, gkm in enumerate(evaluator.row(k)):
             gt[m] = gt[m] + ej * gkm.reshape(shape)
 
-    phi = np.zeros(jets.jet_shape(orders) + shape, dtype=complex)
+    phi = jets.jet_const(0.0, dim, order, shape, complex)
     for m, comp in enumerate(family.components):
-        fj = comp.taylor_coeffs(tuple(s), orders, z_arr)
-        phi = phi + jets.jet_mul(gt[m], fj, orders)
-    inv = jets.jet_reciprocal(phi, orders)
-    return [jets.jet_mul(g, inv, orders) for g in gt]
+        fj = comp.taylor_coeffs(tuple(s), order, z_arr)
+        phi = phi + jets.jet_mul(gt[m], fj, dim, order)
+    inv = jets.jet_reciprocal(phi, dim, order)
+    return [jets.jet_mul(g, inv, dim, order) for g in gt]
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
@@ -55,8 +56,8 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
-    comps = _solution_jets(evaluator, s, alpha, z.shape)
-    return np.stack([jets.jet_extract(c, alpha) for c in comps])
+    comps = _solution_jets(evaluator, s, sum(alpha), z.shape)
+    return np.stack([jets.jet_extract(c, alpha, sum(alpha)) for c in comps])
 
 
 _FD_FLOOR = 1e-8
@@ -146,28 +147,23 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     family = glued.family
     if order < 0:
         raise ValueError("order must be nonnegative")
-    dim = family.dim
-    orders = (order,) * dim
-    indices = jets.multi_indices(dim, order)
+    indices = jets.multi_indices(family.dim, order)
     z = hnorm.boundary_points(boundary_samples)
     axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 
     evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
-    g_best = {ix: 0.0 for ix in indices}
+    g_best = np.zeros(len(indices))
     for s in itertools.product(*axes):
-        comps = _solution_jets(evaluator, s, orders, z.shape)
-        for ix in indices:
-            sq = np.zeros(z.shape)
-            for cj in comps:
-                sq += np.abs(jets.jet_extract(cj, ix)) ** 2
-            g_best[ix] = max(g_best[ix], float(np.sqrt(sq.max())))
+        comps = _solution_jets(evaluator, s, order, z.shape)
+        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(cj, family.dim, order)) ** 2
+                                       for cj in comps])
+        # fmax: a NaN sample leaves the maximum as it was
+        g_best = np.fmax(g_best, np.sqrt(sq.max(axis=1)))
 
-    f_best = {}
-    for ix in indices:
+    per_index = []
+    for ix, g in zip(indices, g_best.tolist()):
         modulus = hnorm.sample_modulus(partial_s(family, ix).components, z,
                                        family.box, axis_samples)
-        f_best[ix] = float(modulus.max())
-
-    per_index = [(ix, g_best[ix], f_best[ix]) for ix in indices]
+        per_index.append((ix, g, float(modulus.max())))
     return CAlphaReport.from_per_index(order, per_index, axis_samples,
                                        boundary_samples)

@@ -381,10 +381,16 @@ def _lo_above_hi(raw):
     _set(("point_solutions",), []),
     _drop_c0,
     _lo_above_hi,
+    # JSON integers beyond the float range
+    _set(("c0",), 10 ** 400),
+    _set(("cover", "radius"), 10 ** 400),
+    _set(("residual_cert", "hi"), 10 ** 400),
+    _set(("point_solutions", 0, "g", 0, 0), [-10 ** 400, 0]),
 ], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
         "nan_c0", "numeric_infinite_radius", "nan_center", "foreign_box",
         "string_c0", "float_refinements",
-        "no_point_solutions", "missing_c0", "lo_above_hi"])
+        "no_point_solutions", "missing_c0", "lo_above_hi",
+        "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient"])
 def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
     path = tmp_path / "sol.json"
     serialize.save_solution(_load("worked_family.json"), worked_solution, path)
@@ -394,6 +400,30 @@ def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
     with pytest.raises(ConfigError):
         serialize.load_solution(path)
     assert cli.main(["verify", "--solution", str(path)]) == 2
+    assert cli.main(["eval-grid", "--solution", str(path),
+                     "--out", str(tmp_path / "grid.csv")]) == 2
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("verify", "--z-samples", "-3"),
+    ("verify", "--s-samples", "-1"),
+    ("verify", "--alpha", "-1"),
+    ("verify", "--alpha", "two"),
+    ("eval-grid", "--z-samples", "-2"),
+    ("eval-grid", "--s-samples", "-2"),
+])
+def test_cli_refuses_negative_counts(tmp_path, worked_solution, capsys,
+                                     command, option, value):
+    sol = tmp_path / "sol.json"
+    serialize.save_solution(_load("worked_family.json"), worked_solution, sol)
+    argv = [command, "--solution", str(sol), option, value]
+    if command == "eval-grid":
+        argv += ["--out", str(tmp_path / "grid.csv")]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "expected a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_cli_solve_negative_common_zero(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tensor_jets
 from conftest import worked_family
 from coronaglue import cover_pou as cp
 from coronaglue import jets
@@ -166,26 +167,32 @@ def test_pou_eval_midpoint_two_centers():
 
 
 def _center_bump_jet(pou, s, center, orders):
-    """Reference: the bump jet of one center, built on its own."""
+    """Reference: the tensor bump jet of one center, built on its own."""
     r = pou.cover.radius
+    out = np.zeros(tensor_jets.shape(orders))
     if math.isinf(r):
-        return jets.jet_const(math.exp(-1.0), orders)
+        out[(0,) * len(orders)] = math.exp(-1.0)
+        return out
     if sum((x - c) ** 2 for x, c in zip(s, center)) >= ((1.0 - cp.BUMP_CLAMP) * r) ** 2:
-        return np.zeros(jets.jet_shape(orders))
-    u = np.zeros(jets.jet_shape(orders))
+        return out
     for axis, (x, c) in enumerate(zip(s, center)):
-        xi = jets.jet_variable(x - c, axis, orders)
-        u += jets.jet_mul(xi, xi, orders)
-    u /= r * r
-    v = jets.jet_const(1.0, orders) - u
-    return jets.jet_exp(-jets.jet_reciprocal(v, orders), orders)
+        xi = np.zeros(tensor_jets.shape(orders))
+        xi[(0,) * len(orders)] = x - c
+        if orders[axis] >= 1:
+            xi[tuple(int(i == axis) for i in range(len(orders)))] = 1.0
+        out += tensor_jets.mul(xi, xi, orders)
+    out /= r * r
+    v = -out
+    v[(0,) * len(orders)] += 1.0
+    return tensor_jets.exp(-tensor_jets.reciprocal(v, orders), orders)
 
 
 def _reference_weight_jets(pou, s, orders):
-    """Reference: every center's bump jet, normalized one center at a time."""
+    """Reference: every center's tensor bump jet, normalized one center at a
+    time."""
     bumps = [_center_bump_jet(pou, s, c, orders) for c in pou.cover.centers]
-    inv = jets.jet_reciprocal(sum(bumps), orders)
-    return np.stack([jets.jet_mul(b, inv, orders) for b in bumps])
+    inv = tensor_jets.reciprocal(sum(bumps), orders)
+    return np.stack([tensor_jets.mul(b, inv, orders) for b in bumps])
 
 
 def _on_clamp_boundary(center, radius):
@@ -214,11 +221,18 @@ def test_weight_jets_match_per_center_reference(rng, box, radius, orders):
     if math.isfinite(radius):
         points.append(np.array(_on_clamp_boundary(pou.cover.centers[0], radius)))
     limit = ((1.0 - cp.BUMP_CLAMP) * radius) ** 2
+    # a jet of total order sum(orders) holds every coefficient of the tensor
+    # reference; compare those
+    order, dim = sum(orders), len(box)
+    indices = jets.multi_indices(dim, order)
+    kept = [p for p, ix in enumerate(indices) if all(np.less_equal(ix, orders))]
     for s in points:
-        got = pou.weight_jets(s, orders)
-        assert got.shape == (pou.size,) + jets.jet_shape(orders)
-        np.testing.assert_allclose(got, _reference_weight_jets(pou, s, orders),
-                                   rtol=1e-14, atol=0)
+        got = pou.weight_jets(s, order)
+        assert got.shape == (pou.size, len(indices))
+        reference = _reference_weight_jets(pou, s, orders)
+        np.testing.assert_allclose(
+            got[:, kept], np.stack([reference[(slice(None),) + indices[p]] for p in kept], 1),
+            rtol=1e-14, atol=0)
         missed = ((s - centers) ** 2).sum(-1) >= limit
         assert np.all(got[missed] == 0.0)
         assert 1 <= np.count_nonzero(~missed) <= 2 ** len(box)

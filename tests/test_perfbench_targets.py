@@ -63,10 +63,9 @@ def test_weight_jets_hook_reads_one_row_per_center(rng, box, radius):
     # at most 2^d bumps whose support holds s
     hook = _load_tracing()._weight_jets_post
     pou = PartitionOfUnity(build_cover(box, radius))
-    orders = (2,) * len(box)
     for _ in range(10):
         s = np.array([rng.uniform(a, b) for a, b in box])
         tracer = _StubTracer()
-        hook(tracer, (pou, s, orders), {}, pou.weight_jets(s, orders), None)
+        hook(tracer, (pou, s, 2), {}, pou.weight_jets(s, 2), None)
         assert tracer.counts["cover_pou.weight_jets.computed"] == pou.cover.size
         assert 1 <= tracer.counts["cover_pou.weight_jets.useful"] <= 2 ** len(box)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npp
 
+import tensor_jets
 from conftest import random_cpoly, worked_family
+from coronaglue import jets
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
     CPoly,
@@ -101,16 +103,17 @@ def test_product_evaluation_consistent(da, db, seed):
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
-def _taylor_by_partials(p, s0, orders):
-    """Reference: d^gamma p(s0) / gamma! from repeated formal partials."""
-    out = np.zeros(tuple(o + 1 for o in orders))
-    for gamma in np.ndindex(*out.shape):
+def _taylor_by_partials(p, s0, order):
+    """Reference: d^gamma p(s0) / gamma! from repeated formal partials, for
+    every gamma with |gamma| <= order."""
+    out = []
+    for gamma in jets.multi_indices(p.dim, order):
         q = p
         for axis, g in enumerate(gamma):
             for _ in range(g):
                 q = q.partial(axis)
-        out[gamma] = q.eval(s0) / math.prod(math.factorial(g) for g in gamma)
-    return out
+        out.append(q.eval(s0) / math.prod(math.factorial(g) for g in gamma))
+    return np.array(out)
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
@@ -118,13 +121,13 @@ def _taylor_by_partials(p, s0, orders):
 def test_taylor_coeffs_match_repeated_partials(dim, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))  # degree <= 8
-    orders = tuple(int(o) for o in rng.integers(0, 7, dim))
+    order = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    got = SPoly(coeffs).taylor_coeffs(s0, orders)
-    expected = _taylor_by_partials(SPoly(coeffs), s0, orders)
+    got = SPoly(coeffs).taylor_coeffs(s0, order)
+    expected = _taylor_by_partials(SPoly(coeffs), s0, order)
     # relative to the same coefficient of |p| at |s0|, which bounds |expected|
     # and stays meaningful where the terms cancel
-    scale = _taylor_by_partials(SPoly(np.abs(coeffs)), np.abs(s0), orders)
+    scale = _taylor_by_partials(SPoly(np.abs(coeffs)), np.abs(s0), order)
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
@@ -133,17 +136,22 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
 @settings(max_examples=100, deadline=None)
 def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
     # CAlphaReport.restricted reads lower orders out of the top-order jet,
-    # so every lower order must give exactly the truncated bits
+    # so the order-j jet must equal the order-k jet's entries at
+    # multi_indices(dim, j); both equal the tensor Taylor shift there
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))
     if complex_coeffs:
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
-    top = tuple(int(o) for o in rng.integers(0, 7, dim))
+    top = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
     full = SPoly(coeffs).taylor_coeffs(s0, top)
-    for orders in np.ndindex(*(o + 1 for o in top)):
-        low = SPoly(coeffs).taylor_coeffs(s0, orders)
-        np.testing.assert_array_equal(low, full[tuple(slice(o + 1) for o in orders)])
+    tensor = tensor_jets.taylor_shift(SPoly(coeffs), s0, (top,) * dim)
+    np.testing.assert_array_equal(full, tensor_jets.flat(tensor, dim, top))
+    indices = jets.multi_indices(dim, top)
+    for order in range(top + 1):
+        low = SPoly(coeffs).taylor_coeffs(s0, order)
+        cut = [indices.index(ix) for ix in jets.multi_indices(dim, order)]
+        np.testing.assert_array_equal(low, full[cut])
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))

@@ -9,14 +9,15 @@ from coronaglue.cover_pou import lipschitz_s_bound
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
-def bezout_identity_jet(glued, z, s, orders):
+def bezout_identity_jet(glued, z, s, order):
     """Jet of g^T f at (z, s): equals (1, 0, 0, ...) up to rounding because
     the identity holds exactly along the whole jet."""
     z_arr = np.asarray(z, dtype=complex)
     evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
-    comps = smoothness._solution_jets(evaluator, s, orders, z_arr.shape)
+    comps = smoothness._solution_jets(evaluator, s, order, z_arr.shape)
     point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
-    return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, orders, z_arr), orders)
+    dim = glued.family.dim
+    return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, order, z_arr), dim, order)
                for cj, comp in zip(comps, glued.family.components))
 
 
@@ -81,7 +82,7 @@ def test_fd_check_multi_center(steep_solution, rng):
 
 def test_identity_jet_is_unit(steep_solution):
     glued = steep_solution
-    jet = bezout_identity_jet(glued, 0.4 - 0.35j, [0.37], (3,))
+    jet = bezout_identity_jet(glued, 0.4 - 0.35j, [0.37], 3)
     assert abs(jet[0] - 1.0) <= 1e-10
     assert np.abs(jet[1:]).max() <= 1e-10
 
