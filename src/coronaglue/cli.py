@@ -7,7 +7,6 @@ usage or configuration errors.  No command reads the environment.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -68,9 +67,7 @@ class RunReport:
         return self.verdict
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        serialize.write_json(asdict(self), path)
 
 
 def _print_cert(label, cert):
@@ -193,17 +190,27 @@ def cmd_solve(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
-def _interior_random(rng, box, margin):
-    return np.array([rng.uniform(a + margin * (b - a), b - margin * (b - a))
-                     for a, b in box])
+def _uniform_blocks(rng, lows, highs, count, size):
+    """``count`` points drawn uniformly from the box [lows, highs], in (n, d)
+    blocks of at most ``size`` rows: the same stream as one by one."""
+    for start in range(0, count, size):
+        yield rng.uniform(lows, highs, (min(size, count - start), len(lows)))
+
+
+def _interior(box, margin):
+    """The bounds of the box shrunk by ``margin`` of each width."""
+    return ([a + margin * (b - a) for a, b in box],
+            [b - margin * (b - a) for a, b in box])
 
 
 def _pou_derivatives(pou, s, alphas):
-    """d^alpha of every weight at ``s`` for each alpha in ``alphas``, all read
-    from one weight jet whose order covers every alpha."""
+    """d^alpha of every weight for each alpha in ``alphas``, all read from one
+    weight jet whose order covers every alpha: (K,) each at one point ``s``,
+    (n, K) at an (n, d) block, with each point's K values contiguous so
+    that a sum over them adds in the same order as at one point."""
     order = max(map(sum, alphas))
     wj = np.moveaxis(pou.weight_jets(s, order), 0, -1)
-    return [jets.jet_extract(wj, alpha, order) for alpha in alphas]
+    return [np.ascontiguousarray(jets.jet_extract(wj, alpha, order)) for alpha in alphas]
 
 
 class _Worst:
@@ -288,8 +295,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     size = max(1, glue.EVAL_BUDGET // pou.size)
     lows, highs = np.array(family.box).T
     pou_sum = _Worst(0.0)
-    for start in range(0, _POU_RANDOM_SAMPLES, size):
-        s = rng.uniform(lows, highs, (min(size, _POU_RANDOM_SAMPLES - start), family.dim))
+    for s in _uniform_blocks(rng, lows, highs, _POU_RANDOM_SAMPLES, size):
         pou_sum.update(np.abs(pou.weights(s).sum(-1) - 1.0),
                        lambda i: {"s": s[i].tolist()})
     report.add_check(
@@ -298,36 +304,46 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"random points (tolerance {POU_SUM_TOL})", pou_sum.witness)
     dsum = _Worst(0.0)
     alphas = [a for a in jets.multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
-    for _ in range(200):
-        s = _interior_random(rng, family.box, 0.05)
-        for alpha, d in zip(alphas, _pou_derivatives(pou, s, alphas)):
-            dsum.update(abs(float(d.sum())),
-                        lambda i: {"s": s.tolist(), "alpha": list(alpha)})
+    inner = _interior(family.box, 0.05)
+    for s in _uniform_blocks(rng, *inner, 200, size):
+        # point by point, each point's multi-indices in order
+        sums = np.stack([d.sum(-1) for d in _pou_derivatives(pou, s, alphas)], axis=1)
+        dsum.update(np.abs(sums), lambda i: {"s": s[i // len(alphas)].tolist(),
+                                             "alpha": list(alphas[i % len(alphas)])})
     report.add_check(
         "pou_derivative_sums", dsum.value <= POU_DERIV_TOL,
         f"max |sum d^a eta| = {dsum.value:.3g} for 1 <= |a| <= 2 "
         f"(tolerance {POU_DERIV_TOL})", dsum.witness)
 
-    # derivative spot checks against central differences
+    # derivative spot checks against central differences: one block per
+    # multi-index, each point's stencil at its own z
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
-        fd, fd_breach = _Worst(0.0), None
+        points, zs = [], []
         for _ in range(_FD_RANDOM_POINTS):
-            s = _interior_random(rng, family.box, 0.05)
-            zpt = 0.5 * math.sqrt(rng.uniform(0, 1)) * \
-                complex(math.cos(rng.uniform(0, 2 * math.pi)),
-                        math.sin(rng.uniform(0, 2 * math.pi)))
-            for alpha in jets.multi_indices(family.dim, order):
-                if sum(alpha) != order:
-                    continue
-                try:
-                    dev = smoothness.fd_check(glued, zpt, s, alpha, h)
-                except InternalInconsistency as exc:
-                    fd_breach = fd_breach or exc
-                    continue
-                fd.update(dev, lambda i: {"z": [zpt.real, zpt.imag], "s": s.tolist(),
-                                          "alpha": list(alpha)})
+            points.append(rng.uniform(*inner))
+            zs.append(0.5 * math.sqrt(rng.uniform(0, 1)) *
+                      complex(math.cos(rng.uniform(0, 2 * math.pi)),
+                              math.sin(rng.uniform(0, 2 * math.pi))))
+        s = np.array(points)
+        alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
+        devs, breaches = zip(*(smoothness.fd_deviations(glued, zs, s, alpha, h)
+                               for alpha in alphas))
+        # point by point, each point's multi-indices in order; a tripped
+        # guard skips its deviation and the first one is the witness
+        breaches = [b for point in zip(*breaches) for b in point]
+        fd_breach = next((b for b in breaches if b is not None), None)
+        devs = np.stack(devs, axis=1).ravel()
+        devs[[b is not None for b in breaches]] = -math.inf
+
+        def fd_witness(i):
+            point, alpha = divmod(i, len(alphas))
+            return {"z": [zs[point].real, zs[point].imag], "s": s[point].tolist(),
+                    "alpha": list(alphas[alpha])}
+
+        fd = _Worst(0.0)
+        fd.update(devs, fd_witness)
         report.add_check(
             f"fd_order_{order}", fd_breach is None and fd.value <= tol,
             f"max relative deviation {fd.value:.3g} (tolerance {tol}, h = {h})",

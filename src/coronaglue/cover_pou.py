@@ -11,8 +11,10 @@ boundary, where every bump vanishes and the normalization is undefined.
 Derivatives of the normalized weights are computed by truncated-jet
 arithmetic (see :mod:`coronaglue.jets`); no symbolic differentiation and no
 finite differencing.  At a point s only the bumps whose support holds s (at
-most 2^d of them) are built, in one batched jet pass; every other weight and
-all of its derivatives are exactly zero there.
+most 2^d of them) are built; every other weight and all of its derivatives
+are exactly zero there.  A block of points is one batched jet pass over its
+live (point, center) pairs, and each point's jets keep the bits they have
+when the point is alone.
 """
 
 from __future__ import annotations
@@ -157,33 +159,45 @@ class PartitionOfUnity:
         return b / total[..., None]
 
     def weight_jets(self, s, order) -> np.ndarray:
-        """Taylor-coefficient jets of every weight at ``s``, truncated at
-        total order ``order``; shape (centers, jet size).  Only the bumps
-        whose support holds ``s`` (at most 2^d of them) are built, in one
-        batched pass; every other row is exactly zero."""
+        """Taylor-coefficient jets of every weight, truncated at total order
+        ``order``: shape (centers, jet size) at one point ``s``, or
+        (centers, jet size, n) at an (n, d) block of points.  Only the
+        (point, center) pairs whose bump support holds the point are built,
+        in one batched pass; every other entry is exactly zero."""
         s = self._point(s)
-        dim, order = len(s), int(order)
+        block = np.atleast_2d(s)
+        dim, order = block.shape[1], int(order)
         centers = np.asarray(self.cover.centers)
         r = self.cover.radius
+        diff = block[:, None, :] - centers
         if math.isinf(r):
-            live = np.arange(len(centers))
-            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(len(live),))
+            live = np.ones(diff.shape[:2], dtype=bool)
+            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(live.size,))
         else:
-            diff = s - centers
-            live = np.flatnonzero((diff ** 2).sum(-1) < ((1.0 - BUMP_CLAMP) * r) ** 2)
+            live = (diff ** 2).sum(-1) < ((1.0 - BUMP_CLAMP) * r) ** 2
             bumps = self._bump_jets(diff[live], order)
-        # one term at a time in cover order, as the jet kernels add
-        total = sum(np.moveaxis(bumps, -1, 0), jets.jet_const(0.0, dim, order))
-        if total[0] <= 0.0:
+        points, live_centers = np.nonzero(live)
+        # each point adds its live bumps one term at a time in cover order, as
+        # the jet kernels add: the first live bump of every point, then the
+        # second, and so on
+        rank = np.arange(len(points)) - np.searchsorted(points, points)
+        total = jets.jet_const(0.0, dim, order, batch=(len(block),))
+        for term in range(rank.max(initial=-1) + 1):
+            pairs = np.flatnonzero(rank == term)
+            total[:, points[pairs]] += bumps[:, pairs]
+        empty = np.flatnonzero(total[0] <= 0.0)
+        if empty.size:
+            witness = block[empty[0]]
             raise InternalInconsistency(
                 "cover invariant violated: no bump is positive at "
-                f"{s.tolist()}",
-                witness=tuple(s),
+                f"{witness.tolist()}",
+                witness=tuple(witness),
             )
         inv = jets.jet_reciprocal(total, dim, order)
-        out = np.zeros((len(centers), len(total)))
-        out[live] = np.moveaxis(jets.jet_mul(bumps, inv[..., None], dim, order), -1, 0)
-        return out
+        out = np.zeros((len(centers), len(total), len(block)))
+        out[live_centers, :, points] = np.moveaxis(
+            jets.jet_mul(bumps, inv[:, points], dim, order), -1, 0)
+        return out if s.ndim == 2 else out[..., 0]
 
     def _bump_jets(self, diff, order) -> np.ndarray:
         """Jets of beta(|s - c| / r) for the offsets ``diff`` = s - c, one

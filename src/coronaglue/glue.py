@@ -21,11 +21,13 @@ One evaluator serves every reader of the solution.  :class:`GluedEvaluator`
 holds the point solutions evaluated on one z array (the table
 G[k, m, z] = g_{s_k, m}(z)) and returns gtilde, f and phi for blocks of
 parameter points, each array of a block within EVAL_BUDGET elements (one
-point per block when its z array alone is larger).  The
-lower end of :func:`residual_certify`, verify's sweep, the CSV export and
-the jets of the C^k reports all read from it.  :meth:`EvalBlock.breach` is
-the one |phi| >= 1/2 guard (NaN fails it): :func:`g_eval` and the CSV export
-raise it, and verify records it as a failed check with its witness.
+point per block when its z array alone is larger).  The lower end of
+:func:`residual_certify`, verify's sweep and the CSV export read its blocks;
+the parameter jets of :mod:`coronaglue.smoothness` (the C^k reports over its
+blocks, ``g_partial`` and the finite-difference stencils, whose points each
+read their own z) read its table rows.  :meth:`EvalBlock.breach` is the one
+|phi| >= 1/2 guard (NaN fails it): :func:`g_eval` and the CSV export raise
+it, and verify records it as a failed check with its witness.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 A jet of ``dim`` variables at order ``order`` is truncated at total order: a
 numpy array whose leading axis runs over :func:`multi_indices` (dim, order),
 the multi-indices gamma with |gamma| <= order in lexicographic order, and
-whose trailing axes are a broadcast batch (disc points or cover centers).
+whose trailing axes are a broadcast batch (disc points, cover centers or
+blocks of parameter points).
 Entry gamma holds d^gamma f / gamma!, the monomial coefficient.  A C^k norm
 reads exactly the derivatives with |alpha| <= k, so none is computed that a
 report drops.  No finite differencing is involved.

@@ -243,18 +243,42 @@ class SPoly:
     def taylor_coeffs(self, s0, order):
         """Taylor coefficients about ``s0`` as a jet of total order ``order``
         (see :mod:`coronaglue.jets`); entry gamma is d^gamma p(s0) / gamma!.
+        One point (d,) gives shape (jet size,), an (n, d) block of points
+        (jet size, n), each point with the bits it has alone."""
+        jet = _taylor_shift(self.coeffs[None], _points(s0, self.dim), order)[0]
+        return jet.T if np.ndim(s0) == 2 else jet[0]
 
-        A Taylor shift along each axis in turn, then the entries with
-        |gamma| <= order: the coefficient of h^k in p(x + h) is
-        sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower order
-        gives exactly the truncated bits (unlike a BLAS contraction)."""
-        out = self.coeffs
-        for axis, x in enumerate(np.atleast_1d(s0)):
-            binom, power = _shift_table(out.shape[axis], int(order))
-            terms = map(np.multiply.outer, (binom * float(x) ** power).T,
-                        np.moveaxis(out, axis, 0))
-            out = np.moveaxis(functools.reduce(np.add, terms), 0, axis)
-        return out[_jet_entries(self.dim, int(order))]
+
+def _points(s, dim):
+    """One point or an (n, d) block of points as an (n, d) float array."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 2 or np.atleast_1d(s).shape[-1] != dim:
+        raise ValueError(f"points of shape {s.shape}, expected {dim} coordinates each")
+    return s.reshape(-1, dim)
+
+
+def _taylor_shift(tables, points, order):
+    """Jets of total order ``order`` about every row of the (n, d) array
+    ``points`` of the polynomials whose coefficient tables are stacked on the
+    leading axis of ``tables``; shape (tables, n, jet size).
+
+    A Taylor shift along each axis in turn, then the entries with
+    |gamma| <= order: the coefficient of h^k in p(x + h) is
+    sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower order gives
+    exactly the truncated bits (unlike a BLAS contraction), and every table
+    and point gets the bits it gets alone."""
+    order = int(order)
+    out = tables[:, None]
+    for axis, x in enumerate(points.T):
+        binom, power = _shift_table(out.shape[2 + axis], order)
+        weights = binom * x[:, None, None] ** power
+        # the shifted axis last, its order-k axis put back in its place
+        moved = np.moveaxis(out, 2 + axis, -1)
+        lead = (1, len(x)) + (1,) * (moved.ndim - 3)
+        terms = (moved[..., j, None] * weights[:, :, j].reshape(lead + (-1,))
+                 for j in range(moved.shape[-1]))
+        out = np.moveaxis(functools.reduce(np.add, terms), -1, 2 + axis)
+    return out[(slice(None), slice(None)) + _jet_entries(points.shape[1], order)]
 
 
 def _polyval_axes(points, coeffs):
@@ -350,14 +374,30 @@ class ZSPoly:
 
     def taylor_coeffs(self, s0, order, z):
         """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
-        total order ``order`` with batch shape ``z.shape``."""
+        total order ``order``.  At one point (d,) its batch shape is z.shape.
+        At an (n, d) block of points it is (n,) + z.shape[1:], where the
+        leading axis of ``z`` is 1 (every point reads the same z values) or n
+        (each point reads its own).
+
+        One Taylor shift per coefficient-table shape, batched over the points
+        and the z-coefficients of that shape, then one stacked matrix product
+        over the points; every point gets the bits it gets alone."""
         z = np.asarray(z, dtype=complex)
-        table = np.stack([c.taylor_coeffs(s0, order).astype(complex)
-                          for c in self.coeffs])
-        powers = z[None, ...] ** np.arange(len(self.coeffs)).reshape(
-            (-1,) + (1,) * z.ndim
-        )
-        return np.tensordot(np.moveaxis(table, 0, -1), powers, axes=([-1], [0]))
+        points = _points(s0, self.dim)
+        block = np.ndim(s0) == 2
+        zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
+        tables = np.empty((len(points), len(jets.multi_indices(self.dim, order)),
+                           len(self.coeffs)), dtype=complex)
+        groups = {}
+        for i, c in enumerate(self.coeffs):
+            groups.setdefault((c.coeffs.shape, c.coeffs.dtype), []).append(i)
+        for members in groups.values():
+            stacked = np.stack([self.coeffs[i].coeffs for i in members])
+            tables[..., members] = np.moveaxis(_taylor_shift(stacked, points, order), 0, -1)
+        powers = zf[:, None, :] ** np.arange(len(self.coeffs))[:, None]
+        jet = np.moveaxis(np.matmul(tables, powers), 0, 1)
+        return jet.reshape(jet.shape[:2] + z.shape[1:]) if block else \
+            jet[:, 0].reshape(jet.shape[:1] + z.shape)
 
 
 class ParamFamily:

@@ -3,7 +3,8 @@
 A solution file is self-contained: the full problem configuration, the cover,
 every pointwise solution's coefficients, and all certificates, so
 verification needs no recomputation of the pipeline.  Complex numbers are
-stored as [re, im] pairs; infinite radii as the string "inf".  Files are
+stored as [re, im] pairs; infinite radii as the string "inf", and any
+non-finite float of a report or summary as "nan", "inf" or "-inf".  Files are
 written with sorted keys and LF endings so identical runs produce
 byte-identical artifacts.
 """
@@ -141,11 +142,27 @@ def _solution_from_dict(raw: dict):
     return config, glued
 
 
-def save_solution(config: ProblemConfig, glued: GluedSolution, path):
-    payload = solution_to_dict(config, glued)
+def _strict(value):
+    """``value`` with every non-finite float spelled as the string "nan",
+    "inf" or "-inf", so strict JSON parsers read it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if value != value else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def write_json(payload, path):
+    """Strict JSON with sorted keys and LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def save_solution(config: ProblemConfig, glued: GluedSolution, path):
+    write_json(solution_to_dict(config, glued), path)
 
 
 def load_solution(path):
@@ -224,6 +241,4 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
 
 
 def save_summary(summary: dict, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)

@@ -6,46 +6,59 @@ machinery, the data through exact Taylor coefficients of its parameter
 polynomials, and the quotient g = gtilde / phi through the jet reciprocal,
 which is valid wherever |phi| >= 1/2.
 
-The norm reports never assert an inequality: the contract is finiteness and
-stability under grid refinement, with the g-to-f ratio left to the reader.
+Every jet carries a trailing axis over a block of parameter points: the C^k
+report sweeps the evaluator's blocks of its s-grid, and the finite-difference
+spot checks take one block per multi-index, each point at its own z.  The
+single-point :func:`g_partial` and :func:`fd_check` are blocks of one through
+the same code, and every point of a block gets the bits it gets alone.
+
+The norm reports never assert an inequality: the contract is finiteness
+(a NaN sample makes a maximum NaN) and stability under grid refinement, with
+the g-to-f ratio left to the reader.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hnorm, jets
-from .glue import GluedEvaluator, GluedSolution
+from .glue import EvalBlock, GluedEvaluator, GluedSolution, grid_blocks
 from .polyalg import as_alpha, partial_s
 
 
-def _solution_jets(evaluator: GluedEvaluator, s, order, shape):
-    """Jets of every component of g at (z, s), truncated at total order
-    ``order``, for the evaluator's z array reshaped to ``shape``; a list of
-    N_f arrays of shape (jet size,) + shape.  Each live center's solution
-    values are its row of the evaluator's table."""
+def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
+    """Jets of every component of g, truncated at total order ``order``, at
+    the (n, d) block of parameter points ``s``: a list of N_f arrays of shape
+    (jet size, n, q).  Every point reads all q of the evaluator's z values,
+    or with ``own_z`` its own run of q = nz / n consecutive ones.  Each live
+    center's solution values are its row of the evaluator's table, added with
+    the row-masked pattern of :meth:`GluedEvaluator.at`."""
     family = evaluator.family
     dim = family.dim
-    z_arr = evaluator.z.reshape(shape)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    family.require_inside(s)
+    s = np.asarray(s, dtype=float)
+    for point in s:
+        family.require_inside(point)
+    z = evaluator.z.reshape(len(s) if own_z else 1, -1)
+    batch = (len(s), z.shape[1])
 
     eta = evaluator.pou.weight_jets(s, order)
-    gt = [jets.jet_const(0.0, dim, order, shape, complex) for _ in range(family.size)]
-    # only the centers whose bump holds s contribute
-    for k in np.flatnonzero(eta[:, 0]):
-        ej = eta[k].reshape(eta[k].shape + (1,) * len(shape))
-        for m, gkm in enumerate(evaluator.row(k)):
-            gt[m] = gt[m] + ej * gkm.reshape(shape)
+    gt = [jets.jet_const(0.0, dim, order, batch, complex) for _ in range(family.size)]
+    # each center adds to the points whose bump holds it, in cover order
+    live = eta[:, 0] != 0.0
+    for k in np.flatnonzero(live.any(axis=1)):
+        rows = np.flatnonzero(live[k])
+        ej = eta[k][:, rows, None]
+        gk = np.broadcast_to(evaluator.row(k).reshape((family.size,) + z.shape),
+                             (family.size,) + batch)[:, rows]
+        for m in range(family.size):
+            gt[m][:, rows] += ej * gk[m]
 
-    phi = jets.jet_const(0.0, dim, order, shape, complex)
+    phi = jets.jet_const(0.0, dim, order, batch, complex)
     for m, comp in enumerate(family.components):
-        fj = comp.taylor_coeffs(tuple(s), order, z_arr)
-        phi = phi + jets.jet_mul(gt[m], fj, dim, order)
+        phi = phi + jets.jet_mul(gt[m], comp.taylor_coeffs(s, order, z), dim, order)
     inv = jets.jet_reciprocal(phi, dim, order)
     return [jets.jet_mul(g, inv, dim, order) for g in gt]
 
@@ -56,44 +69,78 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
-    comps = _solution_jets(evaluator, s, sum(alpha), z.shape)
-    return np.stack([jets.jet_extract(c, alpha, sum(alpha)) for c in comps])
+    comps = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
+                           sum(alpha))
+    return np.stack([jets.jet_extract(c, alpha, sum(alpha))[0].reshape(z.shape)
+                     for c in comps])
 
 
 _FD_FLOOR = 1e-8
 
 
-def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
-    """Central-difference verification of :func:`g_partial` for |alpha| in
-    {1, 2}; returns the relative deviation (absolute when the derivative is
-    numerically zero)."""
-    alpha = as_alpha(alpha, glued.family.dim)
+def _stencil(alpha, h: float):
+    """Central-difference offsets, their weights and the divisor for
+    d^alpha, |alpha| in {1, 2}."""
     order = sum(alpha)
     if order not in (1, 2):
         raise ValueError("finite-difference check supports orders 1 and 2")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    steps = np.eye(len(s)) * h
+    steps = np.eye(len(alpha)) * h
     if order == 1:
         e = steps[alpha.index(1)]
         stencil, scale = ((e, 1.0), (-e, -1.0)), 2.0 * h
     elif 2 in alpha:
         e = steps[alpha.index(2)]
-        stencil, scale = ((e, 1.0), (np.zeros(len(s)), -2.0), (-e, 1.0)), h * h
+        stencil, scale = ((e, 1.0), (np.zeros(len(alpha)), -2.0), (-e, 1.0)), h * h
     else:
         ex, ey = steps
         stencil = ((ex + ey, 1.0), (ex - ey, -1.0), (-ex + ey, -1.0), (-ex - ey, 1.0))
         scale = 4.0 * h * h
-    # the stencil points form one evaluator block, behind its |phi| guard
-    z = np.asarray(z, dtype=complex)
-    g = GluedEvaluator(glued.family, glued.pou, glued.points, z).at(
-        [s + delta for delta, _ in stencil]).g()
-    fd = (functools.reduce(np.add, [c * gi for (_, c), gi in zip(stencil, g)])
-          / scale).reshape((-1,) + z.shape)
+    return np.array([delta for delta, _ in stencil]), [c for _, c in stencil], scale
 
-    analytic = g_partial(glued, z, s, alpha)
-    err = float(np.linalg.norm(np.ravel(fd - analytic)))
-    scale = float(np.linalg.norm(np.ravel(analytic)))
-    return err / scale if scale > _FD_FLOOR else err
+
+def fd_deviations(glued: GluedSolution, z, s, alpha, h: float):
+    """Central-difference verification of :func:`g_partial` for |alpha| in
+    {1, 2} at the (n, d) block of points ``s``, point i at z[i].  Returns the
+    relative deviations, shape (n,) (absolute where the derivative is
+    numerically zero), and per point the |phi| >= 1/2 guard's
+    InternalInconsistency for its stencil, or None.
+
+    One evaluator on the n z values serves the stencil values and the jets;
+    each stencil point is read at its own point's z only, and the guard sees
+    exactly those (point, z) pairs."""
+    family = glued.family
+    alpha = as_alpha(alpha, family.dim)
+    offsets, weights, scale = _stencil(alpha, h)
+    s = np.asarray(s, dtype=float)
+    z = np.asarray(z, dtype=complex).ravel()
+    n, m = len(s), len(offsets)
+    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
+    stencil = s[:, None] + offsets
+    block = evaluator.at(stencil.reshape(n * m, -1))
+    rows, owner = np.arange(n * m), np.repeat(np.arange(n), m)
+    gtilde = block.gtilde[rows, :, owner].reshape(n, m, -1, 1)
+    f = block.f[rows, :, owner].reshape(n, m, -1, 1)
+    phi = block.phi[rows, owner].reshape(n, m, 1)
+    breaches = [EvalBlock(stencil[i], z[i:i + 1], gtilde[i], f[i], phi[i]).breach()
+                for i in range(n)]
+    g = gtilde[..., 0] / phi
+    fd = functools.reduce(np.add, [c * g[:, j] for j, c in enumerate(weights)]) / scale
+
+    order = sum(alpha)
+    comps = _solution_jets(evaluator, s, order, own_z=True)
+    analytic = np.stack([jets.jet_extract(c, alpha, order)[:, 0] for c in comps], axis=1)
+    size = np.linalg.norm(analytic, axis=1)
+    return np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0), breaches
+
+
+def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
+    """:func:`fd_deviations` at one point and one z value; raises the |phi|
+    guard's InternalInconsistency."""
+    dev, (breach,) = fd_deviations(glued, np.reshape(np.asarray(z, dtype=complex), 1),
+                                   [np.atleast_1d(np.asarray(s, dtype=float))], alpha, h)
+    if breach is not None:
+        raise breach
+    return float(dev[0])
 
 
 @dataclass(frozen=True)
@@ -111,8 +158,8 @@ class CAlphaReport:
 
     @staticmethod
     def from_per_index(order, per_index, axis_samples, boundary_samples):
-        g_norm = max(g for _, g, _ in per_index)
-        f_norm = max(f for _, _, f in per_index)
+        g_norm = float(np.max([g for _, g, _ in per_index]))  # NaN sticks
+        f_norm = float(np.max([f for _, _, f in per_index]))
         ratio = g_norm / max(f_norm, float(np.finfo(float).tiny))
         return CAlphaReport(order, g_norm, f_norm, ratio, axis_samples,
                             boundary_samples, tuple(per_index))
@@ -153,12 +200,12 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
     g_best = np.zeros(len(indices))
-    for s in itertools.product(*axes):
-        comps = _solution_jets(evaluator, s, order, z.shape)
+    for s in grid_blocks(axes, evaluator.block_size):
+        comps = _solution_jets(evaluator, s, order)
         sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(cj, family.dim, order)) ** 2
                                        for cj in comps])
-        # fmax: a NaN sample leaves the maximum as it was
-        g_best = np.fmax(g_best, np.sqrt(sq.max(axis=1)))
+        # per point, then over the block; a NaN sample sticks
+        g_best = np.maximum(g_best, np.sqrt(sq.max(axis=2)).max(axis=1))
 
     per_index = []
     for ix, g in zip(indices, g_best.tolist()):

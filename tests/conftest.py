@@ -13,6 +13,13 @@ def random_cpoly(rng, max_degree, scale=1.0):
     return CPoly(coeffs)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: signed zeros and NaNs must match too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
 def worked_family(scale=1.0):
     """(z, (2+s) - z) * scale on [0, 1]."""
     f1 = ZSPoly([SPoly([0.0]), SPoly([scale])])

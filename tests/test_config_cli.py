@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import ConfigError
+from coronaglue.polyalg import CPoly
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -496,3 +498,49 @@ def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
             expected = pou.derivs(s, alpha)
             np.testing.assert_array_equal(d, expected)
             assert float(d.sum()) == float(expected.sum())
+
+
+@pytest.mark.parametrize("box, radius", [
+    ([(0.0, 1.0)], 0.22),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.3),
+])
+def test_pou_derivative_sums_block_equals_points_bit_for_bit(rng, box, radius):
+    pou = PartitionOfUnity(build_cover(box, radius))
+    alphas = [a for a in jets.multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
+    block = rng.uniform(*np.array(box).T, (25, len(box)))
+    got = cli._pou_derivatives(pou, block, alphas)
+    for i, s in enumerate(block):
+        for d, expected in zip(got, cli._pou_derivatives(pou, s, alphas)):
+            assert np.array_equal(d[i], expected)
+            assert d.sum(-1)[i].tobytes() == expected.sum().tobytes()
+
+
+def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_solution):
+    # one infinite point-solution coefficient: g is NaN where center 0's
+    # bump is live, and every C^k report must say so with a witness
+    sols = list(steep_solution.points.solutions)
+    g0 = sols[0].g[0]
+    sols[0] = dataclasses.replace(sols[0], g=(CPoly(np.r_[math.inf, g0.coeffs[1:]]),)
+                                  + sols[0].g[1:])
+    glued = dataclasses.replace(steep_solution, points=glue.PointSolutionSet(
+        tuple(sols), steep_solution.points.c0))
+    report = cli.RunReport(command="verify")
+    with np.errstate(all="ignore"):
+        cli.run_verification(_load("three_center_family.json"), glued, 6, 6, 9, 2, report)
+    checks = {c["name"]: c for c in report.checks}
+    for order in range(3):
+        check = checks[f"cnorm_finite_order_{order}"]
+        assert not check["passed"] and math.isnan(check["witness"]["g"])
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    path = tmp_path / "report.json"
+    report.save(path)
+    saved = json.loads(path.read_text(), parse_constant=refuse)
+    assert saved["checks"] == json.loads(json.dumps(serialize._strict(report.checks)))
+    assert {c["witness"]["g"] for c in saved["checks"]
+            if c["name"].startswith("cnorm_finite")} == {"nan"}
+    serialize.save_summary({"c0": math.inf, "lo": -math.inf}, tmp_path / "summary.json")
+    assert json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse) == \
+        {"c0": "inf", "lo": "-inf"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tensor_jets
-from conftest import worked_family
+from conftest import same_bits, worked_family
 from coronaglue import cover_pou as cp
 from coronaglue import jets
 from coronaglue.errors import DomainError
@@ -237,3 +237,38 @@ def test_weight_jets_match_per_center_reference(rng, box, radius, orders):
         assert np.all(got[missed] == 0.0)
         assert 1 <= np.count_nonzero(~missed) <= 2 ** len(box)
 
+
+
+@pytest.mark.parametrize("box, radius", [
+    ([(0.0, 1.0)], 0.22),
+    ([(0.0, 1.0)], math.inf),
+    ([(0.0, 1.0), (0.0, 1.0)], 0.3),
+    ([(0.0, 1.0), (-1.0, 0.5)], 0.45),
+])
+def test_weight_jets_block_equals_points_bit_for_bit(rng, box, radius):
+    # one batched pass over the live (point, center) pairs of a block gives
+    # every point the bits it gets alone, on the clamp boundary too
+    pou = cp.PartitionOfUnity(cp.build_cover(box, radius))
+    lows, highs = np.array(box).T
+    block = [rng.uniform(lows, highs) for _ in range(40)]
+    if math.isfinite(radius):
+        block += [np.array(_on_clamp_boundary(pou.cover.centers[0], radius)),
+                  np.array(pou.cover.centers[0])]
+        limit = ((1.0 - cp.BUMP_CLAMP) * radius) ** 2
+        live = [np.count_nonzero(((s - pou.cover.centers) ** 2).sum(-1) < limit)
+                for s in block]
+        assert len(set(live)) >= 2  # live sets of different sizes
+    block = np.array(block)
+    for order in (0, 1, 2, 4):
+        got = pou.weight_jets(block, order)
+        assert got.shape == (pou.size, len(jets.multi_indices(len(box), order)), len(block))
+        for i, s in enumerate(block):
+            assert same_bits(got[..., i], pou.weight_jets(s, order))
+
+
+def test_weight_jets_block_witness_is_the_first_failing_point():
+    pou = cp.PartitionOfUnity(cp.Cover(((0.25,),), 0.1, ((0.0, 1.0),)))
+    with pytest.raises(cp.InternalInconsistency) as info:
+        pou.weight_jets([[0.25], [0.3], [0.9], [0.95]], 2)
+    assert info.value.witness == (0.9,)
+    assert "[0.9]" in str(info.value)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npp
 
 import tensor_jets
-from conftest import random_cpoly, worked_family
+from conftest import random_cpoly, same_bits, worked_family
 from coronaglue import jets
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
@@ -152,6 +152,48 @@ def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
         low = SPoly(coeffs).taylor_coeffs(s0, order)
         cut = [indices.index(ix) for ix in jets.multi_indices(dim, order)]
         np.testing.assert_array_equal(low, full[cut])
+
+
+@given(st.integers(1, 2), st.booleans(), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_taylor_coeffs_block_equals_points_bit_for_bit(dim, complex_coeffs, seed):
+    # a block of points is one batched shift; each point keeps its bits
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))
+    if complex_coeffs:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    order = int(rng.integers(0, 7))
+    points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 9)), dim))
+    block = SPoly(coeffs).taylor_coeffs(points, order)
+    assert block.shape == (len(jets.multi_indices(dim, order)), len(points))
+    for i, s0 in enumerate(points):
+        assert same_bits(block[:, i], SPoly(coeffs).taylor_coeffs(s0, order))
+
+
+@given(st.integers(1, 2), st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
+    # z-coefficients of different table shapes (one complex) are shifted in
+    # groups; the points of a block read shared z values or their own
+    rng = np.random.default_rng(seed)
+    tables = [rng.standard_normal(tuple(rng.integers(1, 5, dim)))
+              for _ in range(int(rng.integers(1, 8)))]
+    if rng.integers(0, 2):
+        tables[0] = tables[0] + 1j * rng.standard_normal(tables[0].shape)
+    p = ZSPoly([SPoly(c) for c in tables])
+    order = int(rng.integers(0, 5))
+    n, q = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    points = rng.uniform(-1.0, 1.0, (n, dim))
+    own = 0.9 * (rng.uniform(-1, 1, (n, q)) + 1j * rng.uniform(-1, 1, (n, q)))
+    size = len(jets.multi_indices(dim, order))
+    shared = p.taylor_coeffs(points, order, own[:1])
+    mine = p.taylor_coeffs(points, order, own)
+    single = p.taylor_coeffs(points, order, own[:, :1].reshape(n, 1))
+    assert shared.shape == mine.shape == (size, n, q)
+    for i, s0 in enumerate(points):
+        assert same_bits(shared[:, i], p.taylor_coeffs(s0, order, own[0]))
+        assert same_bits(mine[:, i], p.taylor_coeffs(s0, order, own[i]))
+        assert same_bits(single[:, i, 0], p.taylor_coeffs(s0, order, own[i, 0]))
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))

@@ -1,10 +1,15 @@
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import worked_family
+from conftest import same_bits, two_param_family, worked_family
 from coronaglue import glue, hnorm, jets, smoothness
+from coronaglue.errors import InternalInconsistency
+from coronaglue.polyalg import CPoly
 from coronaglue.cover_pou import lipschitz_s_bound
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
@@ -14,7 +19,8 @@ def bezout_identity_jet(glued, z, s, order):
     the identity holds exactly along the whole jet."""
     z_arr = np.asarray(z, dtype=complex)
     evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
-    comps = smoothness._solution_jets(evaluator, s, order, z_arr.shape)
+    comps = [c[:, 0].reshape((-1,) + z_arr.shape) for c in smoothness._solution_jets(
+        evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)]
     point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
     dim = glued.family.dim
     return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, order, z_arr), dim, order)
@@ -142,3 +148,114 @@ def test_modulus_samples_respect_bound():
             worst = max(worst, float(np.sqrt(diff.max())) / allowed)
     assert worst <= 1.0 + 1e-9
 
+
+
+@pytest.fixture(scope="module")
+def two_param_solution():
+    glued, _ = glue.solve(two_param_family())
+    return glued
+
+
+def _with_point_solution(glued, k, transform):
+    """The glued solution with center k's solution components transformed."""
+    sols = list(glued.points.solutions)
+    sols[k] = dataclasses.replace(sols[k], g=tuple(transform(gm) for gm in sols[k].g))
+    return dataclasses.replace(
+        glued, points=glue.PointSolutionSet(tuple(sols), glued.points.c0))
+
+
+def _interior_block(rng, glued, n):
+    lows, highs = np.array(glued.family.box).T
+    return rng.uniform(lows + 0.05, highs - 0.05, (n, glued.family.dim))
+
+
+@pytest.mark.parametrize("which", ["steep", "two_param"])
+def test_solution_jets_block_equals_points_bit_for_bit(rng, steep_solution,
+                                                      two_param_solution, which):
+    glued = steep_solution if which == "steep" else two_param_solution
+    block = _interior_block(rng, glued, 7)
+    z = hnorm.boundary_points(16)
+    own = 0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, (len(block), 3)))
+    for order in (0, 1, 2):
+        shared = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z)
+        mine = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own)
+        got = smoothness._solution_jets(shared, block, order)
+        got_own = smoothness._solution_jets(mine, block, order, own_z=True)
+        for i, s in enumerate(block):
+            alone = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own[i])
+            for a, b in zip(got, smoothness._solution_jets(shared, block[i:i + 1], order)):
+                assert same_bits(a[:, i:i + 1], b)
+            for a, b in zip(got_own, smoothness._solution_jets(alone, block[i:i + 1], order)):
+                assert same_bits(a[:, i:i + 1], b)
+
+
+@pytest.mark.parametrize("which", ["steep", "two_param"])
+def test_fd_deviations_equal_fd_check_bit_for_bit(rng, steep_solution,
+                                                 two_param_solution, which):
+    glued = steep_solution if which == "steep" else two_param_solution
+    block = _interior_block(rng, glued, 9)
+    zs = 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, len(block)))
+    for alpha in jets.multi_indices(glued.family.dim, 2):
+        if sum(alpha) == 0:
+            continue
+        h = 1e-4 if sum(alpha) == 1 else 1e-3
+        devs, breaches = smoothness.fd_deviations(glued, zs, block, alpha, h)
+        assert devs.shape == (len(block),) and breaches == [None] * len(block)
+        for i, s in enumerate(block):
+            assert same_bits(devs[i], np.float64(smoothness.fd_check(glued, zs[i], s, alpha, h)))
+
+
+def test_fd_deviations_guard_witness_equals_fd_check(steep_solution):
+    # center 1's solution scaled by 0.1 leaves |phi| < 1/2 where its bump
+    # carries the weight; each tripped stencil keeps the witness and the
+    # message that the point alone raises
+    glued = _with_point_solution(steep_solution, 1, lambda gm: CPoly(0.1 * gm.coeffs))
+    block = np.linspace(0.06, 0.94, 12)[:, None]
+    zs = 0.3 * np.exp(2j * np.pi * np.arange(len(block)) / len(block))
+    devs, breaches = smoothness.fd_deviations(glued, zs, block, (2,), 1e-3)
+    assert any(b is None for b in breaches) and any(b is not None for b in breaches)
+    for i, (s, breach) in enumerate(zip(block, breaches)):
+        if breach is None:
+            assert same_bits(devs[i], np.float64(smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)))
+            continue
+        with pytest.raises(InternalInconsistency) as info:
+            smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)
+        assert info.value.witness == breach.witness
+        assert str(info.value) == str(breach)
+
+
+def _per_point_g_maxima(glued, order, axis_samples, boundary_samples=256):
+    """Reference: the C^k report's g maxima, one grid point at a time."""
+    family = glued.family
+    z = hnorm.boundary_points(boundary_samples)
+    evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z)
+    best = np.zeros(len(jets.multi_indices(family.dim, order)))
+    for s in itertools.product(*[np.linspace(a, b, axis_samples) for a, b in family.box]):
+        comps = smoothness._solution_jets(evaluator, [s], order)
+        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order)) ** 2
+                                       for c in comps])
+        best = np.maximum(best, np.sqrt(sq[:, 0].max(axis=1)))
+    return best
+
+
+@pytest.mark.parametrize("which, axis_samples", [("steep", 17), ("two_param", 6)])
+def test_cnorm_report_equals_per_point_reference_bit_for_bit(steep_solution,
+                                                           two_param_solution,
+                                                           which, axis_samples):
+    glued = steep_solution if which == "steep" else two_param_solution
+    for order in (0, 2):
+        rep = smoothness.cnorm_report(glued, order, axis_samples=axis_samples)
+        got = np.array([g for _, g, _ in rep.per_index])
+        assert same_bits(got, _per_point_g_maxima(glued, order, axis_samples))
+
+
+def test_cnorm_report_nan_sticks(steep_solution):
+    # one infinite point-solution coefficient makes g NaN where that
+    # center's bump is live; the report must not drop those samples
+    glued = _with_point_solution(steep_solution, 0, lambda gm: CPoly(
+        np.where(np.arange(gm.coeffs.size) == 0, math.inf, gm.coeffs)))
+    with np.errstate(all="ignore"):
+        assert np.isnan(smoothness.g_partial(glued, 0.0, [0.0], (1,))).any()
+        rep = smoothness.cnorm_report(glued, 2, axis_samples=9)
+    assert math.isnan(rep.g_norm_estimate) and math.isnan(rep.ratio)
+    assert any(math.isnan(g) for _, g, _ in rep.per_index)
