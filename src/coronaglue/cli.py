@@ -49,6 +49,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     verdict: str = "fail"
+    rounds: list | None = None   # solve only: one glue.SolveRound per round
 
     def add_check(self, name, passed, detail, witness=None):
         """Record a check; a failing one keeps its witness."""
@@ -67,7 +68,10 @@ class RunReport:
         return self.verdict
 
     def save(self, path):
-        serialize.write_json(asdict(self), path)
+        payload = asdict(self)
+        if self.rounds is None:
+            del payload["rounds"]
+        serialize.write_json(payload, path)
 
 
 def _print_cert(label, cert):
@@ -150,6 +154,8 @@ def cmd_solve(args) -> int:
         return 1
     except CoronaGlueError as exc:
         report.add_check("pipeline", False, f"{type(exc).__name__}: {exc}")
+        if hasattr(exc, "rounds"):
+            report.rounds = list(exc.rounds)
         report.settle()
         if args.report:
             report.save(args.report)
@@ -163,6 +169,7 @@ def cmd_solve(args) -> int:
     report.cover_size = glued.cover.size
     report.r_final = glued.cover.to_dict()["radius"]
     report.residual_cert = glued.residual_cert.to_dict()
+    report.rounds = list(glued.rounds)
     report.add_check(
         "residual_gate", glued.residual_cert.hi <= glue.RESIDUAL_GATE,
         f"certified residual hi = {glued.residual_cert.hi:.6g} <= 1/2",

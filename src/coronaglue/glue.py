@@ -10,7 +10,8 @@ Stages of :func:`solve`:
 5. perturbation check: Lipschitz-times-radius must fit the residual budget
    (1/2 when all centers solved exactly, 1/4 with the least-norm fallback in
    play, matching the 1/4 + 1/4 budget split);
-6. residual certificate for sup |1 - gtilde^T f| over disc x box, gate 1/2;
+6. residual certificate for sup |1 - gtilde^T f| over disc x box, each
+   center's term bounded over its bump's support ball, gate 1/2;
 7. on failure halve the radius and repeat, at most ``max_refinements`` times.
 
 The final solution is an evaluator: g(z,s) = gtilde(z,s) / phi(z,s) with
@@ -32,11 +33,12 @@ it, and verify records it as a failed check with its witness.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +88,29 @@ class PointSolutionSet:
 
 
 @dataclass(frozen=True)
+class SolveRound:
+    """One refinement round of :func:`solve`: the cover radius and center
+    count it tried, the point solutions' c0 and all_exact, the radius
+    check's margin and threshold, the residual certificate when the radius
+    check passed (else None), and the outcome: "radius_check" or
+    "residual_gate" for the gate that failed, or "passed"."""
+
+    radius: float
+    centers: int
+    c0: float
+    all_exact: bool
+    margin: float
+    threshold: float
+    residual_cert: NormCert | None
+    outcome: str
+
+
+@dataclass(frozen=True)
 class GluedSolution:
+    """The glued solution; ``rounds`` is the refinement trace of the solve
+    that built it (empty for a loaded one), which the solution file does
+    not hold."""
+
     family: ParamFamily
     pou: PartitionOfUnity
     points: PointSolutionSet
@@ -94,6 +118,7 @@ class GluedSolution:
     sup_cert: NormCert
     residual_cert: NormCert
     refinements: int
+    rounds: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def cover(self) -> Cover:
@@ -253,8 +278,12 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     Upper end: for each center k the scalar q_k = g_{s_k}^T f(., s) is a
     polynomial in (z, s); |1 - gtilde^T f| is a convex combination of the
     |1 - q_k|, so it is bounded by the worst sup of |1 - q_k| over the bump's
-    support box, certified by :func:`hnorm.bracket` on that box (boundary
-    sampling in z by the maximum principle, Lipschitz slack in z and s).
+    support ball (within the box), certified by :func:`hnorm.bracket` with
+    that ball on the ball's bounding box (boundary sampling in z by the
+    maximum principle, Lipschitz slack in z and s).  A bump is nonzero only
+    where |s - s_k| < r (1 - ``cover_pou.BUMP_CLAMP``), so the ball of
+    radius r leaves a margin of 1e-6 r against rounding in the node test.
+    An infinite radius has the whole box as its support and no ball.
     Lower end: direct sampling of |1 - gtilde^T f| on a global grid.
     """
     box = family.box
@@ -267,17 +296,18 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     count = 0
     for center, sol in zip(pou.cover.centers, points.solutions):
         if math.isinf(radius):
-            supp = box
+            supp, ball = box, None
         else:
             supp = tuple(
                 (max(a, c - radius), min(b, c + radius))
                 for (a, b), c in zip(box, center)
             )
+            ball = (center, radius)
         resid = -one
         for gm, comp in zip(sol.g, family.components):
             resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
         cert = hnorm.bracket((resid,), z, z_mesh, "glued residual sup", supp,
-                             axis_samples)
+                             axis_samples, ball=ball)
         hi = max(hi, cert.hi)
         count += cert.samples_used
 
@@ -300,51 +330,68 @@ def _pilot_c0(family: ParamFamily, options: SolverSettings) -> float:
     return c0
 
 
-def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
-    """Full pipeline; returns (GluedSolution, stage timings in seconds)."""
-    timings = {}
+@contextlib.contextmanager
+def _stage(timings: dict, key: str):
+    """Add the wall time of the with-block to ``timings[key]``."""
     t0 = time.perf_counter()
-    delta = hnorm.delta_lower(family, options.grid)
-    timings["corona_check"] = time.perf_counter() - t0
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
+def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
+    """Full pipeline; returns (GluedSolution, stage timings in seconds).
+
+    ``point_solves`` (cover, center solves and radius check) and
+    ``residual_certify`` sum over every refinement round.  Each round is
+    recorded as a :class:`SolveRound`, in the solution's ``rounds`` or, when
+    no round passes, in the ``rounds`` of the RefinementExhausted."""
+    timings = {}
+    with _stage(timings, "corona_check"):
+        delta = hnorm.delta_lower(family, options.grid)
     if not delta.lo > 0.0:
         raise CoronaUncertified(
             f"corona condition not certified: lower bound {delta.lo:.4g} <= 0 "
             "(genuine failure or insufficient grid)",
             certificate=delta,
         )
-    sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+    with _stage(timings, "sup_norm"):
+        sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
 
-    t0 = time.perf_counter()
-    pilot = _pilot_c0(family, options)
-    timings["pilot_solves"] = time.perf_counter() - t0
+    with _stage(timings, "pilot_solves"):
+        pilot = _pilot_c0(family, options)
 
     lip = lipschitz_s_bound(family)
     radius = modulus_inverse(1.0 / (2.0 * pilot), lip)
 
     failure_stage, failure_cert = "radius_check", None
-    t0 = time.perf_counter()
+    rounds = []
     for round_index in range(options.max_refinements + 1):
-        cover = build_cover(family.box, radius)
-        points = solve_at_samples(family, cover, options)
-        passed, _margin, _threshold = radius_check(
-            family, cover, points.c0, points.all_exact
-        )
+        with _stage(timings, "point_solves"):
+            cover = build_cover(family.box, radius)
+            points = solve_at_samples(family, cover, options)
+            passed, margin, threshold = radius_check(
+                family, cover, points.c0, points.all_exact
+            )
+        cert, outcome = None, "radius_check"
         if passed:
             pou = PartitionOfUnity(cover)
-            timings["point_solves"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            cert = residual_certify(family, pou, points,
-                                    max(256, options.angular_samples),
-                                    options.axis_samples)
-            timings["residual_certify"] = time.perf_counter() - t0
-            if cert.hi <= RESIDUAL_GATE:
-                return (
-                    GluedSolution(family, pou, points, delta, sup, cert,
-                                  round_index),
-                    timings,
-                )
-            failure_stage, failure_cert = "residual_gate", cert
-            t0 = time.perf_counter()
+            with _stage(timings, "residual_certify"):
+                cert = residual_certify(family, pou, points,
+                                        max(256, options.angular_samples),
+                                        options.axis_samples)
+            outcome = "passed" if cert.hi <= RESIDUAL_GATE else "residual_gate"
+        rounds.append(SolveRound(radius, cover.size, points.c0, points.all_exact,
+                                 margin, threshold, cert, outcome))
+        if outcome == "passed":
+            return (
+                GluedSolution(family, pou, points, delta, sup, cert,
+                              round_index, tuple(rounds)),
+                timings,
+            )
+        if outcome == "residual_gate":
+            failure_stage, failure_cert = outcome, cert
         if math.isinf(radius):
             break
         radius /= 2.0
@@ -353,4 +400,5 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
         f"(last failure at {failure_stage})",
         stage=failure_stage,
         certificate=failure_cert,
+        rounds=tuple(rounds),
     )

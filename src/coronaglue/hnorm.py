@@ -15,10 +15,21 @@ term per direction:
 
 A supremum keeps the sampled maximum as ``lo`` and adds the slack for ``hi``;
 an infimum keeps the sampled minimum as ``hi`` and subtracts it for ``lo``.
+
 Suprema of moduli are sampled on the boundary circle only (|p|^2 and l2 sums
 of |f_k|^2 are subharmonic, so their maxima sit on the boundary), with
 z_mesh = pi / samples; infima may be interior, so they are sampled on a
 polar grid of the full closed disc, with z_mesh = :func:`disc_mesh_radius`.
+
+A ``ball`` (center, radius) narrows the parameter region to the open ball
+within the box.  The grid and the slack stay the same; only the nodes whose
+half-step cell, the product of the [x_i - h_i, x_i + h_i], meets the ball
+(:func:`ball_mask`) count toward the extreme.  The bound stays true: a
+point of the ball within the box lies within h_i, per axis, of its nearest
+node; that node's cell holds the point, so it meets the ball and the node
+is kept; and the slack, whose partial bounds hold on the whole box, covers
+the step from that node to the point.  In 1-D the box clipped to the ball
+is the ball, so every node is kept.
 """
 
 from __future__ import annotations
@@ -126,25 +137,53 @@ def _z_lipschitz(p, box) -> float:
     return float(np.sum(np.arange(len(bounds)) * bounds))
 
 
+def _half_step(a: float, b: float, axis: int) -> float:
+    """Half the spacing of the uniform grid of ``axis`` nodes on [a, b]:
+    every point of [a, b] is within this distance of a node."""
+    return (b - a) / (2.0 * (axis - 1))
+
+
+def ball_mask(box, axis: int, ball) -> np.ndarray:
+    """Over the tensor grid of ``axis`` nodes per axis of ``box``, True
+    where the node's half-step cell meets the open ball ``ball`` =
+    (center, radius): the squared distances from the center to the cell,
+    summed over the axes, fall below radius^2."""
+    center, radius = ball
+    dist2 = np.zeros(())
+    for (a, b), c in zip(box, center):
+        nodes = np.linspace(a, b, axis)
+        gap = np.maximum(np.abs(nodes - c) - _half_step(a, b, axis), 0.0)
+        dist2 = np.add.outer(dist2, gap * gap)
+    return dist2 < radius * radius
+
+
 def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
-            inf: bool = False) -> NormCert:
+            inf: bool = False, ball=None) -> NormCert:
     """The certificate engine: bracket the sup (or, with ``inf``, the inf)
-    of the l2 modulus of ``polys`` over (z domain) x box.
+    of the l2 modulus of ``polys`` over (z domain) x box, or, given a
+    ``ball`` (center, radius), over (z domain) x (ball x box).
 
     Every point of the z domain must lie within ``z_mesh`` of a node of
-    ``z``.  The sampled extreme is widened by the Lipschitz slack
+    ``z``.  The sampled extreme, over the nodes :func:`ball_mask` keeps when
+    there is a ball, is widened by the Lipschitz slack
     z_mesh * sum_k sum_j j * b_kj plus, per parameter axis, the summed
-    :func:`partial_bounds` times the axis grid's half step."""
+    :func:`partial_bounds` over the box times the axis grid's half step;
+    ``samples_used`` counts the kept samples.  Every point of the ball
+    within the box has its nearest node kept (the node's cell holds the
+    point, so it meets the ball), and the slack over the box covers the
+    step between them, so the bracket holds over the ball too."""
     polys = tuple(polys)
     if not polys:
         raise ValueError("empty tuple")
     modulus = sample_modulus(polys, z, box, axis)
+    if ball is not None:
+        modulus = modulus[ball_mask(box, axis, ball)]
     slack = z_mesh * sum(_z_lipschitz(p, box) for p in polys)
     if box is not None:
         per_poly = [partial_bounds(p, box) for p in polys]
         for i, (a, b) in enumerate(box):
             lip = sum((bounds[i] for bounds in per_poly), 0.0)
-            slack += lip * ((b - a) / (2.0 * (axis - 1)))
+            slack += lip * _half_step(a, b, axis)
     if inf:
         hi = float(modulus.min())
         return NormCert(hi - slack, hi, quantity, modulus.size)

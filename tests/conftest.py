@@ -42,6 +42,21 @@ def two_param_family():
     return ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 1.0)])
 
 
+def rational_gcd_tables():
+    """The z_coeffs tables of (z - 3)/3 times (z, (2 + s) - z)/3: every
+    center takes the least-norm route, and the first cover fails the radius
+    check."""
+    c0, c1 = -1.0, 1.0 / 3.0   # (z - 3)/3
+    return [[[0.0], [c0 / 3.0], [c1 / 3.0]],
+            [[c0 * 2.0 / 3.0, c0 / 3.0], [c1 * 2.0 / 3.0 - c0 / 3.0, c1 / 3.0],
+             [-c1 / 3.0]]]
+
+
+def rational_gcd_family():
+    return ParamFamily([ZSPoly([SPoly(row) for row in table])
+                        for table in rational_gcd_tables()], [(0.0, 1.0)])
+
+
 def constant_family():
     return ParamFamily([ZSPoly([SPoly([1.0])])], [(0.0, 1.0)])
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rational_gcd_tables
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
@@ -453,6 +454,38 @@ def test_cli_solve_certifies_the_family_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "sol.json")])
     assert code == 0
     assert calls == {"delta_lower": 1, "sup_family": 1}
+
+
+def test_solve_report_records_every_round(tmp_path, capsys):
+    raw = _load("worked_family.json").to_dict()
+    raw["family"]["components"] = [{"z_coeffs": t} for t in rational_gcd_tables()]
+    cfg_path, sol, rep = (tmp_path / n for n in ("cfg.json", "sol.json", "rep.json"))
+    save_config(ProblemConfig.from_dict(raw), cfg_path)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(sol), "--report", str(rep)]
+    assert cli.main(argv) == 0
+    report = json.loads(rep.read_text())
+    first, last = report["rounds"]
+    assert (first["outcome"], last["outcome"]) == ("radius_check", "passed")
+    assert first["residual_cert"] is None and first["margin"] < 0.0
+    assert first["radius"] == 2.0 * last["radius"] == 2.0 * report["r_final"]
+    assert last["residual_cert"] == report["residual_cert"]
+    assert (last["centers"], last["c0"]) == (report["cover_size"], report["c0"])
+    assert "rounds" not in json.loads(sol.read_text())["result"]
+    # the console keeps its lines
+    assert "refinements 1" in capsys.readouterr().out
+
+    # a solve that runs out of rounds writes them to its report as well
+    raw["solver"]["max_refinements"] = 0
+    save_config(ProblemConfig.from_dict(raw), cfg_path)
+    sol.unlink()
+    assert cli.main(argv) == 1
+    report = json.loads(rep.read_text())
+    assert [r["outcome"] for r in report["rounds"]] == ["radius_check"]
+    assert not sol.exists()
+
+    # check and verify reports have no rounds
+    assert cli.main(["check", "--config", str(cfg_path), "--out", str(rep)]) == 0
+    assert "rounds" not in json.loads(rep.read_text())
 
 
 SIXTH = 1.0 / 6.0

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_family, steep_family, two_param_family, worked_family
+from conftest import (constant_family, rational_gcd_family, steep_family,
+                      two_param_family, worked_family)
 from coronaglue import glue, hnorm
 from coronaglue.bezout_point import PointSolution
 from coronaglue.config import SolverSettings
@@ -14,6 +15,7 @@ from coronaglue.errors import (
     CoronaUncertified,
     CoronaViolation,
     InternalInconsistency,
+    RefinementExhausted,
 )
 from coronaglue.glue import PointSolutionSet
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
@@ -348,3 +350,69 @@ def test_point_solution_set_enforces_budget():
     )
     with pytest.raises(ValueError):
         PointSolutionSet((bad,), 1.0)
+
+
+class _Clock:
+    """A stand-in for the time module whose perf_counter moves only when a
+    stage wrapped by :meth:`ticking` runs, by that stage's fixed cost."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def ticking(self, fn, seconds):
+        def wrapped(*args, **kwargs):
+            self.now += seconds
+            return fn(*args, **kwargs)
+        return wrapped
+
+
+def _clocked_solve(monkeypatch, family, certify=glue.residual_certify, **options):
+    """glue.solve with each center-solve pass costing 1 s and each residual
+    certificate 100 s on a fake clock."""
+    clock = _Clock()
+    monkeypatch.setattr(glue, "time", clock)
+    monkeypatch.setattr(glue, "solve_at_samples", clock.ticking(glue.solve_at_samples, 1.0))
+    monkeypatch.setattr(glue, "residual_certify", clock.ticking(certify, 100.0))
+    return glue.solve(family, dataclasses.replace(SolverSettings(), **options))
+
+
+def test_solve_timings_sum_over_a_radius_check_failure(monkeypatch):
+    glued, timings = _clocked_solve(monkeypatch, rational_gcd_family())
+    assert [r.outcome for r in glued.rounds] == ["radius_check", "passed"]
+    first, last = glued.rounds
+    assert first.margin < 0.0 <= last.margin and first.residual_cert is None
+    assert (first.threshold, first.all_exact) == (glue.RESIDUAL_ACCEPT, False)
+    assert last.radius == first.radius / 2.0 == glued.cover.radius
+    assert (last.centers, last.c0) == (glued.cover.size, glued.c0)
+    assert last.residual_cert == glued.residual_cert
+    assert glued.refinements == 1
+    assert timings == {"corona_check": 0.0, "sup_norm": 0.0, "pilot_solves": 0.0,
+                       "point_solves": 2.0, "residual_certify": 100.0}
+
+
+def test_solve_timings_sum_over_a_residual_gate_failure(monkeypatch):
+    forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
+    calls, real = [], glue.residual_certify
+
+    def certify(*args, **kwargs):
+        calls.append(None)
+        return forced if len(calls) == 1 else real(*args, **kwargs)
+
+    glued, timings = _clocked_solve(monkeypatch, steep_family(), certify)
+    outcomes = [r.outcome for r in glued.rounds]
+    assert outcomes[-2:] == ["residual_gate", "passed"]
+    assert glued.rounds[-2].residual_cert is forced
+    assert glued.rounds[-1].radius == glued.rounds[-2].radius / 2.0
+    assert timings["point_solves"] == float(len(outcomes))
+    assert timings["residual_certify"] == 200.0
+
+
+def test_refinement_exhausted_carries_the_rounds(monkeypatch):
+    with pytest.raises(RefinementExhausted) as err:
+        _clocked_solve(monkeypatch, rational_gcd_family(), max_refinements=0)
+    assert err.value.stage == "radius_check"
+    (only,) = err.value.rounds
+    assert only.outcome == "radius_check" and only.margin < 0.0

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (constant_family, random_cpoly, steep_family,
                       two_param_family, worked_family)
@@ -200,7 +202,23 @@ def _ref_sup_family(family, grid, boundary):
     return lo, lo + slack, modulus.size
 
 
-def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples):
+def _ref_kept(axes, half_steps, center, radius):
+    """The support-ball node rule, written apart from hnorm.ball_mask: keep a
+    node when the point of its cell [x - h, x + h] nearest the center lies
+    inside the open ball."""
+    kept = np.zeros(tuple(len(x) for x in axes), dtype=bool)
+    for index in itertools.product(*(range(len(x)) for x in axes)):
+        nearest = [min(max(c, x[i] - h), x[i] + h)
+                   for x, i, h, c in zip(axes, index, half_steps, center)]
+        kept[index] = math.dist(nearest, center) < radius
+    return kept
+
+
+def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples,
+                          ball=True):
+    """The residual certificate over each bump's support ball, or, with
+    ``ball`` false, over its whole support box (the formula before the
+    ball)."""
     box, radius, dim = family.box, pou.cover.radius, family.dim
     z = hnorm.boundary_points(boundary_samples)
     one = ZSPoly.from_cpoly(CPoly.one(), dim)
@@ -213,11 +231,13 @@ def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples):
             resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
         axes = [np.linspace(a, b, axis_samples) for a, b in supp]
         values = np.abs(resid.eval_sgrid(axes, z))
+        half_steps = [(b - a) / (2.0 * (axis_samples - 1)) for a, b in supp]
+        if ball:
+            values = values[_ref_kept(axes, half_steps, center, radius)]
         count += values.size
         slack = (math.pi / boundary_samples) * _ref_z_lipschitz(resid, supp)
         for axis in range(dim):
-            half_step = (supp[axis][1] - supp[axis][0]) / (2.0 * (axis_samples - 1))
-            slack += float(np.sum(resid.partial(axis).coeff_bounds(supp))) * half_step
+            slack += float(np.sum(resid.partial(axis).coeff_bounds(supp))) * half_steps[axis]
         hi = max(hi, float(values.max()) + slack)
     lo = 0.0
     axes = [np.linspace(a, b, axis_samples) for a, b in box]
@@ -264,6 +284,8 @@ def test_engine_matches_the_old_formulas_on_families(dim):
 
 @pytest.mark.parametrize("case", ["3-center-1d", "4-center-2d"])
 def test_residual_certify_matches_the_old_formula(case):
+    # in 1-D the support ball is the clipped support box, so the certificate
+    # keeps the box formula's bits; in 2-D it drops the box corners' nodes
     family, radius, size = {"3-center-1d": (steep_family(), 0.2, 3),
                             "4-center-2d": (two_param_family(), 0.5, 4)}[case]
     cover = build_cover(family.box, radius)
@@ -272,4 +294,53 @@ def test_residual_certify_matches_the_old_formula(case):
     points = glue.solve_at_samples(family, cover)
     for boundary, axis in ((256, 33), (64, 9)):
         cert = glue.residual_certify(family, pou, points, boundary, axis)
-        assert _bits(cert) == _ref_residual_certify(family, pou, points, boundary, axis)
+        boxed = _ref_residual_certify(family, pou, points, boundary, axis, ball=False)
+        if family.dim == 1:
+            assert _bits(cert) == boxed
+        else:
+            assert _bits(cert) == _ref_residual_certify(family, pou, points,
+                                                        boundary, axis)
+            assert cert.hi < boxed[1] and cert.samples_used < boxed[2]
+
+
+@given(st.integers(1, 2), st.integers(2, 40), st.booleans(), st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_ball_mask_keeps_the_nearest_node_of_every_ball_point(dim, axis, clip, seed):
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(-2.0, 1.0, dim)
+    box = [(a, a + w) for a, w in zip(lows, rng.uniform(1e-3, 3.0, dim))]
+    center = [rng.uniform(a, b) for a, b in box]
+    radius = float(rng.uniform(1e-3, 2.0))
+    if clip:  # the support box residual_certify passes
+        box = [(max(a, c - radius), min(b, c + radius)) for (a, b), c in zip(box, center)]
+    mask = hnorm.ball_mask(box, axis, (center, radius))
+    assert mask.shape == (axis,) * dim and mask.any()
+    steps = [(b - a) / (axis - 1) for a, b in box]
+    # points of ball x box, half of them within 1e-9 r to 0.1 r of its sphere
+    directions = rng.standard_normal((400, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    shares = np.concatenate([rng.uniform(0.0, 1.0, 200),
+                             1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 200)])
+    points = np.asarray(center) + radius * shares[:, None] * directions
+    inside = np.all([(points[:, i] >= a) & (points[:, i] <= b)
+                     for i, (a, b) in enumerate(box)], axis=0)
+    for p in points[inside]:
+        nearest = tuple(min(axis - 1, int(round((x - a) / h)))
+                        for x, (a, _), h in zip(p, box, steps))
+        assert mask[nearest], (p, nearest)
+    if dim == 1 and clip:
+        assert mask.all()
+
+
+def test_bracket_over_a_ball_counts_the_kept_samples():
+    family = two_param_family()
+    z = hnorm.boundary_points(16)
+    box, ball = [(0.0, 0.5), (0.25, 0.75)], ((0.0, 0.5), 0.5)
+    whole = hnorm.bracket(family.components, z, math.pi / 16, "l2 sup norm", box, 9)
+    part = hnorm.bracket(family.components, z, math.pi / 16, "l2 sup norm", box, 9,
+                         ball=ball)
+    kept = int(hnorm.ball_mask(box, 9, ball).sum())
+    assert 0 < kept < 81 and part.samples_used == kept * 16
+    # the slack is the whole box's: only the sampled extreme moves
+    assert part.hi - part.lo == pytest.approx(whole.hi - whole.lo, rel=1e-12)
+    assert part.lo <= whole.lo

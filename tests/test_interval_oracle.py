@@ -10,11 +10,12 @@ the polar cells of the full disc times the box.
 
 import heapq
 
+import numpy as np
 import pytest
 
 from conftest import steep_family, worked_family
 from coronaglue import glue, hnorm
-from coronaglue.cover_pou import PartitionOfUnity, build_cover
+from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
 from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
@@ -58,9 +59,11 @@ def _enclose(modulus, cell, sup, width):
             child = c[:i] + [half] + c[i + 1:]
             heapq.heappush(heap, (sign * outer(child), count, child))
             best = max(best, inner(child)) if sup else min(best, inner(child))
-    else:
-        pytest.fail("subdivision budget exhausted")
     end = sign * heap[0][0]
+    if abs(end - best) > width:
+        pytest.fail(f"subdivision budget exhausted with the "
+                    f"{'sup' if sup else 'inf'} between {float(best):.6g} and "
+                    f"{float(end):.6g}")
     return (best, end) if sup else (end, best)
 
 
@@ -83,19 +86,25 @@ def _cpoly(p: CPoly):
     return [(iv.mpf(float(c.real)), iv.mpf(float(c.imag))) for c in p.coeffs]
 
 
+def _horner(table, s):
+    """The parameter polynomial with the nested coefficient table ``table``
+    (table[e1][e2] multiplies s1^e1 s2^e2) at the intervals ``s``, one per
+    axis: Horner in s1 over rows that are Horner in s2."""
+    acc = ZERO
+    for row in reversed(table):
+        acc = acc * s[0] + (row if len(s) == 1 else _horner(row, s[1:]))
+    return acc
+
+
 def _zspoly(p: ZSPoly):
-    """s -> the z-coefficients of p(., s) as (re, im) interval pairs, for a
-    1-D parameter."""
-    tables = [[iv.mpf(float(x)) for x in reversed(c.coeffs)] for c in p.coeffs]
+    """s -> the z-coefficients of p(., s) as (re, im) interval pairs; ``s``
+    holds one interval per parameter axis."""
+    def to_iv(x):
+        return [to_iv(y) for y in x] if isinstance(x, list) else iv.mpf(x)
+    tables = [to_iv(c.coeffs.tolist()) for c in p.coeffs]
 
     def coeffs(s):
-        out = []
-        for table in tables:
-            acc = ZERO
-            for x in table:
-                acc = acc * s + x
-            out.append((acc, ZERO))
-        return out
+        return [(_horner(table, s), ZERO) for table in tables]
     return coeffs
 
 
@@ -103,33 +112,38 @@ def _l2(values):
     return iv.sqrt(sum((re ** 2 + im ** 2 for re, im in values), ZERO))
 
 
+def _s(cell):
+    """The parameter intervals of the last axes of a cell."""
+    return [iv.mpf(list(x)) for x in cell]
+
+
 def _family_modulus(family):
-    """The l2 modulus of the family on a (radius, theta, s) or, on the
-    circle, a (theta, s) cell."""
+    """The l2 modulus of the family on a (radius, theta, s...) or, on the
+    circle, a (theta, s...) cell."""
     comps = [_zspoly(p) for p in family.components]
+    dim = family.dim
 
     def modulus(cell):
-        radius, theta, s = cell if len(cell) == 3 else ((1.0, 1.0),) + tuple(cell)
-        z, s = _z(radius, theta), iv.mpf(list(s))
+        radius = cell[0] if len(cell) == dim + 2 else (1.0, 1.0)
+        z, s = _z(radius, cell[-dim - 1]), _s(cell[-dim:])
         return _l2([_complex_horner(f(s), z) for f in comps])
     return modulus
 
 
 def _glued_residual(family, pou, points):
-    """|1 - gtilde^T f| on a (theta, s) cell, written sum_k eta_k (q_k - 1)
+    """|1 - gtilde^T f| on a (theta, s...) cell, written sum_k eta_k (q_k - 1)
     with q_k = g_k^T f and eta_k from the exact mollifier bump."""
     comps = [_zspoly(p) for p in family.components]
     radius = iv.mpf(pou.cover.radius)
-    centers = [(iv.mpf(c), [_cpoly(gm) for gm in sol.g])
-               for (c,), sol in zip(pou.cover.centers, points.solutions)]
+    centers = [([iv.mpf(x) for x in c], [_cpoly(gm) for gm in sol.g])
+               for c, sol in zip(pou.cover.centers, points.solutions)]
 
     def modulus(cell):
-        theta, s = cell
-        z, s = _z((1.0, 1.0), theta), iv.mpf(list(s))
+        z, s = _z((1.0, 1.0), cell[0]), _s(cell[1:])
         f = [comp(s) for comp in comps]
         bumps, terms = [], []
         for center, g in centers:
-            t2 = ((s - center) / radius) ** 2
+            t2 = sum((((x - c) / radius) ** 2 for x, c in zip(s, center)), ZERO)
             if t2.a >= 1:
                 continue
             beta = iv.exp(-ONE / (ONE - iv.mpf([t2.a, min(t2.b, ONE)])))
@@ -221,6 +235,35 @@ def test_residual_certificate_covers_the_interval_enclosure():
     pou = PartitionOfUnity(cover)
     points = glue.solve_at_samples(family, cover)
     cert = glue.residual_certify(family, pou, points, 64, 9)
+    _, hi = _enclose(_glued_residual(family, pou, points),
+                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo))
+    assert hi <= cert.hi
+
+
+def _two_column_case():
+    """((z + 2 + 2 s1 + s2) / 6, (2 - z) / 6) on [0, 1] x [0, 1/4], glued over
+    three columns of two centers at s1 = 0, 1/2, 1 with r = 0.26.  The
+    residual peaks just inside the Voronoi edges s1 = 1/4 and 3/4, off the
+    global 9-node grid and more than half a radius from every center."""
+    sixth = 1.0 / 6.0
+    f1 = ZSPoly([SPoly([[2 * sixth, sixth], [2 * sixth, 0.0]]), SPoly([[sixth]])])
+    f2 = ZSPoly([SPoly([[2 * sixth]]), SPoly([[-sixth]])])
+    family = ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 0.25)])
+    cover = Cover(tuple((x, y) for x in (0.0, 0.5, 1.0) for y in (0.0625, 0.1875)),
+                  0.26, family.box)
+    return family, PartitionOfUnity(cover), glue.solve_at_samples(family, cover)
+
+
+def test_two_parameter_residual_certificate_covers_the_interval_enclosure(monkeypatch):
+    family, pou, points = _two_column_case()
+    cert = glue.residual_certify(family, pou, points, 64, 9)
+    # every node of each support box: the bound before the support balls,
+    # which the box corners' nodes put at least 10 % higher
+    monkeypatch.setattr(hnorm, "ball_mask",
+                        lambda box, axis, ball: np.ones((axis,) * len(box), bool))
+    boxed = glue.residual_certify(family, pou, points, 64, 9)
+    assert cert.samples_used < boxed.samples_used
+    assert boxed.hi >= 1.1 * cert.hi
     _, hi = _enclose(_glued_residual(family, pou, points),
                      [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo))
     assert hi <= cert.hi
