@@ -58,11 +58,10 @@ from .errors import (
     InternalInconsistency,
     RefinementExhausted,
 )
-from .hnorm import NormCert
+from .hnorm import EVAL_BUDGET, NormCert
 from .polyalg import CPoly, ParamFamily, ZSPoly
 
 RESIDUAL_GATE = 0.5
-EVAL_BUDGET = 1 << 11   # complex elements in one array of an evaluator block
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,14 @@ node; that node's cell holds the point, so it meets the ball and the node
 is kept; and the slack, whose partial bounds hold on the whole box, covers
 the step from that node to the point.  In 1-D the box clipped to the ball
 is the ball, so every node is kept.
+
+The extreme is streamed (:func:`sampled_extreme`): the grid is sampled in
+blocks, each a run of rows of the first parameter axis crossed with the rest
+of the grid and every z node, within EVAL_BUDGET complex elements when a row
+allows it, and the running min or max and sample count are kept.  Peak
+memory is O(axis^(d-1) * n_z) for d parameter axes and n_z z nodes, not
+O(axis^d * n_z).  Blocks are rows of the same matrix product and min/max
+are exact, so the extreme has the bits of the whole grid's.
 """
 
 from __future__ import annotations
@@ -42,6 +50,8 @@ import numpy as np
 
 from .errors import DomainError
 from .polyalg import CPoly, ParamFamily, ZSPoly
+
+EVAL_BUDGET = 1 << 11   # complex elements in one array of a sampling or evaluator block
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,64 @@ def boundary_mesh_radius(samples: int) -> float:
     return math.pi / samples
 
 
-def sample_modulus(polys, z, box=None, axis: int = 0) -> np.ndarray:
-    """The l2 modulus (sum_k |p_k|^2)^(1/2) of the tuple ``polys``: ``CPoly``
-    values on the z nodes, ``ZSPoly`` values on (tensor grid of ``axis``
-    points per axis of ``box``) x z, shape s_grid_shape + z.shape.  One
-    polynomial gives |p| itself."""
-    axes = None if box is None else [np.linspace(a, b, axis) for a, b in box]
+def _l2(values):
+    """The l2 modulus (sum_k |v_k|^2)^(1/2) of a list of value arrays; one
+    array gives |v| itself."""
+    if len(values) == 1:
+        return np.abs(values[0])
+    return np.sqrt(functools.reduce(np.add, (np.abs(v) ** 2 for v in values)))
 
-    def sample(p):
-        return p.eval(z) if axes is None else p.eval_sgrid(axes, z)
 
-    if len(polys) == 1:
-        return np.abs(sample(polys[0]))
-    return np.sqrt(functools.reduce(np.add, (np.abs(sample(p)) ** 2 for p in polys)))
+def _row_runs(rows: int, rest: int, z_size: int):
+    """Slices of the first parameter axis (``rows`` nodes, ``rest`` grid
+    points per row): runs of rows whose block of rest * z_size values fits
+    EVAL_BUDGET, or one row when a row alone is larger.  A block never holds
+    a single grid point (see :meth:`ZSPoly.eval_sgrid`), so in 1-D a run
+    holds two rows at least, and a lone last row joins the run before it."""
+    step = max(EVAL_BUDGET // (rest * z_size), 1 if rest > 1 else 2)
+    start = 0
+    while start < rows:
+        stop = start + step
+        if (rows - stop) * rest == 1:
+            stop = rows
+        yield slice(start, stop)
+        start = stop
+
+
+def _modulus_blocks(polys, z, box, axis, ball):
+    """The l2 modulus of ``polys`` on the sampled nodes, one block at a time:
+    ``CPoly`` values on the z nodes in one block; ``ZSPoly`` values on (a
+    run of rows of the first axis of the tensor grid of ``axis`` points per
+    axis of ``box``, crossed with the rest of the grid) x z, the nodes
+    outside :func:`ball_mask` dropped when there is a ``ball``.  The
+    s-grid coefficient tables and the z powers are built once, before the
+    first block."""
+    if box is None:
+        yield _l2([p.eval(z) for p in polys])
+        return
+    axes = [np.linspace(a, b, axis) for a, b in box]
+    tables = [p.sgrid_table(axes) for p in polys]
+    powers = [p.z_powers(z) for p in polys]
+    mask = None if ball is None else ball_mask(box, axis, ball)
+    for rows in _row_runs(axis, axis ** (len(box) - 1), z.size):
+        block = _l2([p.eval_sgrid(t[rows], w) for p, t, w in zip(polys, tables, powers)])
+        yield block if mask is None else block[mask[rows]]
+
+
+def sampled_extreme(polys, z, box=None, axis: int = 0, inf: bool = False,
+                    ball=None):
+    """(max, or with ``inf`` min, of the l2 modulus of the tuple ``polys``
+    over the sampled nodes, number of samples), reduced block by block (see
+    :func:`_modulus_blocks`): the peak memory is that of one block, not of
+    the whole grid.  ``np.maximum``/``np.minimum`` keep a NaN sample of any
+    block; with no sample the extreme is infinite."""
+    reduce = np.minimum if inf else np.maximum
+    best, count = (math.inf if inf else -math.inf), 0
+    for block in _modulus_blocks(tuple(polys), z, box, axis, ball):
+        if block.size:
+            best = reduce(best, block.min() if inf else block.max())
+            count += block.size
+    return float(best), count
 
 
 def partial_bounds(p: ZSPoly, box):
@@ -171,13 +226,16 @@ def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
     ``samples_used`` counts the kept samples.  Every point of the ball
     within the box has its nearest node kept (the node's cell holds the
     point, so it meets the ball), and the slack over the box covers the
-    step between them, so the bracket holds over the ball too."""
+    step between them, so the bracket holds over the ball too.
+
+    The extreme is reduced block by block (:func:`sampled_extreme`), so the
+    peak memory is O(axis^(d-1) * z.size), one row of the first axis, not
+    O(axis^d * z.size).  A NaN sample in any block, or an empty sample,
+    leaves a non-finite bound, which :class:`NormCert` refuses."""
     polys = tuple(polys)
     if not polys:
         raise ValueError("empty tuple")
-    modulus = sample_modulus(polys, z, box, axis)
-    if ball is not None:
-        modulus = modulus[ball_mask(box, axis, ball)]
+    extreme, count = sampled_extreme(polys, z, box, axis, inf, ball)
     slack = z_mesh * sum(_z_lipschitz(p, box) for p in polys)
     if box is not None:
         per_poly = [partial_bounds(p, box) for p in polys]
@@ -185,10 +243,8 @@ def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
             lip = sum((bounds[i] for bounds in per_poly), 0.0)
             slack += lip * _half_step(a, b, axis)
     if inf:
-        hi = float(modulus.min())
-        return NormCert(hi - slack, hi, quantity, modulus.size)
-    lo = float(modulus.max())
-    return NormCert(lo, lo + slack, quantity, modulus.size)
+        return NormCert(extreme - slack, extreme, quantity, count)
+    return NormCert(extreme, extreme + slack, quantity, count)
 
 
 def sup_disc(p: CPoly, samples: int = 512) -> NormCert:

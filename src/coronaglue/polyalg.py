@@ -357,16 +357,28 @@ class ZSPoly:
         """Substitute the parameter, leaving a plain polynomial in z."""
         return CPoly([c.eval(s) for c in self.coeffs])
 
-    def eval_sgrid(self, axes, z):
-        """Evaluate on (tensor s-grid) x (z array); returns an array of shape
-        ``s_grid_shape + z.shape``."""
+    def sgrid_table(self, axes):
+        """The z-coefficients on the tensor s-grid spanned by ``axes``: an
+        array of shape ``s_grid_shape + (len(coeffs),)``."""
+        return np.stack([np.asarray(c.eval_grid(axes), dtype=complex)
+                         for c in self.coeffs], axis=-1)
+
+    def z_powers(self, z):
+        """z^j for every z-power j of the polynomial: an array of shape
+        ``(len(coeffs),) + z.shape``."""
         z = np.asarray(z, dtype=complex)
-        table = np.stack([np.asarray(c.eval_grid(axes), dtype=complex)
-                          for c in self.coeffs])
-        powers = z[None, ...] ** np.arange(len(self.coeffs)).reshape(
+        return z[None, ...] ** np.arange(len(self.coeffs)).reshape(
             (-1,) + (1,) * z.ndim
         )
-        return np.tensordot(np.moveaxis(table, 0, -1), powers, axes=([-1], [0]))
+
+    def eval_sgrid(self, table, powers):
+        """Values on (s-grid points) x (z array): ``table`` holds rows of
+        :meth:`sgrid_table`, ``powers`` is :meth:`z_powers`; returns an array
+        of shape ``table.shape[:-1] + z.shape``.  Rows of the table give the
+        same rows of the product, bit for bit, unless they hold one s point
+        alone: numpy hands a one-row product to BLAS gemv, whose sums round
+        apart from gemm's."""
+        return np.tensordot(table, powers, axes=([-1], [0]))
 
     def coeff_bounds(self, box) -> np.ndarray:
         """Per-z-power upper bounds for the coefficient magnitude on the box."""

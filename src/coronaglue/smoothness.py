@@ -209,8 +209,8 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     per_index = []
     for ix, g in zip(indices, g_best.tolist()):
-        modulus = hnorm.sample_modulus(partial_s(family, ix).components, z,
-                                       family.box, axis_samples)
-        per_index.append((ix, g, float(modulus.max())))
+        f, _ = hnorm.sampled_extreme(partial_s(family, ix).components, z,
+                                     family.box, axis_samples)
+        per_index.append((ix, g, f))
     return CAlphaReport.from_per_index(order, per_index, axis_samples,
                                        boundary_samples)

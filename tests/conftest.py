@@ -78,5 +78,13 @@ def steep_solution():
 
 
 @pytest.fixture(scope="session")
+def two_param_solution():
+    from coronaglue import glue
+
+    glued, _ = glue.solve(two_param_family())
+    return glued
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -1,16 +1,22 @@
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (constant_family, random_cpoly, steep_family,
+from conftest import (constant_family, random_cpoly, same_bits, steep_family,
                       two_param_family, worked_family)
-from coronaglue import glue, hnorm
+from coronaglue import glue, hnorm, smoothness
+from coronaglue.config import load_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
+from coronaglue.errors import DomainError
 from coronaglue.hnorm import DiscKGrid
-from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
+from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly, partial_s
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_coeff_lipschitz_examples():
@@ -141,6 +147,25 @@ def test_grid_validation():
 # the engine must reproduce every bit.
 
 
+def _ref_eval_sgrid(p, axes, z):
+    """p on (tensor s-grid) x z as one matrix product over the whole grid:
+    the materialising evaluator the streamed certificates replaced."""
+    table = np.stack([np.asarray(c.eval_grid(axes), dtype=complex) for c in p.coeffs])
+    powers = z[None, ...] ** np.arange(len(p.coeffs)).reshape((-1,) + (1,) * z.ndim)
+    return np.tensordot(np.moveaxis(table, 0, -1), powers, axes=([-1], [0]))
+
+
+def _ref_modulus(polys, axes, z):
+    """The l2 modulus of ``polys`` over the whole (s-grid) x z at once."""
+    if len(polys) == 1:
+        return np.abs(_ref_eval_sgrid(polys[0], axes, z))
+    sq = None
+    for p in polys:
+        vals = np.abs(_ref_eval_sgrid(p, axes, z)) ** 2
+        sq = vals if sq is None else sq + vals
+    return np.sqrt(sq)
+
+
 def _ref_lipschitz(p):
     j = np.arange(len(p.coeffs))
     return float(np.sum(j * np.abs(p.coeffs)))
@@ -174,17 +199,13 @@ def _ref_z_lipschitz(comp, box):
 
 def _ref_family(family, z, z_mesh, count):
     axes = [np.linspace(a, b, count) for a, b in family.box]
-    sq = None
-    for comp in family.components:
-        vals = np.abs(comp.eval_sgrid(axes, z)) ** 2
-        sq = vals if sq is None else sq + vals
     slack = z_mesh * sum(_ref_z_lipschitz(c, family.box) for c in family.components)
     for axis, (a, b) in enumerate(family.box):
         lip = 0.0
         for comp in family.components:
             lip += float(np.sum(comp.partial(axis).coeff_bounds(family.box)))
         slack += lip * ((b - a) / (2.0 * (count - 1)))
-    return np.sqrt(sq), slack
+    return _ref_modulus(family.components, axes, z), slack
 
 
 def _ref_delta_lower(family, grid):
@@ -230,7 +251,7 @@ def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples,
         for gm, comp in zip(sol.g, family.components):
             resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
         axes = [np.linspace(a, b, axis_samples) for a, b in supp]
-        values = np.abs(resid.eval_sgrid(axes, z))
+        values = np.abs(_ref_eval_sgrid(resid, axes, z))
         half_steps = [(b - a) / (2.0 * (axis_samples - 1)) for a, b in supp]
         if ball:
             values = values[_ref_kept(axes, half_steps, center, radius)]
@@ -344,3 +365,158 @@ def test_bracket_over_a_ball_counts_the_kept_samples():
     # the slack is the whole box's: only the sampled extreme moves
     assert part.hi - part.lo == pytest.approx(whole.hi - whole.lo, rel=1e-12)
     assert part.lo <= whole.lo
+
+
+# -- streamed sampling: blocks of rows against the whole grid at once ---------
+
+AXIS = 9
+# rows per block under each budget (in units of one row's values), 1-D and 2-D:
+# a lone last row joins the run before it in 1-D, where it would be one point
+RUNS = {
+    "one-block": (AXIS, [9], [9]),
+    "several-blocks": (3, [3, 3, 3], [3, 3, 3]),
+    "ragged-last-block": (4, [4, 5], [4, 4, 1]),
+    "under-one-row": (0, [2, 2, 2, 3], [1] * 9),
+}
+
+
+def _budget(rows, dim, z):
+    """A budget of ``rows`` rows of the AXIS^dim grid x z (at least 1)."""
+    return max(1, rows * AXIS ** (dim - 1) * z.size)
+
+
+def _record_runs(monkeypatch, first):
+    """Record the row count of every block the polynomial ``first`` is
+    evaluated on."""
+    runs, real = [], ZSPoly.eval_sgrid
+
+    def recording(self, table, powers):
+        if self is first:
+            runs.append(len(table))
+        return real(self, table, powers)
+    monkeypatch.setattr(ZSPoly, "eval_sgrid", recording)
+    return runs
+
+
+def _z_degree_family(rng, dim):
+    """Two components of z-degree 3 to 6: the degree at which a one-row
+    product (BLAS gemv) rounds apart from the whole grid's (gemm)."""
+    box = [(-0.5, 1.0), (0.25, 2.0)][:dim]
+    comps = []
+    for _ in range(2):
+        shape = tuple(int(n) for n in rng.integers(1, 4, size=dim))
+        comps.append(ZSPoly([SPoly(rng.standard_normal(shape))
+                             for _ in range(int(rng.integers(4, 8)))]))
+    return ParamFamily(comps, box)
+
+
+@pytest.mark.parametrize("case", list(RUNS))
+@pytest.mark.parametrize("with_ball", [False, True], ids=["box", "ball"])
+@pytest.mark.parametrize("inf", [False, True], ids=["sup", "inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, inf,
+                                                            with_ball, case):
+    rng = np.random.default_rng(70 + dim)
+    if inf:
+        z, z_mesh = hnorm.disc_points(4, 8), hnorm.disc_mesh_radius(4, 8)
+    else:
+        z, z_mesh = hnorm.boundary_points(16), math.pi / 16
+    ball = ((0.1, 0.6)[:dim], 0.7) if with_ball else None
+    rows, runs_1d, runs_2d = RUNS[case]
+    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(rows, dim, z))
+    for _ in range(4):
+        family = _z_degree_family(rng, dim)
+        runs = _record_runs(monkeypatch, family.components[0])
+        cert = hnorm.bracket(family.components, z, z_mesh, "q", family.box, AXIS,
+                             inf=inf, ball=ball)
+        assert runs == (runs_1d if dim == 1 else runs_2d)
+
+        modulus, slack = _ref_family(family, z, z_mesh, AXIS)
+        if ball is not None:
+            modulus = modulus[hnorm.ball_mask(family.box, AXIS, ball)]
+            assert modulus.size < AXIS ** dim * z.size
+        # every sample, not only the extreme, has the whole grid's bits
+        blocks = hnorm._modulus_blocks(family.components, z, family.box, AXIS, ball)
+        assert same_bits(np.concatenate(list(blocks)), modulus)
+        extreme = float(modulus.min() if inf else modulus.max())
+        lo, hi = (extreme - slack, extreme) if inf else (extreme, extreme + slack)
+        assert same_bits(cert.lo, lo) and same_bits(cert.hi, hi)
+        assert cert.samples_used == modulus.size
+
+
+@pytest.mark.parametrize("case", list(RUNS))
+@pytest.mark.parametrize("which", ["steep", "two_param"])
+def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
+        monkeypatch, steep_solution, two_param_solution, which, case):
+    glued = steep_solution if which == "steep" else two_param_solution
+    family, z = glued.family, hnorm.boundary_points(64)
+    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(RUNS[case][0], family.dim, z))
+    rep = smoothness.cnorm_report(glued, 2, axis_samples=AXIS, boundary_samples=64)
+    axes = [np.linspace(a, b, AXIS) for a, b in family.box]
+    for ix, _, f in rep.per_index:
+        modulus = _ref_modulus(partial_s(family, ix).components, axes, z)
+        assert same_bits(f, float(modulus.max())), ix
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("inf", [False, True], ids=["sup", "inf"])
+def test_a_nan_in_a_later_block_is_refused(monkeypatch, dim, inf):
+    # builtin max(best, nan) and min(best, nan) return best: the running
+    # extreme must keep a NaN that only the third of three blocks holds
+    family = _z_degree_family(np.random.default_rng(80 + dim), dim)
+    z = hnorm.disc_points(4, 8) if inf else hnorm.boundary_points(16)
+
+    def run():
+        return hnorm.bracket(family.components, z, 0.1, "q", family.box, AXIS, inf=inf)
+    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(3, dim, z))
+    assert math.isfinite(run().hi)
+    real, calls = ZSPoly.eval_sgrid, []
+
+    def poisoned(self, table, powers):
+        values = real(self, table, powers)
+        calls.append(len(table))
+        if len(calls) == 5:  # the first component in the third block
+            values[(-1,) * values.ndim] = np.nan
+        return values
+    monkeypatch.setattr(ZSPoly, "eval_sgrid", poisoned)
+    with pytest.raises(DomainError, match="not finite"):
+        run()
+    assert calls == [3] * 6
+
+
+def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
+    # (1e308 s + 1e308 z) on [0, 1]: its slack is finite, but it overflows
+    # near s = 1, z = 1, in the last block of rows only
+    family = ParamFamily([ZSPoly([SPoly([0.0, 1e308]), SPoly([1e308])])], [(0.0, 1.0)])
+    z = hnorm.boundary_points(16)
+    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(2, 1, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sampled = _ref_modulus(family.components, [np.linspace(0.0, 1.0, AXIS)], z)
+        assert np.isfinite(sampled[:6]).all() and np.isinf(sampled[6:]).any()
+        with pytest.raises(DomainError, match="not finite"):
+            hnorm.sup_family(family, DiscKGrid(axis=AXIS), 16)
+
+
+def _dense_2d_family():
+    """(0.3 z^4, 0.5 + 0.7 (s1 + s2) - 0.2 z) on [0, 1]^2, the benchmark's
+    dense-cover family."""
+    lead = ZSPoly([SPoly([[0.0]])] * 4 + [SPoly([[0.3]])])
+    tail = ZSPoly([SPoly([[0.5, 0.7], [0.7, 0.0]]), SPoly([[-0.2]])])
+    return ParamFamily([lead, tail], [(0.0, 1.0), (0.0, 1.0)])
+
+
+def test_delta_lower_peak_memory_is_one_row_of_the_grid():
+    # a whole disc x 33^2 grid of two_param_family.json is 8.9M complex
+    # samples (over 270 MiB in flight); one row of it is 270k
+    config = load_config(CONFIGS / "two_param_family.json")
+    cases = ((config.to_family(), config.solver.grid, 32),
+             (_dense_2d_family(), DiscKGrid(axis=13), 16))
+    for family, grid, limit_mib in cases:
+        tracemalloc.start()
+        try:
+            cert = hnorm.delta_lower(family, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.samples_used == grid.axis ** 2 * grid.radial * grid.angular
+        assert peak < limit_mib * 2 ** 20, (grid, peak / 2 ** 20)

@@ -28,12 +28,15 @@ BUDGET = 4000          # cells per enclosure
 SHARE = 0.5            # enclosure width as a share of the certificate's
 
 
-def _enclose(modulus, cell, sup, width):
+def _enclose(modulus, cell, sup, width, bound):
     """[lo, hi] around the sup (or inf) of ``modulus`` over the box ``cell``
     (a list of float pairs); ``modulus(cell)`` is an interval holding every
     value on the cell.  The cell with the worst outer bound is bisected
     along its widest side, relative to the starting cell, until the
-    enclosure is at most ``width`` wide."""
+    enclosure is at most ``width`` wide, or until its inner end passes
+    ``bound``, the certificate's ``hi`` for a sup or its ``lo`` for an inf:
+    the certificate is then wrong, and the caller's soundness assertion
+    fails at once instead of the subdivision using up its budget."""
     def outer(c):
         v = modulus(c)
         return mpmath.mpf(v.b) if sup else mpmath.mpf(v.a)
@@ -44,13 +47,16 @@ def _enclose(modulus, cell, sup, width):
         return max(mpmath.mpf(v.a) for v in ends) if sup else \
             min(mpmath.mpf(v.b) for v in ends)
 
+    def passed(best):
+        return best > bound if sup else best < bound
+
     sign = -1 if sup else 1
     scale = [b - a for a, b in cell]
     best = inner(cell)
     heap = [(sign * outer(cell), 0, cell)]
     for count in range(1, BUDGET):
         key, _, c = heap[0]
-        if abs(sign * key - best) <= width:
+        if abs(sign * key - best) <= width or passed(best):
             break
         heapq.heappop(heap)
         i = max(range(len(c)), key=lambda j: (c[j][1] - c[j][0]) / scale[j])
@@ -60,7 +66,7 @@ def _enclose(modulus, cell, sup, width):
             heapq.heappush(heap, (sign * outer(child), count, child))
             best = max(best, inner(child)) if sup else min(best, inner(child))
     end = sign * heap[0][0]
-    if abs(end - best) > width:
+    if abs(end - best) > width and not passed(best):
         pytest.fail(f"subdivision budget exhausted with the "
                     f"{'sup' if sup else 'inf'} between {float(best):.6g} and "
                     f"{float(end):.6g}")
@@ -191,7 +197,8 @@ def test_sup_disc_upper_end_covers_the_interval_enclosure(coeffs):
     def modulus(cell):
         return _l2([_complex_horner(coeffs, _z((1.0, 1.0), cell[0]))])
 
-    lo, hi = _enclose(modulus, [THETA], True, max(SHARE * (cert.hi - cert.lo), 1e-9))
+    lo, hi = _enclose(modulus, [THETA], True, max(SHARE * (cert.hi - cert.lo), 1e-9),
+                      cert.hi)
     assert lo <= hi <= cert.hi
 
 
@@ -220,11 +227,11 @@ def test_family_certificates_cover_the_interval_enclosure(family):
     modulus = _family_modulus(family)
     delta = hnorm.delta_lower(family, grid)
     lo, _ = _enclose(modulus, [(0.0, 1.0), THETA] + box, False,
-                     SHARE * (delta.hi - delta.lo))
+                     SHARE * (delta.hi - delta.lo), delta.lo)
     assert delta.lo <= lo
 
     sup = hnorm.sup_family(family, grid, 64)
-    _, hi = _enclose(modulus, [THETA] + box, True, SHARE * (sup.hi - sup.lo))
+    _, hi = _enclose(modulus, [THETA] + box, True, SHARE * (sup.hi - sup.lo), sup.hi)
     assert hi <= sup.hi
 
 
@@ -236,7 +243,8 @@ def test_residual_certificate_covers_the_interval_enclosure():
     points = glue.solve_at_samples(family, cover)
     cert = glue.residual_certify(family, pou, points, 64, 9)
     _, hi = _enclose(_glued_residual(family, pou, points),
-                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo))
+                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo),
+                     cert.hi)
     assert hi <= cert.hi
 
 
@@ -265,5 +273,6 @@ def test_two_parameter_residual_certificate_covers_the_interval_enclosure(monkey
     assert cert.samples_used < boxed.samples_used
     assert boxed.hi >= 1.1 * cert.hi
     _, hi = _enclose(_glued_residual(family, pou, points),
-                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo))
+                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo),
+                     cert.hi)
     assert hi <= cert.hi

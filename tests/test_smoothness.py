@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_bits, two_param_family, worked_family
+from conftest import same_bits, worked_family
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
@@ -147,13 +147,6 @@ def test_modulus_samples_respect_bound():
         if allowed > 0:
             worst = max(worst, float(np.sqrt(diff.max())) / allowed)
     assert worst <= 1.0 + 1e-9
-
-
-
-@pytest.fixture(scope="module")
-def two_param_solution():
-    glued, _ = glue.solve(two_param_family())
-    return glued
 
 
 def _with_point_solution(glued, k, transform):
