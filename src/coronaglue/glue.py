@@ -58,10 +58,11 @@ from .errors import (
     InternalInconsistency,
     RefinementExhausted,
 )
-from .hnorm import EVAL_BUDGET, NormCert
+from .hnorm import NormCert
 from .polyalg import CPoly, ParamFamily, ZSPoly
 
 RESIDUAL_GATE = 0.5
+EVAL_BUDGET = 1 << 11   # complex elements in one array of an evaluator block
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,11 @@ is the ball, so every node is kept.
 
 The extreme is streamed (:func:`sampled_extreme`): the grid is sampled in
 blocks, each a run of rows of the first parameter axis crossed with the rest
-of the grid and every z node, within EVAL_BUDGET complex elements when a row
-allows it, and the running min or max and sample count are kept.  Peak
-memory is O(axis^(d-1) * n_z) for d parameter axes and n_z z nodes, not
-O(axis^d * n_z).  Blocks are rows of the same matrix product and min/max
-are exact, so the extreme has the bits of the whole grid's.
+of the grid and a chunk of the z nodes, and the running min or max and
+sample count are kept.  A block holds O(BLOCK_BUDGET) values whatever the
+grid (:func:`_modulus_blocks`), so peak memory is one block plus the s-grid
+tables, not O(axis^d * n_z).  Blocks are rows and columns of one matrix
+product and min/max are exact, so the extreme has the whole grid's bits.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DomainError
 from .polyalg import CPoly, ParamFamily, ZSPoly
 
-EVAL_BUDGET = 1 << 11   # complex elements in one array of a sampling or evaluator block
+BLOCK_BUDGET = 1 << 14  # complex elements in one sampled block, or in its z-power table
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,17 @@ def _l2(values):
     return np.sqrt(functools.reduce(np.add, (np.abs(v) ** 2 for v in values)))
 
 
-def _row_runs(rows: int, rest: int, z_size: int):
-    """Slices of the first parameter axis (``rows`` nodes, ``rest`` grid
-    points per row): runs of rows whose block of rest * z_size values fits
-    EVAL_BUDGET, or one row when a row alone is larger.  A block never holds
-    a single grid point (see :meth:`ZSPoly.eval_sgrid`), so in 1-D a run
-    holds two rows at least, and a lone last row joins the run before it."""
-    step = max(EVAL_BUDGET // (rest * z_size), 1 if rest > 1 else 2)
+def _runs(total: int, step: int, unit: int = 1):
+    """Slices of ``step`` items each over range(``total``), where an item
+    holds ``unit`` values.  A lone last value joins the slice before it, so
+    that no block is a single grid point or z node, the case numpy hands to
+    BLAS gemv, whose sums round apart from gemm's (see
+    :meth:`ZSPoly.eval_sgrid`); with ``unit`` 1 that needs ``step`` >= 2."""
     start = 0
-    while start < rows:
+    while start < total:
         stop = start + step
-        if (rows - stop) * rest == 1:
-            stop = rows
+        if (total - stop) * unit == 1:
+            stop = total
         yield slice(start, stop)
         start = stop
 
@@ -145,29 +144,42 @@ def _modulus_blocks(polys, z, box, axis, ball):
     """The l2 modulus of ``polys`` on the sampled nodes, one block at a time:
     ``CPoly`` values on the z nodes in one block; ``ZSPoly`` values on (a
     run of rows of the first axis of the tensor grid of ``axis`` points per
-    axis of ``box``, crossed with the rest of the grid) x z, the nodes
-    outside :func:`ball_mask` dropped when there is a ``ball``.  The
-    s-grid coefficient tables and the z powers are built once, before the
-    first block."""
+    axis of ``box``, crossed with the rest of the grid) x (a chunk of the z
+    nodes), the nodes outside :func:`ball_mask` dropped when there is a
+    ``ball``.  The chunks are the outer loop: each is BLOCK_BUDGET //
+    max(2 * rest, n_c) nodes wide, for ``rest`` grid points per row and n_c
+    z-powers, so that two rows of a block and the chunk's z powers, built
+    before its first block, each fit BLOCK_BUDGET.  Within a chunk, runs of
+    rows fill BLOCK_BUDGET.  Neither a run nor a chunk holds a single grid
+    point or z node (see :func:`_runs`).  The s-grid coefficient tables are
+    built once, before the first block."""
     if box is None:
         yield _l2([p.eval(z) for p in polys])
         return
     axes = [np.linspace(a, b, axis) for a, b in box]
     tables = [p.sgrid_table(axes) for p in polys]
-    powers = [p.z_powers(z) for p in polys]
     mask = None if ball is None else ball_mask(box, axis, ball)
-    for rows in _row_runs(axis, axis ** (len(box) - 1), z.size):
-        block = _l2([p.eval_sgrid(t[rows], w) for p, t, w in zip(polys, tables, powers)])
-        yield block if mask is None else block[mask[rows]]
+    z = np.ravel(z)
+    rest = axis ** (len(box) - 1)
+    width = max(BLOCK_BUDGET // max(2 * rest, *(len(p.coeffs) for p in polys)), 2)
+    for cols in _runs(z.size, width):
+        chunk = z[cols]
+        powers = [p.z_powers(chunk) for p in polys]
+        step = max(BLOCK_BUDGET // (rest * chunk.size), 1 if rest > 1 else 2)
+        for rows in _runs(axis, step, rest):
+            block = _l2([p.eval_sgrid(t[rows], w)
+                         for p, t, w in zip(polys, tables, powers)])
+            yield block if mask is None else block[mask[rows]]
 
 
 def sampled_extreme(polys, z, box=None, axis: int = 0, inf: bool = False,
                     ball=None):
     """(max, or with ``inf`` min, of the l2 modulus of the tuple ``polys``
     over the sampled nodes, number of samples), reduced block by block (see
-    :func:`_modulus_blocks`): the peak memory is that of one block, not of
-    the whole grid.  ``np.maximum``/``np.minimum`` keep a NaN sample of any
-    block; with no sample the extreme is infinite."""
+    :func:`_modulus_blocks`): the peak memory is that of one block, of
+    O(BLOCK_BUDGET) values, not of the whole grid.  ``np.maximum`` and
+    ``np.minimum`` keep a NaN sample of any block; with no sample the
+    extreme is infinite."""
     reduce = np.minimum if inf else np.maximum
     best, count = (math.inf if inf else -math.inf), 0
     for block in _modulus_blocks(tuple(polys), z, box, axis, ball):
@@ -229,9 +241,10 @@ def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
     step between them, so the bracket holds over the ball too.
 
     The extreme is reduced block by block (:func:`sampled_extreme`), so the
-    peak memory is O(axis^(d-1) * z.size), one row of the first axis, not
-    O(axis^d * z.size).  A NaN sample in any block, or an empty sample,
-    leaves a non-finite bound, which :class:`NormCert` refuses."""
+    peak memory is one block of O(BLOCK_BUDGET) values plus the s-grid
+    coefficient tables, whatever z.size, not O(axis^d * z.size).  A NaN
+    sample in any block, or an empty sample, leaves a non-finite bound,
+    which :class:`NormCert` refuses."""
     polys = tuple(polys)
     if not polys:
         raise ValueError("empty tuple")

@@ -367,47 +367,73 @@ def test_bracket_over_a_ball_counts_the_kept_samples():
     assert part.lo <= whole.lo
 
 
-# -- streamed sampling: blocks of rows against the whole grid at once ---------
+# -- streamed sampling: blocks against the whole grid at once ----------------
 
 AXIS = 9
-# rows per block under each budget (in units of one row's values), 1-D and 2-D:
-# a lone last row joins the run before it in 1-D, where it would be one point
+# BLOCK_BUDGET per case, in 1-D and 2-D, and the (rows, z nodes) of every block
+# it gives on the 16 z nodes of _z_nodes for a _z_degree_family (7 z-powers;
+# 9 grid points per 2-D row), z chunks outermost: a chunk is BLOCK_BUDGET // 7
+# nodes wide in 1-D and BLOCK_BUDGET // 18 (two rows) in 2-D, a run of rows
+# fills the budget, and a lone last 1-D row or z node joins the slice before it
 RUNS = {
-    "one-block": (AXIS, [9], [9]),
-    "several-blocks": (3, [3, 3, 3], [3, 3, 3]),
-    "ragged-last-block": (4, [4, 5], [4, 4, 1]),
-    "under-one-row": (0, [2, 2, 2, 3], [1] * 9),
+    "one-block": ((144, [(9, 16)]), (1296, [(9, 16)])),
+    "several-blocks": ((48, [(9, 6), (9, 6), (9, 4)]), (432, [(3, 16)] * 3)),
+    "ragged-last-block": ((64, [(7, 9), (2, 9), (9, 7)]),
+                          (576, [(4, 16), (4, 16), (1, 16)])),
+    "under-one-row": ((1, [(2, 2), (2, 2), (2, 2), (3, 2)] * 8), (1, [(1, 2)] * 72)),
+    "ragged-last-chunk": ((42, [(7, 6), (2, 6)] * 2 + [(9, 4)]),
+                          (108, ([(2, 6)] * 4 + [(1, 6)]) * 2 + [(3, 4)] * 3)),
+    "one-node-remainder": ((35, [(7, 5), (2, 5)] * 2 + [(5, 6), (4, 6)]),
+                           (90, ([(2, 5)] * 4 + [(1, 5)]) * 2 + [(1, 6)] * 9)),
 }
 
 
-def _budget(rows, dim, z):
-    """A budget of ``rows`` rows of the AXIS^dim grid x z (at least 1)."""
-    return max(1, rows * AXIS ** (dim - 1) * z.size)
+def _z_nodes(inf):
+    """(z nodes, z mesh): 16 on the circle for a sup, 16 in the disc for an
+    inf."""
+    if inf:
+        return hnorm.disc_points(4, 4), hnorm.disc_mesh_radius(4, 4)
+    return hnorm.boundary_points(16), math.pi / 16
 
 
 def _record_runs(monkeypatch, first):
-    """Record the row count of every block the polynomial ``first`` is
+    """Record (rows, z nodes) of every block the polynomial ``first`` is
     evaluated on."""
     runs, real = [], ZSPoly.eval_sgrid
 
     def recording(self, table, powers):
         if self is first:
-            runs.append(len(table))
+            runs.append((len(table), powers.shape[-1]))
         return real(self, table, powers)
     monkeypatch.setattr(ZSPoly, "eval_sgrid", recording)
     return runs
 
 
 def _z_degree_family(rng, dim):
-    """Two components of z-degree 3 to 6: the degree at which a one-row
-    product (BLAS gemv) rounds apart from the whole grid's (gemm)."""
+    """Two components of z-degree 6 and 3 to 6: the degrees at which a
+    one-row or one-column product (BLAS gemv) rounds apart from the whole
+    grid's (gemm)."""
     box = [(-0.5, 1.0), (0.25, 2.0)][:dim]
     comps = []
-    for _ in range(2):
+    for powers in (7, int(rng.integers(4, 8))):
         shape = tuple(int(n) for n in rng.integers(1, 4, size=dim))
-        comps.append(ZSPoly([SPoly(rng.standard_normal(shape))
-                             for _ in range(int(rng.integers(4, 8)))]))
+        comps.append(ZSPoly([SPoly(rng.standard_normal(shape)) for _ in range(powers)]))
     return ParamFamily(comps, box)
+
+
+def _whole_grid_blocks(modulus, runs, mask):
+    """The whole grid's samples ``modulus`` (AXIS^dim x z) cut into the
+    blocks ``runs``, (rows, z nodes) each, z chunks outermost, with the
+    nodes outside ``mask`` dropped."""
+    blocks, row, col = [], 0, 0
+    for rows, width in runs:
+        block = modulus[row:row + rows, ..., col:col + width]
+        blocks.append(block if mask is None else block[mask[row:row + rows]])
+        row += rows
+        if row == AXIS:
+            row, col = 0, col + width
+    assert row == 0 and col == modulus.shape[-1]
+    return blocks
 
 
 @pytest.mark.parametrize("case", list(RUNS))
@@ -417,31 +443,32 @@ def _z_degree_family(rng, dim):
 def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, inf,
                                                             with_ball, case):
     rng = np.random.default_rng(70 + dim)
-    if inf:
-        z, z_mesh = hnorm.disc_points(4, 8), hnorm.disc_mesh_radius(4, 8)
-    else:
-        z, z_mesh = hnorm.boundary_points(16), math.pi / 16
+    z, z_mesh = _z_nodes(inf)
     ball = ((0.1, 0.6)[:dim], 0.7) if with_ball else None
-    rows, runs_1d, runs_2d = RUNS[case]
-    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(rows, dim, z))
+    budget, runs = RUNS[case][dim - 1]
+    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
     for _ in range(4):
         family = _z_degree_family(rng, dim)
-        runs = _record_runs(monkeypatch, family.components[0])
+        recorded = _record_runs(monkeypatch, family.components[0])
         cert = hnorm.bracket(family.components, z, z_mesh, "q", family.box, AXIS,
                              inf=inf, ball=ball)
-        assert runs == (runs_1d if dim == 1 else runs_2d)
+        assert recorded == runs
 
         modulus, slack = _ref_family(family, z, z_mesh, AXIS)
-        if ball is not None:
-            modulus = modulus[hnorm.ball_mask(family.box, AXIS, ball)]
-            assert modulus.size < AXIS ** dim * z.size
-        # every sample, not only the extreme, has the whole grid's bits
-        blocks = hnorm._modulus_blocks(family.components, z, family.box, AXIS, ball)
-        assert same_bits(np.concatenate(list(blocks)), modulus)
-        extreme = float(modulus.min() if inf else modulus.max())
+        mask = None if ball is None else hnorm.ball_mask(family.box, AXIS, ball)
+        # every sample of every block, not only the extreme, has the whole
+        # grid's bits
+        blocks = list(hnorm._modulus_blocks(family.components, z, family.box, AXIS, ball))
+        wanted = _whole_grid_blocks(modulus, runs, mask)
+        assert len(blocks) == len(wanted)
+        for block, want in zip(blocks, wanted):
+            assert same_bits(block, want)
+        kept = modulus if mask is None else modulus[mask]
+        assert kept.size < modulus.size or ball is None
+        extreme = float(kept.min() if inf else kept.max())
         lo, hi = (extreme - slack, extreme) if inf else (extreme, extreme + slack)
         assert same_bits(cert.lo, lo) and same_bits(cert.hi, hi)
-        assert cert.samples_used == modulus.size
+        assert cert.samples_used == kept.size
 
 
 @pytest.mark.parametrize("case", list(RUNS))
@@ -450,7 +477,7 @@ def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
         monkeypatch, steep_solution, two_param_solution, which, case):
     glued = steep_solution if which == "steep" else two_param_solution
     family, z = glued.family, hnorm.boundary_points(64)
-    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(RUNS[case][0], family.dim, z))
+    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", RUNS[case][family.dim - 1][0])
     rep = smoothness.cnorm_report(glued, 2, axis_samples=AXIS, boundary_samples=64)
     axes = [np.linspace(a, b, AXIS) for a, b in family.box]
     for ix, _, f in rep.per_index:
@@ -464,24 +491,57 @@ def test_a_nan_in_a_later_block_is_refused(monkeypatch, dim, inf):
     # builtin max(best, nan) and min(best, nan) return best: the running
     # extreme must keep a NaN that only the third of three blocks holds
     family = _z_degree_family(np.random.default_rng(80 + dim), dim)
-    z = hnorm.disc_points(4, 8) if inf else hnorm.boundary_points(16)
+    z, _ = _z_nodes(inf)
 
     def run():
         return hnorm.bracket(family.components, z, 0.1, "q", family.box, AXIS, inf=inf)
-    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(3, dim, z))
+    budget, runs = RUNS["several-blocks"][dim - 1]
+    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
     assert math.isfinite(run().hi)
     real, calls = ZSPoly.eval_sgrid, []
 
     def poisoned(self, table, powers):
         values = real(self, table, powers)
-        calls.append(len(table))
+        calls.append((len(table), powers.shape[-1]))
         if len(calls) == 5:  # the first component in the third block
             values[(-1,) * values.ndim] = np.nan
         return values
     monkeypatch.setattr(ZSPoly, "eval_sgrid", poisoned)
     with pytest.raises(DomainError, match="not finite"):
         run()
-    assert calls == [3] * 6
+    assert calls == [block for block in runs for _ in range(2)]
+
+
+@pytest.mark.parametrize("with_ball", [False, True], ids=["box", "ball"])
+@pytest.mark.parametrize("inf", [False, True], ids=["sup", "inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_nan_in_a_later_z_chunk_is_refused(monkeypatch, dim, inf, with_ball):
+    # the NaN sits at the first grid node of the first block of the ragged
+    # last z chunk (4 nodes), a node the ball keeps; every earlier chunk is
+    # finite
+    family = _z_degree_family(np.random.default_rng(100 + dim), dim)
+    z, _ = _z_nodes(inf)
+    ball = ((0.1, 0.6)[:dim], 0.7) if with_ball else None
+    budget, runs = RUNS["ragged-last-chunk"][dim - 1]
+    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
+
+    def run():
+        return hnorm.bracket(family.components, z, 0.1, "q", family.box, AXIS,
+                             inf=inf, ball=ball)
+    assert math.isfinite(run().hi)
+    real, recorded = ZSPoly.eval_sgrid, []
+
+    def poisoned(self, table, powers):
+        values = real(self, table, powers)
+        if self is family.components[0]:
+            recorded.append((len(table), powers.shape[-1]))
+            if [width for _, width in recorded].count(4) == 1 and recorded[-1][1] == 4:
+                values[(0,) * values.ndim] = np.nan
+        return values
+    monkeypatch.setattr(ZSPoly, "eval_sgrid", poisoned)
+    with pytest.raises(DomainError, match="not finite"):
+        run()
+    assert recorded == runs
 
 
 def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
@@ -489,7 +549,7 @@ def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
     # near s = 1, z = 1, in the last block of rows only
     family = ParamFamily([ZSPoly([SPoly([0.0, 1e308]), SPoly([1e308])])], [(0.0, 1.0)])
     z = hnorm.boundary_points(16)
-    monkeypatch.setattr(hnorm, "EVAL_BUDGET", _budget(2, 1, z))
+    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", 2 * z.size)  # blocks of two rows
     with np.errstate(over="ignore", invalid="ignore"):
         sampled = _ref_modulus(family.components, [np.linspace(0.0, 1.0, AXIS)], z)
         assert np.isfinite(sampled[:6]).all() and np.isinf(sampled[6:]).any()
@@ -505,18 +565,30 @@ def _dense_2d_family():
     return ParamFamily([lead, tail], [(0.0, 1.0), (0.0, 1.0)])
 
 
-def test_delta_lower_peak_memory_is_one_row_of_the_grid():
+def _z_degree_64_family():
+    """(0.5 z^64 + 0.1 z, 1 + 0.2 s) on [0, 1]: the advertised z-degree limit,
+    whose whole z-power table on the default disc grid is 65 x 8192."""
+    lead = ZSPoly([SPoly([0.0]), SPoly([0.1])] + [SPoly([0.0])] * 62 + [SPoly([0.5])])
+    return ParamFamily([lead, ZSPoly([SPoly([1.0, 0.2])])], [(0.0, 1.0)])
+
+
+def test_delta_lower_peak_memory_does_not_grow_with_the_grid():
     # a whole disc x 33^2 grid of two_param_family.json is 8.9M complex
-    # samples (over 270 MiB in flight); one row of it is 270k
+    # samples (over 270 MiB in flight), a row of it 270k; a block is bounded
+    # in z too, so one limit of a few blocks (3 MiB) holds at a 4x finer disc
+    # grid, where only the z nodes themselves (0.5 MiB) grow
+    limit = 12 * hnorm.BLOCK_BUDGET * 16
     config = load_config(CONFIGS / "two_param_family.json")
-    cases = ((config.to_family(), config.solver.grid, 32),
-             (_dense_2d_family(), DiscKGrid(axis=13), 16))
-    for family, grid, limit_mib in cases:
+    cases = ((config.to_family(), config.solver.grid),
+             (config.to_family(), DiscKGrid(128, 256, 33)),
+             (_dense_2d_family(), DiscKGrid(axis=13)),
+             (_z_degree_64_family(), DiscKGrid()))
+    for family, grid in cases:
         tracemalloc.start()
         try:
             cert = hnorm.delta_lower(family, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cert.samples_used == grid.axis ** 2 * grid.radial * grid.angular
-        assert peak < limit_mib * 2 ** 20, (grid, peak / 2 ** 20)
+        assert cert.samples_used == grid.axis ** family.dim * grid.radial * grid.angular
+        assert peak < limit, (grid, peak / 2 ** 20)

@@ -28,6 +28,13 @@ BUDGET = 4000          # cells per enclosure
 SHARE = 0.5            # enclosure width as a share of the certificate's
 
 
+def _width(cert):
+    """The enclosure width for ``cert``: SHARE of its own width, floored at
+    1e-9 of its magnitude, so that the subdivision also stops against a
+    certificate whose width has collapsed to 0."""
+    return max(SHARE * (cert.hi - cert.lo), 1e-9 * max(abs(cert.lo), abs(cert.hi)))
+
+
 def _enclose(modulus, cell, sup, width, bound):
     """[lo, hi] around the sup (or inf) of ``modulus`` over the box ``cell``
     (a list of float pairs); ``modulus(cell)`` is an interval holding every
@@ -197,8 +204,7 @@ def test_sup_disc_upper_end_covers_the_interval_enclosure(coeffs):
     def modulus(cell):
         return _l2([_complex_horner(coeffs, _z((1.0, 1.0), cell[0]))])
 
-    lo, hi = _enclose(modulus, [THETA], True, max(SHARE * (cert.hi - cert.lo), 1e-9),
-                      cert.hi)
+    lo, hi = _enclose(modulus, [THETA], True, _width(cert), cert.hi)
     assert lo <= hi <= cert.hi
 
 
@@ -226,12 +232,12 @@ def test_family_certificates_cover_the_interval_enclosure(family):
 
     modulus = _family_modulus(family)
     delta = hnorm.delta_lower(family, grid)
-    lo, _ = _enclose(modulus, [(0.0, 1.0), THETA] + box, False,
-                     SHARE * (delta.hi - delta.lo), delta.lo)
+    lo, _ = _enclose(modulus, [(0.0, 1.0), THETA] + box, False, _width(delta),
+                     delta.lo)
     assert delta.lo <= lo
 
     sup = hnorm.sup_family(family, grid, 64)
-    _, hi = _enclose(modulus, [THETA] + box, True, SHARE * (sup.hi - sup.lo), sup.hi)
+    _, hi = _enclose(modulus, [THETA] + box, True, _width(sup), sup.hi)
     assert hi <= sup.hi
 
 
@@ -243,8 +249,7 @@ def test_residual_certificate_covers_the_interval_enclosure():
     points = glue.solve_at_samples(family, cover)
     cert = glue.residual_certify(family, pou, points, 64, 9)
     _, hi = _enclose(_glued_residual(family, pou, points),
-                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo),
-                     cert.hi)
+                     [THETA] + list(family.box), True, _width(cert), cert.hi)
     assert hi <= cert.hi
 
 
@@ -273,6 +278,5 @@ def test_two_parameter_residual_certificate_covers_the_interval_enclosure(monkey
     assert cert.samples_used < boxed.samples_used
     assert boxed.hi >= 1.1 * cert.hi
     _, hi = _enclose(_glued_residual(family, pou, points),
-                     [THETA] + list(family.box), True, SHARE * (cert.hi - cert.lo),
-                     cert.hi)
+                     [THETA] + list(family.box), True, _width(cert), cert.hi)
     assert hi <= cert.hi
