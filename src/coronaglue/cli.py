@@ -74,6 +74,14 @@ class RunReport:
         serialize.write_json(payload, path)
 
 
+def _make_parent(path: Path):
+    """Create the directory of an output path; an OSError is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _print_cert(label, cert):
     print(f"{label}: [{cert.lo:.6g}, {cert.hi:.6g}] "
           f"({cert.samples_used} samples)")
@@ -183,7 +191,7 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out) if args.out else \
         Path(config.output.directory) / "solution.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(out)
     serialize.save_solution(config, glued, out)
     report.settle()
     if args.report:
@@ -406,7 +414,7 @@ def cmd_verify(args) -> int:
 def cmd_eval_grid(args) -> int:
     _config, glued = serialize.load_solution(args.solution)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_parent(out)
     rows, summary = serialize.export_grid_csv(
         glued, out, args.z_samples, args.z_samples, args.s_samples
     )

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -278,8 +280,28 @@ def load_config(path) -> ProblemConfig:
     return ProblemConfig.from_dict(raw)
 
 
+@contextmanager
+def open_output(path):
+    """``path`` opened for UTF-8 text with LF endings.  An OSError becomes a
+    ConfigError, and any failure after the open removes the regular file
+    this call opened, so no half-written output is left behind."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException as exc:
+        if os.path.isfile(path):
+            os.unlink(path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def save_config(config: ProblemConfig, path):
     config.validate()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

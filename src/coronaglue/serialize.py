@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .bezout_point import PointSolution
-from .config import ProblemConfig, _number
+from .config import ProblemConfig, _number, open_output
 from .cover_pou import Cover, PartitionOfUnity
-from .errors import ConfigError, InternalInconsistency
+from .errors import ConfigError
 from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
 from .hnorm import NormCert
 from .polyalg import CPoly
@@ -156,7 +156,7 @@ def _strict(value):
 
 def write_json(payload, path):
     """Strict JSON with sorted keys and LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -176,10 +176,6 @@ def load_solution(path):
     return solution_from_dict(raw)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def polar_grid(radial: int, angular: int):
     """Deterministic polar nodes of the closed disc, radii then angles."""
     radii = np.linspace(0.0, 1.0, radial) if radial > 0 else np.array([])
@@ -195,9 +191,18 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
     """One CSV row per grid node per component; returns (row count, summary).
 
     Columns: re_z, im_z, s1[, s2], k, re_g, im_g, abs_phi -- k is the
-    1-based component index.  Floats carry 17 significant digits.  A grid
-    point with |phi| < 1/2 raises the evaluator's InternalInconsistency and
-    removes the file.
+    1-based component index.  Floats carry 17 significant digits.  The rows
+    run over parameter points (row-major over the s axes), then z nodes
+    (radii, then angles), then components: radial x angular x s_per_axis^d
+    x N_f rows, and the radius-0 ring repeats z = 0 once per angle.
+
+    The export streams one parameter point at a time: the text of a point's
+    rows comes from one row template, built once per export with the z cells
+    and k in it, filled by one ``%`` with that point's values.  Each |phi|
+    is formatted once, for the N_f rows of its (point, z node).  A grid
+    point with |phi| < 1/2 raises the evaluator's InternalInconsistency
+    before any row of its block is written; that, or any other failure,
+    removes the file, and an OSError is a ConfigError.
     """
     family = glued.family
     radii, angles = polar_grid(radial, angular)
@@ -208,25 +213,31 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
 
     z_nodes = (radii[:, None] * angles[None, :]).ravel() if radii.size and \
         angles.size else np.array([], dtype=complex)
+    # the rows of one point: z cells and k in the text, slots for re(g),
+    # im(g) and the |phi| cell, split where the point's s cells go
+    z_cells = [f"{z.real:.17g},{z.imag:.17g}," for z in z_nodes.tolist()]
+    template = "".join(f"{z_cell}\0{k},%.17g,%.17g,%s\n" for z_cell in z_cells
+                       for k in range(1, family.size + 1)).split("\0")
+    s_slots = "%.17g," * family.dim
 
     rows = 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            z_cells = [f"{_fmt(z.real)},{_fmt(z.imag)}," for z in z_nodes]
-            evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
-            for block in evaluator.sweep(axes) if z_nodes.size else ():
-                g, absphi = block.g().tolist(), np.abs(block.phi).tolist()
-                for g_s, absphi_s, s in zip(g, absphi, block.s):
-                    s_cells = "".join(f"{_fmt(x)}," for x in s)
-                    for zi, z_cell in enumerate(z_cells):
-                        for k, g_k in enumerate(g_s, start=1):
-                            fh.write(f"{z_cell}{s_cells}{k},{_fmt(g_k[zi].real)},"
-                                     f"{_fmt(g_k[zi].imag)},{_fmt(absphi_s[zi])}\n")
-                    rows += len(z_cells) * len(g_s)
-    except InternalInconsistency:
-        Path(path).unlink()  # no half-written export of a refused solution
-        raise
+    with open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+        for block in evaluator.sweep(axes) if z_nodes.size else ():
+            g = block.g()  # the guard, before any row of the block
+            n, n_f, n_z = g.shape
+            # one |phi| cell per (point, z node), shared by its N_f rows
+            absphi = np.abs(block.phi).ravel().tolist()
+            phi_cells = ("%.17g\0" * len(absphi) % tuple(absphi)).split("\0")[:-1]
+            # (point, z, k, column), the order of the rows and their slots
+            values = np.empty((n, n_z, n_f, 3), dtype=object)
+            values[..., 0] = g.real.transpose(0, 2, 1)
+            values[..., 1] = g.imag.transpose(0, 2, 1)
+            values[..., 2] = np.array(phi_cells, dtype=object).reshape(n, n_z, 1)
+            for s, point in zip(block.s.tolist(), values.reshape(n, -1).tolist()):
+                fh.write((s_slots % tuple(s)).join(template) % tuple(point))
+            rows += g.size
 
     summary = {
         "csv": str(Path(path).name),

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,55 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and a.dtype == b.dtype
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def reference_grid_csv(glued, path, radial, angular, s_per_axis):
+    """The per-row writer that ``serialize.export_grid_csv`` replaced, kept as
+    its byte-level reference: four ``.17g`` format calls and one write per
+    row.  Returns (rows, summary) like the export; a grid point with
+    |phi| < 1/2 removes the file and raises InternalInconsistency."""
+    from coronaglue.errors import InternalInconsistency
+    from coronaglue.glue import GluedEvaluator
+
+    family = glued.family
+    radii = np.linspace(0.0, 1.0, radial) if radial > 0 else np.array([])
+    angles = (np.exp(2j * math.pi * np.arange(angular) / angular)
+              if angular > 0 else np.array([]))
+    axes = [np.linspace(a, b, s_per_axis) for a, b in family.box] \
+        if s_per_axis > 0 else [np.array([]) for _ in family.box]
+    s_cols = [f"s{i+1}" for i in range(family.dim)]
+    header = ["re_z", "im_z", *s_cols, "k", "re_g", "im_g", "abs_phi"]
+    z_nodes = (radii[:, None] * angles[None, :]).ravel() if radii.size and \
+        angles.size else np.array([], dtype=complex)
+
+    rows = 0
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            z_cells = [f"{z.real:.17g},{z.imag:.17g}," for z in z_nodes]
+            evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+            for block in evaluator.sweep(axes) if z_nodes.size else ():
+                g, absphi = block.g().tolist(), np.abs(block.phi).tolist()
+                for g_s, absphi_s, s in zip(g, absphi, block.s):
+                    s_cells = "".join(f"{x:.17g}," for x in s)
+                    for zi, z_cell in enumerate(z_cells):
+                        for k, g_k in enumerate(g_s, start=1):
+                            fh.write(f"{z_cell}{s_cells}{k},{g_k[zi].real:.17g},"
+                                     f"{g_k[zi].imag:.17g},{absphi_s[zi]:.17g}\n")
+                    rows += len(z_cells) * len(g_s)
+    except InternalInconsistency:
+        Path(path).unlink()
+        raise
+    summary = {
+        "csv": str(Path(path).name),
+        "rows": rows,
+        "grid": {"radial": radial, "angular": angular, "s_per_axis": s_per_axis},
+        "c0": glued.c0,
+        "delta_cert": glued.delta_cert.to_dict(),
+        "sup_cert": glued.sup_cert.to_dict(),
+        "residual_cert": glued.residual_cert.to_dict(),
+    }
+    return rows, summary
 
 
 def worked_family(scale=1.0):

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rational_gcd_tables
+from conftest import rational_gcd_tables, reference_grid_csv
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
-from coronaglue.errors import ConfigError
+from coronaglue.errors import ConfigError, InternalInconsistency
 from coronaglue.polyalg import CPoly
 
 REPO = Path(__file__).resolve().parents[1]
@@ -220,18 +220,28 @@ def test_cli_refuses_non_finite_certificates(tmp_path, capsys, command):
 
 
 @pytest.fixture(scope="module")
-def tripped_solution(tmp_path_factory):
-    """A solved three-center family with center 0's solution scaled by 0.2:
-    |phi| drops below 1/2 near s = 0 although the file is well formed."""
-    tmp = tmp_path_factory.mktemp("tripped")
-    sol = tmp / "solution.json"
+def three_center_solution(tmp_path_factory):
+    sol = tmp_path_factory.mktemp("three_center") / "solution.json"
     assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
                      "--out", str(sol)]) == 0
-    raw = json.loads(sol.read_text())
-    entry = raw["result"]["point_solutions"][0]
+    return sol
+
+
+def _tripped(solution, center, path):
+    """``solution`` with one center's solution scaled by 0.2: |phi| drops
+    below 1/2 near that center although the file is well formed."""
+    raw = json.loads(solution.read_text())
+    entry = raw["result"]["point_solutions"][center]
     entry["g"] = [[[0.2 * re, 0.2 * im] for re, im in gm] for gm in entry["g"]]
-    (tmp / "tripped.json").write_text(json.dumps(raw))
-    return tmp / "tripped.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.fixture(scope="module")
+def tripped_solution(tmp_path_factory, three_center_solution):
+    """Center 0 scaled: the guard trips near s = 0."""
+    return _tripped(three_center_solution, 0,
+                    tmp_path_factory.mktemp("tripped") / "tripped.json")
 
 
 def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_solution):
@@ -258,6 +268,23 @@ def test_cli_eval_grid_refuses_a_tripped_phi_guard(tmp_path, capsys, tripped_sol
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: InternalInconsistency: |phi| = ") and " s = [" in err
+    assert not out.exists() and not out.with_suffix(".summary.json").exists()
+
+
+def test_cli_eval_grid_refuses_a_guard_tripped_in_a_later_block(
+        tmp_path, capsys, three_center_solution):
+    tripped = _tripped(three_center_solution, -1, tmp_path / "tripped_last.json")
+    out = tmp_path / "grid.csv"
+    _, glued = serialize.load_solution(tripped)
+    with pytest.raises(InternalInconsistency) as ref:
+        reference_grid_csv(glued, tmp_path / "ref.csv", 8, 8, 40)
+    # 64 z nodes and 2 components make blocks of 16 of the 40 s points: the
+    # breach lies past the first block, after its rows were written
+    size = glue.GluedEvaluator(glued.family, glued.pou, glued.points, [0j] * 64).block_size
+    assert ref.value.witness["s"][0] > np.linspace(0.0, 1.0, 40)[size - 1]
+    assert cli.main(["eval-grid", "--solution", str(tripped), "--out", str(out),
+                     "--z-samples", "8", "--s-samples", "40"]) == 1
+    assert capsys.readouterr().err == f"error: InternalInconsistency: {ref.value}\n"
     assert not out.exists() and not out.with_suffix(".summary.json").exists()
 
 
@@ -328,9 +355,9 @@ def test_cli_csv_format_details(tmp_path, worked_solution):
               "--z-samples", "3", "--s-samples", "3"])
     raw = out.read_bytes()
     assert b"\r" not in raw  # LF only
-    text = raw.decode("utf-8")
-    value = text.splitlines()[1].split(",")[4]
-    assert len(value.replace("-", "").replace(".", "").replace("e", "")) >= 1
+    _, loaded = serialize.load_solution(sol)
+    assert reference_grid_csv(loaded, tmp_path / "ref.csv", 3, 3, 3)[0] == 3 * 3 * 3 * 2
+    assert raw == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_cli_usage_error_exit_code():
@@ -427,6 +454,37 @@ def test_cli_refuses_negative_counts(tmp_path, worked_solution, capsys,
     assert err.value.code == 2
     assert "expected a nonnegative integer" in capsys.readouterr().err
     assert not (tmp_path / "grid.csv").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--out"), ("rescale", "--out"), ("solve", "--out"), ("solve", "--report"),
+    ("verify", "--report"), ("eval-grid", "--out"),
+])
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, worked_solution,
+                                       command, option, where):
+    config, sol = str(CONFIGS / "worked_family.json"), tmp_path / "sol.json"
+    serialize.save_solution(_load("worked_family.json"), worked_solution, sol)
+    argv = {
+        "check": ["check", "--config", config],
+        "rescale": ["rescale", "--config", config, "--factor", "0.5"],
+        "solve": ["solve", "--config", config, "--out", str(tmp_path / "out.json"),
+                  "--report", str(tmp_path / "report.json")],
+        "verify": ["verify", "--solution", str(sol), "--z-samples", "3",
+                   "--s-samples", "3"],
+        "eval-grid": ["eval-grid", "--solution", str(sol)],
+    }[command]
+    blocker = tmp_path / "blocker"
+    if where == "directory":
+        blocker.mkdir()
+        target = blocker
+    else:
+        blocker.write_text("kept\n")
+        target = blocker / "out.json"
+    assert cli.main(argv + [option, str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert blocker.is_dir() if where == "directory" else \
+        blocker.read_text() == "kept\n"
 
 
 def test_cli_solve_negative_common_zero(tmp_path):
