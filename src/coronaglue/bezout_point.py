@@ -27,7 +27,7 @@ from .errors import CoronaViolation, IllConditionedGcd, PointSolveFailure, Ratio
 from .hnorm import DiscKGrid, NormCert
 from .polyalg import CPoly
 
-RESIDUAL_ACCEPT = 0.25     # leaves perturbation budget for the gluing step
+RESIDUAL_ACCEPT = 0.25     # leaves room under the glued residual gate of 1/2
 EXACT_RESIDUAL = 1e-9      # below this a solve counts as exact
 _ZERO_TOL = 1e-12          # remainder treated as zero (rows kept at unit scale)
 _GRAY_TOL = 1e-8           # zero/nonzero gray zone -> ill-conditioned
@@ -41,10 +41,6 @@ class PointSolution:
     g: tuple
     norm_cert: NormCert
     residual_cert: NormCert
-
-    @property
-    def is_exact(self) -> bool:
-        return self.residual_cert.hi <= EXACT_RESIDUAL
 
 
 def _trim_noise(coeffs: np.ndarray) -> np.ndarray:

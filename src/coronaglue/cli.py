@@ -75,11 +75,14 @@ class RunReport:
 
 
 def _make_parent(path: Path):
-    """Create the directory of an output path; an OSError is a ConfigError."""
+    """Create the directory of an output path; an OSError, or a path that is
+    a directory, is a ConfigError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 def _print_cert(label, cert):
@@ -148,6 +151,11 @@ def cmd_solve(args) -> int:
     family = config.to_family()
     solver = config.solver
     report = RunReport(command="solve")
+    out = Path(args.out) if args.out else \
+        Path(config.output.directory) / "solution.json"
+    # refuse an unwritable output before the pipeline runs, not after
+    for path in [out] + ([Path(args.report)] if args.report else []):
+        _make_parent(path)
     t0 = time.perf_counter()
     try:
         glued, stage_timings = glue.solve(family, solver)
@@ -189,9 +197,6 @@ def cmd_solve(args) -> int:
                             for order in range(top.order + 1)]
     report.timings["cnorm_reports"] = time.perf_counter() - t0
 
-    out = Path(args.out) if args.out else \
-        Path(config.output.directory) / "solution.json"
-    _make_parent(out)
     serialize.save_solution(config, glued, out)
     report.settle()
     if args.report:
@@ -418,7 +423,11 @@ def cmd_eval_grid(args) -> int:
     rows, summary = serialize.export_grid_csv(
         glued, out, args.z_samples, args.z_samples, args.s_samples
     )
-    serialize.save_summary(summary, out.with_suffix(".summary.json"))
+    try:
+        serialize.save_summary(summary, out.with_suffix(".summary.json"))
+    except BaseException:
+        out.unlink()  # no CSV without its summary
+        raise
     if rows == 0:
         print("warning: empty grid spec; wrote a header-only CSV")
     print(f"wrote {rows} data rows to {out}")

@@ -43,18 +43,6 @@ def lipschitz_s_bound(family: ParamFamily) -> float:
     return math.sqrt(total)
 
 
-def modulus_inverse(eps: float, lipschitz: float) -> float:
-    """Largest radius whose data variation stays below ``eps``; infinite for
-    parameter-independent data (a single cover ball suffices)."""
-    if eps <= 0:
-        raise DomainError("threshold must be positive")
-    if lipschitz < 0:
-        raise DomainError("Lipschitz bound must be nonnegative")
-    if lipschitz == 0.0:
-        return math.inf
-    return eps / lipschitz
-
-
 @dataclass(frozen=True)
 class Cover:
     """Centers plus a common ball radius covering the box."""

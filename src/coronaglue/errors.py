@@ -3,7 +3,7 @@
 
 class CoronaGlueError(Exception):
     """Base class for all package errors; keyword details (``witness``,
-    ``certificate``, ``stage``) are kept as attributes."""
+    ``certificate``, ``rounds``) are kept as attributes."""
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -44,7 +44,7 @@ class CoronaUncertified(CoronaGlueError):
 
 class RefinementExhausted(CoronaGlueError):
     """The cover-refinement loop hit its round limit without passing the
-    perturbation or residual gate."""
+    residual gate; carries the last round's certificate and every round."""
 
 
 class InternalInconsistency(CoronaGlueError):

@@ -5,14 +5,13 @@ Stages of :func:`solve`:
 
 1. certify the corona lower bound over disc x box (hard gate);
 2. pilot norm bound from solves at the box corners and midpoint;
-3. cover radius from the data's parameter Lipschitz bound and the pilot;
+3. first cover radius 1 / (2 pilot L_s) from the data's parameter Lipschitz
+   bound L_s and the pilot;
 4. Bezout solves at every cover center, one after another;
-5. perturbation check: Lipschitz-times-radius must fit the residual budget
-   (1/2 when all centers solved exactly, 1/4 with the least-norm fallback in
-   play, matching the 1/4 + 1/4 budget split);
-6. residual certificate for sup |1 - gtilde^T f| over disc x box, each
-   center's term bounded over its bump's support ball, gate 1/2;
-7. on failure halve the radius and repeat, at most ``max_refinements`` times.
+5. residual certificate for sup |1 - gtilde^T f| over disc x box, each
+   center's term bounded over its bump's support ball, gate 1/2: the one
+   gate that picks the cover, since |phi| >= 1/2 is all the gluing needs;
+6. on failure halve the radius and repeat, at most ``max_refinements`` times.
 
 The final solution is an evaluator: g(z,s) = gtilde(z,s) / phi(z,s) with
 phi = gtilde^T f computed pointwise, so g^T f = 1 holds to division rounding
@@ -45,13 +44,7 @@ import numpy as np
 from . import hnorm
 from .bezout_point import PointSolution, RESIDUAL_ACCEPT, solve_point
 from .config import SolverSettings
-from .cover_pou import (
-    Cover,
-    PartitionOfUnity,
-    build_cover,
-    lipschitz_s_bound,
-    modulus_inverse,
-)
+from .cover_pou import Cover, PartitionOfUnity, build_cover, lipschitz_s_bound
 from .errors import (
     CoronaGlueError,
     CoronaUncertified,
@@ -71,7 +64,6 @@ class PointSolutionSet:
     bound actually achieved (max of the certificate uppers)."""
 
     solutions: tuple
-    c0: float
 
     def __post_init__(self):
         if not self.solutions:
@@ -83,25 +75,20 @@ class PointSolutionSet:
             )
 
     @property
-    def all_exact(self) -> bool:
-        return all(s.is_exact for s in self.solutions)
+    def c0(self) -> float:
+        return max(s.norm_cert.hi for s in self.solutions)
 
 
 @dataclass(frozen=True)
 class SolveRound:
     """One refinement round of :func:`solve`: the cover radius and center
-    count it tried, the point solutions' c0 and all_exact, the radius
-    check's margin and threshold, the residual certificate when the radius
-    check passed (else None), and the outcome: "radius_check" or
-    "residual_gate" for the gate that failed, or "passed"."""
+    count it tried, the point solutions' c0, the residual certificate and
+    the outcome, "passed" or "residual_gate"."""
 
     radius: float
     centers: int
     c0: float
-    all_exact: bool
-    margin: float
-    threshold: float
-    residual_cert: NormCert | None
+    residual_cert: NormCert
     outcome: str
 
 
@@ -142,20 +129,7 @@ def solve_at_samples(family: ParamFamily, cover: Cover,
     except CoronaGlueError as exc:
         exc.args = (f"pointwise solve failed: {exc.args[0]}",) + exc.args[1:]
         raise
-    return PointSolutionSet(tuple(solutions), max(s.norm_cert.hi for s in solutions))
-
-
-def radius_check(family: ParamFamily, cover: Cover, c0: float,
-                 all_exact: bool):
-    """Perturbation-budget check L_s * r * c0 <= threshold, with threshold
-    1/2 for exact point solves and 1/4 when the fallback residual budget is
-    in play.  Returns (passed, margin, threshold)."""
-    threshold = RESIDUAL_GATE if all_exact else RESIDUAL_ACCEPT
-    lip = lipschitz_s_bound(family)
-    if lip == 0.0:
-        return True, math.inf, threshold
-    margin = threshold / c0 - lip * cover.radius
-    return margin >= 0.0, margin, threshold
+    return PointSolutionSet(tuple(solutions))
 
 
 @dataclass(frozen=True)
@@ -343,10 +317,10 @@ def _stage(timings: dict, key: str):
 def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
     """Full pipeline; returns (GluedSolution, stage timings in seconds).
 
-    ``point_solves`` (cover, center solves and radius check) and
-    ``residual_certify`` sum over every refinement round.  Each round is
-    recorded as a :class:`SolveRound`, in the solution's ``rounds`` or, when
-    no round passes, in the ``rounds`` of the RefinementExhausted."""
+    ``point_solves`` (cover and center solves) and ``residual_certify`` sum
+    over every refinement round.  Each round is recorded as a
+    :class:`SolveRound`, in the solution's ``rounds`` or, when no round
+    passes, in the ``rounds`` of the RefinementExhausted."""
     timings = {}
     with _stage(timings, "corona_check"):
         delta = hnorm.delta_lower(family, options.grid)
@@ -363,42 +337,32 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
         pilot = _pilot_c0(family, options)
 
     lip = lipschitz_s_bound(family)
-    radius = modulus_inverse(1.0 / (2.0 * pilot), lip)
+    radius = 1.0 / (2.0 * pilot) / lip if lip else math.inf
 
-    failure_stage, failure_cert = "radius_check", None
     rounds = []
     for round_index in range(options.max_refinements + 1):
         with _stage(timings, "point_solves"):
             cover = build_cover(family.box, radius)
             points = solve_at_samples(family, cover, options)
-            passed, margin, threshold = radius_check(
-                family, cover, points.c0, points.all_exact
-            )
-        cert, outcome = None, "radius_check"
-        if passed:
-            pou = PartitionOfUnity(cover)
-            with _stage(timings, "residual_certify"):
-                cert = residual_certify(family, pou, points,
-                                        max(256, options.angular_samples),
-                                        options.axis_samples)
-            outcome = "passed" if cert.hi <= RESIDUAL_GATE else "residual_gate"
-        rounds.append(SolveRound(radius, cover.size, points.c0, points.all_exact,
-                                 margin, threshold, cert, outcome))
+        pou = PartitionOfUnity(cover)
+        with _stage(timings, "residual_certify"):
+            cert = residual_certify(family, pou, points,
+                                    max(256, options.angular_samples),
+                                    options.axis_samples)
+        outcome = "passed" if cert.hi <= RESIDUAL_GATE else "residual_gate"
+        rounds.append(SolveRound(radius, cover.size, points.c0, cert, outcome))
         if outcome == "passed":
             return (
                 GluedSolution(family, pou, points, delta, sup, cert,
                               round_index, tuple(rounds)),
                 timings,
             )
-        if outcome == "residual_gate":
-            failure_stage, failure_cert = outcome, cert
         if math.isinf(radius):
             break
         radius /= 2.0
     raise RefinementExhausted(
         f"no passing cover after {options.max_refinements} refinements "
-        f"(last failure at {failure_stage})",
-        stage=failure_stage,
-        certificate=failure_cert,
+        f"(last residual certificate hi = {cert.hi:.4g} > 1/2)",
+        certificate=cert,
         rounds=tuple(rounds),
     )

@@ -129,7 +129,11 @@ def _solution_from_dict(raw: dict):
             residual_cert=_cert_from_dict(entry["residual_cert"],
                                           f"{where}.residual_cert"),
         ))
-    points = PointSolutionSet(tuple(solutions), _number(result["c0"], "c0"))
+    c0 = _number(result["c0"], "c0")
+    points = PointSolutionSet(tuple(solutions))
+    if c0 != points.c0:
+        raise ConfigError(f"c0 = {c0!r} differs from the largest point "
+                          f"norm_cert.hi, {points.c0!r}")
     glued = GluedSolution(
         family=family,
         pou=PartitionOfUnity(cover),

@@ -166,12 +166,12 @@ def test_certify_examples():
 
 def test_solve_point_prefers_chain_then_falls_back():
     exact = bz.solve_point((CPoly([0, 1]), CPoly([2, -1])))
-    assert exact.is_exact
+    assert exact.residual_cert.hi <= bz.EXACT_RESIDUAL
 
     w = CPoly([-2.0, 1.0])
     rational = bz.solve_point((CPoly([0, 1]) * w, CPoly([1, -0.5]) * w))
     assert rational.residual_cert.hi <= bz.RESIDUAL_ACCEPT
-    assert not rational.is_exact
+    assert rational.residual_cert.hi > bz.EXACT_RESIDUAL
 
     with pytest.raises(CoronaViolation):
         bz.solve_point((CPoly([0, 1]), CPoly([0, 0, 1])))

@@ -398,6 +398,10 @@ def _lo_above_hi(raw):
     cert["lo"] = cert["hi"] + 0.1
 
 
+def _c0_times_10(raw):
+    raw["result"]["c0"] *= 10.0
+
+
 @pytest.mark.parametrize("tamper", [
     _set(("point_solutions", 0, "g", 0, 0), [math.nan, 0.0]),
     _set(("point_solutions", 0, "norm_cert", "hi"), math.inf),
@@ -411,6 +415,7 @@ def _lo_above_hi(raw):
     _set(("point_solutions",), []),
     _drop_c0,
     _lo_above_hi,
+    _c0_times_10,
     # JSON integers beyond the float range
     _set(("c0",), 10 ** 400),
     _set(("cover", "radius"), 10 ** 400),
@@ -419,7 +424,7 @@ def _lo_above_hi(raw):
 ], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
         "nan_c0", "numeric_infinite_radius", "nan_center", "foreign_box",
         "string_c0", "float_refinements",
-        "no_point_solutions", "missing_c0", "lo_above_hi",
+        "no_point_solutions", "missing_c0", "lo_above_hi", "c0_times_10",
         "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient"])
 def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
     path = tmp_path / "sol.json"
@@ -461,10 +466,14 @@ def test_cli_refuses_negative_counts(tmp_path, worked_solution, capsys,
     ("verify", "--report"), ("eval-grid", "--out"),
 ])
 @pytest.mark.parametrize("where", ["directory", "under_a_file"])
-def test_cli_unwritable_output_exits_2(tmp_path, capsys, worked_solution,
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, worked_solution,
                                        command, option, where):
     config, sol = str(CONFIGS / "worked_family.json"), tmp_path / "sol.json"
     serialize.save_solution(_load("worked_family.json"), worked_solution, sol)
+
+    def pipeline(*args, **kwargs):
+        raise AssertionError("solve ran the pipeline before refusing its output")
+    monkeypatch.setattr(glue, "solve", pipeline)
     argv = {
         "check": ["check", "--config", config],
         "rescale": ["rescale", "--config", config, "--factor", "0.5"],
@@ -485,6 +494,17 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, worked_solution,
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
     assert blocker.is_dir() if where == "directory" else \
         blocker.read_text() == "kept\n"
+
+
+def test_cli_eval_grid_leaves_no_csv_without_its_summary(tmp_path, capsys,
+                                                        worked_solution):
+    sol, out = tmp_path / "sol.json", tmp_path / "grid.csv"
+    serialize.save_solution(_load("worked_family.json"), worked_solution, sol)
+    summary = out.with_suffix(".summary.json")
+    summary.mkdir()
+    assert cli.main(["eval-grid", "--solution", str(sol), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {summary}")
+    assert not out.exists() and summary.is_dir()
 
 
 def test_cli_solve_negative_common_zero(tmp_path):
@@ -514,17 +534,26 @@ def test_cli_solve_certifies_the_family_once(tmp_path, monkeypatch):
     assert calls == {"delta_lower": 1, "sup_family": 1}
 
 
-def test_solve_report_records_every_round(tmp_path, capsys):
+def test_solve_report_records_every_round(tmp_path, capsys, monkeypatch):
     raw = _load("worked_family.json").to_dict()
     raw["family"]["components"] = [{"z_coeffs": t} for t in rational_gcd_tables()]
     cfg_path, sol, rep = (tmp_path / n for n in ("cfg.json", "sol.json", "rep.json"))
     save_config(ProblemConfig.from_dict(raw), cfg_path)
     argv = ["solve", "--config", str(cfg_path), "--out", str(sol), "--report", str(rep)]
+    # the first residual certificate fails the gate, so the radius halves once
+    forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
+    calls, real = [], glue.residual_certify
+
+    def certify(*args, **kwargs):
+        calls.append(None)
+        return forced if len(calls) == 1 else real(*args, **kwargs)
+    monkeypatch.setattr(glue, "residual_certify", certify)
     assert cli.main(argv) == 0
     report = json.loads(rep.read_text())
     first, last = report["rounds"]
-    assert (first["outcome"], last["outcome"]) == ("radius_check", "passed")
-    assert first["residual_cert"] is None and first["margin"] < 0.0
+    assert set(first) == {"radius", "centers", "c0", "residual_cert", "outcome"}
+    assert (first["outcome"], last["outcome"]) == ("residual_gate", "passed")
+    assert first["residual_cert"] == forced.to_dict()
     assert first["radius"] == 2.0 * last["radius"] == 2.0 * report["r_final"]
     assert last["residual_cert"] == report["residual_cert"]
     assert (last["centers"], last["c0"]) == (report["cover_size"], report["c0"])
@@ -536,9 +565,10 @@ def test_solve_report_records_every_round(tmp_path, capsys):
     raw["solver"]["max_refinements"] = 0
     save_config(ProblemConfig.from_dict(raw), cfg_path)
     sol.unlink()
+    calls.clear()
     assert cli.main(argv) == 1
     report = json.loads(rep.read_text())
-    assert [r["outcome"] for r in report["rounds"]] == ["radius_check"]
+    assert [r["outcome"] for r in report["rounds"]] == ["residual_gate"]
     assert not sol.exists()
 
     # check and verify reports have no rounds
@@ -613,8 +643,7 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     g0 = sols[0].g[0]
     sols[0] = dataclasses.replace(sols[0], g=(CPoly(np.r_[math.inf, g0.coeffs[1:]]),)
                                   + sols[0].g[1:])
-    glued = dataclasses.replace(steep_solution, points=glue.PointSolutionSet(
-        tuple(sols), steep_solution.points.c0))
+    glued = dataclasses.replace(steep_solution, points=glue.PointSolutionSet(tuple(sols)))
     report = cli.RunReport(command="verify")
     with np.errstate(all="ignore"):
         cli.run_verification(_load("three_center_family.json"), glued, 6, 6, 9, 2, report)

@@ -7,7 +7,6 @@ import tensor_jets
 from conftest import same_bits, worked_family
 from coronaglue import cover_pou as cp
 from coronaglue import jets
-from coronaglue.errors import DomainError
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
@@ -31,14 +30,6 @@ def test_lipschitz_s_bound_examples():
     sq = ParamFamily([ZSPoly([SPoly([0.0]), SPoly([0.0, 0.0, 1.0])])],
                      [(0.0, 1.0)])
     assert cp.lipschitz_s_bound(sq) == pytest.approx(2.0)
-
-
-def test_modulus_inverse_examples():
-    assert cp.modulus_inverse(0.1, 2.0) == pytest.approx(0.05)
-    assert math.isinf(cp.modulus_inverse(0.1, 0.0))
-    assert cp.modulus_inverse(1.0 / (2 * 5), 1.0) == pytest.approx(0.1)
-    with pytest.raises(DomainError):
-        cp.modulus_inverse(0.0, 1.0)
 
 
 def test_build_cover_examples():

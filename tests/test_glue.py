@@ -8,7 +8,7 @@ import pytest
 from conftest import (constant_family, rational_gcd_family, steep_family,
                       two_param_family, worked_family)
 from coronaglue import glue, hnorm
-from coronaglue.bezout_point import PointSolution
+from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
 from coronaglue.config import SolverSettings
 from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
 from coronaglue.errors import (
@@ -53,32 +53,6 @@ def test_solve_at_samples_surfaces_corona_violation():
     cover = Cover(((0.0,), (1.0,)), 0.6, family.box)
     with pytest.raises(CoronaViolation):
         glue.solve_at_samples(family, cover)
-
-
-def test_radius_check_arithmetic():
-    family = worked_family()  # parameter Lipschitz bound 1
-    box = family.box
-    ok, margin, threshold = glue.radius_check(
-        family, Cover(((0.5,),), 0.1, box), 1.0, True
-    )
-    assert ok and threshold == 0.5 and margin == pytest.approx(0.4)
-
-    ok, margin, _ = glue.radius_check(
-        family, Cover(((0.5,),), 0.6, box), 1.0, True
-    )
-    assert not ok and margin == pytest.approx(-0.1)
-
-    flat = constant_family()
-    ok, margin, _ = glue.radius_check(
-        flat, Cover(((0.5,),), math.inf, flat.box), 123.0, True
-    )
-    assert ok and math.isinf(margin)
-
-    # fallback solutions narrow the budget to 1/4
-    ok, _, threshold = glue.radius_check(
-        family, Cover(((0.5,),), 0.3, box), 1.0, False
-    )
-    assert threshold == 0.25 and not ok
 
 
 def _point_set(cover, family, options=SolverSettings()):
@@ -232,7 +206,7 @@ def test_residual_certify_corrupted_center_fails():
         zeroed[0].norm_cert,
         zeroed[0].residual_cert,
     )
-    broken = PointSolutionSet(tuple(zeroed), points.c0)
+    broken = PointSolutionSet(tuple(zeroed))
     bad = glue.residual_certify(family, pou, broken)
     assert bad.hi > glue.RESIDUAL_GATE
     assert bad.lo > glue.RESIDUAL_GATE  # witnessed by direct sampling
@@ -276,7 +250,7 @@ def test_g_eval_guards_small_phi(worked_solution):
     broken = glue.GluedSolution(
         glued.family,
         glued.pou,
-        PointSolutionSet(zeroed, glued.c0),
+        PointSolutionSet(zeroed),
         glued.delta_cert,
         glued.sup_cert,
         glued.residual_cert,
@@ -291,7 +265,7 @@ def test_g_eval_guards_small_phi(worked_solution):
         for sol in glued.points.solutions
     )
     with pytest.raises(InternalInconsistency):
-        glue.g_eval(dataclasses.replace(broken, points=PointSolutionSet(nan, glued.c0)),
+        glue.g_eval(dataclasses.replace(broken, points=PointSolutionSet(nan)),
                     0.2 + 0.1j, [0.5])
 
 
@@ -308,7 +282,7 @@ def test_solve_worked_family_certificates(worked_solution):
     assert glued.delta_cert.lo > 0.4
     assert glued.residual_cert.hi <= 0.5
     assert glued.cover.size >= 1
-    assert glued.points.all_exact
+    assert all(sol.residual_cert.hi <= EXACT_RESIDUAL for sol in glued.points.solutions)
 
 
 def test_solve_corona_violating_family():
@@ -349,7 +323,7 @@ def test_point_solution_set_enforces_budget():
         hnorm.NormCert(0.3, 0.3, "H-infinity norm", 8),
     )
     with pytest.raises(ValueError):
-        PointSolutionSet((bad,), 1.0)
+        PointSolutionSet((bad,))
 
 
 class _Clock:
@@ -379,18 +353,16 @@ def _clocked_solve(monkeypatch, family, certify=glue.residual_certify, **options
     return glue.solve(family, dataclasses.replace(SolverSettings(), **options))
 
 
-def test_solve_timings_sum_over_a_radius_check_failure(monkeypatch):
+def test_solve_timings_of_a_one_round_rational_gcd_solve(monkeypatch):
+    # the residual certificate alone picks the cover: rational-gcd passes on
+    # its first one, 2 centers
     glued, timings = _clocked_solve(monkeypatch, rational_gcd_family())
-    assert [r.outcome for r in glued.rounds] == ["radius_check", "passed"]
-    first, last = glued.rounds
-    assert first.margin < 0.0 <= last.margin and first.residual_cert is None
-    assert (first.threshold, first.all_exact) == (glue.RESIDUAL_ACCEPT, False)
-    assert last.radius == first.radius / 2.0 == glued.cover.radius
-    assert (last.centers, last.c0) == (glued.cover.size, glued.c0)
-    assert last.residual_cert == glued.residual_cert
-    assert glued.refinements == 1
+    (only,) = glued.rounds
+    assert only.outcome == "passed" and glued.refinements == 0
+    assert (only.radius, only.centers, only.c0) == (glued.cover.radius, 2, glued.c0)
+    assert only.residual_cert == glued.residual_cert
     assert timings == {"corona_check": 0.0, "sup_norm": 0.0, "pilot_solves": 0.0,
-                       "point_solves": 2.0, "residual_certify": 100.0}
+                       "point_solves": 1.0, "residual_certify": 100.0}
 
 
 def test_solve_timings_sum_over_a_residual_gate_failure(monkeypatch):
@@ -411,8 +383,12 @@ def test_solve_timings_sum_over_a_residual_gate_failure(monkeypatch):
 
 
 def test_refinement_exhausted_carries_the_rounds(monkeypatch):
+    forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
     with pytest.raises(RefinementExhausted) as err:
-        _clocked_solve(monkeypatch, rational_gcd_family(), max_refinements=0)
-    assert err.value.stage == "radius_check"
-    (only,) = err.value.rounds
-    assert only.outcome == "radius_check" and only.margin < 0.0
+        _clocked_solve(monkeypatch, rational_gcd_family(), lambda *a, **k: forced,
+                       max_refinements=1)
+    assert err.value.certificate is forced
+    first, last = err.value.rounds
+    assert (first.outcome, last.outcome) == ("residual_gate", "residual_gate")
+    assert last.radius == first.radius / 2.0
+    assert first.residual_cert is last.residual_cert is forced

@@ -154,7 +154,7 @@ def _with_point_solution(glued, k, transform):
     sols = list(glued.points.solutions)
     sols[k] = dataclasses.replace(sols[k], g=tuple(transform(gm) for gm in sols[k].g))
     return dataclasses.replace(
-        glued, points=glue.PointSolutionSet(tuple(sols), glued.points.c0))
+        glued, points=glue.PointSolutionSet(tuple(sols)))
 
 
 def _interior_block(rng, glued, n):
