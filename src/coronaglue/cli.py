@@ -123,6 +123,8 @@ def cmd_check(args) -> int:
     family = config.to_family()
     solver = config.solver
     report = RunReport(command="check")
+    if args.out:
+        _make_parent(Path(args.out))
     t0 = time.perf_counter()
     delta = hnorm.delta_lower(family, solver.grid)
     sup = hnorm.sup_family(family, solver.grid, solver.boundary_samples)
@@ -140,6 +142,7 @@ def cmd_rescale(args) -> int:
     scaled = config.scaled(args.factor)
     out = Path(args.out) if args.out else \
         Path(args.config).with_name(Path(args.config).stem + ".rescaled.json")
+    _make_parent(out)
     save_config(scaled, out)
     print(f"wrote {out} (accumulated factor {scaled.rescale_factor:.17g}; "
           "solution norms scale by the inverse)")
@@ -399,6 +402,8 @@ def cmd_verify(args) -> int:
         raise ConfigError(
             f"--alpha {alpha_max} exceeds the configured order {config.solver.order}"
         )
+    if args.report:
+        _make_parent(Path(args.report))
     t0 = time.perf_counter()
     run_verification(config, glued, args.z_samples, args.z_samples,
                      args.s_samples, alpha_max, report)

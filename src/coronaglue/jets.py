@@ -16,7 +16,7 @@ coefficient are added one at a time in exactly that order, never by a
 reduction whose grouping depends on the array size.  Since the pairs of
 gamma do not depend on the truncation, a coefficient has the same bits at
 every order >= |gamma|, given input jets that obey the same rule (as
-SPoly.taylor_coeffs does); so :meth:`coronaglue.smoothness.CAlphaReport.restricted`
+ZSPoly.taylor_coeffs does); so :meth:`coronaglue.smoothness.CAlphaReport.restricted`
 reads the lower orders off one top-order pass, and d^alpha comes from a jet
 of order |alpha|.
 """

@@ -240,14 +240,6 @@ class SPoly:
         mags = [max(abs(a), abs(b)) for a, b in box]
         return float(_polyval_axes(mags, np.abs(self.coeffs)))
 
-    def taylor_coeffs(self, s0, order):
-        """Taylor coefficients about ``s0`` as a jet of total order ``order``
-        (see :mod:`coronaglue.jets`); entry gamma is d^gamma p(s0) / gamma!.
-        One point (d,) gives shape (jet size,), an (n, d) block of points
-        (jet size, n), each point with the bits it has alone."""
-        jet = _taylor_shift(self.coeffs[None], _points(s0, self.dim), order)[0]
-        return jet.T if np.ndim(s0) == 2 else jet[0]
-
 
 def _points(s, dim):
     """One point or an (n, d) block of points as an (n, d) float array."""
@@ -506,12 +498,3 @@ def as_alpha(alpha, dim: int):
         raise ValueError("multi-index entries must be nonnegative")
     return alpha
 
-
-def partial_s(family: ParamFamily, alpha) -> ParamFamily:
-    """Componentwise formal partial derivative d^alpha in the parameter."""
-    alpha = as_alpha(alpha, family.dim)
-    comps = list(family.components)
-    for axis, order in enumerate(alpha):
-        for _ in range(order):
-            comps = [c.partial(axis) for c in comps]
-    return ParamFamily(comps, family.box)

@@ -7,10 +7,12 @@ polynomials, and the quotient g = gtilde / phi through the jet reciprocal,
 which is valid wherever |phi| >= 1/2.
 
 Every jet carries a trailing axis over a block of parameter points: the C^k
-report sweeps the evaluator's blocks of its s-grid, and the finite-difference
-spot checks take one block per multi-index, each point at its own z.  The
-single-point :func:`g_partial` and :func:`fd_check` are blocks of one through
-the same code, and every point of a block gets the bits it gets alone.
+report sweeps the evaluator's blocks of its s-grid and reads the norms of
+both g and f off the jets of that one pass (the data's jets are the ones phi
+is built from), and the finite-difference spot checks take one block per
+multi-index, each point at its own z.  The single-point :func:`g_partial`
+and :func:`fd_check` are blocks of one through the same code, and every
+point of a block gets the bits it gets alone.
 
 The norm reports never assert an inequality: the contract is finiteness
 (a NaN sample makes a maximum NaN) and stability under grid refinement, with
@@ -26,16 +28,17 @@ import numpy as np
 
 from . import hnorm, jets
 from .glue import EvalBlock, GluedEvaluator, GluedSolution, grid_blocks
-from .polyalg import as_alpha, partial_s
+from .polyalg import as_alpha
 
 
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
-    """Jets of every component of g, truncated at total order ``order``, at
-    the (n, d) block of parameter points ``s``: a list of N_f arrays of shape
-    (jet size, n, q).  Every point reads all q of the evaluator's z values,
-    or with ``own_z`` its own run of q = nz / n consecutive ones.  Each live
-    center's solution values are its row of the evaluator's table, added with
-    the row-masked pattern of :meth:`GluedEvaluator.at`."""
+    """(g jets, f jets): the jets of every component of g and of the data f,
+    truncated at total order ``order``, at the (n, d) block of parameter
+    points ``s``; each a list of N_f arrays of shape (jet size, n, q).  Every
+    point reads all q of the evaluator's z values, or with ``own_z`` its own
+    run of q = nz / n consecutive ones.  Each live center's solution values
+    are its row of the evaluator's table, added with the row-masked pattern
+    of :meth:`GluedEvaluator.at`."""
     family = evaluator.family
     dim = family.dim
     s = np.asarray(s, dtype=float)
@@ -56,11 +59,12 @@ def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
         for m in range(family.size):
             gt[m][:, rows] += ej * gk[m]
 
+    f = [comp.taylor_coeffs(s, order, z) for comp in family.components]
     phi = jets.jet_const(0.0, dim, order, batch, complex)
-    for m, comp in enumerate(family.components):
-        phi = phi + jets.jet_mul(gt[m], comp.taylor_coeffs(s, order, z), dim, order)
+    for gm, fm in zip(gt, f):
+        phi = phi + jets.jet_mul(gm, fm, dim, order)
     inv = jets.jet_reciprocal(phi, dim, order)
-    return [jets.jet_mul(g, inv, dim, order) for g in gt]
+    return [jets.jet_mul(g, inv, dim, order) for g in gt], f
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
@@ -69,8 +73,8 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
-    comps = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
-                           sum(alpha))
+    comps, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
+                              sum(alpha))
     return np.stack([jets.jet_extract(c, alpha, sum(alpha))[0].reshape(z.shape)
                      for c in comps])
 
@@ -127,7 +131,7 @@ def fd_deviations(glued: GluedSolution, z, s, alpha, h: float):
     fd = functools.reduce(np.add, [c * g[:, j] for j, c in enumerate(weights)]) / scale
 
     order = sum(alpha)
-    comps = _solution_jets(evaluator, s, order, own_z=True)
+    comps, _ = _solution_jets(evaluator, s, order, own_z=True)
     analytic = np.stack([jets.jet_extract(c, alpha, order)[:, 0] for c in comps], axis=1)
     size = np.linalg.norm(analytic, axis=1)
     return np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0), breaches
@@ -190,7 +194,9 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     """Estimate ||g|| and ||f|| in the C^order(K; H-infinity, l2) sense by
     maximizing over an s-grid, all multi-indices of total order <= order, and
     boundary-circle z samples (each parameter derivative is analytic in z, so
-    the maximum principle applies)."""
+    the maximum principle applies).  One jet pass per block of grid points
+    gives both: the derivatives of f are those of the data jets that
+    :func:`_solution_jets` builds phi from, reduced the same way as g's."""
     family = glued.family
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -198,19 +204,19 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     z = hnorm.boundary_points(boundary_samples)
     axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 
-    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
-    g_best = np.zeros(len(indices))
-    for s in grid_blocks(axes, evaluator.block_size):
-        comps = _solution_jets(evaluator, s, order)
-        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(cj, family.dim, order)) ** 2
-                                       for cj in comps])
-        # per point, then over the block; a NaN sample sticks
-        g_best = np.maximum(g_best, np.sqrt(sq.max(axis=2)).max(axis=1))
+    def maxima(comps):
+        # the l2 modulus per (point, z), its max per point, then over the
+        # block; a NaN sample sticks
+        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order)) ** 2
+                                       for c in comps])
+        return np.sqrt(sq.max(axis=2)).max(axis=1)
 
-    per_index = []
-    for ix, g in zip(indices, g_best.tolist()):
-        f, _ = hnorm.sampled_extreme(partial_s(family, ix).components, z,
-                                     family.box, axis_samples)
-        per_index.append((ix, g, f))
-    return CAlphaReport.from_per_index(order, per_index, axis_samples,
-                                       boundary_samples)
+    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
+    g_best = f_best = np.zeros(len(indices))
+    for s in grid_blocks(axes, evaluator.block_size):
+        g_jets, f_jets = _solution_jets(evaluator, s, order)
+        g_best = np.maximum(g_best, maxima(g_jets))
+        f_best = np.maximum(f_best, maxima(f_jets))
+    return CAlphaReport.from_per_index(
+        order, list(zip(indices, g_best.tolist(), f_best.tolist())),
+        axis_samples, boundary_samples)

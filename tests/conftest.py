@@ -16,6 +16,16 @@ def random_cpoly(rng, max_degree, scale=1.0):
     return CPoly(coeffs)
 
 
+def partial_s(family: ParamFamily, alpha) -> ParamFamily:
+    """Reference: the componentwise formal partial derivative d^alpha in the
+    parameter, one ``SPoly.partial`` per unit of alpha."""
+    comps = list(family.components)
+    for axis, order in enumerate(alpha):
+        for _ in range(order):
+            comps = [c.partial(axis) for c in comps]
+    return ParamFamily(comps, family.box)
+
+
 def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: signed zeros and NaNs must match too."""
     a, b = np.asarray(a), np.asarray(b)
@@ -94,6 +104,18 @@ def two_param_family():
     return ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 1.0)])
 
 
+def curved_param_family():
+    """two_param_family with terms of degree 2 in each parameter:
+    ((z + 2 + s1 + s1^2 s2^2 / 2) / 6, (2 - z + s2 + (s1^2 + s2^2) / 2) / 6)
+    on [0, 1]^2."""
+    sixth = 1.0 / 6.0
+    f1 = ZSPoly([SPoly([[2 * sixth, 0.0, 0.0], [sixth, 0.0, 0.0], [0.0, 0.0, sixth / 2]]),
+                 SPoly([[sixth]])])
+    f2 = ZSPoly([SPoly([[2 * sixth, sixth, sixth / 2], [0.0, 0.0, 0.0], [sixth / 2, 0.0, 0.0]]),
+                 SPoly([[-sixth]])])
+    return ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 1.0)])
+
+
 def rational_gcd_tables():
     """The z_coeffs tables of (z - 3)/3 times (z, (2 + s) - z)/3: every
     center takes the least-norm route, and the first cover fails the radius
@@ -134,6 +156,14 @@ def two_param_solution():
     from coronaglue import glue
 
     glued, _ = glue.solve(two_param_family())
+    return glued
+
+
+@pytest.fixture(scope="session")
+def curved_solution():
+    from coronaglue import glue
+
+    glued, _ = glue.solve(curved_param_family())
     return glued
 
 

@@ -461,20 +461,12 @@ def test_cli_refuses_negative_counts(tmp_path, worked_solution, capsys,
     assert not (tmp_path / "grid.csv").exists()
 
 
-@pytest.mark.parametrize("command, option", [
-    ("check", "--out"), ("rescale", "--out"), ("solve", "--out"), ("solve", "--report"),
-    ("verify", "--report"), ("eval-grid", "--out"),
-])
-@pytest.mark.parametrize("where", ["directory", "under_a_file"])
-def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, worked_solution,
-                                       command, option, where):
+def _output_argv(command, tmp_path, worked_solution):
+    """The arguments of ``command`` on the worked family, all but the output
+    option under test; verify and eval-grid read a saved worked solution."""
     config, sol = str(CONFIGS / "worked_family.json"), tmp_path / "sol.json"
     serialize.save_solution(_load("worked_family.json"), worked_solution, sol)
-
-    def pipeline(*args, **kwargs):
-        raise AssertionError("solve ran the pipeline before refusing its output")
-    monkeypatch.setattr(glue, "solve", pipeline)
-    argv = {
+    return {
         "check": ["check", "--config", config],
         "rescale": ["rescale", "--config", config, "--factor", "0.5"],
         "solve": ["solve", "--config", config, "--out", str(tmp_path / "out.json"),
@@ -483,6 +475,20 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, worked_sol
                    "--s-samples", "3"],
         "eval-grid": ["eval-grid", "--solution", str(sol)],
     }[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--out"), ("rescale", "--out"), ("solve", "--out"), ("solve", "--report"),
+    ("verify", "--report"), ("eval-grid", "--out"),
+])
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, worked_solution,
+                                       command, option, where):
+    argv = _output_argv(command, tmp_path, worked_solution)
+    for module, name in [(glue, "solve"), (hnorm, "delta_lower"), (cli, "run_verification")]:
+        def pipeline(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the output was refused")
+        monkeypatch.setattr(module, name, pipeline)
     blocker = tmp_path / "blocker"
     if where == "directory":
         blocker.mkdir()
@@ -494,6 +500,17 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, worked_sol
     assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
     assert blocker.is_dir() if where == "directory" else \
         blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--out"), ("rescale", "--out"), ("verify", "--report"),
+])
+def test_cli_output_in_a_missing_directory_is_written(tmp_path, worked_solution,
+                                                      command, option):
+    target = tmp_path / "new" / "dir" / "out.json"
+    argv = _output_argv(command, tmp_path, worked_solution) + [option, str(target)]
+    assert cli.main(argv) == 0
+    assert isinstance(json.loads(target.read_text()), dict)
 
 
 def test_cli_eval_grid_leaves_no_csv_without_its_summary(tmp_path, capsys,

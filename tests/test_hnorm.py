@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (constant_family, random_cpoly, same_bits, steep_family,
+from conftest import (constant_family, partial_s, random_cpoly, same_bits, steep_family,
                       two_param_family, worked_family)
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import DomainError
 from coronaglue.hnorm import DiscKGrid
-from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly, partial_s
+from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npp
 
 import tensor_jets
-from conftest import random_cpoly, same_bits, worked_family
+from conftest import partial_s, random_cpoly, same_bits, worked_family
 from coronaglue import jets
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
@@ -14,7 +14,6 @@ from coronaglue.polyalg import (
     ParamFamily,
     SPoly,
     ZSPoly,
-    partial_s,
 )
 
 
@@ -123,7 +122,7 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
     coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))  # degree <= 8
     order = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    got = SPoly(coeffs).taylor_coeffs(s0, order)
+    got = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, order, 1.0)
     expected = _taylor_by_partials(SPoly(coeffs), s0, order)
     # relative to the same coefficient of |p| at |s0|, which bounds |expected|
     # and stays meaningful where the terms cancel
@@ -144,12 +143,12 @@ def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     top = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    full = SPoly(coeffs).taylor_coeffs(s0, top)
+    full = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, top, 1.0)
     tensor = tensor_jets.taylor_shift(SPoly(coeffs), s0, (top,) * dim)
     np.testing.assert_array_equal(full, tensor_jets.flat(tensor, dim, top))
     indices = jets.multi_indices(dim, top)
     for order in range(top + 1):
-        low = SPoly(coeffs).taylor_coeffs(s0, order)
+        low = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, order, 1.0)
         cut = [indices.index(ix) for ix in jets.multi_indices(dim, order)]
         np.testing.assert_array_equal(low, full[cut])
 
@@ -164,10 +163,11 @@ def test_taylor_coeffs_block_equals_points_bit_for_bit(dim, complex_coeffs, seed
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     order = int(rng.integers(0, 7))
     points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 9)), dim))
-    block = SPoly(coeffs).taylor_coeffs(points, order)
+    p = ZSPoly([SPoly(coeffs)])
+    block = p.taylor_coeffs(points, order, [1.0])
     assert block.shape == (len(jets.multi_indices(dim, order)), len(points))
     for i, s0 in enumerate(points):
-        assert same_bits(block[:, i], SPoly(coeffs).taylor_coeffs(s0, order))
+        assert same_bits(block[:, i], p.taylor_coeffs(s0, order, 1.0))
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))

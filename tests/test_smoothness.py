@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_bits, worked_family
+from conftest import partial_s, same_bits, worked_family
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
@@ -20,7 +20,7 @@ def bezout_identity_jet(glued, z, s, order):
     z_arr = np.asarray(z, dtype=complex)
     evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
     comps = [c[:, 0].reshape((-1,) + z_arr.shape) for c in smoothness._solution_jets(
-        evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)]
+        evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)[0]]
     point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
     dim = glued.family.dim
     return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, order, z_arr), dim, order)
@@ -172,13 +172,14 @@ def test_solution_jets_block_equals_points_bit_for_bit(rng, steep_solution,
     for order in (0, 1, 2):
         shared = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z)
         mine = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own)
-        got = smoothness._solution_jets(shared, block, order)
-        got_own = smoothness._solution_jets(mine, block, order, own_z=True)
+        got = smoothness._solution_jets(shared, block, order)[0]
+        got_own = smoothness._solution_jets(mine, block, order, own_z=True)[0]
         for i, s in enumerate(block):
             alone = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own[i])
-            for a, b in zip(got, smoothness._solution_jets(shared, block[i:i + 1], order)):
+            for a, b in zip(got, smoothness._solution_jets(shared, block[i:i + 1], order)[0]):
                 assert same_bits(a[:, i:i + 1], b)
-            for a, b in zip(got_own, smoothness._solution_jets(alone, block[i:i + 1], order)):
+            for a, b in zip(got_own,
+                            smoothness._solution_jets(alone, block[i:i + 1], order)[0]):
                 assert same_bits(a[:, i:i + 1], b)
 
 
@@ -217,29 +218,75 @@ def test_fd_deviations_guard_witness_equals_fd_check(steep_solution):
         assert str(info.value) == str(breach)
 
 
-def _per_point_g_maxima(glued, order, axis_samples, boundary_samples=256):
-    """Reference: the C^k report's g maxima, one grid point at a time."""
+def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):
+    """Reference: the C^k report's g and f maxima, one grid point at a time."""
     family = glued.family
     z = hnorm.boundary_points(boundary_samples)
     evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z)
-    best = np.zeros(len(jets.multi_indices(family.dim, order)))
+    best = np.zeros((2, len(jets.multi_indices(family.dim, order))))
     for s in itertools.product(*[np.linspace(a, b, axis_samples) for a, b in family.box]):
-        comps = smoothness._solution_jets(evaluator, [s], order)
-        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order)) ** 2
-                                       for c in comps])
-        best = np.maximum(best, np.sqrt(sq[:, 0].max(axis=1)))
+        for half, comps in enumerate(smoothness._solution_jets(evaluator, [s], order)):
+            sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order))
+                                           ** 2 for c in comps])
+            best[half] = np.maximum(best[half], np.sqrt(sq[:, 0].max(axis=1)))
     return best
 
 
-@pytest.mark.parametrize("which, axis_samples", [("steep", 17), ("two_param", 6)])
-def test_cnorm_report_equals_per_point_reference_bit_for_bit(steep_solution,
-                                                           two_param_solution,
-                                                           which, axis_samples):
-    glued = steep_solution if which == "steep" else two_param_solution
+@pytest.mark.parametrize("which, axis_samples",
+                         [("steep", 17), ("two_param", 6), ("curved", 6)])
+def test_cnorm_report_equals_per_point_reference_bit_for_bit(request, which, axis_samples):
+    glued = request.getfixturevalue(f"{which}_solution")
     for order in (0, 2):
         rep = smoothness.cnorm_report(glued, order, axis_samples=axis_samples)
-        got = np.array([g for _, g, _ in rep.per_index])
-        assert same_bits(got, _per_point_g_maxima(glued, order, axis_samples))
+        got = np.array([[g for _, g, _ in rep.per_index], [f for _, _, f in rep.per_index]])
+        assert same_bits(got, _per_point_maxima(glued, order, axis_samples))
+
+
+@pytest.mark.parametrize("which", ["steep", "two_param", "curved"])
+def test_cnorm_report_restricted_equals_the_lower_orders_bit_for_bit(request, which):
+    # a coefficient has the same bits at every truncation order, in the data
+    # jets as in the solution jets, so one order-6 pass holds every lower report
+    glued = request.getfixturevalue(f"{which}_solution")
+    top = smoothness.cnorm_report(glued, 6, axis_samples=7, boundary_samples=64)
+    for order in range(6):
+        want = smoothness.cnorm_report(glued, order, axis_samples=7, boundary_samples=64)
+        got = top.restricted(order)
+        assert [ix for ix, _, _ in got.per_index] == [ix for ix, _, _ in want.per_index]
+        for half in (1, 2):
+            assert same_bits(np.array([e[half] for e in got.per_index]),
+                             np.array([e[half] for e in want.per_index]))
+        assert got == want
+
+
+def _formal_f_maxima(family, order, axis_samples, boundary_samples):
+    """Reference: per multi-index, the sampled l2 maximum of the formally
+    differentiated data on the report's grid."""
+    z = hnorm.boundary_points(boundary_samples)
+    return np.array([hnorm.sampled_extreme(partial_s(family, ix).components, z,
+                                           family.box, axis_samples)[0]
+                     for ix in jets.multi_indices(family.dim, order)])
+
+
+def _random_curved_family(rng, dim):
+    """(z, p(s) - z) / 3 with p of degree 2 to 5 in each parameter, constant
+    term 2 and every other coefficient in [-0.2, 0.2]."""
+    table = rng.uniform(-0.2, 0.2, tuple(rng.integers(3, 7, dim)))
+    table.flat[0] = 2.0
+    f1 = ZSPoly([SPoly(np.zeros((1,) * dim)), SPoly(np.full((1,) * dim, 1.0 / 3.0))])
+    f2 = ZSPoly([SPoly(table / 3.0), SPoly(np.full((1,) * dim, -1.0 / 3.0))])
+    return ParamFamily([f1, f2], [(0.0, 1.0)] * dim)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, None), (1, 0), (1, 3), (2, 2), (2, 3)])
+def test_cnorm_report_f_maxima_match_the_formal_derivatives(curved_solution, dim, seed):
+    # the data's jets and its formal derivatives differ only by rounding;
+    # each random family has some maxima that differ in the last bits
+    glued = curved_solution if seed is None else \
+        glue.solve(_random_curved_family(np.random.default_rng(seed), dim))[0]
+    rep = smoothness.cnorm_report(glued, 4, axis_samples=7, boundary_samples=64)
+    got = np.array([f for _, _, f in rep.per_index])
+    want = _formal_f_maxima(glued.family, 4, 7, 64)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_cnorm_report_nan_sticks(steep_solution):
