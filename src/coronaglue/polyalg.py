@@ -5,9 +5,13 @@ Three layers:
 * ``CPoly`` -- a complex polynomial in z, used for frozen-parameter data and
   for the pointwise Bezout solutions.
 * ``SPoly`` -- a real (or complex) polynomial in the parameter
-  s = (s_1, ..., s_d), d in {1, 2}, dense exponent-indexed coefficients.
-* ``ZSPoly``/``ParamFamily`` -- polynomials in z whose z-coefficients are
-  SPoly values, i.e. the parameter-dependent data tuple f(z, s) on a box K.
+  s = (s_1, ..., s_d), d in {1, 2}, dense exponent-indexed coefficients: one
+  z-coefficient of the data as a config writes it, validated and trimmed.
+* ``ZSPoly``/``ParamFamily`` -- polynomials in (z, s), i.e. the
+  parameter-dependent data tuple f(z, s) on a box K.  A ZSPoly holds one
+  dense coefficient table, z-power first, and every operation (sum, product,
+  partial derivative, evaluation, coefficient bounds, Taylor shift) runs on
+  that table at once.
 
 Everything is immutable after construction and safe to share across threads.
 """
@@ -45,8 +49,8 @@ class CPoly:
 
     def __init__(self, coeffs):
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-        if arr.ndim != 1:
-            raise ValueError("CPoly coefficients must be one-dimensional")
+        if arr.ndim != 1 or not arr.size:
+            raise ValueError("CPoly coefficients must be a nonempty 1-D array")
         arr = _trim1d(arr).copy()
         arr.setflags(write=False)
         self.coeffs = arr
@@ -147,13 +151,18 @@ def _trim_ndarray(arr):
     return arr
 
 
+def _corner(shape):
+    """The index of the leading ``shape`` block of a larger array."""
+    return tuple(slice(0, n) for n in shape)
+
+
 class SPoly:
     """Polynomial in the parameter s, dense coefficients indexed by exponent.
 
     ``coeffs`` has one axis per parameter variable (d = ndim <= 2);
     ``coeffs[e1]`` or ``coeffs[e1, e2]`` multiplies ``s1**e1 * s2**e2``.
-    Family data carries real coefficients; complex arrays are accepted so the
-    same arithmetic can host products with complex z-coefficients.
+    An SPoly is one z-coefficient as data are written down: ``ZSPoly`` packs
+    a list of them into its table and computes there.
     """
 
     __slots__ = ("coeffs",)
@@ -171,10 +180,6 @@ class SPoly:
         arr.setflags(write=False)
         self.coeffs = arr
 
-    @staticmethod
-    def constant(value, dim: int) -> "SPoly":
-        return SPoly(np.asarray(value).reshape((1,) * dim))
-
     @property
     def dim(self) -> int:
         return self.coeffs.ndim
@@ -183,62 +188,9 @@ class SPoly:
     def is_zero(self) -> bool:
         return self.coeffs.size == 1 and self.coeffs.flat[0] == 0
 
-    def __eq__(self, other):
-        if not isinstance(other, SPoly):
-            return NotImplemented
-        return self.coeffs.shape == other.coeffs.shape and bool(
-            np.all(self.coeffs == other.coeffs)
-        )
-
-    def __repr__(self):
-        return f"SPoly({self.coeffs.tolist()})"
-
-    def __add__(self, other):
-        other = other if isinstance(other, SPoly) else SPoly.constant(other, self.dim)
-        shape = tuple(
-            max(a, b) for a, b in zip(self.coeffs.shape, other.coeffs.shape)
-        )
-        out = np.zeros(shape, dtype=np.result_type(self.coeffs, other.coeffs))
-        out[tuple(slice(0, n) for n in self.coeffs.shape)] += self.coeffs
-        out[tuple(slice(0, n) for n in other.coeffs.shape)] += other.coeffs
-        return SPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SPoly(-self.coeffs)
-
-    def __mul__(self, other: "SPoly"):
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
-                       dtype=np.result_type(a, b))
-        for e in zip(*np.nonzero(a)):
-            out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
-        return SPoly(out)
-
-    def eval(self, s):
-        """Evaluate at a single point s (scalar for d=1 or length-d sequence)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if len(s) != self.dim:
-            raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
-        val = _polyval_axes(s, self.coeffs)
-        return complex(val) if np.iscomplexobj(self.coeffs) else float(val)
-
-    def eval_grid(self, axes):
-        """Evaluate on the tensor grid spanned by 1-D sample arrays ``axes``."""
-        if len(axes) != self.dim:
-            raise ValueError("one sample array per parameter axis required")
-        return _polyval_axes([np.asarray(x, dtype=float) for x in axes], self.coeffs)
-
     def partial(self, axis: int) -> "SPoly":
         """Formal partial derivative along one parameter axis."""
         return SPoly(npp.polyder(self.coeffs, m=1, axis=axis))
-
-    def abs_coeff_bound(self, box) -> float:
-        """Upper bound for |value| on the box via the coefficient sum
-        sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i."""
-        mags = [max(abs(a), abs(b)) for a, b in box]
-        return float(_polyval_axes(mags, np.abs(self.coeffs)))
 
 
 def _points(s, dim):
@@ -299,61 +251,95 @@ def _shift_table(n, order):
 
 
 class ZSPoly:
-    """Polynomial in z whose z-coefficients are ``SPoly`` values."""
+    """Polynomial in z and the parameter s, held as one dense table:
+    ``coeffs[j]`` is the coefficient array of z**j, indexed by s-exponent as
+    in ``SPoly``, so ``coeffs`` has shape ``(n_z,) + s_shape``.
+
+    Built from a list of ``SPoly`` z-coefficients (zero-padded to a common
+    shape) or from such a table.  Canonical form: trailing all-zero slices
+    are trimmed along every axis, so ``len(coeffs)`` counts the z-powers up
+    to the last nonzero one.  Zero padding changes no bit of a value, sum or
+    s-constant product; a Taylor coefficient or derivative that is exactly
+    zero may change its sign."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("at least one z-coefficient required")
-        dims = {c.dim for c in coeffs}
-        if len(dims) != 1:
-            raise ValueError("mixed parameter dimensions in one polynomial")
-        while len(coeffs) > 1 and coeffs[-1].is_zero:
-            coeffs = coeffs[:-1]
-        self.coeffs = coeffs
+        if isinstance(coeffs, np.ndarray):
+            table = coeffs
+        else:
+            coeffs = tuple(coeffs)
+            if not coeffs:
+                raise ValueError("at least one z-coefficient required")
+            if len({c.dim for c in coeffs}) != 1:
+                raise ValueError("mixed parameter dimensions in one polynomial")
+            shape = np.max([c.coeffs.shape for c in coeffs], axis=0)
+            table = np.zeros((len(coeffs), *shape),
+                             dtype=np.result_type(*(c.coeffs for c in coeffs)))
+            for row, c in zip(table, coeffs):
+                row[_corner(c.coeffs.shape)] = c.coeffs
+        if table.ndim not in (2, 3):
+            raise ValueError("parameter dimension must be 1 or 2")
+        dtype = complex if np.iscomplexobj(table) else float
+        table = _trim_ndarray(table.astype(dtype, copy=False)).copy()
+        table.setflags(write=False)
+        self.coeffs = table
 
     @staticmethod
     def from_cpoly(p: CPoly, dim: int) -> "ZSPoly":
-        return ZSPoly([SPoly.constant(c, dim) for c in p.coeffs])
+        return ZSPoly(p.coeffs.reshape((-1,) + (1,) * dim))
 
     @property
     def dim(self) -> int:
-        return self.coeffs[0].dim
+        return self.coeffs.ndim - 1
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = SPoly.constant(0.0, self.dim)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return ZSPoly([x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
+        out[_corner(a.shape)] += a
+        out[_corner(b.shape)] += b
+        return ZSPoly(out)
 
     def __neg__(self):
-        return ZSPoly([-c for c in self.coeffs])
+        return ZSPoly(-self.coeffs)
 
     def __mul__(self, other: "ZSPoly"):
-        zero = SPoly.constant(0.0, self.dim)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        """One convolution over z and s: every nonzero entry a[e] of this
+        factor adds a[e] * (the other table) at offset e, in C order of e.
+        So each output coefficient sums its terms from 0 in increasing
+        z-power of this factor, as a product z-coefficient by z-coefficient
+        does when this factor is constant in s."""
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+                       dtype=np.result_type(a, b))
+        for e in zip(*np.nonzero(a)):
+            out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
         return ZSPoly(out)
 
     def partial(self, axis: int) -> "ZSPoly":
-        return ZSPoly([c.partial(axis) for c in self.coeffs])
+        """Formal partial derivative along one parameter axis."""
+        return ZSPoly(npp.polyder(self.coeffs, m=1, axis=axis + 1))
+
+    def _s_leading(self):
+        """The table with its z axis last, so that Horner in s runs along
+        the leading axes."""
+        return np.moveaxis(self.coeffs, 0, -1)
 
     def freeze(self, s) -> CPoly:
         """Substitute the parameter, leaving a plain polynomial in z."""
-        return CPoly([c.eval(s) for c in self.coeffs])
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        if s.shape != (self.dim,):
+            raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
+        return CPoly(_polyval_axes(s, self._s_leading()))
 
     def sgrid_table(self, axes):
         """The z-coefficients on the tensor s-grid spanned by ``axes``: an
         array of shape ``s_grid_shape + (len(coeffs),)``."""
-        return np.stack([np.asarray(c.eval_grid(axes), dtype=complex)
-                         for c in self.coeffs], axis=-1)
+        if len(axes) != self.dim:
+            raise ValueError("one sample array per parameter axis required")
+        values = _polyval_axes([np.asarray(x, dtype=float) for x in axes],
+                               self._s_leading())
+        return np.ascontiguousarray(np.moveaxis(values, 0, -1), dtype=complex)
 
     def z_powers(self, z):
         """z^j for every z-power j of the polynomial: an array of shape
@@ -373,8 +359,10 @@ class ZSPoly:
         return np.tensordot(table, powers, axes=([-1], [0]))
 
     def coeff_bounds(self, box) -> np.ndarray:
-        """Per-z-power upper bounds for the coefficient magnitude on the box."""
-        return np.array([c.abs_coeff_bound(box) for c in self.coeffs])
+        """Per-z-power upper bounds for the coefficient magnitude on the box:
+        sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i."""
+        mags = [max(abs(a), abs(b)) for a, b in box]
+        return _polyval_axes(mags, np.abs(self._s_leading()))
 
     def taylor_coeffs(self, s0, order, z):
         """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
@@ -383,21 +371,18 @@ class ZSPoly:
         leading axis of ``z`` is 1 (every point reads the same z values) or n
         (each point reads its own).
 
-        One Taylor shift per coefficient-table shape, batched over the points
-        and the z-coefficients of that shape, then one stacked matrix product
-        over the points; every point gets the bits it gets alone."""
+        One Taylor shift of the table, batched over the points and the
+        z-powers, then one stacked matrix product over the points; every
+        point gets the bits it gets alone."""
         z = np.asarray(z, dtype=complex)
         points = _points(s0, self.dim)
         block = np.ndim(s0) == 2
         zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
+        # filled in place: the matrix product's bits follow its operands'
+        # memory layout
         tables = np.empty((len(points), len(jets.multi_indices(self.dim, order)),
                            len(self.coeffs)), dtype=complex)
-        groups = {}
-        for i, c in enumerate(self.coeffs):
-            groups.setdefault((c.coeffs.shape, c.coeffs.dtype), []).append(i)
-        for members in groups.values():
-            stacked = np.stack([self.coeffs[i].coeffs for i in members])
-            tables[..., members] = np.moveaxis(_taylor_shift(stacked, points, order), 0, -1)
+        tables[...] = np.moveaxis(_taylor_shift(self.coeffs, points, order), 0, -1)
         powers = zf[:, None, :] ** np.arange(len(self.coeffs))[:, None]
         jet = np.moveaxis(np.matmul(tables, powers), 0, 1)
         return jet.reshape(jet.shape[:2] + z.shape[1:]) if block else \
@@ -471,10 +456,9 @@ class ParamFamily:
         zf = z.reshape(1, -1)
         out = np.empty((len(points), self.size, zf.shape[1]), dtype=complex)
         for m, comp in enumerate(self.components):
-            coeffs = np.stack([_polyval_points(points, c.coeffs)
-                               for c in comp.coeffs], axis=1).astype(complex)
+            coeffs = _polyval_points(points, comp._s_leading()).astype(complex)
             acc = started = 0
-            for c in np.moveaxis(coeffs[:, ::-1, None], 1, 0):
+            for c in coeffs[::-1, :, None]:
                 acc = np.where(started, acc * zf + c, c)
                 started = started | (c != 0)
             out[:, m] = acc
@@ -483,7 +467,8 @@ class ParamFamily:
 
 def _polyval_points(points, coeffs):
     """``_polyval_axes`` at every row of the (n, d) array ``points``: the same
-    Horner steps, one axis at a time."""
+    Horner steps, one axis at a time; the trailing axes of ``coeffs`` come
+    before the points' axis in the result."""
     for axis, x in enumerate(points.T):
         coeffs = npp.polyval(x, coeffs, tensor=axis == 0)
     return coeffs

@@ -421,11 +421,13 @@ def _c0_times_10(raw):
     _set(("cover", "radius"), 10 ** 400),
     _set(("residual_cert", "hi"), 10 ** 400),
     _set(("point_solutions", 0, "g", 0, 0), [-10 ** 400, 0]),
+    _set(("point_solutions", 0, "g", 0), []),
 ], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
         "nan_c0", "numeric_infinite_radius", "nan_center", "foreign_box",
         "string_c0", "float_refinements",
         "no_point_solutions", "missing_c0", "lo_above_hi", "c0_times_10",
-        "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient"])
+        "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient",
+        "empty_coefficients"])
 def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
     path = tmp_path / "sol.json"
     serialize.save_solution(_load("worked_family.json"), worked_solution, path)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (constant_family, partial_s, random_cpoly, same_bits, steep_family,
                       two_param_family, worked_family)
+from spoly_reference import RefZSPoly, to_ref
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
@@ -150,8 +151,9 @@ def test_grid_validation():
 def _ref_eval_sgrid(p, axes, z):
     """p on (tensor s-grid) x z as one matrix product over the whole grid:
     the materialising evaluator the streamed certificates replaced."""
-    table = np.stack([np.asarray(c.eval_grid(axes), dtype=complex) for c in p.coeffs])
-    powers = z[None, ...] ** np.arange(len(p.coeffs)).reshape((-1,) + (1,) * z.ndim)
+    ref = to_ref(p)
+    table = np.stack([np.asarray(c.eval_grid(axes), dtype=complex) for c in ref.coeffs])
+    powers = z[None, ...] ** np.arange(len(ref.coeffs)).reshape((-1,) + (1,) * z.ndim)
     return np.tensordot(np.moveaxis(table, 0, -1), powers, axes=([-1], [0]))
 
 
@@ -193,7 +195,7 @@ def _ref_inf_disc(p, grid):
 
 
 def _ref_z_lipschitz(comp, box):
-    bounds = comp.coeff_bounds(box)
+    bounds = to_ref(comp).coeff_bounds(box)
     return float(np.sum(np.arange(len(bounds)) * bounds))
 
 
@@ -203,7 +205,7 @@ def _ref_family(family, z, z_mesh, count):
     for axis, (a, b) in enumerate(family.box):
         lip = 0.0
         for comp in family.components:
-            lip += float(np.sum(comp.partial(axis).coeff_bounds(family.box)))
+            lip += float(np.sum(to_ref(comp).partial(axis).coeff_bounds(family.box)))
         slack += lip * ((b - a) / (2.0 * (count - 1)))
     return _ref_modulus(family.components, axes, z), slack
 
@@ -242,14 +244,14 @@ def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples,
     ball)."""
     box, radius, dim = family.box, pou.cover.radius, family.dim
     z = hnorm.boundary_points(boundary_samples)
-    one = ZSPoly.from_cpoly(CPoly.one(), dim)
+    one = RefZSPoly.from_cpoly(CPoly.one(), dim)
     hi, count = 0.0, 0
     for center, sol in zip(pou.cover.centers, points.solutions):
         supp = tuple((max(a, c - radius), min(b, c + radius))
                      for (a, b), c in zip(box, center))
         resid = -one
         for gm, comp in zip(sol.g, family.components):
-            resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
+            resid = resid + RefZSPoly.from_cpoly(gm, dim) * to_ref(comp)
         axes = [np.linspace(a, b, axis_samples) for a, b in supp]
         values = np.abs(_ref_eval_sgrid(resid, axes, z))
         half_steps = [(b - a) / (2.0 * (axis_samples - 1)) for a, b in supp]
@@ -475,6 +477,8 @@ def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, in
 @pytest.mark.parametrize("which", ["steep", "two_param"])
 def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
         monkeypatch, steep_solution, two_param_solution, which, case):
+    # the report reads f off the data jets: whatever the block budget of the
+    # streamed certificates, f keeps the whole grid's bits
     glued = steep_solution if which == "steep" else two_param_solution
     family, z = glued.family, hnorm.boundary_points(64)
     monkeypatch.setattr(hnorm, "BLOCK_BUDGET", RUNS[case][family.dim - 1][0])

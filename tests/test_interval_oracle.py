@@ -114,7 +114,7 @@ def _zspoly(p: ZSPoly):
     holds one interval per parameter axis."""
     def to_iv(x):
         return [to_iv(y) for y in x] if isinstance(x, list) else iv.mpf(x)
-    tables = [to_iv(c.coeffs.tolist()) for c in p.coeffs]
+    tables = [to_iv(table.tolist()) for table in p.coeffs]
 
     def coeffs(s):
         return [(_horner(table, s), ZERO) for table in tables]

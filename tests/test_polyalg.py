@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npp
 
+import spoly_reference
 import tensor_jets
 from conftest import partial_s, random_cpoly, same_bits, worked_family
 from coronaglue import jets
@@ -87,7 +88,7 @@ def test_partial_s_commutes_exactly():
     a = partial_s(partial_s(family, (1, 0)), (0, 1))
     b = partial_s(partial_s(family, (0, 1)), (1, 0))
     for ca, cb in zip(a.components, b.components):
-        assert ca.coeffs == cb.coeffs
+        assert same_bits(ca.coeffs, cb.coeffs)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 10 ** 6))
@@ -104,14 +105,14 @@ def test_product_evaluation_consistent(da, db, seed):
 
 def _taylor_by_partials(p, s0, order):
     """Reference: d^gamma p(s0) / gamma! from repeated formal partials, for
-    every gamma with |gamma| <= order."""
+    every gamma with |gamma| <= order, of the z-degree 0 ZSPoly ``p``."""
     out = []
     for gamma in jets.multi_indices(p.dim, order):
         q = p
         for axis, g in enumerate(gamma):
             for _ in range(g):
                 q = q.partial(axis)
-        out.append(q.eval(s0) / math.prod(math.factorial(g) for g in gamma))
+        out.append(q.freeze(s0).coeffs[0] / math.prod(math.factorial(g) for g in gamma))
     return np.array(out)
 
 
@@ -122,11 +123,12 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
     coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))  # degree <= 8
     order = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    got = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, order, 1.0)
-    expected = _taylor_by_partials(SPoly(coeffs), s0, order)
+    p = ZSPoly([SPoly(coeffs)])
+    got = p.taylor_coeffs(s0, order, 1.0)
+    expected = _taylor_by_partials(p, s0, order)
     # relative to the same coefficient of |p| at |s0|, which bounds |expected|
     # and stays meaningful where the terms cancel
-    scale = _taylor_by_partials(SPoly(np.abs(coeffs)), np.abs(s0), order)
+    scale = _taylor_by_partials(ZSPoly([SPoly(np.abs(coeffs))]), np.abs(s0), order).real
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
@@ -173,8 +175,9 @@ def test_taylor_coeffs_block_equals_points_bit_for_bit(dim, complex_coeffs, seed
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
-    # z-coefficients of different table shapes (one complex) are shifted in
-    # groups; the points of a block read shared z values or their own
+    # z-coefficients of different table shapes (one complex) are shifted as
+    # one zero-padded table; the points of a block read shared z values or
+    # their own
     rng = np.random.default_rng(seed)
     tables = [rng.standard_normal(tuple(rng.integers(1, 5, dim)))
               for _ in range(int(rng.integers(1, 8)))]
@@ -199,22 +202,26 @@ def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_spoly_kernels_match_numpy(dim, seed):
+    # the ZSPoly product, freeze and sgrid_table on z-degree 0 data are
+    # numpy's convolution and polynomial evaluation in s
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(tuple(rng.integers(1, 8, dim)))
     b = rng.standard_normal(tuple(rng.integers(1, 8, dim)))
     s = rng.uniform(-1.5, 1.5, dim)
     axes = [rng.uniform(-1.5, 1.5, 5) for _ in range(dim)]
+    pa, pb = ZSPoly([SPoly(a)]), ZSPoly([SPoly(b)])
     if dim == 1:
-        np.testing.assert_allclose((SPoly(a) * SPoly(b)).coeffs, np.convolve(a, b),
+        np.testing.assert_allclose((pa * pb).coeffs[0], np.convolve(a, b),
                                    rtol=0, atol=1e-13 * np.convolve(abs(a), abs(b)).max())
         # a single-term factor (as in residual_certify's g_k * f_k) gives
         # np.convolve's bits
-        assert np.array_equal((SPoly(a[:1]) * SPoly(b)).coeffs, np.convolve(a[:1], b))
-        assert SPoly(a).eval(s) == npp.polyval(s[0], a)
-        assert np.array_equal(SPoly(a).eval_grid(axes), npp.polyval(axes[0], a))
+        assert np.array_equal((ZSPoly([SPoly(a[:1])]) * pb).coeffs[0],
+                              np.convolve(a[:1], b))
+        assert pa.freeze(s).coeffs[0] == npp.polyval(s[0], a)
+        assert np.array_equal(pa.sgrid_table(axes)[..., 0], npp.polyval(axes[0], a))
     else:
-        assert SPoly(a).eval(s) == npp.polyval2d(s[0], s[1], a)
-        assert np.array_equal(SPoly(a).eval_grid(axes), npp.polygrid2d(*axes, a))
+        assert pa.freeze(s).coeffs[0] == npp.polyval2d(s[0], s[1], a)
+        assert np.array_equal(pa.sgrid_table(axes)[..., 0], npp.polygrid2d(*axes, a))
 
 
 def test_partial_matches_finite_differences():
@@ -229,15 +236,16 @@ def test_partial_matches_finite_differences():
 
 
 def test_spoly_grid_and_bounds():
-    p = SPoly([1.0, -2.0, 0.5])
+    p = ZSPoly([SPoly([1.0, -2.0, 0.5])])
     xs = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(p.eval_grid([xs]), [p.eval([x]) for x in xs])
-    assert p.abs_coeff_bound([(0.0, 1.0)]) == pytest.approx(3.5)
-    q = SPoly([[1.0, 2.0], [3.0, 4.0]])
-    assert q.eval([0.5, 0.25]) == pytest.approx(1 + 2 * 0.25 + 3 * 0.5 + 4 * 0.125)
-    assert q.abs_coeff_bound([(0.0, 1.0), (-2.0, 1.0)]) == pytest.approx(
-        1 + 2 * 2 + 3 + 4 * 2
-    )
+    np.testing.assert_allclose(p.sgrid_table([xs])[:, 0],
+                               [p.freeze([x]).coeffs[0] for x in xs])
+    assert p.coeff_bounds([(0.0, 1.0)]) == pytest.approx([3.5])
+    q = ZSPoly([SPoly([[1.0, 2.0], [3.0, 4.0]]), SPoly([[0.5], [1.0]])])
+    assert q.freeze([0.5, 0.25]).coeffs == pytest.approx(
+        [1 + 2 * 0.25 + 3 * 0.5 + 4 * 0.125, 0.5 + 1.0 * 0.5])
+    assert q.coeff_bounds([(0.0, 1.0), (-2.0, 1.0)]) == pytest.approx(
+        [1 + 2 * 2 + 3 + 4 * 2, 0.5 + 1.0])
 
 
 def test_zspoly_product_against_pointwise():
@@ -256,3 +264,87 @@ def test_family_validation():
         ParamFamily([ZSPoly([SPoly([1.0])])], [(0.0, 0.0)])
     with pytest.raises(ValueError):
         ParamFamily([], [(0.0, 1.0)])
+
+
+# -- the dense table against one SPoly per z-power ----------------------------
+
+
+def _ragged(rng, dim):
+    """Per-z-power SPoly tables of random shapes: some z-powers are zero, in
+    the middle and (trimmed away) at the end."""
+    tables = [rng.standard_normal(tuple(rng.integers(1, 5, dim)))
+              for _ in range(int(rng.integers(1, 7)))]
+    for j in range(len(tables)):
+        if rng.random() < 0.25:
+            tables[j] = np.zeros(tuple(rng.integers(1, 3, dim)))
+    if rng.random() < 0.3:
+        tables.append(np.zeros((1,) * dim))
+    return [SPoly(t) for t in tables]
+
+
+def _packed(ref):
+    """A reference polynomial packed into a dense table."""
+    return ZSPoly([SPoly(c.coeffs) for c in ref.coeffs]).coeffs
+
+
+def _same(a, b):
+    """Bit for bit up to the sign of zero: zero padding adds +-0 terms."""
+    return same_bits(np.asarray(a) + 0.0, np.asarray(b) + 0.0)
+
+
+@given(st.integers(1, 2), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_zspoly_table_matches_the_per_power_reference(dim, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _ragged(rng, dim), _ragged(rng, dim)
+    pa, pb = ZSPoly(a), ZSPoly(b)
+    ra, rb = spoly_reference.to_ref(a), spoly_reference.to_ref(b)
+    assert isinstance(pa.coeffs, np.ndarray) and len(pa.coeffs) == len(ra.coeffs)
+    g = random_cpoly(rng, 4)
+    pg, rg = ZSPoly.from_cpoly(g, dim), spoly_reference.RefZSPoly.from_cpoly(g, dim)
+    one = ZSPoly.from_cpoly(CPoly.one(), dim)
+    ref_one = spoly_reference.RefZSPoly.from_cpoly(CPoly.one(), dim)
+    # residual_certify's q_k - 1: complex s-constant factors times the data
+    assert same_bits((-one + pg * pa + pg * pb).coeffs,
+                     _packed(-ref_one + rg * ra + rg * rb))
+    assert same_bits((pa + pb).coeffs, _packed(ra + rb))
+    assert _same((-pa).coeffs, _packed(-ra))
+    # two factors that vary in s sum each coefficient in one run, not one
+    # run per z-power of the left factor
+    np.testing.assert_allclose((pa * pb).coeffs, _packed(ra * rb), rtol=1e-13, atol=1e-13)
+    for axis in range(dim):
+        assert _same(pa.partial(axis).coeffs, _packed(ra.partial(axis)))
+
+    box = [tuple(sorted(rng.uniform(-1.5, 1.5, 2))) for _ in range(dim)]
+    s = np.array([rng.uniform(lo, hi) for lo, hi in box])
+    axes = [rng.uniform(-1.5, 1.5, int(rng.integers(2, 6))) for _ in range(dim)]
+    z = 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 6))
+    points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(4)])
+    for p, r in ((pa, ra), (pg * pa, rg * ra)):
+        assert same_bits(p.freeze(s).coeffs, r.freeze(s).coeffs)
+        assert same_bits(p.sgrid_table(axes), r.sgrid_table(axes))
+        assert same_bits(p.coeff_bounds(box), r.coeff_bounds(box))
+        for order in (0, 2, 6):
+            assert _same(p.taylor_coeffs(s, order, z), r.taylor_coeffs(s, order, z))
+            assert _same(p.taylor_coeffs(points, order, z[None]),
+                         r.taylor_coeffs(points, order, z[None]))
+    family = ParamFamily([pa, pb], box)
+    assert same_bits(family.values(z, points),
+                     spoly_reference.values(family.components, z, points))
+
+
+def test_zspoly_trims_trailing_zero_z_powers():
+    # the z-count is the number of z-powers up to the last nonzero one, after
+    # every operation; a table packs its SPoly values zero-padded
+    p = ZSPoly([SPoly([0.0, 1.0]), SPoly([3.0]), SPoly([0.0])])
+    assert p.coeffs.shape == (2, 2) and not p.coeffs.flags.writeable
+    assert p.partial(0).coeffs.shape == (1, 1)
+    q = ZSPoly([SPoly([1.0]), SPoly([0.0, 0.0, 2.0])])
+    assert same_bits(q.coeffs, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
+    assert same_bits(q.partial(0).coeffs, np.array([[0.0, 0.0], [0.0, 4.0]]))
+    assert (q + (-q)).coeffs.shape == (1, 1)
+    assert same_bits(ZSPoly(np.zeros((3, 2, 2))).coeffs, np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError):
+        ZSPoly([SPoly([1.0]), SPoly([[1.0]])])
+    with pytest.raises(ValueError):
+        ZSPoly([])

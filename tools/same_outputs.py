@@ -2,15 +2,17 @@
 
 Usage: python3 tools/same_outputs.py OLD NEW
 
-OLD and NEW are checkouts of this repository (each holds ``src/coronaglue``,
-``configs/`` and ``perfbench/workloads.py``).  Under each tree the script runs
-the command-line program on the same inputs, with the same relative paths:
+OLD and NEW are checkouts of this repository (each holds ``src/coronaglue``).
+Under each tree the script runs the command-line program on the same inputs,
+with the same relative paths.  The inputs come from NEW for both sides, so a
+change that adds a config or a benchmark family is compared with OLD on it:
 
 * check, solve, verify and eval-grid on every ``configs/*.json``, except
   ``corrupted_solution.json``, a solution file, which gets verify and
   eval-grid only;
 * every perfbench family at seeds 1 and 2, with the commands and the sample
-  arguments of its workload; ``perfbench/workloads.py`` is loaded by path.
+  arguments of its workload; NEW's ``perfbench/workloads.py`` is loaded by
+  path.
 
 It compares exit codes, console output, solution files, CSVs and summaries
 byte for byte, and the check, solve and verify reports with their
@@ -144,7 +146,7 @@ def main(argv=None):
     root = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     works = [root / "old", root / "new"]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        list(pool.map(run_tree, trees, works, [_jobs(t, w) for t, w in zip(trees, works)]))
+        list(pool.map(run_tree, trees, works, [_jobs(trees[1], w) for w in works]))
     diff = differences(*works)
     for rel in diff:
         print(f"differs: {rel}")
