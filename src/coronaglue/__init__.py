@@ -13,10 +13,8 @@ from .errors import (
     CoronaUncertified,
     CoronaViolation,
     DomainError,
-    IllConditionedGcd,
     InternalInconsistency,
     PointSolveFailure,
-    RationalGcd,
     RefinementExhausted,
 )
 from .glue import g_eval
@@ -26,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "CoronaGlueError", "CoronaUncertified", "CoronaViolation",
-    "DomainError", "IllConditionedGcd", "InternalInconsistency",
-    "PointSolveFailure", "RationalGcd", "RefinementExhausted", "g_eval",
-    "g_partial",
+    "DomainError", "InternalInconsistency", "PointSolveFailure",
+    "RefinementExhausted", "g_eval", "g_partial",
 ]

@@ -1,19 +1,15 @@
 """Solvers for g^T f = 1 at a frozen parameter value.
 
-Two routes, exact first:
-
-* ``gcd_chain_bezout`` -- iterated extended Euclidean algorithm.  Exact (up to
-  rounding) whenever the tuple's gcd is constant.  A nonconstant gcd either
-  has a root in the closed disc (genuine obstruction: no bounded solution
-  exists) or is zero-free there (the exact solution is rational, so the
-  polynomial chain cannot produce it and the least-norm route takes over).
-* ``least_norm_bezout`` -- minimum-coefficient-norm solution of the linear
-  system matching the coefficients of sum_k f_k g_k - 1, for a fixed solution
-  degree.  Falls back to least squares when the system is inconsistent.
-
-``solve_point`` is the driver used by the gluing pipeline: chain first, then
-a degree ladder of least-norm solves until the residual certificate clears
-the 1/4 acceptance threshold.
+Each solve is one ``lstsq`` on the convolution (Sylvester) matrix that maps
+the coefficients of g_1 .. g_N, under degree bounds d_k, to those of
+sum_k f_k g_k: the minimum-norm solution of "that sum is 1", or the
+least-squares one when none exists.  ``gcd_chain_bezout`` takes the
+Sylvester degrees d_k = sum_{j != k} deg f_j - 1, at which a tuple with gcd 1
+has an exact solution; ``least_norm_bezout`` takes one uniform bound.
+``solve_point``, the driver of the gluing pipeline, tries the former, then a
+ladder of the latter until the residual certificate clears the 1/4
+acceptance threshold: a gcd zero-free on the disc makes the exact solution
+rational, and only its polynomial approximations are reachable.
 """
 
 from __future__ import annotations
@@ -23,15 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hnorm
-from .errors import CoronaViolation, IllConditionedGcd, PointSolveFailure, RationalGcd
-from .hnorm import DiscKGrid, NormCert
+from .errors import CoronaViolation, PointSolveFailure
+from .hnorm import NormCert
 from .polyalg import CPoly
 
 RESIDUAL_ACCEPT = 0.25     # leaves room under the glued residual gate of 1/2
 EXACT_RESIDUAL = 1e-9      # below this a solve counts as exact
-_ZERO_TOL = 1e-12          # remainder treated as zero (rows kept at unit scale)
-_GRAY_TOL = 1e-8           # zero/nonzero gray zone -> ill-conditioned
 _PIVOT_REL = 1e-12         # relative trim threshold and lstsq cutoff
+_DISC_TOL = 1e-9           # a root this far outside the unit circle is on the disc
+_ROOT_REL = 1e-6           # zero relative to sum_i |a_i| |z|^i; double roots come to ~1e-8
 
 
 @dataclass(frozen=True)
@@ -55,121 +51,25 @@ def _trim_noise(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[:n]
 
 
-def _divmod_poly(num: np.ndarray, den: np.ndarray):
-    """Dense synthetic division; ``den`` must have a nonzero lead."""
-    num = num.astype(complex).copy()
-    dn = len(den)
-    if len(num) < dn:
-        return np.zeros(1, dtype=complex), num
-    quot = np.zeros(len(num) - dn + 1, dtype=complex)
-    lead = den[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dn - 1] / lead
-        quot[k] = c
-        if c != 0:
-            num[k : k + dn] -= c * den
-    rem = num[: dn - 1] if dn > 1 else np.zeros(1, dtype=complex)
-    return quot, rem
-
-
-def _row_sub(row, quot, other):
-    """(r, a, b) - quot * (r', a', b') componentwise in the Euclid identity."""
-    out = []
-    for x, y in zip(row, other):
-        prod = np.convolve(quot, y)
-        n = max(len(x), len(prod))
-        acc = np.zeros(n, dtype=complex)
-        acc[: len(x)] += x
-        acc[: len(prod)] -= prod
-        out.append(acc)
-    return out
-
-
-def _refine_cofactors(p: CPoly, q: CPoly, gcd: CPoly, a: CPoly, b: CPoly):
-    """One least-squares correction of (a, b) against a*p + b*q = gcd.
-
-    The Euclidean chain settles the gcd but long divisions across a degree
-    gap amplify rounding in the cofactors; a single backward-stable solve of
-    the convolution system restores them to working precision.  Exact inputs
-    pass through unchanged (a zero residual yields a zero correction).
-    """
-    cols_a = max(1, q.degree)
-    cols_b = max(1, p.degree)
-    residual = gcd - (a * p + b * q)
-    if residual.is_zero:
-        return a, b
-    n_eq = max(p.degree + cols_a - 1, q.degree + cols_b - 1,
-               residual.degree) + 1
-    mat = np.zeros((n_eq, cols_a + cols_b), dtype=complex)
-    for i in range(cols_a):
-        mat[i: i + len(p.coeffs), i] = p.coeffs
-    for i in range(cols_b):
-        mat[i: i + len(q.coeffs), cols_a + i] = q.coeffs
+def _bezout_lstsq(f, degrees) -> tuple:
+    """Minimum-norm (least-squares when inconsistent) g with deg g_k <=
+    degrees[k] for sum_k f_k g_k = 1, trimmed of noise coefficients."""
+    n_eq = max(p.degree + d for p, d in zip(f, degrees)) + 1
+    starts = np.cumsum([0] + [d + 1 for d in degrees])
+    a_mat = np.zeros((n_eq, starts[-1]), dtype=complex)
+    for p, d, start in zip(f, degrees, starts):
+        for i in range(d + 1):
+            a_mat[i : i + len(p.coeffs), start + i] = p.coeffs
     rhs = np.zeros(n_eq, dtype=complex)
-    rhs[: len(residual.coeffs)] = residual.coeffs
-    x, *_ = np.linalg.lstsq(mat, rhs, rcond=_PIVOT_REL)
-    return a + CPoly(_trim_noise(x[:cols_a])), b + CPoly(_trim_noise(x[cols_a:]))
-
-
-def xgcd(p: CPoly, q: CPoly):
-    """Extended Euclidean algorithm: returns (gcd, a, b) with
-    a*p + b*q = gcd and the gcd normalized to be monic.
-
-    Rows are rescaled to unit max-coefficient after every division step to
-    limit floating-point growth, and the returned cofactors get one
-    least-squares refinement pass.  A remainder whose magnitude falls
-    between the zero threshold and the gray threshold cannot be classified
-    reliably; that raises :class:`IllConditionedGcd` so callers can switch
-    to the least-norm solver.
-    """
-    if p.is_zero and q.is_zero:
-        raise ValueError("xgcd needs at least one nonzero input")
-    if p.is_zero or q.is_zero:
-        nz, swap = (q, True) if p.is_zero else (p, False)
-        lead = nz.coeffs[-1]
-        unit = CPoly([1.0 / lead])
-        a, b = (CPoly.zero(), unit) if swap else (unit, CPoly.zero())
-        return CPoly(nz.coeffs / lead), a, b
-
-    def normalized(row):
-        m = max(np.abs(row[0]).max(), 1e-300)
-        return [x / m for x in row]
-
-    one = np.ones(1, dtype=complex)
-    zero = np.zeros(1, dtype=complex)
-    r0 = normalized([p.coeffs.astype(complex), one, zero])
-    r1 = normalized([q.coeffs.astype(complex), zero, one])
-    if len(r0[0]) < len(r1[0]):
-        r0, r1 = r1, r0
-
-    while True:
-        quot, rem = _divmod_poly(r0[0], r1[0])
-        new = _row_sub(r0, quot, r1)
-        rem = _trim_noise(rem)
-        new[0] = rem
-        m = float(np.abs(rem).max())
-        if m <= _ZERO_TOL:
-            break
-        if m <= _GRAY_TOL:
-            raise IllConditionedGcd(
-                "remainder pivot of magnitude "
-                f"{m:.3e} is in the numerical gray zone; use the least-norm solver"
-            )
-        r0, r1 = r1, normalized(new)
-
-    lead = r1[0][-1]
-    gcd = CPoly(r1[0] / lead)
-    a, b = CPoly(r1[1] / lead), CPoly(r1[2] / lead)
-    a, b = _refine_cofactors(p, q, gcd, a, b)
-    return gcd, a, b
+    rhs[0] = 1.0
+    x, *_ = np.linalg.lstsq(a_mat, rhs, rcond=_PIVOT_REL)
+    return tuple(CPoly(_trim_noise(x[start : start + d + 1]))
+                 for d, start in zip(degrees, starts))
 
 
 def certify(f, g, samples: int = 512):
-    """Certificates for a candidate solution: (norm_cert, residual_cert).
-
-    The residual certificate brackets sup_z |1 - sum f_k g_k| using the fully
-    expanded polynomial; the norm certificate brackets the l2 sup of g.
-    """
+    """Certificates for a candidate solution: (norm_cert, residual_cert), the
+    l2 sup of g and sup_z |1 - sum f_k g_k| of the expanded polynomial."""
     f, g = tuple(f), tuple(g)
     if len(f) != len(g):
         raise ValueError("tuples must have equal length")
@@ -179,89 +79,62 @@ def certify(f, g, samples: int = 512):
     return hnorm.vec_sup_norm(g, samples), hnorm.sup_disc(residual, samples)
 
 
-def _in_disc_root(gcd: CPoly, tol: float = 1e-9):
-    roots = np.roots(gcd.coeffs[::-1])
-    if roots.size == 0:
-        return None
-    idx = int(np.argmin(np.abs(roots)))
-    root = roots[idx]
-    return complex(root) if abs(root) <= 1.0 + tol else None
+def _common_disc_root(f):
+    """A root of the lowest-degree nonzero component, in the closed disc, at
+    which every component is below ``_ROOT_REL`` times the sum of its terms'
+    moduli; None when there is none."""
+    base = min(f, key=lambda p: (p.is_zero, p.degree))
+    for root in sorted(np.roots(base.coeffs[::-1]), key=abs):
+        if abs(root) > 1.0 + _DISC_TOL:
+            return None
+        if all(abs(np.polyval(p.coeffs[::-1], root))
+               <= _ROOT_REL * np.polyval(np.abs(p.coeffs[::-1]), abs(root))
+               for p in f):
+            return complex(root)
+    return None
 
 
-def gcd_chain_bezout(f, samples: int = 512, grid: DiscKGrid = DiscKGrid()):
-    """Exact polynomial solution via an iterated Euclidean chain.
-
-    Raises :class:`CoronaViolation` when the overall gcd has a root in the
-    closed disc, :class:`RationalGcd` (with a zero-free certificate) when the
-    gcd is nonconstant but zero-free there, and :class:`IllConditionedGcd`
-    when the chain's arithmetic cannot be trusted.
-    """
+def gcd_chain_bezout(f, samples: int = 512) -> PointSolution:
+    """Exact polynomial solution from the Sylvester system.
+    It keeps the Euclidean chain's name, which the benchmark tracer wraps.
+    Returns it when its residual certificate is at most ``EXACT_RESIDUAL``;
+    otherwise raises :class:`CoronaViolation` when the components share a
+    root in the closed disc, and :class:`PointSolveFailure` with the residual
+    certificate when they do not."""
     f = tuple(f)
     if not f:
         raise ValueError("need at least one component")
-    overall = f[0]
-    hs = [CPoly.one()]
-    for fk in f[1:]:
-        overall, a, b = xgcd(overall, fk)
-        hs = [a * h for h in hs] + [b]
-
-    if overall.degree > 0:
-        root = _in_disc_root(overall)
-        if root is not None:
-            raise CoronaViolation(
-                "common zero inside the closed disc near "
-                f"z = {root:.6g}: the corona condition fails at this parameter",
-                witness=root,
-            )
-        raise RationalGcd(
-            "tuple gcd is nonconstant but zero-free on the disc; "
-            "the exact solution is rational",
-            certificate=hnorm.inf_disc(overall, grid),
-        )
-
-    lead = overall.coeffs[0]
-    g = tuple(h / lead for h in hs)
+    total = sum(p.degree for p in f)
+    g = _bezout_lstsq(f, [max(total - p.degree - 1, 0) for p in f])
     norm_cert, residual_cert = certify(f, g, samples)
-    if residual_cert.hi > EXACT_RESIDUAL:
-        raise IllConditionedGcd(
-            f"chain residual {residual_cert.hi:.3e} exceeds the exactness "
-            "threshold; use the least-norm solver"
-        )
-    return PointSolution(g, norm_cert, residual_cert)
+    if residual_cert.hi <= EXACT_RESIDUAL:
+        return PointSolution(g, norm_cert, residual_cert)
+    root = _common_disc_root(f)
+    if root is not None:
+        raise CoronaViolation(f"common zero inside the closed disc near z = {root:.6g}: "
+                              "the corona condition fails at this parameter", witness=root)
+    raise PointSolveFailure(f"Sylvester residual {residual_cert.hi:.3e} above {EXACT_RESIDUAL}: "
+                            "the gcd is zero-free on the disc, or the system is ill-conditioned",
+                            certificate=residual_cert)
 
 
 def least_norm_bezout(f, degree: int, samples: int = 512) -> PointSolution:
-    """Minimum-coefficient-norm solution with every g_k of degree <= degree.
-
-    Builds the linear map from stacked g-coefficients to the coefficients of
-    sum f_k g_k - 1 and returns the minimum-norm (or least-squares, when
-    inconsistent) solution via orthogonal factorization.
-    """
+    """Minimum-coefficient-norm solution with every g_k of degree <= degree
+    (least squares when no exact solution of that degree exists)."""
     f = tuple(f)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    cols_per = degree + 1
-    n_eq = max(p.degree for p in f) + degree + 1
-    a_mat = np.zeros((n_eq, cols_per * len(f)), dtype=complex)
-    for k, p in enumerate(f):
-        for i in range(cols_per):
-            a_mat[i : i + len(p.coeffs), k * cols_per + i] = p.coeffs
-    rhs = np.zeros(n_eq, dtype=complex)
-    rhs[0] = 1.0
-    x, *_ = np.linalg.lstsq(a_mat, rhs, rcond=_PIVOT_REL)
-    g = tuple(CPoly(_trim_noise(x[k * cols_per : (k + 1) * cols_per]))
-              for k in range(len(f)))
+    g = _bezout_lstsq(f, [degree] * len(f))
     norm_cert, residual_cert = certify(f, g, samples)
     return PointSolution(g, norm_cert, residual_cert)
 
 
-def solve_point(f, samples: int = 512, degree_cap_factor: int = 8,
-                grid: DiscKGrid = DiscKGrid()) -> PointSolution:
-    """Chain solver first, least-norm degree ladder as the fallback."""
+def solve_point(f, samples: int = 512, degree_cap_factor: int = 8) -> PointSolution:
+    """Sylvester solve first, least-norm degree ladder as the fallback."""
     f = tuple(f)
     try:
-        return gcd_chain_bezout(f, samples, grid)
-    except (IllConditionedGcd, RationalGcd):
+        return gcd_chain_bezout(f, samples)
+    except PointSolveFailure:
         pass
     base = max(1, max(p.degree for p in f))
     degree = base

@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import glue, hnorm, jets, serialize, smoothness
+from . import bezout_point, glue, hnorm, jets, serialize, smoothness
 from .config import ProblemConfig, load_config, save_config
 from .errors import (
     ConfigError,
     CoronaGlueError,
     CoronaUncertified,
+    DomainError,
     InternalInconsistency,
 )
 
@@ -255,6 +256,22 @@ def _l2(values):
     return np.sqrt(glue.component_sum(np.abs(values) ** 2))
 
 
+def _point_cert_mismatch(glued, samples):
+    """Witness of the first stored point certificate that the stored tables and
+    coefficients do not reproduce exactly (the engine is deterministic)."""
+    for k, (center, sol) in enumerate(zip(glued.cover.centers, glued.points.solutions)):
+        try:
+            fresh = [c.to_dict() for c in bezout_point.certify(
+                glued.family.freeze(np.asarray(center)), sol.g, samples)]
+        except DomainError as exc:  # a non-finite coefficient bounds nothing
+            fresh = [str(exc)] * 2
+        for name, cert in zip(("norm_cert", "residual_cert"), fresh):
+            if cert != (stored := getattr(sol, name).to_dict()):
+                return {"field": f"point_solutions[{k}].{name}", "s": list(center),
+                        "stored": stored, "recomputed": cert}
+    return None
+
+
 def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
                      s_per_axis: int, alpha_max: int, report: RunReport):
     """Re-evaluate every invariant on a fresh grid; records checks, each
@@ -310,6 +327,9 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         "norm_bound", g_norm.value <= bound,
         f"sup ||g|| = {g_norm.value:.6g} <= 2 c0 (1 + {NORM_SLACK}) = {bound:.6g}",
         g_norm.witness)
+    mismatch = _point_cert_mismatch(glued, config.solver.boundary_samples)
+    report.add_check("point_certificates", mismatch is None,
+                     f"certificates of {glued.cover.size} point solution(s) recomputed", mismatch)
 
     # partition of unity: sum and derivative sums; the random points are
     # drawn in blocks, the same stream as one by one

@@ -18,20 +18,9 @@ class ConfigError(CoronaGlueError, ValueError):
     """Problem configuration failed to parse or validate."""
 
 
-class IllConditionedGcd(CoronaGlueError):
-    """Remainder pivots in the Euclidean chain fell into the numerical gray
-    zone; the least-norm solver should be used instead."""
-
-
 class CoronaViolation(CoronaGlueError):
     """The input tuple has a common zero inside the closed unit disc, so no
     bounded solution of the Bezout equation exists."""
-
-
-class RationalGcd(CoronaGlueError):
-    """The tuple's polynomial gcd is nonconstant but zero-free on the closed
-    disc: the exact solution is rational, outside the polynomial solver's
-    reach.  Carries the zero-free certificate."""
 
 
 class PointSolveFailure(CoronaGlueError):

@@ -118,7 +118,7 @@ class GluedSolution:
 
 def _solve_at(family: ParamFamily, s, options: SolverSettings) -> PointSolution:
     return solve_point(family.freeze(np.asarray(s)), options.boundary_samples,
-                       options.degree_cap_factor, options.grid)
+                       options.degree_cap_factor)
 
 
 def solve_at_samples(family: ParamFamily, cover: Cover,

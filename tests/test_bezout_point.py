@@ -5,77 +5,72 @@ import pytest
 
 from conftest import random_cpoly
 from coronaglue import bezout_point as bz
-from coronaglue.errors import (
-    CoronaViolation,
-    IllConditionedGcd,
-    PointSolveFailure,
-    RationalGcd,
-)
+from coronaglue.errors import CoronaViolation, PointSolveFailure
 from coronaglue.polyalg import CPoly
 
 
-def _identity_residual(p, q, gcd, a, b):
-    lhs = a * p + b * q - gcd
+def _identity_residual(f, g):
+    lhs = sum((fk * gk for fk, gk in zip(f, g)), CPoly([-1.0]))
     return np.abs(lhs.coeffs).sum()
 
 
-def test_xgcd_worked_example_exact():
-    gcd, a, b = bz.xgcd(CPoly([0, 1]), CPoly([1, -0.5]))
-    assert gcd == CPoly([1.0])
-    assert a == CPoly([0.5])
-    assert b == CPoly([1.0])
+def _within_ulps(poly, expected, ulps=4):
+    expected = np.asarray(expected, dtype=complex)
+    return (len(poly.coeffs) == len(expected) and bool(np.all(
+        np.abs(poly.coeffs - expected) <= ulps * np.spacing(np.abs(expected)))))
 
 
-def test_xgcd_common_factor():
-    gcd, a, b = bz.xgcd(CPoly([0, 0, 1]), CPoly([0, 1]))
-    assert gcd == CPoly([0, 1])
-    assert a == CPoly.zero()
-    assert b == CPoly([1.0])
+def test_sylvester_worked_example():
+    sol = bz.gcd_chain_bezout([CPoly([0, 1]), CPoly([1, -0.5])])
+    assert _within_ulps(sol.g[0], [0.5])
+    assert _within_ulps(sol.g[1], [1.0])
 
 
-def test_xgcd_unit_input():
+def test_sylvester_constant_components():
+    # (c,), (c1, c2) and (c, f2) are exact at their Sylvester degrees: 0 for
+    # every cofactor but c's, which gets deg f2 - 1
     q = CPoly([3.0, -2.0, 1.0])
-    gcd, a, b = bz.xgcd(CPoly([1.0]), q)
-    assert gcd == CPoly([1.0])
-    assert a == CPoly([1.0])
-    assert b == CPoly.zero()
+    for f in ([CPoly([2.0 - 1.0j])], [CPoly([2.0]), CPoly([1.0j])],
+              [CPoly([1.0]), q], [CPoly([0.5j]), q]):
+        sol = bz.gcd_chain_bezout(f)
+        assert sol.residual_cert.hi <= bz.EXACT_RESIDUAL
+        assert _identity_residual(f, sol.g) <= 1e-14
+        total = sum(p.degree for p in f)
+        assert all(g.degree <= max(total - p.degree - 1, 0) for p, g in zip(f, sol.g))
 
 
-def test_xgcd_random_coprime_pairs(rng):
+def test_sylvester_random_coprime_pairs(rng):
     checked = 0
     while checked < 200:
         p = random_cpoly(rng, 8)
         q = random_cpoly(rng, 8)
         if p.is_zero or q.is_zero:
             continue
-        try:
-            gcd, a, b = bz.xgcd(p, q)
-        except IllConditionedGcd:
-            continue  # nearly degenerate pair: correctly routed to least-norm
+        sol = bz.gcd_chain_bezout([p, q])
         checked += 1
-        resid = _identity_residual(p, q, gcd, a, b)
+        a, b = sol.g
+        resid = _identity_residual((p, q), (a, b))
         assert resid <= 1e-10 * (1.0 + np.abs(p.coeffs).sum() + np.abs(q.coeffs).sum())
-        if p.degree >= 1 and q.degree >= 1 and gcd.degree == 0:
+        if p.degree >= 1 and q.degree >= 1:
             assert a.degree <= q.degree - 1
             assert b.degree <= p.degree - 1
 
 
-def test_xgcd_gray_zone_detected():
-    # nearly common roots land the last remainder between the zero and gray
-    # thresholds, which must be flagged instead of silently divided through
-    eps = 3e-9
-    p = CPoly(np.convolve([-0.5, 1.0], [-0.3, 1.0]))
-    q = CPoly(np.convolve([-0.5 - eps, 1.0], [0.7, 1.0]))
-    with pytest.raises(IllConditionedGcd):
-        bz.xgcd(p, q)
+def test_sylvester_three_components():
+    # every pair shares a root, the triple does not: gcd 1 only overall
+    f = [CPoly(np.convolve([0, 1], [-0.5, 1])), CPoly(np.convolve([-0.5, 1], [0.4, 1])),
+         CPoly(np.convolve([0, 1], [0.4, 1]))]
+    sol = bz.gcd_chain_bezout(f)
+    assert sol.residual_cert.hi <= bz.EXACT_RESIDUAL
+    assert _identity_residual(f, sol.g) <= 1e-12
+    assert all(g.degree <= 3 for g in sol.g)
 
 
 def test_gcd_chain_worked_example():
     sol = bz.gcd_chain_bezout([CPoly([0, 1]), CPoly([2, -1])])
-    assert sol.g[0] == CPoly([0.5])
-    assert sol.g[1] == CPoly([0.5])
-    assert sol.residual_cert.lo == 0.0
-    assert sol.residual_cert.hi <= 1e-12
+    assert _within_ulps(sol.g[0], [0.5])
+    assert _within_ulps(sol.g[1], [0.5])
+    assert sol.residual_cert.lo <= sol.residual_cert.hi <= 1e-12
 
 
 def test_gcd_chain_identity_case():
@@ -87,15 +82,21 @@ def test_gcd_chain_corona_violation():
     with pytest.raises(CoronaViolation) as err:
         bz.gcd_chain_bezout([CPoly([0, 1]), CPoly([0, 0, 1])])
     assert abs(err.value.witness) <= 1e-9
+    # a double root of the lowest-degree component is found to ~1e-8
+    w = CPoly([-0.5, 1.0])
+    with pytest.raises(CoronaViolation) as err:
+        bz.gcd_chain_bezout([w * w, w * CPoly([0.3, 1.0])])
+    assert abs(err.value.witness - 0.5) <= 1e-6
 
 
 def test_gcd_chain_rational_route():
-    # common zero-free factor (z - 2): chain stops with a certificate
+    # common zero-free factor (z - 2): no exact polynomial solution, and the
+    # failure carries the residual certificate for the ladder to improve on
     w = CPoly([-2.0, 1.0])
     f = [CPoly([0, 1]) * w, CPoly([1, -0.5]) * w]
-    with pytest.raises(RationalGcd) as err:
+    with pytest.raises(PointSolveFailure) as err:
         bz.gcd_chain_bezout(f)
-    assert err.value.certificate.lo > 0.5
+    assert err.value.certificate.hi > bz.EXACT_RESIDUAL
 
 
 def test_least_norm_examples():

@@ -187,7 +187,7 @@ def test_cli_solve_verify_flow(tmp_path, capsys):
     assert vrep["verdict"] == "pass"
     names = {c["name"] for c in vrep["checks"]}
     assert {"residual_resample", "bezout_identity", "norm_bound",
-            "pou_sum", "pou_derivative_sums"} <= names
+            "point_certificates", "pou_sum", "pou_derivative_sums"} <= names
 
 
 def test_cli_verify_catches_corruption(tmp_path):
@@ -225,6 +225,26 @@ def three_center_solution(tmp_path_factory):
     assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
                      "--out", str(sol)]) == 0
     return sol
+
+
+@pytest.mark.parametrize("center, field, lowered", [
+    (2, "norm_cert", lambda cert: {"lo": 1.5, "hi": 1.5}),  # hi is 1.973, under c0
+    (1, "residual_cert", lambda cert: {"hi": cert["lo"]}),
+], ids=["norm_cert", "residual_cert"])
+def test_verify_recomputes_the_point_certificates(tmp_path, three_center_solution,
+                                                  center, field, lowered):
+    raw = json.loads(three_center_solution.read_text())
+    cert = raw["result"]["point_solutions"][center][field]
+    cert.update(lowered(cert))
+    path, rep = tmp_path / "sol.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--solution", str(path), "--z-samples", "6",
+                     "--s-samples", "6", "--report", str(rep)]) == 1
+    checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert {name for name, c in checks.items() if not c["passed"]} == {"point_certificates"}
+    witness = checks["point_certificates"]["witness"]
+    assert witness["field"] == f"point_solutions[{center}].{field}"
+    assert witness["stored"] == cert and witness["recomputed"] != cert
 
 
 def _tripped(solution, center, path):

@@ -17,13 +17,17 @@ change that adds a config or a benchmark family is compared with OLD on it:
 It compares exit codes, console output, solution files, CSVs and summaries
 byte for byte, and the check, solve and verify reports with their
 ``timings`` removed.  It prints every file that differs and exits 1 if any
-does, 0 if none does.  The work directories are kept when files differ.
+does, 0 if none does.  For a JSON or CSV file that differs, it also prints
+the largest relative difference between the numbers at matching positions,
+with the two numbers, or that the structure differs.  The work directories
+are kept when files differ.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -122,6 +126,56 @@ def _content(path):
     return path.read_bytes()
 
 
+def _numbers(value, out):
+    """``value`` with each number moved to ``out``, in order, and replaced by
+    None: what remains is the structure."""
+    if isinstance(value, dict):
+        return {key: _numbers(item, out) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_numbers(item, out) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out.append(float(value))
+        return None
+    return value
+
+
+def _csv_cell(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _relative(a, b):
+    size = abs(a - b) / max(abs(a), abs(b))
+    return size if math.isfinite(size) else math.inf
+
+
+def difference_size(old, new):
+    """How far apart two differing JSON or CSV files are; None for any other
+    file, or a file present on one side only."""
+    if old.suffix not in (".json", ".csv") or not (old.is_file() and new.is_file()):
+        return None
+    numbers, shapes = ([], []), []
+    for path, out in zip((old, new), numbers):
+        if path.suffix == ".csv":
+            value = [[_csv_cell(cell) for cell in line.split(",")]
+                     for line in path.read_text().splitlines()]
+        else:
+            try:
+                value = json.loads(_content(path))
+            except ValueError:
+                return "structure differs"
+        shapes.append(_numbers(value, out))
+    if shapes[0] != shapes[1]:
+        return "structure differs"
+    pairs = [pair for pair in zip(*numbers) if pair[0] != pair[1]]
+    if not pairs:
+        return "largest relative difference 0"
+    a, b = max(pairs, key=lambda pair: _relative(*pair))
+    return f"largest relative difference {_relative(a, b):.2g}, {a:.3g} vs {b:.3g}"
+
+
 def differences(old_work, new_work):
     """Relative paths of the files that differ or exist under one side only."""
     def files(root):
@@ -149,7 +203,8 @@ def main(argv=None):
         list(pool.map(run_tree, trees, works, [_jobs(trees[1], w) for w in works]))
     diff = differences(*works)
     for rel in diff:
-        print(f"differs: {rel}")
+        size = difference_size(works[0] / rel, works[1] / rel)
+        print(f"differs: {rel}" + (f" ({size})" if size else ""))
     if diff:
         print(f"{len(diff)} file(s) differ; outputs kept in {root}")
         return 1
