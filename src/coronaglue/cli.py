@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     InternalInconsistency,
 )
+from .polyalg import sum_in_order
 
 IDENTITY_TOL = 1e-12
 NORM_SLACK = 1e-9
@@ -253,7 +254,7 @@ class _Worst:
 
 
 def _l2(values):
-    return np.sqrt(glue.component_sum(np.abs(values) ** 2))
+    return np.sqrt(sum_in_order(np.abs(values) ** 2, axis=1))
 
 
 def _point_cert_mismatch(glued, samples):
@@ -300,7 +301,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         gt_norm.update(_l2(block.gtilde), block.point)
         breach = breach or block.breach()
         g = block.gtilde / block.phi[:, None]  # past a breach too, for the norms
-        ident.update(np.abs(glue.component_sum(g * block.f) - 1.0), block.point)
+        ident.update(np.abs(sum_in_order(g * block.f, axis=1) - 1.0), block.point)
         g_norm.update(_l2(g), block.point)
 
     gate, stored_hi = glue.RESIDUAL_GATE, glued.residual_cert.hi

@@ -177,10 +177,8 @@ class ProblemConfig:
         self.output.validate()
 
     def to_family(self) -> ParamFamily:
-        comps = []
-        for tables in self.components:
-            comps.append(ZSPoly([SPoly(np.asarray(t, dtype=float)) for t in tables]))
-        return ParamFamily(comps, self.bounds)
+        return ParamFamily(ZSPoly([[SPoly(np.asarray(t, dtype=float)) for t in tables]
+                                   for tables in self.components]), self.bounds)
 
     def scaled(self, factor: float) -> "ProblemConfig":
         """Multiply every component by ``factor``; the accumulated factor is

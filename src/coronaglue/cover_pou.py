@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hnorm, jets
 from .errors import DomainError, InternalInconsistency
-from .polyalg import ParamFamily, as_alpha
+from .polyalg import ParamFamily, as_alpha, sum_in_order
 
 BUMP_CLAMP = 1e-6      # t >= 1 - this evaluates to exactly 0
 COVER_MARGIN = 0.995   # effective radius factor used for center spacing
@@ -35,12 +35,10 @@ COVER_MARGIN = 0.995   # effective radius factor used for center spacing
 
 def lipschitz_s_bound(family: ParamFamily) -> float:
     """L with ||f(., s) - f(., s')|| <= L |s - s'| over disc x box, from
-    coefficient-sum bounds on the parameter gradient."""
-    total = 0.0
-    for comp in family.components:
-        for b in hnorm.partial_bounds(comp, family.box):
-            total += b * b
-    return math.sqrt(total)
+    coefficient-sum bounds on the parameter gradient: the squared bounds
+    added one component after another, each over its axes in turn."""
+    bounds = hnorm.partial_bounds(family.poly, family.box)
+    return math.sqrt(float(sum_in_order((bounds.T ** 2).ravel())))
 
 
 @dataclass(frozen=True)

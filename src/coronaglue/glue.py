@@ -33,7 +33,6 @@ it, and verify records it as a failed check with its witness.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import math
 import time
@@ -52,7 +51,7 @@ from .errors import (
     RefinementExhausted,
 )
 from .hnorm import NormCert
-from .polyalg import CPoly, ParamFamily, ZSPoly
+from .polyalg import ParamFamily, ZSPoly, sum_in_order
 
 RESIDUAL_GATE = 0.5
 EVAL_BUDGET = 1 << 11   # complex elements in one array of an evaluator block
@@ -168,11 +167,6 @@ class EvalBlock:
         return self.gtilde / self.phi[:, None]
 
 
-def component_sum(values):
-    """Sum over the component axis 1, one component at a time in order."""
-    return functools.reduce(np.add, np.moveaxis(values, 1, 0))
-
-
 class GluedEvaluator:
     """gtilde = sum_k eta_k(s) g_{s_k}, f and phi = gtilde^T f on one z array,
     for blocks of parameter points.
@@ -211,7 +205,7 @@ class GluedEvaluator:
             rows = np.flatnonzero(weights[:, k])
             gtilde[rows] += weights[rows, k, None, None] * self.row(k)
         f = self.family.values(self.z, s)
-        return EvalBlock(s, self.z, gtilde, f, component_sum(gtilde * f))
+        return EvalBlock(s, self.z, gtilde, f, sum_in_order(gtilde * f, axis=1))
 
     def sweep(self, axes):
         """Blocks over the tensor grid of ``axes`` in row-major order."""
@@ -264,23 +258,22 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     radius = pou.cover.radius
     z = hnorm.boundary_points(boundary_samples)
     z_mesh = hnorm.boundary_mesh_radius(boundary_samples)
-    dim = family.dim
-    one = ZSPoly.from_cpoly(CPoly.one(), dim)
-    hi = 0.0
-    count = 0
+    hi, count = 0.0, 0
     for center, sol in zip(pou.cover.centers, points.solutions):
         if math.isinf(radius):
             supp, ball = box, None
         else:
-            supp = tuple(
-                (max(a, c - radius), min(b, c + radius))
-                for (a, b), c in zip(box, center)
-            )
+            supp = tuple((max(a, c - radius), min(b, c + radius))
+                         for (a, b), c in zip(box, center))
             ball = (center, radius)
-        resid = -one
-        for gm, comp in zip(sol.g, family.components):
-            resid = resid + ZSPoly.from_cpoly(gm, dim) * comp
-        cert = hnorm.bracket((resid,), z, z_mesh, "glued residual sup", supp,
+        # q_k - 1 = -1 + sum_m g_km f_m: one product for every component,
+        # then one sum over them that starts at -1
+        products = (ZSPoly.from_cpolys(sol.g, family.dim) * family.poly).coeffs
+        terms = np.zeros((1 + len(products),) + products.shape[1:], dtype=complex)
+        terms[(0,) * terms.ndim] = -1.0
+        terms[1:] = products
+        resid = ZSPoly(sum_in_order(terms)[None])
+        cert = hnorm.bracket(resid, z, z_mesh, "glued residual sup", supp,
                              axis_samples, ball=ball)
         hi = max(hi, cert.hi)
         count += cert.samples_used

@@ -2,8 +2,9 @@
 
 One engine, :func:`bracket`, makes every sampled :class:`NormCert`.  It
 samples the l2 modulus (sum_k |p_k|^2)^(1/2) of a tuple of polynomials (|p|
-itself for one polynomial) on an array of z nodes, crossed, for ``ZSPoly``
-data, with a uniform grid of ``axis`` points per parameter axis of a box.
+itself for one polynomial) on an array of z nodes, crossed, for the
+components of one ``ZSPoly``, with a uniform grid of ``axis`` points per
+parameter axis of a box.
 It then widens the sampled extreme by a rigorous Lipschitz slack with one
 term per direction:
 
@@ -34,24 +35,24 @@ is the ball, so every node is kept.
 The extreme is streamed (:func:`sampled_extreme`): the grid is sampled in
 blocks, each a run of rows of the first parameter axis crossed with the rest
 of the grid and a chunk of the z nodes, and the running min or max and
-sample count are kept.  A block holds O(BLOCK_BUDGET) values whatever the
-grid (:func:`_modulus_blocks`), so peak memory is one block plus the s-grid
-tables, not O(axis^d * n_z).  Blocks are rows and columns of one matrix
-product and min/max are exact, so the extreme has the whole grid's bits.
+sample count are kept.  A block holds O(BLOCK_BUDGET) values per component
+whatever the grid (:func:`_modulus_blocks`), so peak memory is one block
+plus the s-grid table, not O(axis^d * n_z).  Blocks are rows and columns of
+one matrix product and min/max are exact, so the extreme has the whole
+grid's bits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .polyalg import CPoly, ParamFamily, ZSPoly
+from .polyalg import CPoly, ParamFamily, ZSPoly, sum_in_order
 
-BLOCK_BUDGET = 1 << 14  # complex elements in one sampled block, or in its z-power table
+BLOCK_BUDGET = 1 << 14  # complex elements per component in one sampled block, or in its z powers
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,11 @@ def boundary_mesh_radius(samples: int) -> float:
 
 
 def _l2(values):
-    """The l2 modulus (sum_k |v_k|^2)^(1/2) of a list of value arrays; one
-    array gives |v| itself."""
+    """The l2 modulus (sum_k |v_k|^2)^(1/2) over the leading component axis
+    of ``values``; one component gives |v| itself."""
     if len(values) == 1:
         return np.abs(values[0])
-    return np.sqrt(functools.reduce(np.add, (np.abs(v) ** 2 for v in values)))
+    return np.sqrt(sum_in_order(np.abs(values) ** 2))
 
 
 def _runs(total: int, step: int, unit: int = 1):
@@ -140,68 +141,77 @@ def _runs(total: int, step: int, unit: int = 1):
         start = stop
 
 
-def _modulus_blocks(polys, z, box, axis, ball):
-    """The l2 modulus of ``polys`` on the sampled nodes, one block at a time:
-    ``CPoly`` values on the z nodes in one block; ``ZSPoly`` values on (a
-    run of rows of the first axis of the tensor grid of ``axis`` points per
-    axis of ``box``, crossed with the rest of the grid) x (a chunk of the z
-    nodes), the nodes outside :func:`ball_mask` dropped when there is a
-    ``ball``.  The chunks are the outer loop: each is BLOCK_BUDGET //
-    max(2 * rest, n_c) nodes wide, for ``rest`` grid points per row and n_c
-    z-powers, so that two rows of a block and the chunk's z powers, built
-    before its first block, each fit BLOCK_BUDGET.  Within a chunk, runs of
-    rows fill BLOCK_BUDGET.  Neither a run nor a chunk holds a single grid
-    point or z node (see :func:`_runs`).  The s-grid coefficient tables are
-    built once, before the first block."""
+def _modulus_blocks(data, z, box, axis, ball):
+    """The l2 modulus of ``data`` on the sampled nodes, one block at a time:
+    the values of a tuple of ``CPoly`` on the z nodes in one block; of the
+    components of a ``ZSPoly`` on (a run of rows of the first axis of the
+    tensor grid of ``axis`` points per axis of ``box``, crossed with the
+    rest of the grid) x (a chunk of the z nodes), the nodes outside
+    :func:`ball_mask` dropped when there is a ``ball``.  The chunks are the
+    outer loop: each is BLOCK_BUDGET // max(2 * rest, n_z) nodes wide, for
+    ``rest`` grid points per row and n_z z-powers, so that two rows of a
+    component and the chunk's z powers each fit BLOCK_BUDGET.  Within a
+    chunk, runs of rows fill BLOCK_BUDGET per component, in one
+    :meth:`ZSPoly.eval_sgrid` call.  Neither a run nor a chunk holds a
+    single grid point or z node (see :func:`_runs`).  The s-grid
+    coefficient table is built once, before the first block."""
     if box is None:
-        yield _l2([p.eval(z) for p in polys])
+        yield _l2(np.stack([p.eval(z) for p in data]))
         return
     axes = [np.linspace(a, b, axis) for a, b in box]
-    tables = [p.sgrid_table(axes) for p in polys]
+    table = data.sgrid_table(axes)
     mask = None if ball is None else ball_mask(box, axis, ball)
     z = np.ravel(z)
     rest = axis ** (len(box) - 1)
-    width = max(BLOCK_BUDGET // max(2 * rest, *(len(p.coeffs) for p in polys)), 2)
+    width = max(BLOCK_BUDGET // max(2 * rest, data.coeffs.shape[1]), 2)
     for cols in _runs(z.size, width):
         chunk = z[cols]
-        powers = [p.z_powers(chunk) for p in polys]
+        powers = data.z_powers(chunk)
         step = max(BLOCK_BUDGET // (rest * chunk.size), 1 if rest > 1 else 2)
         for rows in _runs(axis, step, rest):
-            block = _l2([p.eval_sgrid(t[rows], w)
-                         for p, t, w in zip(polys, tables, powers)])
+            block = _l2(data.eval_sgrid(table[:, rows], powers))
             yield block if mask is None else block[mask[rows]]
 
 
-def sampled_extreme(polys, z, box=None, axis: int = 0, inf: bool = False,
+def sampled_extreme(data, z, box=None, axis: int = 0, inf: bool = False,
                     ball=None):
-    """(max, or with ``inf`` min, of the l2 modulus of the tuple ``polys``
-    over the sampled nodes, number of samples), reduced block by block (see
+    """(max, or with ``inf`` min, of the l2 modulus of ``data`` over the
+    sampled nodes, number of samples), reduced block by block (see
     :func:`_modulus_blocks`): the peak memory is that of one block, of
-    O(BLOCK_BUDGET) values, not of the whole grid.  ``np.maximum`` and
-    ``np.minimum`` keep a NaN sample of any block; with no sample the
-    extreme is infinite."""
+    O(BLOCK_BUDGET) values per component, not of the whole grid.
+    ``np.maximum`` and ``np.minimum`` keep a NaN sample of any block; with
+    no sample the extreme is infinite."""
     reduce = np.minimum if inf else np.maximum
     best, count = (math.inf if inf else -math.inf), 0
-    for block in _modulus_blocks(tuple(polys), z, box, axis, ball):
+    for block in _modulus_blocks(data, z, box, axis, ball):
         if block.size:
             best = reduce(best, block.min() if inf else block.max())
             count += block.size
     return float(best), count
 
 
+def _own_bounds(p: ZSPoly, box):
+    """Per component, its :meth:`ZSPoly.coeff_bounds` over its own z-count
+    (:meth:`ZSPoly.z_groups`): the row it has alone, whose numpy sums zero
+    padding would regroup."""
+    bounds = p.coeff_bounds(box)
+    return [b[:n] for run, n in p.z_groups() for b in bounds[run]]
+
+
 def partial_bounds(p: ZSPoly, box):
-    """Per parameter axis i, sum_j of a bound on the z^j coefficient of
-    d p / d s_i over the box: a Lipschitz constant of p in s_i over
-    disc x box."""
-    return [float(np.sum(p.partial(axis).coeff_bounds(box)))
-            for axis in range(p.dim)]
+    """Per parameter axis i and component k, sum_j of a bound on the z^j
+    coefficient of d p_k / d s_i over the box: a Lipschitz constant of p_k
+    in s_i over disc x box; shape (d, N)."""
+    return np.array([[float(np.sum(b)) for b in _own_bounds(p.partial(axis), box)]
+                     for axis in range(p.dim)])
 
 
-def _z_lipschitz(p, box) -> float:
-    """sum_j j * (bound on |coefficient of z^j|): a Lipschitz constant of p
-    in z on the closed disc (for every s in the box)."""
-    bounds = np.abs(p.coeffs) if box is None else p.coeff_bounds(box)
-    return float(np.sum(np.arange(len(bounds)) * bounds))
+def _z_lipschitz(data, box):
+    """Per component, sum_j j * (bound on |coefficient of z^j|): a
+    Lipschitz constant of it in z on the closed disc (for every s in the
+    box)."""
+    rows = [np.abs(p.coeffs) for p in data] if box is None else _own_bounds(data, box)
+    return np.array([float(np.sum(np.arange(len(b)) * b)) for b in rows])
 
 
 def _half_step(a: float, b: float, axis: int) -> float:
@@ -224,11 +234,12 @@ def ball_mask(box, axis: int, ball) -> np.ndarray:
     return dist2 < radius * radius
 
 
-def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
+def bracket(data, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
             inf: bool = False, ball=None) -> NormCert:
     """The certificate engine: bracket the sup (or, with ``inf``, the inf)
-    of the l2 modulus of ``polys`` over (z domain) x box, or, given a
-    ``ball`` (center, radius), over (z domain) x (ball x box).
+    of the l2 modulus of ``data`` over (z domain) x box, or, given a
+    ``ball`` (center, radius), over (z domain) x (ball x box).  ``data`` is
+    a tuple of ``CPoly`` without a box, or one ``ZSPoly`` with one.
 
     Every point of the z domain must lie within ``z_mesh`` of a node of
     ``z``.  The sampled extreme, over the nodes :func:`ball_mask` keeps when
@@ -241,19 +252,19 @@ def bracket(polys, z, z_mesh: float, quantity: str, box=None, axis: int = 0,
     step between them, so the bracket holds over the ball too.
 
     The extreme is reduced block by block (:func:`sampled_extreme`), so the
-    peak memory is one block of O(BLOCK_BUDGET) values plus the s-grid
-    coefficient tables, whatever z.size, not O(axis^d * z.size).  A NaN
+    peak memory is one block of O(BLOCK_BUDGET) values per component plus
+    the s-grid coefficient table, whatever z.size, not O(axis^d * z.size).  A NaN
     sample in any block, or an empty sample, leaves a non-finite bound,
     which :class:`NormCert` refuses."""
-    polys = tuple(polys)
-    if not polys:
-        raise ValueError("empty tuple")
-    extreme, count = sampled_extreme(polys, z, box, axis, inf, ball)
-    slack = z_mesh * sum(_z_lipschitz(p, box) for p in polys)
+    if box is None:
+        data = tuple(data)
+        if not data:
+            raise ValueError("empty tuple")
+    extreme, count = sampled_extreme(data, z, box, axis, inf, ball)
+    slack = z_mesh * float(sum_in_order(_z_lipschitz(data, box)))
     if box is not None:
-        per_poly = [partial_bounds(p, box) for p in polys]
-        for i, (a, b) in enumerate(box):
-            lip = sum((bounds[i] for bounds in per_poly), 0.0)
+        lips = sum_in_order(partial_bounds(data, box), axis=1)
+        for lip, (a, b) in zip(lips.tolist(), box):
             slack += lip * _half_step(a, b, axis)
     if inf:
         return NormCert(extreme - slack, extreme, quantity, count)
@@ -275,21 +286,13 @@ def vec_sup_norm(polys, samples: int = 512) -> NormCert:
                    "l2 sup norm")
 
 
-def inf_disc(p: CPoly, grid: DiscKGrid = DiscKGrid()) -> NormCert:
-    """Bracket inf_{|z|<=1} |p(z)|; the minimum can be interior, so the full
-    polar grid is used."""
-    return bracket((p,), disc_points(grid.radial, grid.angular),
-                   disc_mesh_radius(grid.radial, grid.angular), "inf modulus",
-                   inf=True)
-
-
 def delta_lower(family: ParamFamily, grid: DiscKGrid = DiscKGrid()) -> NormCert:
     """Bracket inf over (closed disc) x K of the l2 modulus of the data tuple.
 
     The corona lower bound is certified iff ``lo > 0``; a nonpositive ``lo``
     means either genuine failure or an insufficient grid.
     """
-    return bracket(family.components, disc_points(grid.radial, grid.angular),
+    return bracket(family.poly, disc_points(grid.radial, grid.angular),
                    disc_mesh_radius(grid.radial, grid.angular),
                    "corona lower bound", family.box, grid.axis, inf=True)
 
@@ -298,6 +301,6 @@ def sup_family(family: ParamFamily, grid: DiscKGrid = DiscKGrid(),
                boundary: int = 512) -> NormCert:
     """Bracket sup over (closed disc) x K of the l2 modulus (boundary circle
     sampling in z, uniform grid in the parameter)."""
-    return bracket(family.components, boundary_points(boundary),
+    return bracket(family.poly, boundary_points(boundary),
                    boundary_mesh_radius(boundary), "l2 sup norm", family.box,
                    grid.axis)

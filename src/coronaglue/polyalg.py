@@ -8,10 +8,12 @@ Three layers:
   s = (s_1, ..., s_d), d in {1, 2}, dense exponent-indexed coefficients: one
   z-coefficient of the data as a config writes it, validated and trimmed.
 * ``ZSPoly``/``ParamFamily`` -- polynomials in (z, s), i.e. the
-  parameter-dependent data tuple f(z, s) on a box K.  A ZSPoly holds one
-  dense coefficient table, z-power first, and every operation (sum, product,
-  partial derivative, evaluation, coefficient bounds, Taylor shift) runs on
-  that table at once.
+  parameter-dependent data tuple f(z, s) on a box K.  The whole tuple is one
+  ZSPoly: one dense coefficient table, component first, then z-power, then
+  s-exponent, and every operation (product, partial derivative, evaluation,
+  coefficient bounds, Taylor shift) runs on all components at once; a sum
+  over z-powers runs once per run of components of equal z-count
+  (``ZSPoly.z_groups``), so the padding of a short component costs nothing.
 
 Everything is immutable after construction and safe to share across threads.
 """
@@ -60,10 +62,6 @@ class CPoly:
     @staticmethod
     def zero() -> "CPoly":
         return CPoly([0.0])
-
-    @staticmethod
-    def one() -> "CPoly":
-        return CPoly([1.0])
 
     # -- structure ---------------------------------------------------------
 
@@ -137,23 +135,32 @@ def _as_cpoly(value) -> CPoly:
 # Parameter polynomials
 
 
-def _trim_ndarray(arr):
-    """Strip trailing zero slices along every axis (keep shape >= (1,)*d)."""
-    for axis in range(arr.ndim):
-        while arr.shape[axis] > 1:
-            index = [slice(None)] * arr.ndim
-            index[axis] = arr.shape[axis] - 1
-            if np.any(arr[tuple(index)] != 0):
-                break
-            keep = [slice(None)] * arr.ndim
-            keep[axis] = slice(0, arr.shape[axis] - 1)
-            arr = arr[tuple(keep)]
-    return arr
+def _trim_ndarray(arr, first=0):
+    """Strip trailing zero slices along every axis from ``first`` on (keep
+    shape >= (1,)*d there)."""
+    nonzero = arr != 0
+    keep = [slice(None)] * first
+    for axis in range(first, arr.ndim):
+        used = np.flatnonzero(nonzero.any(axis=tuple(i for i in range(arr.ndim) if i != axis)))
+        keep.append(slice(0, used[-1] + 1 if used.size else 1))
+    return arr[tuple(keep)]
 
 
-def _corner(shape):
-    """The index of the leading ``shape`` block of a larger array."""
-    return tuple(slice(0, n) for n in shape)
+def _padded(arrays):
+    """The arrays, zero-padded to a common shape, stacked on a new leading
+    axis."""
+    out = np.zeros((len(arrays), *np.max([a.shape for a in arrays], axis=0)),
+                   dtype=np.result_type(*arrays))
+    for row, a in zip(out, arrays):
+        row[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
+def sum_in_order(values, axis=0):
+    """The sum over ``axis``, one slice after another in order.  ``np.sum``
+    groups the terms pairwise once 8 or more of them run along its inner
+    loop, so its bits would depend on the shape of the other axes."""
+    return functools.reduce(np.add, values if axis == 0 else np.moveaxis(values, axis, 0))
 
 
 class SPoly:
@@ -162,7 +169,7 @@ class SPoly:
     ``coeffs`` has one axis per parameter variable (d = ndim <= 2);
     ``coeffs[e1]`` or ``coeffs[e1, e2]`` multiplies ``s1**e1 * s2**e2``.
     An SPoly is one z-coefficient as data are written down: ``ZSPoly`` packs
-    a list of them into its table and computes there.
+    lists of them into its table and computes there.
     """
 
     __slots__ = ("coeffs",)
@@ -184,13 +191,19 @@ class SPoly:
     def dim(self) -> int:
         return self.coeffs.ndim
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 1 and self.coeffs.flat[0] == 0
-
     def partial(self, axis: int) -> "SPoly":
         """Formal partial derivative along one parameter axis."""
         return SPoly(npp.polyder(self.coeffs, m=1, axis=axis))
+
+
+def _pack(components):
+    """One zero-padded table from lists of ``SPoly`` z-coefficients, one
+    list per component."""
+    components = [list(c) for c in components]
+    if not (components and all(components)
+            and len({c.dim for comp in components for c in comp}) == 1):
+        raise ValueError("every component needs z-coefficients of one parameter dimension")
+    return _padded([_padded([c.coeffs for c in comp]) for comp in components])
 
 
 def _points(s, dim):
@@ -251,167 +264,173 @@ def _shift_table(n, order):
 
 
 class ZSPoly:
-    """Polynomial in z and the parameter s, held as one dense table:
-    ``coeffs[j]`` is the coefficient array of z**j, indexed by s-exponent as
-    in ``SPoly``, so ``coeffs`` has shape ``(n_z,) + s_shape``.
+    """N polynomials in z and the parameter s, held as one dense table:
+    ``coeffs[m, j]`` is the coefficient array of z**j in component m,
+    indexed by s-exponent as in ``SPoly``; shape ``(N, n_z) + s_shape``.
+    The data tuple f is one ZSPoly, a residual one with N = 1.
 
-    Built from a list of ``SPoly`` z-coefficients (zero-padded to a common
-    shape) or from such a table.  Canonical form: trailing all-zero slices
-    are trimmed along every axis, so ``len(coeffs)`` counts the z-powers up
-    to the last nonzero one.  Zero padding changes no bit of a value, sum or
-    s-constant product; a Taylor coefficient or derivative that is exactly
-    zero may change its sign."""
+    Built from lists of ``SPoly`` z-coefficients (:func:`_pack`) or from
+    such a table.  Canonical form: trailing all-zero slices are trimmed
+    along z and s, never along the component axis, so a zero component
+    stays."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_groups")
 
     def __init__(self, coeffs):
-        if isinstance(coeffs, np.ndarray):
-            table = coeffs
-        else:
-            coeffs = tuple(coeffs)
-            if not coeffs:
-                raise ValueError("at least one z-coefficient required")
-            if len({c.dim for c in coeffs}) != 1:
-                raise ValueError("mixed parameter dimensions in one polynomial")
-            shape = np.max([c.coeffs.shape for c in coeffs], axis=0)
-            table = np.zeros((len(coeffs), *shape),
-                             dtype=np.result_type(*(c.coeffs for c in coeffs)))
-            for row, c in zip(table, coeffs):
-                row[_corner(c.coeffs.shape)] = c.coeffs
-        if table.ndim not in (2, 3):
+        table = coeffs if isinstance(coeffs, np.ndarray) else _pack(coeffs)
+        if table.ndim not in (3, 4):
             raise ValueError("parameter dimension must be 1 or 2")
         dtype = complex if np.iscomplexobj(table) else float
-        table = _trim_ndarray(table.astype(dtype, copy=False)).copy()
+        table = _trim_ndarray(table.astype(dtype, copy=False), first=1).copy()
         table.setflags(write=False)
         self.coeffs = table
+        self._groups = None
 
     @staticmethod
-    def from_cpoly(p: CPoly, dim: int) -> "ZSPoly":
-        return ZSPoly(p.coeffs.reshape((-1,) + (1,) * dim))
+    def from_cpolys(polys, dim: int) -> "ZSPoly":
+        """The polynomials ``polys`` in z as components constant in s."""
+        table = _padded([p.coeffs for p in polys])
+        return ZSPoly(table.reshape(table.shape + (1,) * dim))
 
     @property
     def dim(self) -> int:
-        return self.coeffs.ndim - 1
+        return self.coeffs.ndim - 2
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros(np.maximum(a.shape, b.shape), dtype=np.result_type(a, b))
-        out[_corner(a.shape)] += a
-        out[_corner(b.shape)] += b
-        return ZSPoly(out)
-
-    def __neg__(self):
-        return ZSPoly(-self.coeffs)
+    def z_groups(self):
+        """(slice, n) per run of consecutive components with the same
+        z-count n, their z-powers up to the last nonzero one (at least 1).
+        A sum over z-powers runs per run on its n powers, so every
+        component costs and rounds as it does alone."""
+        if self._groups is None:
+            used = np.any(self.coeffs != 0, axis=tuple(range(2, self.coeffs.ndim)))
+            counts = np.maximum(used * np.arange(1, used.shape[1] + 1), 1).max(axis=1)
+            starts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+            self._groups = [(slice(a, b), int(counts[a]))
+                            for a, b in zip(starts, starts[1:] + [len(counts)])]
+        return self._groups
 
     def __mul__(self, other: "ZSPoly"):
-        """One convolution over z and s: every nonzero entry a[e] of this
-        factor adds a[e] * (the other table) at offset e, in C order of e.
-        So each output coefficient sums its terms from 0 in increasing
-        z-power of this factor, as a product z-coefficient by z-coefficient
-        does when this factor is constant in s."""
+        """The componentwise product, one convolution over z and s: every
+        exponent e nonzero in some component of this factor adds
+        a[:, e] * (the other table) at offset e, in C order of e.  So each
+        output coefficient sums its terms from 0 in increasing z-power of
+        this factor, as a product z-coefficient by z-coefficient does when
+        this factor is constant in s."""
         a, b = self.coeffs, other.coeffs
-        out = np.zeros(tuple(m + n - 1 for m, n in zip(a.shape, b.shape)),
+        out = np.zeros((len(a),) + tuple(m + n - 1 for m, n in zip(a.shape[1:], b.shape[1:])),
                        dtype=np.result_type(a, b))
-        for e in zip(*np.nonzero(a)):
-            out[tuple(slice(i, i + n) for i, n in zip(e, b.shape))] += a[e] * b
+        lift = (slice(None),) + (None,) * (b.ndim - 1)
+        for e in zip(*np.nonzero(a.any(axis=0))):
+            out[(slice(None),) + tuple(slice(i, i + n) for i, n in zip(e, b.shape[1:]))] += \
+                a[(slice(None),) + e][lift] * b
         return ZSPoly(out)
 
     def partial(self, axis: int) -> "ZSPoly":
         """Formal partial derivative along one parameter axis."""
-        return ZSPoly(npp.polyder(self.coeffs, m=1, axis=axis + 1))
+        return ZSPoly(npp.polyder(self.coeffs, m=1, axis=axis + 2))
 
     def _s_leading(self):
-        """The table with its z axis last, so that Horner in s runs along
-        the leading axes."""
-        return np.moveaxis(self.coeffs, 0, -1)
+        """The table with its component and z axes last, so that Horner in s
+        runs along the leading axes."""
+        return np.moveaxis(self.coeffs, (0, 1), (-2, -1))
 
-    def freeze(self, s) -> CPoly:
-        """Substitute the parameter, leaving a plain polynomial in z."""
+    def freeze(self, s) -> tuple:
+        """Substitute the parameter, leaving one plain polynomial in z per
+        component."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if s.shape != (self.dim,):
             raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
-        return CPoly(_polyval_axes(s, self._s_leading()))
+        return tuple(map(CPoly, _polyval_axes(s, self._s_leading())))
 
     def sgrid_table(self, axes):
         """The z-coefficients on the tensor s-grid spanned by ``axes``: an
-        array of shape ``s_grid_shape + (len(coeffs),)``."""
+        array of shape ``(N,) + s_grid_shape + (n_z,)``."""
         if len(axes) != self.dim:
             raise ValueError("one sample array per parameter axis required")
         values = _polyval_axes([np.asarray(x, dtype=float) for x in axes],
                                self._s_leading())
-        return np.ascontiguousarray(np.moveaxis(values, 0, -1), dtype=complex)
+        return np.ascontiguousarray(np.moveaxis(values, 1, -1), dtype=complex)
 
     def z_powers(self, z):
-        """z^j for every z-power j of the polynomial: an array of shape
-        ``(len(coeffs),) + z.shape``."""
+        """z^j for every z-power j of the table: an array of shape
+        ``(n_z,) + z.shape``."""
         z = np.asarray(z, dtype=complex)
-        return z[None, ...] ** np.arange(len(self.coeffs)).reshape(
-            (-1,) + (1,) * z.ndim
-        )
+        return z ** np.arange(self.coeffs.shape[1]).reshape((-1,) + (1,) * z.ndim)
 
     def eval_sgrid(self, table, powers):
         """Values on (s-grid points) x (z array): ``table`` holds rows of
         :meth:`sgrid_table`, ``powers`` is :meth:`z_powers`; returns an array
-        of shape ``table.shape[:-1] + z.shape``.  Rows of the table give the
-        same rows of the product, bit for bit, unless they hold one s point
-        alone: numpy hands a one-row product to BLAS gemv, whose sums round
-        apart from gemm's."""
-        return np.tensordot(table, powers, axes=([-1], [0]))
+        of shape ``table.shape[:-1] + z.shape``, one product per
+        :meth:`z_groups` run.  Rows of the table give the same rows of the
+        product, bit for bit, unless they hold one s point alone: numpy
+        hands a one-row product to BLAS gemv, whose sums round apart."""
+        out = np.empty((len(table), table[0, ..., 0].size, powers[0].size), dtype=complex)
+        for run, n in self.z_groups():
+            # np.tensordot's matrix product, written in place
+            np.dot(table[run, ..., :n].reshape(-1, n), powers[:n].reshape(n, -1),
+                   out=out[run].reshape(-1, out.shape[-1]))
+        return out.reshape(table.shape[:-1] + powers.shape[1:])
 
     def coeff_bounds(self, box) -> np.ndarray:
-        """Per-z-power upper bounds for the coefficient magnitude on the box:
-        sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i."""
+        """Per component and z-power, an upper bound for the coefficient
+        magnitude on the box: sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i;
+        shape (N, n_z)."""
         mags = [max(abs(a), abs(b)) for a, b in box]
         return _polyval_axes(mags, np.abs(self._s_leading()))
 
     def taylor_coeffs(self, s0, order, z):
         """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
-        total order ``order``.  At one point (d,) its batch shape is z.shape.
-        At an (n, d) block of points it is (n,) + z.shape[1:], where the
-        leading axis of ``z`` is 1 (every point reads the same z values) or n
-        (each point reads its own).
+        total order ``order`` whose batch starts with the component axis.
+        At one point (d,) its batch shape is (N,) + z.shape.  At an (n, d)
+        block of points it is (N, n) + z.shape[1:], where the leading axis
+        of ``z`` is 1 (every point reads the same z values) or n (each point
+        reads its own).
 
-        One Taylor shift of the table, batched over the points and the
-        z-powers, then one stacked matrix product over the points; every
-        point gets the bits it gets alone."""
+        One Taylor shift of the table, batched over the components, the
+        points and the z-powers, then one stacked matrix product per
+        :meth:`z_groups` run on its own z-powers (numpy computes a product
+        of one row, column or z-power apart from gemm, and there zero
+        padding would change its bits): every point and every component
+        gets the bits it gets alone."""
         z = np.asarray(z, dtype=complex)
         points = _points(s0, self.dim)
         block = np.ndim(s0) == 2
         zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
+        size, count = self.coeffs.shape[:2]
+        shifted = _taylor_shift(self.coeffs.reshape((-1,) + self.coeffs.shape[2:]),
+                                points, order)
         # filled in place: the matrix product's bits follow its operands'
         # memory layout
-        tables = np.empty((len(points), len(jets.multi_indices(self.dim, order)),
-                           len(self.coeffs)), dtype=complex)
-        tables[...] = np.moveaxis(_taylor_shift(self.coeffs, points, order), 0, -1)
-        powers = zf[:, None, :] ** np.arange(len(self.coeffs))[:, None]
-        jet = np.moveaxis(np.matmul(tables, powers), 0, 1)
-        return jet.reshape(jet.shape[:2] + z.shape[1:]) if block else \
-            jet[:, 0].reshape(jet.shape[:1] + z.shape)
+        tables = np.empty((size, len(points), shifted.shape[-1], count), dtype=complex)
+        tables[...] = np.moveaxis(shifted.reshape((size, count) + shifted.shape[1:]), 1, -1)
+        powers = zf[:, None, :] ** np.arange(count)[:, None]
+        jet = np.empty(tables.shape[:-1] + powers.shape[-1:], dtype=complex)
+        for run, n in self.z_groups():
+            jet[run] = np.matmul(tables[run, ..., :n], powers[:, :n])
+        jet = np.moveaxis(jet, 2, 0)
+        return jet.reshape(jet.shape[:3] + z.shape[1:]) if block else \
+            jet[:, :, 0].reshape(jet.shape[:2] + z.shape)
 
 
 class ParamFamily:
-    """Tuple of z-polynomials with parameter-polynomial coefficients on a box.
-
-    ``box`` is a tuple of per-axis (lower, upper) bounds with upper > lower,
-    so the box is the closure of its interior.
+    """The data tuple f = (f_1, ..., f_N) on a box: ``poly``, one ZSPoly
+    whose components are the f_m, and ``box``, a tuple of per-axis
+    (lower, upper) bounds with upper > lower, so the box is the closure of
+    its interior.
     """
 
-    __slots__ = ("components", "box")
+    __slots__ = ("poly", "box")
 
-    def __init__(self, components, box):
-        components = tuple(components)
-        if not components:
-            raise ValueError("a family needs at least one component")
+    def __init__(self, poly: ZSPoly, box):
         box = tuple((float(a), float(b)) for a, b in box)
         if len(box) not in (1, 2):
             raise DomainError("parameter dimension must be 1 or 2")
         for a, b in box:
             if not b > a:
                 raise DomainError("every box axis needs upper > lower")
-        for c in components:
-            if c.dim != len(box):
-                raise ValueError("component parameter dimension != box dimension")
-        self.components = components
+        if poly.dim != len(box):
+            raise ValueError("data parameter dimension != box dimension")
+        self.poly = poly
         self.box = box
 
     @property
@@ -420,49 +439,42 @@ class ParamFamily:
 
     @property
     def size(self) -> int:
-        return len(self.components)
-
-    def contains(self, s) -> bool:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if len(s) != self.dim:
-            return False
-        for x, (a, b) in zip(s, self.box):
-            pad = _BOX_EPS * (1.0 + abs(a) + abs(b))
-            if x < a - pad or x > b + pad:
-                return False
-        return True
+        return len(self.poly.coeffs)
 
     def require_inside(self, s):
-        if not self.contains(s):
+        """Raise ``DomainError`` unless ``s`` lies in the box, widened by a
+        relative 1e-12 per axis (a NaN coordinate does not)."""
+        x = np.atleast_1d(np.asarray(s, dtype=float))
+        pads = [_BOX_EPS * (1.0 + abs(a) + abs(b)) for a, b in self.box]
+        if len(x) != self.dim or not all(a - pad <= v <= b + pad
+                                         for v, (a, b), pad in zip(x, self.box, pads)):
             raise DomainError(f"parameter point {s!r} lies outside the box {self.box}")
 
     def freeze(self, s):
         """All components with the parameter substituted, as CPoly tuple."""
         self.require_inside(s)
-        return tuple(c.freeze(s) for c in self.components)
+        return self.poly.freeze(s)
 
     def values(self, z, points) -> np.ndarray:
         """Component values f_m(z, s) at every row s of the (n, d) array
         ``points``; shape (n, N) + z.shape.  Raises ``DomainError`` for a point
-        outside the box.
-
-        Bit for bit what ``freeze(s)`` followed by ``CPoly.eval`` gives: the
-        same Horner steps on the z-coefficients, started at the highest one
-        that is nonzero at that s."""
+        outside the box.  Bit for bit what ``freeze(s)`` and ``CPoly.eval``
+        give: the same Horner steps, per :meth:`ZSPoly.z_groups` run on its
+        own z-powers, started at the highest one nonzero at that s."""
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
         for s in points:
             self.require_inside(s)
         z = np.asarray(z, dtype=complex)
         zf = z.reshape(1, -1)
-        out = np.empty((len(points), self.size, zf.shape[1]), dtype=complex)
-        for m, comp in enumerate(self.components):
-            coeffs = _polyval_points(points, comp._s_leading()).astype(complex)
+        coeffs = _polyval_points(points, self.poly._s_leading()).astype(complex)
+        out = np.empty((self.size, len(points), zf.shape[1]), dtype=complex)
+        for run, n in self.poly.z_groups():
             acc = started = 0
-            for c in coeffs[::-1, :, None]:
+            for c in np.moveaxis(coeffs[run, :n], 1, 0)[::-1, ..., None]:
                 acc = np.where(started, acc * zf + c, c)
                 started = started | (c != 0)
-            out[:, m] = acc
-        return out.reshape(out.shape[:2] + z.shape)
+            out[run] = acc
+        return np.moveaxis(out, 0, 1).reshape((len(points), self.size) + z.shape)
 
 
 def _polyval_points(points, coeffs):

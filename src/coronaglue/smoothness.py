@@ -28,43 +28,38 @@ import numpy as np
 
 from . import hnorm, jets
 from .glue import EvalBlock, GluedEvaluator, GluedSolution, grid_blocks
-from .polyalg import as_alpha
+from .polyalg import as_alpha, sum_in_order
 
 
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
-    """(g jets, f jets): the jets of every component of g and of the data f,
-    truncated at total order ``order``, at the (n, d) block of parameter
-    points ``s``; each a list of N_f arrays of shape (jet size, n, q).  Every
-    point reads all q of the evaluator's z values, or with ``own_z`` its own
-    run of q = nz / n consecutive ones.  Each live center's solution values
-    are its row of the evaluator's table, added with the row-masked pattern
-    of :meth:`GluedEvaluator.at`."""
+    """(g jets, f jets): the jets of g and of the data f, truncated at total
+    order ``order``, at the (n, d) block of parameter points ``s``; each of
+    shape (jet size, N_f, n, q).  Every point reads all q of the
+    evaluator's z values, or with ``own_z`` its own run of q = nz / n
+    consecutive ones.  Each live center's solution values are its row of
+    the evaluator's table, added with the row-masked pattern of
+    :meth:`GluedEvaluator.at`."""
     family = evaluator.family
-    dim = family.dim
+    dim, size = family.dim, family.size
     s = np.asarray(s, dtype=float)
     for point in s:
         family.require_inside(point)
     z = evaluator.z.reshape(len(s) if own_z else 1, -1)
-    batch = (len(s), z.shape[1])
+    batch = (size, len(s), z.shape[1])
 
     eta = evaluator.pou.weight_jets(s, order)
-    gt = [jets.jet_const(0.0, dim, order, batch, complex) for _ in range(family.size)]
+    gt = jets.jet_const(0.0, dim, order, batch, complex)
     # each center adds to the points whose bump holds it, in cover order
     live = eta[:, 0] != 0.0
     for k in np.flatnonzero(live.any(axis=1)):
         rows = np.flatnonzero(live[k])
-        ej = eta[k][:, rows, None]
-        gk = np.broadcast_to(evaluator.row(k).reshape((family.size,) + z.shape),
-                             (family.size,) + batch)[:, rows]
-        for m in range(family.size):
-            gt[m][:, rows] += ej * gk[m]
+        gk = np.broadcast_to(evaluator.row(k).reshape((size,) + z.shape), batch)
+        gt[:, :, rows] += eta[k][:, None, rows, None] * gk[:, rows]
 
-    f = [comp.taylor_coeffs(s, order, z) for comp in family.components]
-    phi = jets.jet_const(0.0, dim, order, batch, complex)
-    for gm, fm in zip(gt, f):
-        phi = phi + jets.jet_mul(gm, fm, dim, order)
-    inv = jets.jet_reciprocal(phi, dim, order)
-    return [jets.jet_mul(g, inv, dim, order) for g in gt], f
+    f = family.poly.taylor_coeffs(s, order, z)
+    inv = jets.jet_reciprocal(sum_in_order(jets.jet_mul(gt, f, dim, order), axis=1),
+                              dim, order)
+    return jets.jet_mul(gt, inv[:, None], dim, order), f
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
@@ -73,10 +68,9 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
-    comps, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
-                              sum(alpha))
-    return np.stack([jets.jet_extract(c, alpha, sum(alpha))[0].reshape(z.shape)
-                     for c in comps])
+    g, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
+                          sum(alpha))
+    return jets.jet_extract(g, alpha, sum(alpha))[:, 0].reshape((-1,) + z.shape)
 
 
 _FD_FLOOR = 1e-8
@@ -131,8 +125,9 @@ def fd_deviations(glued: GluedSolution, z, s, alpha, h: float):
     fd = functools.reduce(np.add, [c * g[:, j] for j, c in enumerate(weights)]) / scale
 
     order = sum(alpha)
-    comps, _ = _solution_jets(evaluator, s, order, own_z=True)
-    analytic = np.stack([jets.jet_extract(c, alpha, order)[:, 0] for c in comps], axis=1)
+    g, _ = _solution_jets(evaluator, s, order, own_z=True)
+    # one contiguous row per point, as each point alone has it
+    analytic = np.ascontiguousarray(jets.jet_extract(g, alpha, order)[..., 0].T)
     size = np.linalg.norm(analytic, axis=1)
     return np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0), breaches
 
@@ -204,11 +199,10 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     z = hnorm.boundary_points(boundary_samples)
     axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 
-    def maxima(comps):
+    def maxima(jet):
         # the l2 modulus per (point, z), its max per point, then over the
         # block; a NaN sample sticks
-        sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order)) ** 2
-                                       for c in comps])
+        sq = sum_in_order(np.abs(jets.jet_derivatives(jet, family.dim, order)) ** 2, axis=1)
         return np.sqrt(sq.max(axis=2)).max(axis=1)
 
     evaluator = GluedEvaluator(family, glued.pou, glued.points, z)

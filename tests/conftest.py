@@ -16,14 +16,24 @@ def random_cpoly(rng, max_degree, scale=1.0):
     return CPoly(coeffs)
 
 
+def stack(*polys) -> ZSPoly:
+    """One ZSPoly whose components are those of ``polys``, in order."""
+    return ZSPoly([[SPoly(row) for row in comp] for p in polys for comp in p.coeffs])
+
+
+def components(family: ParamFamily):
+    """Each component of the family's data as a ZSPoly of its own."""
+    return [ZSPoly(comp[None]) for comp in family.poly.coeffs]
+
+
 def partial_s(family: ParamFamily, alpha) -> ParamFamily:
     """Reference: the componentwise formal partial derivative d^alpha in the
-    parameter, one ``SPoly.partial`` per unit of alpha."""
-    comps = list(family.components)
+    parameter, one ``ZSPoly.partial`` per unit of alpha."""
+    poly = family.poly
     for axis, order in enumerate(alpha):
         for _ in range(order):
-            comps = [c.partial(axis) for c in comps]
-    return ParamFamily(comps, family.box)
+            poly = poly.partial(axis)
+    return ParamFamily(poly, family.box)
 
 
 def same_bits(a, b) -> bool:
@@ -84,24 +94,24 @@ def reference_grid_csv(glued, path, radial, angular, s_per_axis):
 
 def worked_family(scale=1.0):
     """(z, (2+s) - z) * scale on [0, 1]."""
-    f1 = ZSPoly([SPoly([0.0]), SPoly([scale])])
-    f2 = ZSPoly([SPoly([2.0 * scale, scale]), SPoly([-scale])])
-    return ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.0]), SPoly([scale])]])
+    f2 = ZSPoly([[SPoly([2.0 * scale, scale]), SPoly([-scale])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0)])
 
 
 def steep_family():
     """(z, (1.5 + 2.5 s) - z) / 5 on [0, 1]; needs a multi-center cover."""
-    f1 = ZSPoly([SPoly([0.0]), SPoly([0.2])])
-    f2 = ZSPoly([SPoly([0.3, 0.5]), SPoly([-0.2])])
-    return ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.0]), SPoly([0.2])]])
+    f2 = ZSPoly([[SPoly([0.3, 0.5]), SPoly([-0.2])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0)])
 
 
 def two_param_family():
     """((z + 2 + s1) / 6, (2 - z + s2) / 6) on [0, 1]^2."""
     sixth = 1.0 / 6.0
-    f1 = ZSPoly([SPoly([[2 * sixth], [sixth]]), SPoly([[sixth]])])
-    f2 = ZSPoly([SPoly([[2 * sixth, sixth]]), SPoly([[-sixth]])])
-    return ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([[2 * sixth], [sixth]]), SPoly([[sixth]])]])
+    f2 = ZSPoly([[SPoly([[2 * sixth, sixth]]), SPoly([[-sixth]])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 1.0)])
 
 
 def curved_param_family():
@@ -109,11 +119,27 @@ def curved_param_family():
     ((z + 2 + s1 + s1^2 s2^2 / 2) / 6, (2 - z + s2 + (s1^2 + s2^2) / 2) / 6)
     on [0, 1]^2."""
     sixth = 1.0 / 6.0
-    f1 = ZSPoly([SPoly([[2 * sixth, 0.0, 0.0], [sixth, 0.0, 0.0], [0.0, 0.0, sixth / 2]]),
-                 SPoly([[sixth]])])
-    f2 = ZSPoly([SPoly([[2 * sixth, sixth, sixth / 2], [0.0, 0.0, 0.0], [sixth / 2, 0.0, 0.0]]),
-                 SPoly([[-sixth]])])
-    return ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([[2 * sixth, 0.0, 0.0], [sixth, 0.0, 0.0], [0.0, 0.0, sixth / 2]]),
+                 SPoly([[sixth]])]])
+    f2 = ZSPoly([[SPoly([[2 * sixth, sixth, sixth / 2], [0.0, 0.0, 0.0], [sixth / 2, 0.0, 0.0]]),
+                 SPoly([[-sixth]])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 1.0)])
+
+
+def three_component_family():
+    """(0.1 + (0.05 s - 0.1) z + 0.2 z^3, 0.35 + 0.15 s - 0.2 z + 0.05 (1 + s) z^2,
+    0.25 + 0.1 s^2) on [0, 1], the data of configs/three_component_family.json:
+    4, 3 and 1 z-powers."""
+    return ParamFamily(ZSPoly([[SPoly([0.1]), SPoly([-0.1, 0.05]), SPoly([0.0]), SPoly([0.2])],
+                               [SPoly([0.35, 0.15]), SPoly([-0.2]), SPoly([0.05, 0.05])],
+                               [SPoly([0.25, 0.0, 0.1])]]), [(0.0, 1.0)])
+
+
+def with_zero_component(family):
+    """The family with an all-zero component after its first."""
+    first, *rest = components(family)
+    return ParamFamily(stack(first, ZSPoly([[SPoly(np.zeros((1,) * family.dim))]]), *rest),
+                       family.box)
 
 
 def rational_gcd_tables():
@@ -127,12 +153,12 @@ def rational_gcd_tables():
 
 
 def rational_gcd_family():
-    return ParamFamily([ZSPoly([SPoly(row) for row in table])
-                        for table in rational_gcd_tables()], [(0.0, 1.0)])
+    return ParamFamily(ZSPoly([[SPoly(row) for row in table]
+                              for table in rational_gcd_tables()]), [(0.0, 1.0)])
 
 
 def constant_family():
-    return ParamFamily([ZSPoly([SPoly([1.0])])], [(0.0, 1.0)])
+    return ParamFamily(ZSPoly([[SPoly([1.0])]]), [(0.0, 1.0)])
 
 
 @pytest.fixture(scope="session")

@@ -152,10 +152,14 @@ class RefZSPoly:
 
 
 def to_ref(p):
-    """The per-z-power form of a ``ZSPoly`` (or of a list of ``SPoly``)."""
+    """The per-z-power form of a one-component ``ZSPoly`` (or of a list of
+    ``SPoly``)."""
     if isinstance(p, RefZSPoly):
         return p
-    rows = [c.coeffs for c in p] if isinstance(p, (list, tuple)) else p.coeffs
+    if isinstance(p, (list, tuple)):
+        rows = [c.coeffs for c in p]
+    else:
+        (rows,) = p.coeffs  # one component
     return RefZSPoly([RefSPoly(row) for row in rows])
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_cpoly, steep_family
+from conftest import random_cpoly, stack, steep_family
 from coronaglue import cli, cover_pou, glue, hnorm, serialize, smoothness
 from coronaglue.bezout_point import gcd_chain_bezout
 from coronaglue.config import load_config
@@ -195,8 +195,8 @@ def test_criterion_07_certificate_soundness():
     delta_ok = True
     for _ in range(50):
         p = random_cpoly(rng, 10)
-        comp = ZSPoly([SPoly([float(c.real), float(c.imag)]) for c in p.coeffs])
-        family = ParamFamily([comp, ZSPoly([SPoly([1.0, 0.5])])], [(0.0, 1.0)])
+        comp = ZSPoly([[SPoly([float(c.real), float(c.imag)]) for c in p.coeffs]])
+        family = ParamFamily(stack(comp, ZSPoly([[SPoly([1.0, 0.5])]])), [(0.0, 1.0)])
         cert = hnorm.delta_lower(family, DiscKGrid(radial=8, angular=16, axis=5))
         fine = hnorm.delta_lower(family, DiscKGrid(radial=71, angular=151, axis=41))
         delta_ok &= fine.hi >= cert.lo - 1e-12

@@ -23,11 +23,11 @@ def _covers_box(cover, scan_per_axis: int = 100) -> bool:
 def test_lipschitz_s_bound_examples():
     assert cp.lipschitz_s_bound(worked_family()) == pytest.approx(1.0)
 
-    flat = ParamFamily([ZSPoly([SPoly([1.0]), SPoly([2.0])])], [(0.0, 1.0)])
+    flat = ParamFamily(ZSPoly([[SPoly([1.0]), SPoly([2.0])]]), [(0.0, 1.0)])
     assert cp.lipschitz_s_bound(flat) == 0.0
 
     # f = s^2 z on [0,1]: |2 s z| <= 2
-    sq = ParamFamily([ZSPoly([SPoly([0.0]), SPoly([0.0, 0.0, 1.0])])],
+    sq = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([0.0, 0.0, 1.0])]]),
                      [(0.0, 1.0)])
     assert cp.lipschitz_s_bound(sq) == pytest.approx(2.0)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (constant_family, rational_gcd_family, steep_family,
+from conftest import (constant_family, rational_gcd_family, stack, steep_family,
                       two_param_family, worked_family)
 from coronaglue import glue, hnorm
 from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
@@ -32,7 +32,7 @@ def test_solve_at_samples_single_center():
 
 def test_solve_at_samples_s_independent_all_identical():
     family = ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)],
     )
     cover = build_cover(family.box, 0.2)
@@ -46,8 +46,8 @@ def test_solve_at_samples_s_independent_all_identical():
 def test_solve_at_samples_surfaces_corona_violation():
     # (z, z^2 - s) has a common zero at the origin when s = 0
     family = ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]),
-         ZSPoly([SPoly([0.0, -1.0]), SPoly([0.0]), SPoly([1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])],
+                [SPoly([0.0, -1.0]), SPoly([0.0]), SPoly([1.0])]]),
         [(0.0, 1.0)],
     )
     cover = Cover(((0.0,), (1.0,)), 0.6, family.box)
@@ -87,7 +87,7 @@ def _steep_points(steep_solution):
 
 def _flat_points():
     glued, _ = glue.solve(ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)]))
     assert math.isinf(glued.cover.radius)
     return glued.family, glued.pou, glued.points
@@ -286,9 +286,9 @@ def test_solve_worked_family_certificates(worked_solution):
 
 
 def test_solve_corona_violating_family():
-    f1 = ZSPoly([SPoly([0.0]), SPoly([1.0])])
-    f2 = ZSPoly([SPoly([0.0, -0.25]), SPoly([1.0])])
-    family = ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.0]), SPoly([1.0])]])
+    f2 = ZSPoly([[SPoly([0.0, -0.25]), SPoly([1.0])]])
+    family = ParamFamily(stack(f1, f2), [(0.0, 1.0)])
     with pytest.raises(CoronaUncertified) as err:
         glue.solve(family)
     assert err.value.certificate.lo <= 0.0

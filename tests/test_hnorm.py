@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (constant_family, partial_s, random_cpoly, same_bits, steep_family,
-                      two_param_family, worked_family)
+from conftest import (components, constant_family, partial_s, random_cpoly, same_bits,
+                      stack, steep_family, three_component_family, two_param_family,
+                      with_zero_component, worked_family)
 from spoly_reference import RefZSPoly, to_ref
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
@@ -73,18 +74,14 @@ def test_vec_sup_norm_examples():
     cert = hnorm.vec_sup_norm([CPoly([0, 1]), CPoly([2, -1])], 512)
     assert cert.lo == pytest.approx(math.sqrt(10), abs=1e-4)
     assert cert.lo <= math.sqrt(10) <= cert.hi
+    once = hnorm.vec_sup_norm((p for p in [CPoly([0, 1]), CPoly([2, -1])]), 512)
+    assert (once.lo, once.hi, once.samples_used) == (cert.lo, cert.hi, cert.samples_used)
 
     one = hnorm.vec_sup_norm([CPoly([1.0])])
     assert one.lo == one.hi == pytest.approx(1.0)
 
     zero = hnorm.vec_sup_norm([CPoly.zero(), CPoly.zero()])
     assert zero.lo == zero.hi == 0.0
-
-
-def test_inf_disc_zero_free():
-    cert = hnorm.inf_disc(CPoly([-2.0, 1.0]))  # z - 2
-    assert cert.lo <= 1.0 <= cert.hi
-    assert cert.lo > 0.5
 
 
 def test_delta_lower_examples():
@@ -99,7 +96,7 @@ def test_delta_lower_examples():
     one = hnorm.delta_lower(constant_family())
     assert one.lo == one.hi == pytest.approx(1.0)
 
-    z_only = ParamFamily([ZSPoly([SPoly([0.0]), SPoly([1.0])])], [(0.0, 1.0)])
+    z_only = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([1.0])]]), [(0.0, 1.0)])
     failing = hnorm.delta_lower(z_only)
     assert failing.hi == pytest.approx(0.0, abs=1e-12)
     assert failing.lo <= 0.0
@@ -108,9 +105,9 @@ def test_delta_lower_examples():
 def test_delta_lower_brute_force_soundness(rng):
     for _ in range(10):
         p = random_cpoly(rng, 6)
-        comp = ZSPoly([SPoly([float(c.real)]) for c in p.coeffs])
-        comp2 = ZSPoly([SPoly([float(c.imag), 0.5]) for c in p.coeffs])
-        family = ParamFamily([comp, comp2], [(0.0, 1.0)])
+        comp = ZSPoly([[SPoly([float(c.real)]) for c in p.coeffs]])
+        comp2 = ZSPoly([[SPoly([float(c.imag), 0.5]) for c in p.coeffs]])
+        family = ParamFamily(stack(comp, comp2), [(0.0, 1.0)])
         cert = hnorm.delta_lower(family, DiscKGrid(radial=8, angular=16, axis=5))
         fine = hnorm.delta_lower(family, DiscKGrid(radial=80, angular=160, axis=50))
         # a 100x denser scan can only move the sampled minimum down toward
@@ -120,9 +117,9 @@ def test_delta_lower_brute_force_soundness(rng):
 
 def test_delta_lower_negative_control():
     # (z, z - s/4) has a common zero z = s/4 inside the disc
-    f1 = ZSPoly([SPoly([0.0]), SPoly([1.0])])
-    f2 = ZSPoly([SPoly([0.0, -0.25]), SPoly([1.0])])
-    family = ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.0]), SPoly([1.0])]])
+    f2 = ZSPoly([[SPoly([0.0, -0.25]), SPoly([1.0])]])
+    family = ParamFamily(stack(f1, f2), [(0.0, 1.0)])
     cert = hnorm.delta_lower(family)
     assert cert.hi <= 1e-2
     assert cert.lo <= 0.0
@@ -187,27 +184,21 @@ def _ref_vec_sup_norm(polys, samples):
     return lo, lo + (math.pi / samples) * sum(_ref_lipschitz(p) for p in polys), samples
 
 
-def _ref_inf_disc(p, grid):
-    z = hnorm.disc_points(grid.radial, grid.angular)
-    hi = float(np.abs(p.eval(z)).min())
-    lip = _ref_lipschitz(p)
-    return hi - hnorm.disc_mesh_radius(grid.radial, grid.angular) * lip, hi, z.size
-
-
 def _ref_z_lipschitz(comp, box):
     bounds = to_ref(comp).coeff_bounds(box)
     return float(np.sum(np.arange(len(bounds)) * bounds))
 
 
 def _ref_family(family, z, z_mesh, count):
+    comps = components(family)
     axes = [np.linspace(a, b, count) for a, b in family.box]
-    slack = z_mesh * sum(_ref_z_lipschitz(c, family.box) for c in family.components)
+    slack = z_mesh * sum(_ref_z_lipschitz(c, family.box) for c in comps)
     for axis, (a, b) in enumerate(family.box):
         lip = 0.0
-        for comp in family.components:
+        for comp in comps:
             lip += float(np.sum(to_ref(comp).partial(axis).coeff_bounds(family.box)))
         slack += lip * ((b - a) / (2.0 * (count - 1)))
-    return _ref_modulus(family.components, axes, z), slack
+    return _ref_modulus(comps, axes, z), slack
 
 
 def _ref_delta_lower(family, grid):
@@ -244,13 +235,13 @@ def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples,
     ball)."""
     box, radius, dim = family.box, pou.cover.radius, family.dim
     z = hnorm.boundary_points(boundary_samples)
-    one = RefZSPoly.from_cpoly(CPoly.one(), dim)
+    one = RefZSPoly.from_cpoly(CPoly([1.0]), dim)
     hi, count = 0.0, 0
     for center, sol in zip(pou.cover.centers, points.solutions):
         supp = tuple((max(a, c - radius), min(b, c + radius))
                      for (a, b), c in zip(box, center))
         resid = -one
-        for gm, comp in zip(sol.g, family.components):
+        for gm, comp in zip(sol.g, components(family)):
             resid = resid + RefZSPoly.from_cpoly(gm, dim) * to_ref(comp)
         axes = [np.linspace(a, b, axis_samples) for a, b in supp]
         values = np.abs(_ref_eval_sgrid(resid, axes, z))
@@ -274,20 +265,18 @@ def _bits(cert):
     return cert.lo, cert.hi, cert.samples_used
 
 
-def _random_zspoly(rng, dim):
-    z_degree = int(rng.integers(0, 4))
+def _random_zspoly(rng, dim, z_degree=None):
+    z_degree = int(rng.integers(0, 4)) if z_degree is None else z_degree
     shape = tuple(int(n) for n in rng.integers(1, 4, size=dim))
-    return ZSPoly([SPoly(rng.standard_normal(shape)) for _ in range(z_degree + 1)])
+    return ZSPoly([[SPoly(rng.standard_normal(shape)) for _ in range(z_degree + 1)]])
 
 
 def test_engine_matches_the_old_formulas_on_cpolys():
     rng = np.random.default_rng(51)
-    grid = DiscKGrid(radial=9, angular=20, axis=2)
     for _ in range(25):
         p = random_cpoly(rng, 10)
         for samples in (8, 64, 512):
             assert _bits(hnorm.sup_disc(p, samples)) == _ref_sup_disc(p, samples)
-        assert _bits(hnorm.inf_disc(p, grid)) == _ref_inf_disc(p, grid)
         polys = [random_cpoly(rng, 6) for _ in range(int(rng.integers(1, 4)))]
         assert _bits(hnorm.vec_sup_norm(polys, 128)) == _ref_vec_sup_norm(polys, 128)
 
@@ -299,18 +288,32 @@ def test_engine_matches_the_old_formulas_on_families(dim):
     for grid in (DiscKGrid(radial=8, angular=16, axis=5),
                  DiscKGrid(radial=12, angular=24, axis=7)):
         for _ in range(5):
-            family = ParamFamily([_random_zspoly(rng, dim) for _ in range(2)], box)
-            assert _bits(hnorm.delta_lower(family, grid)) == _ref_delta_lower(family, grid)
-            assert _bits(hnorm.sup_family(family, grid, 64)) == \
-                _ref_sup_family(family, grid, 64)
+            # two components, three with ragged z-degrees, three of which one
+            # is zero, and z-degrees 11 and 4: numpy sums the longer rows of
+            # coefficient bounds pairwise, so padding the shorter would
+            # regroup its sums
+            zero = ZSPoly([[SPoly(np.zeros((1,) * dim))]])
+            for polys in ([_random_zspoly(rng, dim) for _ in range(2)],
+                          [_random_zspoly(rng, dim) for _ in range(3)],
+                          [_random_zspoly(rng, dim), zero, _random_zspoly(rng, dim)],
+                          [_random_zspoly(rng, dim, 11), _random_zspoly(rng, dim, 4)]):
+                family = ParamFamily(stack(*polys), box)
+                assert family.size == len(polys)
+                assert _bits(hnorm.delta_lower(family, grid)) == _ref_delta_lower(family, grid)
+                assert _bits(hnorm.sup_family(family, grid, 64)) == \
+                    _ref_sup_family(family, grid, 64)
 
 
-@pytest.mark.parametrize("case", ["3-center-1d", "4-center-2d"])
+@pytest.mark.parametrize("case", ["3-center-1d", "4-center-2d", "3-component-1d",
+                                  "zero-component-2d"])
 def test_residual_certify_matches_the_old_formula(case):
     # in 1-D the support ball is the clipped support box, so the certificate
     # keeps the box formula's bits; in 2-D it drops the box corners' nodes
     family, radius, size = {"3-center-1d": (steep_family(), 0.2, 3),
-                            "4-center-2d": (two_param_family(), 0.5, 4)}[case]
+                            "4-center-2d": (two_param_family(), 0.5, 4),
+                            "3-component-1d": (three_component_family(), 0.3, 2),
+                            "zero-component-2d": (with_zero_component(two_param_family()),
+                                                  0.5, 4)}[case]
     cover = build_cover(family.box, radius)
     assert cover.size == size
     pou = PartitionOfUnity(cover)
@@ -359,8 +362,8 @@ def test_bracket_over_a_ball_counts_the_kept_samples():
     family = two_param_family()
     z = hnorm.boundary_points(16)
     box, ball = [(0.0, 0.5), (0.25, 0.75)], ((0.0, 0.5), 0.5)
-    whole = hnorm.bracket(family.components, z, math.pi / 16, "l2 sup norm", box, 9)
-    part = hnorm.bracket(family.components, z, math.pi / 16, "l2 sup norm", box, 9,
+    whole = hnorm.bracket(family.poly, z, math.pi / 16, "l2 sup norm", box, 9)
+    part = hnorm.bracket(family.poly, z, math.pi / 16, "l2 sup norm", box, 9,
                          ball=ball)
     kept = int(hnorm.ball_mask(box, 9, ball).sum())
     assert 0 < kept < 81 and part.samples_used == kept * 16
@@ -398,14 +401,14 @@ def _z_nodes(inf):
     return hnorm.boundary_points(16), math.pi / 16
 
 
-def _record_runs(monkeypatch, first):
-    """Record (rows, z nodes) of every block the polynomial ``first`` is
+def _record_runs(monkeypatch, data):
+    """Record (rows, z nodes) of every block the polynomial ``data`` is
     evaluated on."""
     runs, real = [], ZSPoly.eval_sgrid
 
     def recording(self, table, powers):
-        if self is first:
-            runs.append((len(table), powers.shape[-1]))
+        if self is data:
+            runs.append((table.shape[1], powers.shape[-1]))
         return real(self, table, powers)
     monkeypatch.setattr(ZSPoly, "eval_sgrid", recording)
     return runs
@@ -419,8 +422,8 @@ def _z_degree_family(rng, dim):
     comps = []
     for powers in (7, int(rng.integers(4, 8))):
         shape = tuple(int(n) for n in rng.integers(1, 4, size=dim))
-        comps.append(ZSPoly([SPoly(rng.standard_normal(shape)) for _ in range(powers)]))
-    return ParamFamily(comps, box)
+        comps.append([SPoly(rng.standard_normal(shape)) for _ in range(powers)])
+    return ParamFamily(ZSPoly(comps), box)
 
 
 def _whole_grid_blocks(modulus, runs, mask):
@@ -451,8 +454,8 @@ def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, in
     monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
     for _ in range(4):
         family = _z_degree_family(rng, dim)
-        recorded = _record_runs(monkeypatch, family.components[0])
-        cert = hnorm.bracket(family.components, z, z_mesh, "q", family.box, AXIS,
+        recorded = _record_runs(monkeypatch, family.poly)
+        cert = hnorm.bracket(family.poly, z, z_mesh, "q", family.box, AXIS,
                              inf=inf, ball=ball)
         assert recorded == runs
 
@@ -460,7 +463,7 @@ def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, in
         mask = None if ball is None else hnorm.ball_mask(family.box, AXIS, ball)
         # every sample of every block, not only the extreme, has the whole
         # grid's bits
-        blocks = list(hnorm._modulus_blocks(family.components, z, family.box, AXIS, ball))
+        blocks = list(hnorm._modulus_blocks(family.poly, z, family.box, AXIS, ball))
         wanted = _whole_grid_blocks(modulus, runs, mask)
         assert len(blocks) == len(wanted)
         for block, want in zip(blocks, wanted):
@@ -485,7 +488,7 @@ def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
     rep = smoothness.cnorm_report(glued, 2, axis_samples=AXIS, boundary_samples=64)
     axes = [np.linspace(a, b, AXIS) for a, b in family.box]
     for ix, _, f in rep.per_index:
-        modulus = _ref_modulus(partial_s(family, ix).components, axes, z)
+        modulus = _ref_modulus(components(partial_s(family, ix)), axes, z)
         assert same_bits(f, float(modulus.max())), ix
 
 
@@ -498,7 +501,7 @@ def test_a_nan_in_a_later_block_is_refused(monkeypatch, dim, inf):
     z, _ = _z_nodes(inf)
 
     def run():
-        return hnorm.bracket(family.components, z, 0.1, "q", family.box, AXIS, inf=inf)
+        return hnorm.bracket(family.poly, z, 0.1, "q", family.box, AXIS, inf=inf)
     budget, runs = RUNS["several-blocks"][dim - 1]
     monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
     assert math.isfinite(run().hi)
@@ -506,14 +509,14 @@ def test_a_nan_in_a_later_block_is_refused(monkeypatch, dim, inf):
 
     def poisoned(self, table, powers):
         values = real(self, table, powers)
-        calls.append((len(table), powers.shape[-1]))
-        if len(calls) == 5:  # the first component in the third block
+        calls.append((table.shape[1], powers.shape[-1]))
+        if len(calls) == 3:  # the last component in the third block
             values[(-1,) * values.ndim] = np.nan
         return values
     monkeypatch.setattr(ZSPoly, "eval_sgrid", poisoned)
     with pytest.raises(DomainError, match="not finite"):
         run()
-    assert calls == [block for block in runs for _ in range(2)]
+    assert calls == runs
 
 
 @pytest.mark.parametrize("with_ball", [False, True], ids=["box", "ball"])
@@ -530,15 +533,15 @@ def test_a_nan_in_a_later_z_chunk_is_refused(monkeypatch, dim, inf, with_ball):
     monkeypatch.setattr(hnorm, "BLOCK_BUDGET", budget)
 
     def run():
-        return hnorm.bracket(family.components, z, 0.1, "q", family.box, AXIS,
+        return hnorm.bracket(family.poly, z, 0.1, "q", family.box, AXIS,
                              inf=inf, ball=ball)
     assert math.isfinite(run().hi)
     real, recorded = ZSPoly.eval_sgrid, []
 
     def poisoned(self, table, powers):
         values = real(self, table, powers)
-        if self is family.components[0]:
-            recorded.append((len(table), powers.shape[-1]))
+        if self is family.poly:
+            recorded.append((table.shape[1], powers.shape[-1]))
             if [width for _, width in recorded].count(4) == 1 and recorded[-1][1] == 4:
                 values[(0,) * values.ndim] = np.nan
         return values
@@ -551,11 +554,11 @@ def test_a_nan_in_a_later_z_chunk_is_refused(monkeypatch, dim, inf, with_ball):
 def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
     # (1e308 s + 1e308 z) on [0, 1]: its slack is finite, but it overflows
     # near s = 1, z = 1, in the last block of rows only
-    family = ParamFamily([ZSPoly([SPoly([0.0, 1e308]), SPoly([1e308])])], [(0.0, 1.0)])
+    family = ParamFamily(ZSPoly([[SPoly([0.0, 1e308]), SPoly([1e308])]]), [(0.0, 1.0)])
     z = hnorm.boundary_points(16)
     monkeypatch.setattr(hnorm, "BLOCK_BUDGET", 2 * z.size)  # blocks of two rows
     with np.errstate(over="ignore", invalid="ignore"):
-        sampled = _ref_modulus(family.components, [np.linspace(0.0, 1.0, AXIS)], z)
+        sampled = _ref_modulus(components(family), [np.linspace(0.0, 1.0, AXIS)], z)
         assert np.isfinite(sampled[:6]).all() and np.isinf(sampled[6:]).any()
         with pytest.raises(DomainError, match="not finite"):
             hnorm.sup_family(family, DiscKGrid(axis=AXIS), 16)
@@ -564,16 +567,16 @@ def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
 def _dense_2d_family():
     """(0.3 z^4, 0.5 + 0.7 (s1 + s2) - 0.2 z) on [0, 1]^2, the benchmark's
     dense-cover family."""
-    lead = ZSPoly([SPoly([[0.0]])] * 4 + [SPoly([[0.3]])])
-    tail = ZSPoly([SPoly([[0.5, 0.7], [0.7, 0.0]]), SPoly([[-0.2]])])
-    return ParamFamily([lead, tail], [(0.0, 1.0), (0.0, 1.0)])
+    lead = ZSPoly([[SPoly([[0.0]])] * 4 + [SPoly([[0.3]])]])
+    tail = ZSPoly([[SPoly([[0.5, 0.7], [0.7, 0.0]]), SPoly([[-0.2]])]])
+    return ParamFamily(stack(lead, tail), [(0.0, 1.0), (0.0, 1.0)])
 
 
 def _z_degree_64_family():
     """(0.5 z^64 + 0.1 z, 1 + 0.2 s) on [0, 1]: the advertised z-degree limit,
     whose whole z-power table on the default disc grid is 65 x 8192."""
-    lead = ZSPoly([SPoly([0.0]), SPoly([0.1])] + [SPoly([0.0])] * 62 + [SPoly([0.5])])
-    return ParamFamily([lead, ZSPoly([SPoly([1.0, 0.2])])], [(0.0, 1.0)])
+    lead = ZSPoly([[SPoly([0.0]), SPoly([0.1])] + [SPoly([0.0])] * 62 + [SPoly([0.5])]])
+    return ParamFamily(stack(lead, ZSPoly([[SPoly([1.0, 0.2])]])), [(0.0, 1.0)])
 
 
 def test_delta_lower_peak_memory_does_not_grow_with_the_grid():

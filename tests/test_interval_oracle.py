@@ -13,7 +13,7 @@ import heapq
 import numpy as np
 import pytest
 
-from conftest import steep_family, worked_family
+from conftest import components, stack, steep_family, worked_family
 from coronaglue import glue, hnorm
 from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
 from coronaglue.hnorm import DiscKGrid
@@ -110,11 +110,12 @@ def _horner(table, s):
 
 
 def _zspoly(p: ZSPoly):
-    """s -> the z-coefficients of p(., s) as (re, im) interval pairs; ``s``
-    holds one interval per parameter axis."""
+    """s -> the z-coefficients of the one-component p(., s) as (re, im)
+    interval pairs; ``s`` holds one interval per parameter axis."""
     def to_iv(x):
         return [to_iv(y) for y in x] if isinstance(x, list) else iv.mpf(x)
-    tables = [to_iv(table.tolist()) for table in p.coeffs]
+    (rows,) = p.coeffs
+    tables = [to_iv(table.tolist()) for table in rows]
 
     def coeffs(s):
         return [(_horner(table, s), ZERO) for table in tables]
@@ -133,7 +134,7 @@ def _s(cell):
 def _family_modulus(family):
     """The l2 modulus of the family on a (radius, theta, s...) or, on the
     circle, a (theta, s...) cell."""
-    comps = [_zspoly(p) for p in family.components]
+    comps = [_zspoly(p) for p in components(family)]
     dim = family.dim
 
     def modulus(cell):
@@ -146,7 +147,7 @@ def _family_modulus(family):
 def _glued_residual(family, pou, points):
     """|1 - gtilde^T f| on a (theta, s...) cell, written sum_k eta_k (q_k - 1)
     with q_k = g_k^T f and eta_k from the exact mollifier bump."""
-    comps = [_zspoly(p) for p in family.components]
+    comps = [_zspoly(p) for p in components(family)]
     radius = iv.mpf(pou.cover.radius)
     centers = [([iv.mpf(x) for x in c], [_cpoly(gm) for gm in sol.g])
                for c, sol in zip(pou.cover.centers, points.solutions)]
@@ -210,17 +211,17 @@ def test_sup_disc_upper_end_covers_the_interval_enclosure(coeffs):
 
 def _fixed_family():
     """(0.5 z^2 + (0.2 - 0.3 s), 0.6 - (0.4 - 0.1 s) z) on [0, 1]."""
-    f1 = ZSPoly([SPoly([0.2, -0.3]), SPoly([0.0]), SPoly([0.5])])
-    f2 = ZSPoly([SPoly([0.6]), SPoly([-0.4, 0.1])])
-    return ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.2, -0.3]), SPoly([0.0]), SPoly([0.5])]])
+    f2 = ZSPoly([[SPoly([0.6]), SPoly([-0.4, 0.1])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0)])
 
 
 def _s_quadratic_family():
     """((s - 0.3)^2 + 0.1, 0.01 z) on [0, 1]: the infimum 0.1 sits between
     the parameter nodes, so it needs the parameter slack."""
-    f1 = ZSPoly([SPoly([0.19, -0.6, 1.0])])
-    f2 = ZSPoly([SPoly([0.0]), SPoly([0.01])])
-    return ParamFamily([f1, f2], [(0.0, 1.0)])
+    f1 = ZSPoly([[SPoly([0.19, -0.6, 1.0])]])
+    f2 = ZSPoly([[SPoly([0.0]), SPoly([0.01])]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0)])
 
 
 @pytest.mark.parametrize("family", [worked_family(), _fixed_family(),
@@ -259,9 +260,9 @@ def _two_column_case():
     residual peaks just inside the Voronoi edges s1 = 1/4 and 3/4, off the
     global 9-node grid and more than half a radius from every center."""
     sixth = 1.0 / 6.0
-    f1 = ZSPoly([SPoly([[2 * sixth, sixth], [2 * sixth, 0.0]]), SPoly([[sixth]])])
-    f2 = ZSPoly([SPoly([[2 * sixth]]), SPoly([[-sixth]])])
-    family = ParamFamily([f1, f2], [(0.0, 1.0), (0.0, 0.25)])
+    f1 = ZSPoly([[SPoly([[2 * sixth, sixth], [2 * sixth, 0.0]]), SPoly([[sixth]])]])
+    f2 = ZSPoly([[SPoly([[2 * sixth]]), SPoly([[-sixth]])]])
+    family = ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 0.25)])
     cover = Cover(tuple((x, y) for x in (0.0, 0.5, 1.0) for y in (0.0625, 0.1875)),
                   0.26, family.box)
     return family, PartitionOfUnity(cover), glue.solve_at_samples(family, cover)

@@ -7,14 +7,16 @@ from numpy.polynomial import polynomial as npp
 
 import spoly_reference
 import tensor_jets
-from conftest import partial_s, random_cpoly, same_bits, worked_family
-from coronaglue import jets
+from conftest import (components, partial_s, random_cpoly, same_bits, stack,
+                      three_component_family, with_zero_component, worked_family)
+from coronaglue import hnorm, jets
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
     CPoly,
     ParamFamily,
     SPoly,
     ZSPoly,
+    sum_in_order,
 )
 
 
@@ -35,7 +37,7 @@ def test_family_values_examples():
     family = worked_family()
     np.testing.assert_allclose(family.values(1.0, [0.0])[0], [1.0, 1.0])
     np.testing.assert_allclose(family.values(0.0, [1.0])[0], [0.0, 3.0])
-    one = ParamFamily([ZSPoly([SPoly([1.0])])], [(0.0, 1.0)])
+    one = ParamFamily(ZSPoly([[SPoly([1.0])]]), [(0.0, 1.0)])
     np.testing.assert_allclose(one.values(0.3 + 0.1j, [0.7])[0], [1.0])
 
 
@@ -45,19 +47,23 @@ def test_family_values_rejects_outside_domain():
         family.values(0.0, [1.5])
     with pytest.raises(DomainError):
         family.values(0.0, [[0.5], [-0.2]])
+    with pytest.raises(DomainError):
+        family.values(0.0, [math.nan])
 
 
 @pytest.mark.parametrize("family, points", [
     # the z^2 coefficient s - 0.5 vanishes at s = 0.5, where freeze trims it
-    (ParamFamily([ZSPoly([SPoly([0.3, -1.0]), SPoly([0.0]),
-                          SPoly([-0.5, 1.0])]),
-                  ZSPoly([SPoly([1.0 / 3.0]), SPoly([-0.2, 0.7])])], [(0.0, 1.0)]),
+    (ParamFamily(ZSPoly([[SPoly([0.3, -1.0]), SPoly([0.0]), SPoly([-0.5, 1.0])],
+                         [SPoly([1.0 / 3.0]), SPoly([-0.2, 0.7])]]), [(0.0, 1.0)]),
      [[0.0], [0.5], [0.123456789], [1.0]]),
-    (ParamFamily([ZSPoly([SPoly([[0.5, 0.1], [0.7, 0.0]]),
-                          SPoly([[0.0, 0.0], [1.0, -1.0]])]),
-                  ZSPoly([SPoly([[0.2]]), SPoly([[0.0], [0.3]])])],
+    (ParamFamily(ZSPoly([[SPoly([[0.5, 0.1], [0.7, 0.0]]),
+                          SPoly([[0.0, 0.0], [1.0, -1.0]])],
+                         [SPoly([[0.2]]), SPoly([[0.0], [0.3]])]]),
                  [(0.0, 1.0), (0.0, 1.0)]),
      [[0.0, 0.0], [0.4, 0.4], [0.9, 0.1], [0.0, 1.0], [1.0 / 3.0, 0.77]]),
+    # three components of 4, 2 and 1 z-powers, and three with a zero one
+    (three_component_family(), [[0.0], [0.5], [0.123456789], [1.0]]),
+    (with_zero_component(worked_family()), [[0.0], [0.3], [1.0]]),
 ])
 def test_family_values_match_freeze_bit_for_bit(rng, family, points):
     z = np.concatenate([[0.0], 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 15))])
@@ -65,6 +71,8 @@ def test_family_values_match_freeze_bit_for_bit(rng, family, points):
     for row, s in zip(values, points):
         expected = np.stack([p.eval(z) for p in family.freeze(s)])
         assert row.tobytes() == expected.tobytes()
+    # and what each component gives alone
+    assert same_bits(values, spoly_reference.values(components(family), z, points))
 
 
 def test_partial_s_examples():
@@ -75,20 +83,18 @@ def test_partial_s_examples():
     np.testing.assert_allclose(
         same.values(0.5, [0.3])[0], family.values(0.5, [0.3])[0]
     )
-    sq = ParamFamily([ZSPoly([SPoly([0.0]), SPoly([0.0, 0.0, 1.0])])],
-                     [(0.0, 1.0)])
+    sq = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([0.0, 0.0, 1.0])]]), [(0.0, 1.0)])
     dd = partial_s(sq, (2,))
     np.testing.assert_allclose(dd.values(1.0, [0.5])[0], [2.0])
 
 
 def test_partial_s_commutes_exactly():
     sixth = 1.0 / 6.0
-    f = ZSPoly([SPoly([[0.5, sixth], [sixth, 2.0]]), SPoly([[sixth, 1.0]])])
-    family = ParamFamily([f], [(0.0, 1.0), (0.0, 1.0)])
+    f = ZSPoly([[SPoly([[0.5, sixth], [sixth, 2.0]]), SPoly([[sixth, 1.0]])]])
+    family = ParamFamily(stack(f, f), [(0.0, 1.0), (0.0, 1.0)])
     a = partial_s(partial_s(family, (1, 0)), (0, 1))
     b = partial_s(partial_s(family, (0, 1)), (1, 0))
-    for ca, cb in zip(a.components, b.components):
-        assert same_bits(ca.coeffs, cb.coeffs)
+    assert same_bits(a.poly.coeffs, b.poly.coeffs)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 10 ** 6))
@@ -112,7 +118,7 @@ def _taylor_by_partials(p, s0, order):
         for axis, g in enumerate(gamma):
             for _ in range(g):
                 q = q.partial(axis)
-        out.append(q.freeze(s0).coeffs[0] / math.prod(math.factorial(g) for g in gamma))
+        out.append(q.freeze(s0)[0].coeffs[0] / math.prod(math.factorial(g) for g in gamma))
     return np.array(out)
 
 
@@ -123,12 +129,12 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
     coeffs = rng.standard_normal(tuple(rng.integers(1, 10, dim)))  # degree <= 8
     order = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    p = ZSPoly([SPoly(coeffs)])
-    got = p.taylor_coeffs(s0, order, 1.0)
+    p = ZSPoly([[SPoly(coeffs)]])
+    got = p.taylor_coeffs(s0, order, 1.0)[:, 0]
     expected = _taylor_by_partials(p, s0, order)
     # relative to the same coefficient of |p| at |s0|, which bounds |expected|
     # and stays meaningful where the terms cancel
-    scale = _taylor_by_partials(ZSPoly([SPoly(np.abs(coeffs))]), np.abs(s0), order).real
+    scale = _taylor_by_partials(ZSPoly([[SPoly(np.abs(coeffs))]]), np.abs(s0), order).real
     assert got.shape == expected.shape
     assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
@@ -145,12 +151,12 @@ def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     top = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    full = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, top, 1.0)
+    full = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0, top, 1.0)[:, 0]
     tensor = tensor_jets.taylor_shift(SPoly(coeffs), s0, (top,) * dim)
     np.testing.assert_array_equal(full, tensor_jets.flat(tensor, dim, top))
     indices = jets.multi_indices(dim, top)
     for order in range(top + 1):
-        low = ZSPoly([SPoly(coeffs)]).taylor_coeffs(s0, order, 1.0)
+        low = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0, order, 1.0)[:, 0]
         cut = [indices.index(ix) for ix in jets.multi_indices(dim, order)]
         np.testing.assert_array_equal(low, full[cut])
 
@@ -165,25 +171,26 @@ def test_taylor_coeffs_block_equals_points_bit_for_bit(dim, complex_coeffs, seed
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     order = int(rng.integers(0, 7))
     points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 9)), dim))
-    p = ZSPoly([SPoly(coeffs)])
+    p = ZSPoly([[SPoly(coeffs)]])
     block = p.taylor_coeffs(points, order, [1.0])
-    assert block.shape == (len(jets.multi_indices(dim, order)), len(points))
+    assert block.shape == (len(jets.multi_indices(dim, order)), 1, len(points))
     for i, s0 in enumerate(points):
-        assert same_bits(block[:, i], p.taylor_coeffs(s0, order, 1.0))
+        assert same_bits(block[:, :, i], p.taylor_coeffs(s0, order, 1.0))
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
-    # z-coefficients of different table shapes (one complex) are shifted as
-    # one zero-padded table; the points of a block read shared z values or
-    # their own
+    # components and z-coefficients of different table shapes (one complex)
+    # are shifted as one zero-padded table; the points of a block read
+    # shared z values or their own
     rng = np.random.default_rng(seed)
-    tables = [rng.standard_normal(tuple(rng.integers(1, 5, dim)))
+    comps = [[rng.standard_normal(tuple(rng.integers(1, 5, dim)))
               for _ in range(int(rng.integers(1, 8)))]
+             for _ in range(int(rng.integers(1, 4)))]
     if rng.integers(0, 2):
-        tables[0] = tables[0] + 1j * rng.standard_normal(tables[0].shape)
-    p = ZSPoly([SPoly(c) for c in tables])
+        comps[0][0] = comps[0][0] + 1j * rng.standard_normal(comps[0][0].shape)
+    p = ZSPoly([[SPoly(c) for c in tables] for tables in comps])
     order = int(rng.integers(0, 5))
     n, q = int(rng.integers(1, 7)), int(rng.integers(1, 6))
     points = rng.uniform(-1.0, 1.0, (n, dim))
@@ -192,11 +199,14 @@ def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
     shared = p.taylor_coeffs(points, order, own[:1])
     mine = p.taylor_coeffs(points, order, own)
     single = p.taylor_coeffs(points, order, own[:, :1].reshape(n, 1))
-    assert shared.shape == mine.shape == (size, n, q)
+    assert shared.shape == mine.shape == (size, len(comps), n, q)
     for i, s0 in enumerate(points):
-        assert same_bits(shared[:, i], p.taylor_coeffs(s0, order, own[0]))
-        assert same_bits(mine[:, i], p.taylor_coeffs(s0, order, own[i]))
-        assert same_bits(single[:, i, 0], p.taylor_coeffs(s0, order, own[i, 0]))
+        assert same_bits(shared[:, :, i], p.taylor_coeffs(s0, order, own[0]))
+        assert same_bits(mine[:, :, i], p.taylor_coeffs(s0, order, own[i]))
+        assert same_bits(single[:, :, i, 0], p.taylor_coeffs(s0, order, own[i, 0]))
+    # each component gets the bits it gets alone, up to the sign of zero
+    for m, comp in enumerate(components(ParamFamily(p, [(-1.0, 1.0)] * dim))):
+        assert _same(mine[:, m], comp.taylor_coeffs(points, order, own)[:, 0])
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
@@ -209,19 +219,19 @@ def test_spoly_kernels_match_numpy(dim, seed):
     b = rng.standard_normal(tuple(rng.integers(1, 8, dim)))
     s = rng.uniform(-1.5, 1.5, dim)
     axes = [rng.uniform(-1.5, 1.5, 5) for _ in range(dim)]
-    pa, pb = ZSPoly([SPoly(a)]), ZSPoly([SPoly(b)])
+    pa, pb = ZSPoly([[SPoly(a)]]), ZSPoly([[SPoly(b)]])
     if dim == 1:
-        np.testing.assert_allclose((pa * pb).coeffs[0], np.convolve(a, b),
+        np.testing.assert_allclose((pa * pb).coeffs[0, 0], np.convolve(a, b),
                                    rtol=0, atol=1e-13 * np.convolve(abs(a), abs(b)).max())
         # a single-term factor (as in residual_certify's g_k * f_k) gives
         # np.convolve's bits
-        assert np.array_equal((ZSPoly([SPoly(a[:1])]) * pb).coeffs[0],
+        assert np.array_equal((ZSPoly([[SPoly(a[:1])]]) * pb).coeffs[0, 0],
                               np.convolve(a[:1], b))
-        assert pa.freeze(s).coeffs[0] == npp.polyval(s[0], a)
-        assert np.array_equal(pa.sgrid_table(axes)[..., 0], npp.polyval(axes[0], a))
+        assert pa.freeze(s)[0].coeffs[0] == npp.polyval(s[0], a)
+        assert np.array_equal(pa.sgrid_table(axes)[0, ..., 0], npp.polyval(axes[0], a))
     else:
-        assert pa.freeze(s).coeffs[0] == npp.polyval2d(s[0], s[1], a)
-        assert np.array_equal(pa.sgrid_table(axes)[..., 0], npp.polygrid2d(*axes, a))
+        assert pa.freeze(s)[0].coeffs[0] == npp.polyval2d(s[0], s[1], a)
+        assert np.array_equal(pa.sgrid_table(axes)[0, ..., 0], npp.polygrid2d(*axes, a))
 
 
 def test_partial_matches_finite_differences():
@@ -236,34 +246,49 @@ def test_partial_matches_finite_differences():
 
 
 def test_spoly_grid_and_bounds():
-    p = ZSPoly([SPoly([1.0, -2.0, 0.5])])
+    p = ZSPoly([[SPoly([1.0, -2.0, 0.5])]])
     xs = np.linspace(0, 1, 7)
-    np.testing.assert_allclose(p.sgrid_table([xs])[:, 0],
-                               [p.freeze([x]).coeffs[0] for x in xs])
-    assert p.coeff_bounds([(0.0, 1.0)]) == pytest.approx([3.5])
-    q = ZSPoly([SPoly([[1.0, 2.0], [3.0, 4.0]]), SPoly([[0.5], [1.0]])])
-    assert q.freeze([0.5, 0.25]).coeffs == pytest.approx(
+    np.testing.assert_allclose(p.sgrid_table([xs])[0, :, 0],
+                               [p.freeze([x])[0].coeffs[0] for x in xs])
+    assert p.coeff_bounds([(0.0, 1.0)])[0] == pytest.approx([3.5])
+    q = ZSPoly([[SPoly([[1.0, 2.0], [3.0, 4.0]]), SPoly([[0.5], [1.0]])]])
+    assert q.freeze([0.5, 0.25])[0].coeffs == pytest.approx(
         [1 + 2 * 0.25 + 3 * 0.5 + 4 * 0.125, 0.5 + 1.0 * 0.5])
-    assert q.coeff_bounds([(0.0, 1.0), (-2.0, 1.0)]) == pytest.approx(
+    assert q.coeff_bounds([(0.0, 1.0), (-2.0, 1.0)])[0] == pytest.approx(
         [1 + 2 * 2 + 3 + 4 * 2, 0.5 + 1.0])
 
 
 def test_zspoly_product_against_pointwise():
     rng = np.random.default_rng(7)
-    a = ZSPoly([SPoly(rng.standard_normal(3)), SPoly(rng.standard_normal(2))])
-    b = ZSPoly([SPoly(rng.standard_normal(2)), SPoly(rng.standard_normal(3))])
+    a = ZSPoly([[SPoly(rng.standard_normal(3)), SPoly(rng.standard_normal(2))]])
+    b = ZSPoly([[SPoly(rng.standard_normal(2)), SPoly(rng.standard_normal(3))]])
     prod = a * b
     for s in ([0.2], [0.9]):
         for z in (0.5, -0.3 + 0.8j):
-            expected = a.freeze(s).eval(z) * b.freeze(s).eval(z)
-            assert prod.freeze(s).eval(z) == pytest.approx(expected)
+            expected = a.freeze(s)[0].eval(z) * b.freeze(s)[0].eval(z)
+            assert prod.freeze(s)[0].eval(z) == pytest.approx(expected)
+
+
+def test_sum_in_order_gives_a_column_the_bits_of_its_block():
+    # np.sum groups 8 or more terms pairwise once they run along its inner
+    # loop, as they do for one column alone; a component sum must not
+    # depend on how many points share the block
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((12, 3, 1)) * 10.0 ** rng.integers(-8, 8, (12, 3, 1))
+    for axis in (0, 1):
+        block = np.moveaxis(values, 0, axis)
+        column = np.moveaxis(values[:, :1], 0, axis)
+        assert same_bits(sum_in_order(column, axis), sum_in_order(block, axis)[:1])
+    assert not same_bits(values[:, :1].sum(axis=0), values.sum(axis=0)[:1])
 
 
 def test_family_validation():
     with pytest.raises(DomainError):
-        ParamFamily([ZSPoly([SPoly([1.0])])], [(0.0, 0.0)])
+        ParamFamily(ZSPoly([[SPoly([1.0])]]), [(0.0, 0.0)])
     with pytest.raises(ValueError):
-        ParamFamily([], [(0.0, 1.0)])
+        ParamFamily(ZSPoly([]), [(0.0, 1.0)])
+    with pytest.raises(ValueError):
+        ParamFamily(ZSPoly([[SPoly([[1.0]])]]), [(0.0, 1.0)])
 
 
 # -- the dense table against one SPoly per z-power ----------------------------
@@ -284,7 +309,7 @@ def _ragged(rng, dim):
 
 def _packed(ref):
     """A reference polynomial packed into a dense table."""
-    return ZSPoly([SPoly(c.coeffs) for c in ref.coeffs]).coeffs
+    return ZSPoly([[SPoly(c.coeffs) for c in ref.coeffs]]).coeffs
 
 
 def _same(a, b):
@@ -297,18 +322,17 @@ def _same(a, b):
 def test_zspoly_table_matches_the_per_power_reference(dim, seed):
     rng = np.random.default_rng(seed)
     a, b = _ragged(rng, dim), _ragged(rng, dim)
-    pa, pb = ZSPoly(a), ZSPoly(b)
+    pa, pb = ZSPoly([a]), ZSPoly([b])
     ra, rb = spoly_reference.to_ref(a), spoly_reference.to_ref(b)
-    assert isinstance(pa.coeffs, np.ndarray) and len(pa.coeffs) == len(ra.coeffs)
+    assert isinstance(pa.coeffs, np.ndarray) and pa.coeffs.shape[1] == len(ra.coeffs)
     g = random_cpoly(rng, 4)
-    pg, rg = ZSPoly.from_cpoly(g, dim), spoly_reference.RefZSPoly.from_cpoly(g, dim)
-    one = ZSPoly.from_cpoly(CPoly.one(), dim)
-    ref_one = spoly_reference.RefZSPoly.from_cpoly(CPoly.one(), dim)
-    # residual_certify's q_k - 1: complex s-constant factors times the data
-    assert same_bits((-one + pg * pa + pg * pb).coeffs,
-                     _packed(-ref_one + rg * ra + rg * rb))
-    assert same_bits((pa + pb).coeffs, _packed(ra + rb))
-    assert _same((-pa).coeffs, _packed(-ra))
+    pg, rg = ZSPoly.from_cpolys([g], dim), spoly_reference.RefZSPoly.from_cpoly(g, dim)
+    # residual_certify's products: complex s-constant factors times the
+    # data, every component in one table
+    products = ZSPoly.from_cpolys([g, g], dim) * stack(pa, pb)
+    for got, want in zip(components(ParamFamily(products, [(0.0, 1.0)] * dim)),
+                         (rg * ra, rg * rb)):
+        assert same_bits(got.coeffs, _packed(want))
     # two factors that vary in s sum each coefficient in one run, not one
     # run per z-power of the left factor
     np.testing.assert_allclose((pa * pb).coeffs, _packed(ra * rb), rtol=1e-13, atol=1e-13)
@@ -321,30 +345,55 @@ def test_zspoly_table_matches_the_per_power_reference(dim, seed):
     z = 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 6))
     points = np.array([[rng.uniform(lo, hi) for lo, hi in box] for _ in range(4)])
     for p, r in ((pa, ra), (pg * pa, rg * ra)):
-        assert same_bits(p.freeze(s).coeffs, r.freeze(s).coeffs)
-        assert same_bits(p.sgrid_table(axes), r.sgrid_table(axes))
-        assert same_bits(p.coeff_bounds(box), r.coeff_bounds(box))
+        assert same_bits(p.freeze(s)[0].coeffs, r.freeze(s).coeffs)
+        assert same_bits(p.sgrid_table(axes)[0], r.sgrid_table(axes))
+        assert same_bits(p.coeff_bounds(box)[0], r.coeff_bounds(box))
         for order in (0, 2, 6):
-            assert _same(p.taylor_coeffs(s, order, z), r.taylor_coeffs(s, order, z))
-            assert _same(p.taylor_coeffs(points, order, z[None]),
+            assert _same(p.taylor_coeffs(s, order, z)[:, 0], r.taylor_coeffs(s, order, z))
+            assert _same(p.taylor_coeffs(points, order, z[None])[:, 0],
                          r.taylor_coeffs(points, order, z[None]))
-    family = ParamFamily([pa, pb], box)
-    assert same_bits(family.values(z, points),
-                     spoly_reference.values(family.components, z, points))
+    family = ParamFamily(stack(pa, pb), box)
+    assert same_bits(family.values(z, points), spoly_reference.values([a, b], z, points))
 
 
 def test_zspoly_trims_trailing_zero_z_powers():
     # the z-count is the number of z-powers up to the last nonzero one, after
-    # every operation; a table packs its SPoly values zero-padded
-    p = ZSPoly([SPoly([0.0, 1.0]), SPoly([3.0]), SPoly([0.0])])
-    assert p.coeffs.shape == (2, 2) and not p.coeffs.flags.writeable
-    assert p.partial(0).coeffs.shape == (1, 1)
-    q = ZSPoly([SPoly([1.0]), SPoly([0.0, 0.0, 2.0])])
-    assert same_bits(q.coeffs, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]))
-    assert same_bits(q.partial(0).coeffs, np.array([[0.0, 0.0], [0.0, 4.0]]))
-    assert (q + (-q)).coeffs.shape == (1, 1)
-    assert same_bits(ZSPoly(np.zeros((3, 2, 2))).coeffs, np.zeros((1, 1, 1)))
+    # every operation; a table packs its SPoly values zero-padded; the
+    # component axis is never trimmed
+    p = ZSPoly([[SPoly([0.0, 1.0]), SPoly([3.0]), SPoly([0.0])]])
+    assert p.coeffs.shape == (1, 2, 2) and not p.coeffs.flags.writeable
+    assert p.partial(0).coeffs.shape == (1, 1, 1)
+    q = ZSPoly([[SPoly([1.0]), SPoly([0.0, 0.0, 2.0])]])
+    assert same_bits(q.coeffs, np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]]))
+    assert same_bits(q.partial(0).coeffs, np.array([[[0.0, 0.0], [0.0, 4.0]]]))
+    assert same_bits(ZSPoly(np.zeros((3, 2, 2))).coeffs, np.zeros((3, 1, 1)))
+    ragged = ZSPoly([[SPoly([1.0])], [SPoly([0.0])], [SPoly([0.0]), SPoly([0.0, 2.0])]])
+    assert same_bits(ragged.coeffs, np.array([[[1.0, 0.0], [0.0, 0.0]],
+                                              [[0.0, 0.0], [0.0, 0.0]],
+                                              [[0.0, 0.0], [0.0, 2.0]]]))
+    assert ragged.partial(0).coeffs.shape == (3, 2, 1)
+    # runs of consecutive components of one z-count; a zero component counts 1
+    assert ragged.z_groups() == [(slice(0, 2), 1), (slice(2, 3), 2)]
+    assert three_component_family().poly.z_groups() == [
+        (slice(0, 1), 4), (slice(1, 2), 3), (slice(2, 3), 1)]
     with pytest.raises(ValueError):
-        ZSPoly([SPoly([1.0]), SPoly([[1.0]])])
+        ZSPoly([[SPoly([1.0]), SPoly([[1.0]])]])
     with pytest.raises(ValueError):
         ZSPoly([])
+    with pytest.raises(ValueError):
+        ZSPoly([[SPoly([1.0])], []])
+
+
+@pytest.mark.parametrize("counts", [(3, 1, 3), (2, 2, 5), (4, 4, 4), (1,)])
+def test_eval_sgrid_gives_each_component_its_bits_alone(rng, counts):
+    # one product per run of equal z-count, on the run's own z-powers: every
+    # component has the bits and the shape of its own evaluation
+    comps = [ZSPoly([[SPoly(rng.standard_normal(2)) for _ in range(n)]]) for n in counts]
+    p = stack(*comps)
+    axes = [np.linspace(-0.5, 1.0, 7)]
+    z = hnorm.boundary_points(16)
+    values = p.eval_sgrid(p.sgrid_table(axes)[:, 1:5], p.z_powers(z))
+    assert values.shape == (len(counts), 4, 16)
+    for value, comp in zip(values, comps):
+        alone = comp.eval_sgrid(comp.sgrid_table(axes)[:, 1:5], comp.z_powers(z))
+        assert same_bits(value, alone[0])

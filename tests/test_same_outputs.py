@@ -15,8 +15,10 @@ _spec.loader.exec_module(same_outputs)
 @pytest.mark.parametrize("name, old, new, expected", [
     ("a.json", {"c0": 2.0, "ok": True}, {"c0": 2.0 + 2 ** -51, "ok": True},
      "largest relative difference 2.2e-16, 2 vs 2"),
-    ("a.json", {"g": [0.0, 0.5]}, {"g": [5e-17, 0.5]},
-     "largest relative difference 1, 0 vs 5e-17"),
+    # relative to the file's largest magnitude, not to the two numbers: a
+    # last-bit change next to zero is rounding, not a difference near 1
+    ("a.json", {"g": [1e-17, 0.5]}, {"g": [6e-17, 0.5]},
+     "largest relative difference 1e-16, 1e-17 vs 6e-17"),
     ("a.json", {"ok": True}, {"ok": False}, "structure differs"),
     ("a.json", {"g": [0.5]}, {"g": [0.5, 1e-13]}, "structure differs"),
     ("a.solve-report.json", {"c0": 1.0, "timings": {"solve": 1.0}},
@@ -25,6 +27,18 @@ _spec.loader.exec_module(same_outputs)
      "largest relative difference 0.5, 0.25 vs 0.5"),
     ("a.csv", "k,re_g\n0,0.25\n", "k,im_g\n0,0.25\n", "structure differs"),
     ("a.stdout", "c0 1\n", "c0 2\n", None),
+    # the scale is the largest magnitude on either side, anywhere in the file;
+    # a number far above the rounding floor also reads relative to itself
+    ("a.csv", "k,re_g\n0,8\n1,1e-3\n", "k,re_g\n0,8\n1,1.001e-3\n",
+     "largest relative difference 1.2e-07, 0.001 vs 0.001; "
+     "0.001 relative to the pair, 0.001 vs 0.001"),
+    ("a.json", {"g": [1.0, 2.0]}, {"g": [1.5, 2.25]},
+     "largest relative difference 0.22, 1 vs 1.5; 0.33 relative to the pair, 1 vs 1.5"),
+    ("a.json", {"cert": [1e-13, 2.0]}, {"cert": [2e-13, 2.0]},
+     "largest relative difference 5e-14, 1e-13 vs 2e-13; "
+     "0.5 relative to the pair, 1e-13 vs 2e-13"),
+    ("a.json", {"g": [0.0, 0.5]}, {"g": [5e-17, 0.5]},
+     "largest relative difference 1e-16, 0 vs 5e-17"),
 ])
 def test_difference_size(tmp_path, name, old, new, expected):
     paths = []

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import partial_s, same_bits, worked_family
+import component_reference
+from conftest import (partial_s, same_bits, stack, steep_family, three_component_family,
+                      with_zero_component, worked_family)
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
-from coronaglue.cover_pou import lipschitz_s_bound
+from coronaglue.cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
@@ -19,12 +21,12 @@ def bezout_identity_jet(glued, z, s, order):
     the identity holds exactly along the whole jet."""
     z_arr = np.asarray(z, dtype=complex)
     evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
-    comps = [c[:, 0].reshape((-1,) + z_arr.shape) for c in smoothness._solution_jets(
-        evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)[0]]
+    g = smoothness._solution_jets(
+        evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)[0]
+    g = g[:, :, 0].reshape(g.shape[:2] + z_arr.shape)
     point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
-    dim = glued.family.dim
-    return sum(jets.jet_mul(cj, comp.taylor_coeffs(point, order, z_arr), dim, order)
-               for cj, comp in zip(comps, glued.family.components))
+    f = glued.family.poly.taylor_coeffs(point, order, z_arr)
+    return jets.jet_mul(g, f, glued.family.dim, order).sum(axis=1)
 
 
 def test_order_zero_matches_evaluator(worked_solution):
@@ -38,7 +40,7 @@ def test_order_zero_matches_evaluator(worked_solution):
 
 def test_s_independent_family_has_zero_derivatives():
     family = ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)],
     )
     glued, _ = glue.solve(family)
@@ -69,7 +71,7 @@ def test_fd_check_tolerances(worked_solution, rng):
 
 def test_fd_check_s_independent_absolute():
     family = ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)],
     )
     glued, _ = glue.solve(family)
@@ -102,7 +104,7 @@ def test_cnorm_report_order_zero_bound(worked_solution):
 
 def test_cnorm_report_s_independent():
     family = ParamFamily(
-        [ZSPoly([SPoly([0.0]), SPoly([1.0])]), ZSPoly([SPoly([2.0]), SPoly([-1.0])])],
+        ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)],
     )
     glued, _ = glue.solve(family)
@@ -141,8 +143,7 @@ def test_modulus_samples_respect_bound():
     for _ in range(100):
         s1 = np.array([rng.uniform(a, b) for a, b in family.box])
         s2 = np.array([rng.uniform(a, b) for a, b in family.box])
-        diff = sum(np.abs(c.freeze(s1).eval(z) - c.freeze(s2).eval(z)) ** 2
-                   for c in family.components)
+        diff = (np.abs(family.values(z, s1)[0] - family.values(z, s2)[0]) ** 2).sum(axis=0)
         allowed = bound * float(np.linalg.norm(s1 - s2))
         if allowed > 0:
             worst = max(worst, float(np.sqrt(diff.max())) / allowed)
@@ -176,11 +177,32 @@ def test_solution_jets_block_equals_points_bit_for_bit(rng, steep_solution,
         got_own = smoothness._solution_jets(mine, block, order, own_z=True)[0]
         for i, s in enumerate(block):
             alone = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own[i])
-            for a, b in zip(got, smoothness._solution_jets(shared, block[i:i + 1], order)[0]):
-                assert same_bits(a[:, i:i + 1], b)
-            for a, b in zip(got_own,
-                            smoothness._solution_jets(alone, block[i:i + 1], order)[0]):
-                assert same_bits(a[:, i:i + 1], b)
+            assert same_bits(got[:, :, i:i + 1],
+                             smoothness._solution_jets(shared, block[i:i + 1], order)[0])
+            assert same_bits(got_own[:, :, i:i + 1],
+                             smoothness._solution_jets(alone, block[i:i + 1], order)[0])
+
+
+@pytest.mark.parametrize("case", ["steep", "three-component", "zero-component"])
+def test_solution_jets_match_the_per_component_reference(rng, case):
+    # one table for every component gives the bits of one Taylor shift and
+    # one jet product per component, up to the sign of zero, at every order
+    # and for shared or own z values (one per point: one-column products)
+    family = {"steep": steep_family, "three-component": three_component_family,
+              "zero-component": lambda: with_zero_component(steep_family())}[case]()
+    cover = build_cover(family.box, 0.2)
+    pou, points = PartitionOfUnity(cover), glue.solve_at_samples(family, cover)
+    lows, highs = np.array(family.box).T
+    block = rng.uniform(lows, highs, (5, family.dim))
+    own = 0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, len(block)))
+    for order in (0, 1, 2):
+        for z, own_z in ((hnorm.boundary_points(16), False), (own, True)):
+            evaluator = glue.GluedEvaluator(family, pou, points, z)
+            got = smoothness._solution_jets(evaluator, block, order, own_z)
+            want = component_reference.solution_jets(evaluator, block, order, own_z)
+            for a, b in zip(got, want):
+                assert a.shape[1] == family.size == len(b)
+                assert same_bits(a + 0.0, np.stack(b, axis=1) + 0.0)
 
 
 @pytest.mark.parametrize("which", ["steep", "two_param"])
@@ -225,9 +247,9 @@ def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):
     evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z)
     best = np.zeros((2, len(jets.multi_indices(family.dim, order))))
     for s in itertools.product(*[np.linspace(a, b, axis_samples) for a, b in family.box]):
-        for half, comps in enumerate(smoothness._solution_jets(evaluator, [s], order)):
+        for half, jet in enumerate(smoothness._solution_jets(evaluator, [s], order)):
             sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order))
-                                           ** 2 for c in comps])
+                                           ** 2 for c in np.moveaxis(jet, 1, 0)])
             best[half] = np.maximum(best[half], np.sqrt(sq[:, 0].max(axis=1)))
     return best
 
@@ -262,7 +284,7 @@ def _formal_f_maxima(family, order, axis_samples, boundary_samples):
     """Reference: per multi-index, the sampled l2 maximum of the formally
     differentiated data on the report's grid."""
     z = hnorm.boundary_points(boundary_samples)
-    return np.array([hnorm.sampled_extreme(partial_s(family, ix).components, z,
+    return np.array([hnorm.sampled_extreme(partial_s(family, ix).poly, z,
                                            family.box, axis_samples)[0]
                      for ix in jets.multi_indices(family.dim, order)])
 
@@ -272,9 +294,9 @@ def _random_curved_family(rng, dim):
     term 2 and every other coefficient in [-0.2, 0.2]."""
     table = rng.uniform(-0.2, 0.2, tuple(rng.integers(3, 7, dim)))
     table.flat[0] = 2.0
-    f1 = ZSPoly([SPoly(np.zeros((1,) * dim)), SPoly(np.full((1,) * dim, 1.0 / 3.0))])
-    f2 = ZSPoly([SPoly(table / 3.0), SPoly(np.full((1,) * dim, -1.0 / 3.0))])
-    return ParamFamily([f1, f2], [(0.0, 1.0)] * dim)
+    f1 = ZSPoly([[SPoly(np.zeros((1,) * dim)), SPoly(np.full((1,) * dim, 1.0 / 3.0))]])
+    f2 = ZSPoly([[SPoly(table / 3.0), SPoly(np.full((1,) * dim, -1.0 / 3.0))]])
+    return ParamFamily(stack(f1, f2), [(0.0, 1.0)] * dim)
 
 
 @pytest.mark.parametrize("dim, seed", [(2, None), (1, 0), (1, 3), (2, 2), (2, 3)])

@@ -18,9 +18,14 @@ It compares exit codes, console output, solution files, CSVs and summaries
 byte for byte, and the check, solve and verify reports with their
 ``timings`` removed.  It prints every file that differs and exits 1 if any
 does, 0 if none does.  For a JSON or CSV file that differs, it also prints
-the largest relative difference between the numbers at matching positions,
-with the two numbers, or that the structure differs.  The work directories
-are kept when files differ.
+the largest difference between the numbers at matching positions, relative
+to the largest magnitude of any number in the two files, with the two
+numbers, or that the structure differs: a last-bit change of a number that
+is zero on one side reads as the rounding it is, not as a relative
+difference of 1.  Where a number above 1e-14 of that scale changed by more
+relative to itself, the largest such change follows, relative to the two
+numbers themselves, so a real change in a small number does not read as
+rounding.  The work directories are kept when files differ.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from pathlib import Path
 SEEDS = (1, 2)
 SOLUTION_FILE = "corrupted_solution.json"
 REPORTS = (".check.json", ".solve-report.json", ".verify-report.json")
+ROUNDING_FLOOR = 1e-14   # a number below this share of the file's scale is noise
 
 
 def _load_workloads(tree, name):
@@ -146,11 +152,6 @@ def _csv_cell(cell):
         return cell
 
 
-def _relative(a, b):
-    size = abs(a - b) / max(abs(a), abs(b))
-    return size if math.isfinite(size) else math.inf
-
-
 def difference_size(old, new):
     """How far apart two differing JSON or CSV files are; None for any other
     file, or a file present on one side only."""
@@ -172,8 +173,25 @@ def difference_size(old, new):
     pairs = [pair for pair in zip(*numbers) if pair[0] != pair[1]]
     if not pairs:
         return "largest relative difference 0"
-    a, b = max(pairs, key=lambda pair: _relative(*pair))
-    return f"largest relative difference {_relative(a, b):.2g}, {a:.3g} vs {b:.3g}"
+    scale = max((abs(x) for x in numbers[0] + numbers[1] if math.isfinite(x)), default=0.0)
+
+    def relative(pair, to=scale):
+        size = abs(pair[0] - pair[1]) / to if to else math.inf
+        return size if math.isfinite(size) else math.inf
+
+    def own(pair):
+        return relative(pair, max(abs(pair[0]), abs(pair[1])))
+    a, b = max(pairs, key=relative)
+    text = f"largest relative difference {relative((a, b)):.2g}, {a:.3g} vs {b:.3g}"
+    # relative to the file, a real change in a small number can read as
+    # rounding: name the largest change relative to the pair itself among
+    # the pairs far above the rounding floor, if it reads larger
+    above = [p for p in pairs if max(abs(p[0]), abs(p[1])) > ROUNDING_FLOOR * scale]
+    if above:
+        c, d = max(above, key=own)
+        if own((c, d)) > relative((a, b)):
+            text += f"; {own((c, d)):.2g} relative to the pair, {c:.3g} vs {d:.3g}"
+    return text
 
 
 def differences(old_work, new_work):
