@@ -228,16 +228,6 @@ def _interior(box, margin):
             [b - margin * (b - a) for a, b in box])
 
 
-def _pou_derivatives(pou, s, alphas):
-    """d^alpha of every weight for each alpha in ``alphas``, all read from one
-    weight jet whose order covers every alpha: (K,) each at one point ``s``,
-    (n, K) at an (n, d) block, with each point's K values contiguous so
-    that a sum over them adds in the same order as at one point."""
-    order = max(map(sum, alphas))
-    wj = np.moveaxis(pou.weight_jets(s, order), 0, -1)
-    return [np.ascontiguousarray(jets.jet_extract(wj, alpha, order)) for alpha in alphas]
-
-
 class _Worst:
     """The largest value seen so far and a witness of its first occurrence;
     a NaN sticks, so the check it feeds fails."""
@@ -336,7 +326,9 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     # drawn in blocks, the same stream as one by one
     rng = np.random.default_rng(0)
     pou = glued.pou
-    size = max(1, glue.EVAL_BUDGET // pou.size)
+    # blocks of 8 EVAL_BUDGET (point, center) pairs: the weights' cost per
+    # call is paid a few dozen times, and the peak RSS does not move
+    size = max(1, 8 * glue.EVAL_BUDGET // pou.size)
     lows, highs = np.array(family.box).T
     pou_sum = _Worst(0.0)
     for s in _uniform_blocks(rng, lows, highs, _POU_RANDOM_SAMPLES, size):
@@ -351,7 +343,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     inner = _interior(family.box, 0.05)
     for s in _uniform_blocks(rng, *inner, 200, size):
         # point by point, each point's multi-indices in order
-        sums = np.stack([d.sum(-1) for d in _pou_derivatives(pou, s, alphas)], axis=1)
+        sums = np.stack([d.sum(-1) for d in pou.derivs(s, alphas)], axis=1)
         dsum.update(np.abs(sums), lambda i: {"s": s[i // len(alphas)].tolist(),
                                              "alpha": list(alphas[i % len(alphas)])})
     report.add_check(

@@ -8,8 +8,10 @@ ceil(width * sqrt(d) / (2 r')), where r' is the radius shrunk by a 0.5%
 safety margin.  Without the margin, box corners can land exactly on a support
 boundary, where every bump vanishes and the normalization is undefined.
 
-Derivatives of the normalized weights are computed by truncated-jet
-arithmetic (see :mod:`coronaglue.jets`); no symbolic differentiation and no
+The bump exists only as jets: :meth:`PartitionOfUnity.weight_jets` builds
+the Taylor-coefficient jets of the normalized weights by truncated-jet
+arithmetic (see :mod:`coronaglue.jets`), a weight is the order-0 entry and
+its derivatives are read off one jet; no symbolic differentiation and no
 finite differencing.  At a point s only the bumps whose support holds s (at
 most 2^d of them) are built; every other weight and all of its derivatives
 are exactly zero there.  A block of points is one batched jet pass over its
@@ -90,24 +92,15 @@ def build_cover(box, radius: float) -> Cover:
     return Cover(centers, radius, box)
 
 
-def bump(t):
-    """Mollifier profile exp(-1/(1-t^2)) with exact compact support."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    inside = np.abs(t) < 1.0 - BUMP_CLAMP
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out if out.ndim else float(out)
-
-
 class PartitionOfUnity:
     """Normalized bumps subordinate to a cover: eta_k(s) =
     beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r)."""
 
-    __slots__ = ("cover",)
+    __slots__ = ("cover", "_centers")
 
     def __init__(self, cover: Cover):
         self.cover = cover
+        self._centers = np.asarray(cover.centers, dtype=float)
 
     @property
     def size(self) -> int:
@@ -120,29 +113,11 @@ class PartitionOfUnity:
             raise DomainError("point dimension does not match the box")
         return s
 
-    def bump_values(self, s) -> np.ndarray:
-        """beta(|s - s_k| / r) for every center; shape s.shape[:-1] + (K,)."""
-        s = self._point(s)
-        centers = np.asarray(self.cover.centers)
-        if math.isinf(self.cover.radius):
-            t = np.zeros(s.shape[:-1] + (len(centers),))
-        else:
-            t = np.sqrt(((s[..., None, :] - centers) ** 2).sum(-1)) / self.cover.radius
-        return np.asarray(bump(t))
-
     def weights(self, s) -> np.ndarray:
         """Normalized weight vector at one point, or one row per point of an
-        (n, d) block; every row sums to 1 on the box."""
-        b = self.bump_values(s)
-        total = b.sum(-1)
-        empty = np.flatnonzero(total <= 0.0)
-        if empty.size:
-            witness = np.atleast_2d(s)[empty[0]].tolist()
-            raise InternalInconsistency(
-                f"cover invariant violated: no bump is positive at {witness}",
-                witness=witness,
-            )
-        return b / total[..., None]
+        (n, d) block, each row contiguous so that its sum adds as at one
+        point: the order-0 :meth:`weight_jets`."""
+        return np.ascontiguousarray(self.weight_jets(s, 0)[:, 0].T)
 
     def weight_jets(self, s, order) -> np.ndarray:
         """Taylor-coefficient jets of every weight, truncated at total order
@@ -153,24 +128,25 @@ class PartitionOfUnity:
         s = self._point(s)
         block = np.atleast_2d(s)
         dim, order = block.shape[1], int(order)
-        centers = np.asarray(self.cover.centers)
-        r = self.cover.radius
-        diff = block[:, None, :] - centers
+        centers, r = self._centers, self.cover.radius
         if math.isinf(r):
-            live = np.ones(diff.shape[:2], dtype=bool)
-            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(live.size,))
+            points, live_centers = np.nonzero(np.ones((len(block), len(centers)), dtype=bool))
+            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(len(points),))
         else:
-            live = (diff ** 2).sum(-1) < ((1.0 - BUMP_CLAMP) * r) ** 2
-            bumps = self._bump_jets(diff[live], order)
-        points, live_centers = np.nonzero(live)
-        # each point adds its live bumps one term at a time in cover order, as
-        # the jet kernels add: the first live bump of every point, then the
-        # second, and so on
+            # |s - c|^2 added over the axes in order, one (point, center)
+            # table per axis
+            sq = sum_in_order([(x[:, None] - c) ** 2 for x, c in zip(block.T, centers.T)])
+            live = sq < ((1.0 - BUMP_CLAMP) * r) ** 2
+            points, live_centers = np.nonzero(live)
+            bumps = self._bump_jets(block[points] - centers[live_centers], sq[live], order)
+        # each point adds its live bumps one term at a time in cover order to
+        # +0.0, as the jet kernels add: the first live bump of every point,
+        # then the second, and so on; a point with fewer adds +0.0, which
+        # leaves a sum that starts at +0.0 unchanged
         rank = np.arange(len(points)) - np.searchsorted(points, points)
-        total = jets.jet_const(0.0, dim, order, batch=(len(block),))
-        for term in range(rank.max(initial=-1) + 1):
-            pairs = np.flatnonzero(rank == term)
-            total[:, points[pairs]] += bumps[:, pairs]
+        terms = np.zeros((rank.max(initial=-1) + 2, len(bumps), len(block)))
+        terms[rank + 1, :, points] = bumps.T
+        total = sum_in_order(terms)
         empty = np.flatnonzero(total[0] <= 0.0)
         if empty.size:
             witness = block[empty[0]]
@@ -181,25 +157,32 @@ class PartitionOfUnity:
             )
         inv = jets.jet_reciprocal(total, dim, order)
         out = np.zeros((len(centers), len(total), len(block)))
-        out[live_centers, :, points] = np.moveaxis(
-            jets.jet_mul(bumps, inv[:, points], dim, order), -1, 0)
+        out[live_centers, :, points] = jets.jet_mul(bumps, inv[:, points], dim, order).T
         return out if s.ndim == 2 else out[..., 0]
 
-    def _bump_jets(self, diff, order) -> np.ndarray:
+    def _bump_jets(self, diff, sq, order) -> np.ndarray:
         """Jets of beta(|s - c| / r) for the offsets ``diff`` = s - c, one
-        per row, batched along the trailing axis."""
+        per row, batched along the trailing axis; ``sq`` is |s - c|^2.
+        u = |s - c|^2 / r^2 is a quadratic, so its jet is written down
+        exactly: sq / r^2, then 2 (s_i - c_i) / r^2 on s_i and 1 / r^2 on
+        s_i^2."""
         batch, dim = diff.shape[:1], diff.shape[1]
-        u = jets.jet_const(0.0, dim, order, batch)
-        for axis in range(dim):
-            xi = jets.jet_variable(diff[:, axis], axis, dim, order, batch)
-            u += jets.jet_mul(xi, xi, dim, order)
-        u /= self.cover.radius * self.cover.radius
+        r2 = self.cover.radius * self.cover.radius
+        u = jets.jet_const(sq / r2, dim, order, batch)
+        for axis, unit in enumerate(np.eye(dim, dtype=int) if order else ()):
+            u[jets.position(unit, order)] = 2.0 * diff[:, axis] / r2
+            if order >= 2:
+                u[jets.position(2 * unit, order)] = 1.0 / r2
         v = jets.jet_const(1.0, dim, order, batch) - u
         return jets.jet_exp(-jets.jet_reciprocal(v, dim, order), dim, order)
 
-    def derivs(self, s, alpha) -> np.ndarray:
-        """Partial derivative d^alpha of every weight at an interior point.
-        Orders with |alpha| >= 1 sum to zero across centers."""
-        alpha = as_alpha(alpha, len(self.cover.box))
-        wj = np.moveaxis(self.weight_jets(s, sum(alpha)), 0, -1)
-        return jets.jet_extract(wj, alpha, sum(alpha))
+    def derivs(self, s, alphas) -> list:
+        """d^alpha of every weight for each multi-index in ``alphas``, all
+        read off one weight jet whose order covers them: (K,) each at one
+        point ``s``, (n, K) at an (n, d) block, each point's K values
+        contiguous so that a sum over them adds as at one point.  Orders
+        with |alpha| >= 1 sum to zero across centers."""
+        alphas = [as_alpha(alpha, len(self.cover.box)) for alpha in alphas]
+        order = max(map(sum, alphas))
+        wj = np.moveaxis(self.weight_jets(s, order), 0, -1)
+        return [np.ascontiguousarray(jets.jet_extract(wj, alpha, order)) for alpha in alphas]

@@ -18,16 +18,16 @@ phi = gtilde^T f computed pointwise, so g^T f = 1 holds to division rounding
 at every evaluated point and ||g|| <= 2 C0 wherever |phi| >= 1/2.
 
 One evaluator serves every reader of the solution.  :class:`GluedEvaluator`
-holds the point solutions evaluated on one z array (the table
-G[k, m, z] = g_{s_k, m}(z)) and returns gtilde, f and phi for blocks of
-parameter points, each array of a block within EVAL_BUDGET elements (one
-point per block when its z array alone is larger).  The lower end of
-:func:`residual_certify`, verify's sweep and the CSV export read its blocks;
-the parameter jets of :mod:`coronaglue.smoothness` (the C^k reports over its
-blocks, ``g_partial`` and the finite-difference stencils, whose points each
-read their own z) read its table rows.  :meth:`EvalBlock.breach` is the one
-|phi| >= 1/2 guard (NaN fails it): :func:`g_eval` and the CSV export raise
-it, and verify records it as a failed check with its witness.
+holds the point solutions on one z array (the table G[k, m, z] =
+g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at a block of
+parameter points; a value is the order-0 jet.  The lower end of
+:func:`residual_certify`, verify's sweep and the CSV export read values, each
+array of a block within EVAL_BUDGET elements (one point per block when its z
+array alone is larger); the C^k reports, ``g_partial`` and the
+finite-difference stencils of :mod:`coronaglue.smoothness` read jets.
+:meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
+:func:`g_eval` and the CSV export raise it, and verify records it as a
+failed check with its witness.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hnorm
+from . import hnorm, jets
 from .bezout_point import PointSolution, RESIDUAL_ACCEPT, solve_point
 from .config import SolverSettings
 from .cover_pou import Cover, PartitionOfUnity, build_cover, lipschitz_s_bound
@@ -169,15 +169,13 @@ class EvalBlock:
 
 class GluedEvaluator:
     """gtilde = sum_k eta_k(s) g_{s_k}, f and phi = gtilde^T f on one z array,
-    for blocks of parameter points.
+    for blocks of parameter points: their jets, and their values as the
+    order-0 jets.
 
     Row k of the table G[k, m, z] = g_{s_k, m}(z) is built the first time a
     block needs center k and kept while the cache holds at most EVAL_BUDGET
     elements; a row-major sweep reuses nearly every row before it is
-    dropped.  The weights of a block come from one batched
-    :meth:`PartitionOfUnity.weights` call, and gtilde adds the centers term
-    by term in cover order, so every value equals the per-point one bit for
-    bit."""
+    dropped."""
 
     def __init__(self, family: ParamFamily, pou: PartitionOfUnity,
                  points: PointSolutionSet, z):
@@ -196,16 +194,40 @@ class GluedEvaluator:
             self._rows[k] = np.stack([gm.eval(self.z) for gm in solution.g])
         return self._rows[k]
 
+    def jets(self, s, order: int, own_z: bool = False):
+        """(gtilde, f, phi): their jets in s, truncated at total order
+        ``order``, at the (n, d) block of parameter points ``s``; gtilde and
+        f of shape (jet size, N_f, n, q), phi of shape (jet size, n, q).
+        Every point reads all q of the z values, or with ``own_z`` its own
+        run of q = nz / n consecutive ones.  The weights come from one
+        batched :meth:`PartitionOfUnity.weight_jets` call, and each point
+        adds its centers to 0 in cover order, so it gets the bits it gets
+        alone.  Raises ``DomainError`` for a point outside the box."""
+        family = self.family
+        dim, size = family.dim, family.size
+        s = np.asarray(s, dtype=float).reshape(-1, dim)
+        family.require_inside(s)
+        z = self.z.reshape(len(s) if own_z else 1, -1)
+        batch = (size, len(s), z.shape[1])
+
+        eta = self.pou.weight_jets(s, order)
+        gt = jets.jet_const(0.0, dim, order, batch, complex)
+        # each center adds to the points whose bump holds it, in cover order
+        live = eta[:, 0] != 0.0
+        for k in np.flatnonzero(live.any(axis=1)):
+            rows = np.flatnonzero(live[k])
+            gk = np.broadcast_to(self.row(k).reshape((size,) + z.shape), batch)
+            gt[:, :, rows] += eta[k][:, None, rows, None] * gk[:, rows]
+
+        f = family.poly.taylor_coeffs(s, order, z)
+        return gt, f, sum_in_order(jets.jet_mul(gt, f, dim, order), axis=1)
+
     def at(self, s) -> EvalBlock:
-        """The block at the parameter points ``s``, one per row."""
+        """The block at the parameter points ``s``, one per row: the order-0
+        slice of :meth:`jets`."""
         s = np.asarray(s, dtype=float).reshape(-1, self.family.dim)
-        weights = self.pou.weights(s)
-        gtilde = np.zeros((len(s), self.family.size, self.z.size), dtype=complex)
-        for k in np.flatnonzero(weights.any(axis=0)):
-            rows = np.flatnonzero(weights[:, k])
-            gtilde[rows] += weights[rows, k, None, None] * self.row(k)
-        f = self.family.values(self.z, s)
-        return EvalBlock(s, self.z, gtilde, f, sum_in_order(gtilde * f, axis=1))
+        gtilde, f, phi = self.jets(s, 0)
+        return EvalBlock(s, self.z, gtilde[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
 
     def sweep(self, axes):
         """Blocks over the tensor grid of ``axes`` in row-major order."""

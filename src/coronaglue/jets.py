@@ -59,12 +59,10 @@ def jet_const(value, dim, order, batch=(), dtype=None):
     return out
 
 
-def jet_variable(value, axis, dim, order, batch=(), dtype=float):
-    """Jet of the coordinate function s_axis at the point ``value``."""
-    out = jet_const(value, dim, order, batch, dtype)
-    if order >= 1:
-        out[_layout(dim, order)[1][tuple(int(i == axis) for i in range(dim))]] = 1.0
-    return out
+def position(alpha, order):
+    """The entry of the multi-index ``alpha`` in a jet of total order
+    ``order``."""
+    return _layout(len(alpha), order)[1][tuple(int(a) for a in alpha)]
 
 
 def jet_mul(a, b, dim, order):
@@ -116,4 +114,4 @@ def jet_derivatives(jet, dim, order):
 
 def jet_extract(jet, alpha, order):
     """The partial derivative d^alpha f from a jet of the given order."""
-    return jet_derivatives(jet, len(alpha), order)[_layout(len(alpha), order)[1][tuple(alpha)]]
+    return jet_derivatives(jet, len(alpha), order)[position(alpha, order)]

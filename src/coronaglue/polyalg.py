@@ -416,7 +416,8 @@ class ParamFamily:
     """The data tuple f = (f_1, ..., f_N) on a box: ``poly``, one ZSPoly
     whose components are the f_m, and ``box``, a tuple of per-axis
     (lower, upper) bounds with upper > lower, so the box is the closure of
-    its interior.
+    its interior.  A family does not evaluate itself: its values are the
+    order-0 :meth:`ZSPoly.taylor_coeffs`, one path with its derivatives.
     """
 
     __slots__ = ("poly", "box")
@@ -442,48 +443,24 @@ class ParamFamily:
         return len(self.poly.coeffs)
 
     def require_inside(self, s):
-        """Raise ``DomainError`` unless ``s`` lies in the box, widened by a
-        relative 1e-12 per axis (a NaN coordinate does not)."""
-        x = np.atleast_1d(np.asarray(s, dtype=float))
-        pads = [_BOX_EPS * (1.0 + abs(a) + abs(b)) for a, b in self.box]
-        if len(x) != self.dim or not all(a - pad <= v <= b + pad
-                                         for v, (a, b), pad in zip(x, self.box, pads)):
-            raise DomainError(f"parameter point {s!r} lies outside the box {self.box}")
+        """Raise ``DomainError`` unless the point ``s``, or every row of an
+        (n, d) block, lies in the box, widened by a relative 1e-12 per axis
+        (a NaN coordinate does not); the message names the first point
+        outside."""
+        x = np.asarray(s, dtype=float)
+        rows = np.atleast_2d(x)
+        lo, hi = np.array(self.box).T
+        pad = _BOX_EPS * (1.0 + np.abs(lo) + np.abs(hi))
+        inside = x.ndim <= 2 and rows.shape[1] == self.dim and \
+            ((lo - pad <= rows) & (rows <= hi + pad)).all(axis=1)
+        if not np.all(inside):
+            point = rows[np.argmin(inside)].tolist() if x.ndim == 2 else s
+            raise DomainError(f"parameter point {point!r} lies outside the box {self.box}")
 
     def freeze(self, s):
         """All components with the parameter substituted, as CPoly tuple."""
         self.require_inside(s)
         return self.poly.freeze(s)
-
-    def values(self, z, points) -> np.ndarray:
-        """Component values f_m(z, s) at every row s of the (n, d) array
-        ``points``; shape (n, N) + z.shape.  Raises ``DomainError`` for a point
-        outside the box.  Bit for bit what ``freeze(s)`` and ``CPoly.eval``
-        give: the same Horner steps, per :meth:`ZSPoly.z_groups` run on its
-        own z-powers, started at the highest one nonzero at that s."""
-        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        for s in points:
-            self.require_inside(s)
-        z = np.asarray(z, dtype=complex)
-        zf = z.reshape(1, -1)
-        coeffs = _polyval_points(points, self.poly._s_leading()).astype(complex)
-        out = np.empty((self.size, len(points), zf.shape[1]), dtype=complex)
-        for run, n in self.poly.z_groups():
-            acc = started = 0
-            for c in np.moveaxis(coeffs[run, :n], 1, 0)[::-1, ..., None]:
-                acc = np.where(started, acc * zf + c, c)
-                started = started | (c != 0)
-            out[run] = acc
-        return np.moveaxis(out, 0, 1).reshape((len(points), self.size) + z.shape)
-
-
-def _polyval_points(points, coeffs):
-    """``_polyval_axes`` at every row of the (n, d) array ``points``: the same
-    Horner steps, one axis at a time; the trailing axes of ``coeffs`` come
-    before the points' axis in the result."""
-    for axis, x in enumerate(points.T):
-        coeffs = npp.polyval(x, coeffs, tensor=axis == 0)
-    return coeffs
 
 
 def as_alpha(alpha, dim: int):

@@ -1,18 +1,20 @@
 """Parameter derivatives of the glued solution and C^alpha norm reports.
 
 One derivative mechanism everywhere: truncated jets in the parameter (see
-:mod:`coronaglue.jets`).  The weights contribute jets through the bump
-machinery, the data through exact Taylor coefficients of its parameter
-polynomials, and the quotient g = gtilde / phi through the jet reciprocal,
-which is valid wherever |phi| >= 1/2.
+:mod:`coronaglue.jets`).  :meth:`coronaglue.glue.GluedEvaluator.jets` is the
+one pass that builds the jets of gtilde, f and phi (the weights through the
+bump machinery, the data through exact Taylor coefficients of its parameter
+polynomials); this module forms the quotient g = gtilde / phi through the
+jet reciprocal, which is valid wherever |phi| >= 1/2.
 
 Every jet carries a trailing axis over a block of parameter points: the C^k
 report sweeps the evaluator's blocks of its s-grid and reads the norms of
 both g and f off the jets of that one pass (the data's jets are the ones phi
 is built from), and the finite-difference spot checks take one block per
-multi-index, each point at its own z.  The single-point :func:`g_partial`
-and :func:`fd_check` are blocks of one through the same code, and every
-point of a block gets the bits it gets alone.
+multi-index, each point and each of its stencil points at the point's own
+z.  The single-point :func:`g_partial` and :func:`fd_check` are blocks of
+one through the same code, and every point of a block gets the bits it gets
+alone.
 
 The norm reports never assert an inequality: the contract is finiteness
 (a NaN sample makes a maximum NaN) and stability under grid refinement, with
@@ -32,33 +34,12 @@ from .polyalg import as_alpha, sum_in_order
 
 
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
-    """(g jets, f jets): the jets of g and of the data f, truncated at total
-    order ``order``, at the (n, d) block of parameter points ``s``; each of
-    shape (jet size, N_f, n, q).  Every point reads all q of the
-    evaluator's z values, or with ``own_z`` its own run of q = nz / n
-    consecutive ones.  Each live center's solution values are its row of
-    the evaluator's table, added with the row-masked pattern of
-    :meth:`GluedEvaluator.at`."""
-    family = evaluator.family
-    dim, size = family.dim, family.size
-    s = np.asarray(s, dtype=float)
-    for point in s:
-        family.require_inside(point)
-    z = evaluator.z.reshape(len(s) if own_z else 1, -1)
-    batch = (size, len(s), z.shape[1])
-
-    eta = evaluator.pou.weight_jets(s, order)
-    gt = jets.jet_const(0.0, dim, order, batch, complex)
-    # each center adds to the points whose bump holds it, in cover order
-    live = eta[:, 0] != 0.0
-    for k in np.flatnonzero(live.any(axis=1)):
-        rows = np.flatnonzero(live[k])
-        gk = np.broadcast_to(evaluator.row(k).reshape((size,) + z.shape), batch)
-        gt[:, :, rows] += eta[k][:, None, rows, None] * gk[:, rows]
-
-    f = family.poly.taylor_coeffs(s, order, z)
-    inv = jets.jet_reciprocal(sum_in_order(jets.jet_mul(gt, f, dim, order), axis=1),
-                              dim, order)
+    """(g jets, f jets) at the (n, d) block of parameter points ``s``, each
+    of shape (jet size, N_f, n, q): g = gtilde / phi from the jets of
+    :meth:`GluedEvaluator.jets`, with the same ``order`` and ``own_z``."""
+    dim = evaluator.family.dim
+    gt, f, phi = evaluator.jets(s, order, own_z)
+    inv = jets.jet_reciprocal(phi, dim, order)
     return jets.jet_mul(gt, inv[:, None], dim, order), f
 
 
@@ -103,28 +84,27 @@ def fd_deviations(glued: GluedSolution, z, s, alpha, h: float):
     numerically zero), and per point the |phi| >= 1/2 guard's
     InternalInconsistency for its stencil, or None.
 
-    One evaluator on the n z values serves the stencil values and the jets;
-    each stencil point is read at its own point's z only, and the guard sees
-    exactly those (point, z) pairs."""
+    The stencil points are one block on their own evaluator, each at its
+    point's z only (``own_z``), so a point's stencil has the bits it has
+    alone, and the guard sees exactly those (point, z) pairs."""
     family = glued.family
     alpha = as_alpha(alpha, family.dim)
     offsets, weights, scale = _stencil(alpha, h)
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=complex).ravel()
     n, m = len(s), len(offsets)
-    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
     stencil = s[:, None] + offsets
-    block = evaluator.at(stencil.reshape(n * m, -1))
-    rows, owner = np.arange(n * m), np.repeat(np.arange(n), m)
-    gtilde = block.gtilde[rows, :, owner].reshape(n, m, -1, 1)
-    f = block.f[rows, :, owner].reshape(n, m, -1, 1)
-    phi = block.phi[rows, owner].reshape(n, m, 1)
+    gtilde, f, phi = GluedEvaluator(family, glued.pou, glued.points, np.repeat(z, m)).jets(
+        stencil.reshape(n * m, -1), 0, own_z=True)
+    gtilde, f = (np.moveaxis(a[0], 0, 1).reshape(n, m, -1, 1) for a in (gtilde, f))
+    phi = phi[0].reshape(n, m, 1)
     breaches = [EvalBlock(stencil[i], z[i:i + 1], gtilde[i], f[i], phi[i]).breach()
                 for i in range(n)]
     g = gtilde[..., 0] / phi
     fd = functools.reduce(np.add, [c * g[:, j] for j, c in enumerate(weights)]) / scale
 
     order = sum(alpha)
+    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
     g, _ = _solution_jets(evaluator, s, order, own_z=True)
     # one contiguous row per point, as each point alone has it
     analytic = np.ascontiguousarray(jets.jet_extract(g, alpha, order)[..., 0].T)

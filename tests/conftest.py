@@ -36,6 +36,39 @@ def partial_s(family: ParamFamily, alpha) -> ParamFamily:
     return ParamFamily(poly, family.box)
 
 
+def family_values(family: ParamFamily, z, points):
+    """f_m(z, s) at every row s of ``points`` as the program computes them,
+    the order-0 Taylor coefficients: shape (n, N) + z.shape."""
+    z = np.asarray(z, dtype=complex)
+    points = np.asarray(points, dtype=float).reshape(-1, family.dim)
+    jet = family.poly.taylor_coeffs(points, 0, z.reshape(1, -1))[0]
+    return np.moveaxis(jet, 0, 1).reshape((len(points), family.size) + z.shape)
+
+
+def frozen_values(family: ParamFamily, z, points):
+    """Reference: the same values through ``freeze`` and ``CPoly.eval``,
+    Horner in s and then in z."""
+    z = np.asarray(z, dtype=complex)
+    points = np.asarray(points, dtype=float).reshape(-1, family.dim)
+    return np.array([[np.asarray(p.eval(z)) for p in family.freeze(s)] for s in points])
+
+
+def bump_values(pou, s):
+    """Reference: beta(|s - s_k| / r) = exp(-1 / (1 - t^2)) for every center
+    by the mollifier formula, 0 from t >= 1 - BUMP_CLAMP on; shape
+    s.shape[:-1] + (K,)."""
+    from coronaglue.cover_pou import BUMP_CLAMP
+
+    s = np.asarray(s, dtype=float)
+    centers = np.asarray(pou.cover.centers)
+    if math.isinf(pou.cover.radius):
+        t = np.zeros(s.shape[:-1] + (len(centers),))
+    else:
+        t = np.sqrt(((s[..., None, :] - centers) ** 2).sum(-1)) / pou.cover.radius
+    inside = t < 1.0 - BUMP_CLAMP
+    return np.where(inside, np.exp(-1.0 / (1.0 - np.where(inside, t, 0.0) ** 2)), 0.0)
+
+
 def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: signed zeros and NaNs must match too."""
     a, b = np.asarray(a), np.asarray(b)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_cpoly, stack, steep_family
+from conftest import bump_values, family_values, random_cpoly, stack, steep_family
 from coronaglue import cli, cover_pou, glue, hnorm, serialize, smoothness
 from coronaglue.bezout_point import gcd_chain_bezout
 from coronaglue.config import load_config
@@ -67,7 +67,7 @@ def test_criterion_01_bezout_identity(worked_run):
     worst = 0.0
     for s in np.linspace(0.0, 1.0, 20):
         g = glue.g_eval(glued, z, [s])
-        f = family.values(z, [s])[0]
+        f = family_values(family, z, [s])[0]
         worst = max(worst, float(np.abs((g * f).sum(axis=0) - 1.0).max()))
     ok = worst <= 1e-12 and worked_run["elapsed"] <= 30.0
     _report(1, ok, f"max |g^T f - 1| = {worst:.3e} <= 1e-12 on the "
@@ -114,19 +114,21 @@ def test_criterion_04_partition_of_unity():
         cover_pou.PartitionOfUnity(
             cover_pou.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.45)),
     ]
-    worst_sum = 0.0
+    worst_sum = worst_ref = 0.0
     support_exact = True
     for pou in pous:
         box = pou.cover.box
         centers = np.asarray(pou.cover.centers)
         for _ in range(10_000 // len(pous)):
             s = np.array([rng.uniform(a, b) for a, b in box])
-            b_vals = pou.bump_values(s)
-            total = b_vals.sum()
-            worst_sum = max(worst_sum, abs(float((b_vals / total).sum()) - 1.0))
+            w = pou.weights(s)
+            worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
             dist = np.sqrt(((s - centers) ** 2).sum(-1))
-            if np.any((dist >= pou.cover.radius) & (b_vals != 0.0)):
+            if np.any((dist >= pou.cover.radius) & (w != 0.0)):
                 support_exact = False
+            # the order-0 jets against the mollifier formula
+            b_vals = bump_values(pou, s)
+            worst_ref = max(worst_ref, float(np.abs(w - b_vals / b_vals.sum()).max()))
     worst_dsum = 0.0
     for pou in pous:
         box = pou.cover.box
@@ -135,12 +137,12 @@ def test_criterion_04_partition_of_unity():
             [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
         for _ in range(300):
             s = np.array([rng.uniform(a, b) for a, b in box])
-            for alpha in orders:
-                worst_dsum = max(worst_dsum,
-                                 abs(float(pou.derivs(s, alpha).sum())))
-    ok = worst_sum <= 1e-12 and support_exact and worst_dsum <= 1e-9
+            for d in pou.derivs(s, orders):
+                worst_dsum = max(worst_dsum, abs(float(d.sum())))
+    ok = worst_sum <= 1e-12 and support_exact and worst_ref <= 1e-14 and worst_dsum <= 1e-9
     _report(4, ok, f"max |sum eta - 1| = {worst_sum:.2e} over 1e4 points; "
-                   f"support exact: {support_exact}; max |sum d^a eta| = "
+                   f"support exact: {support_exact}; max |eta - formula| = "
+                   f"{worst_ref:.2e}; max |sum d^a eta| = "
                    f"{worst_dsum:.2e} for |a| in {{1,2}}")
 
 
@@ -171,7 +173,7 @@ def test_criterion_06_exact_family_cross_check(worked_run):
     worst_deriv = 0.0
     for s in (0.0, 0.5, 1.0):
         g = glue.g_eval(glued, 0.0, [s])
-        f2 = family.values(0.0, [s])[0][1]
+        f2 = family_values(family, 0.0, [s])[0][1]
         worst_identity = max(worst_identity, abs(g[1] * f2 - 1.0))
         d1 = smoothness.g_partial(glued, 0.0, [s], (1,))[1]
         exact = -3.0 / (2.0 + s) ** 2

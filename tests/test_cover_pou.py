@@ -58,19 +58,27 @@ def test_cover_invariants_random_radii(rng):
 
 
 def test_bump_profile():
-    assert cp.bump(0.0) == pytest.approx(math.exp(-1.0))
-    assert cp.bump(1.0) == 0.0
-    assert cp.bump(0.9999999) == 0.0  # clamped zone
-    assert cp.bump(-2.0) == 0.0
-    assert cp.bump(0.5) == pytest.approx(math.exp(-1.0 / 0.75))
+    # the bump exists only as jets: its value is the order-0 entry
+    pou = cp.PartitionOfUnity(cp.Cover(((0.0,), (1.0,)), 1.0, ((0.0, 1.0),)))
+
+    def value(t):
+        diff = np.array([[t]])
+        return float(pou._bump_jets(diff, (diff ** 2).sum(-1), 0)[0, 0])
+
+    assert value(0.0) == pytest.approx(math.exp(-1.0))
+    assert value(0.5) == pytest.approx(math.exp(-1.0 / 0.75))
+    assert value(-0.5) == value(0.5)
+    # from (1 - BUMP_CLAMP) r on, center 0 is not built and weighs exactly 0
+    for s in (0.9999999, 1.0):
+        assert pou.weights([s])[0] == 0.0
 
 
 def test_weights_single_center():
     pou = cp.PartitionOfUnity(cp.build_cover([(0.0, 1.0)], math.inf))
     for s in (0.0, 0.31, 1.0):
         np.testing.assert_allclose(pou.weights([s]), [1.0])
-        assert np.all(pou.derivs([s], (1,)) == 0.0)
-        assert np.all(pou.derivs([s], (2,)) == 0.0)
+        for d in pou.derivs([s], [(1,), (2,)]):
+            assert np.all(d == 0.0)
 
 
 def test_weights_partition_and_support(rng):
@@ -102,7 +110,7 @@ def test_derivs_match_finite_differences_midpoint():
     pou = cp.PartitionOfUnity(cover)
     assert _covers_box(cover)
     h = 1e-4 * cover.radius
-    d1 = pou.derivs([0.5], (1,))
+    (d1,) = pou.derivs([0.5], [(1,)])
     fd1 = (pou.weights([0.5 + h]) - pou.weights([0.5 - h])) / (2 * h)
     assert np.abs(d1 - fd1).max() <= 1e-6 * max(1.0, float(np.abs(d1).max()))
 
@@ -120,12 +128,11 @@ def test_derivs_match_finite_differences_random(rng):
         return pou.weights([x])
 
     for s in rng.uniform(0.05, 0.95, 100):
-        d1 = pou.derivs([s], (1,))
+        d1, d2 = pou.derivs([s], [(1,), (2,)])
         fd1 = (-weights(s + 2 * h) + 8 * weights(s + h)
                - 8 * weights(s - h) + weights(s - 2 * h)) / (12 * h)
         scale = max(1.0, float(np.abs(d1).max()))
         assert np.abs(d1 - fd1).max() <= 1e-6 * scale
-        d2 = pou.derivs([s], (2,))
         fd2 = (-weights(s + 2 * h) + 16 * weights(s + h) - 30 * weights(s)
                + 16 * weights(s - h) - weights(s - 2 * h)) / (12 * h * h)
         scale2 = max(1.0, float(np.abs(d2).max()))
@@ -137,8 +144,8 @@ def test_derivative_sums_vanish(rng):
     pou = cp.PartitionOfUnity(cover)
     for _ in range(500):
         s = [rng.uniform(0.0, 1.0)]
-        for alpha in ((1,), (2,)):
-            assert abs(pou.derivs(s, alpha).sum()) <= 1e-9
+        for d in pou.derivs(s, [(1,), (2,)]):
+            assert abs(d.sum()) <= 1e-9
 
 
 def test_derivative_sums_vanish_2d(rng):
@@ -146,8 +153,8 @@ def test_derivative_sums_vanish_2d(rng):
     pou = cp.PartitionOfUnity(cover)
     for _ in range(100):
         s = rng.uniform(0.0, 1.0, 2)
-        for alpha in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-            assert abs(pou.derivs(s, alpha).sum()) <= 1e-9
+        for d in pou.derivs(s, [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]):
+            assert abs(d.sum()) <= 1e-9
 
 
 def test_pou_eval_midpoint_two_centers():
@@ -255,6 +262,28 @@ def test_weight_jets_block_equals_points_bit_for_bit(rng, box, radius):
         assert got.shape == (pou.size, len(jets.multi_indices(len(box), order)), len(block))
         for i, s in enumerate(block):
             assert same_bits(got[..., i], pou.weight_jets(s, order))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bump_jets_equal_the_product_build_bit_for_bit(rng, dim):
+    # u = |s - c|^2 / r^2 written down as a quadratic gives the bits of u
+    # built as the jet product sum_i (s_i - c_i)^2, divided by r^2
+    box = [(0.0, 1.0)] * dim
+    pou = cp.PartitionOfUnity(cp.build_cover(box, 0.3))
+    r = pou.cover.radius
+    diff = rng.uniform(-0.3, 0.3, (40, dim)) * rng.choice([1.0, -1.0, 0.0], (40, dim))
+    sq = (diff ** 2).sum(-1)
+    for order in range(5):
+        u = jets.jet_const(0.0, dim, order, (len(diff),))
+        for axis in range(dim):
+            xi = jets.jet_const(diff[:, axis], dim, order, (len(diff),))
+            if order >= 1:
+                xi[jets.position(np.eye(dim, dtype=int)[axis], order)] = 1.0
+            u += jets.jet_mul(xi, xi, dim, order)
+        u /= r * r
+        v = jets.jet_const(1.0, dim, order, (len(diff),)) - u
+        want = jets.jet_exp(-jets.jet_reciprocal(v, dim, order), dim, order)
+        assert same_bits(pou._bump_jets(diff, sq, order), want), order
 
 
 def test_weight_jets_block_witness_is_the_first_failing_point():

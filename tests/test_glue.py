@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (constant_family, rational_gcd_family, stack, steep_family,
-                      two_param_family, worked_family)
+from conftest import (bump_values, constant_family, family_values, frozen_values,
+                      rational_gcd_family, stack, steep_family, two_param_family,
+                      worked_family)
 from coronaglue import glue, hnorm
 from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
 from coronaglue.config import SolverSettings
@@ -60,18 +61,18 @@ def _point_set(cover, family, options=SolverSettings()):
 
 
 def _reference_phi(family, pou, points, z, s):
-    """The per-point evaluator the blocked one replaced: weights at one
-    point, gtilde term by term in cover order, f through freeze and
-    CPoly.eval; returns (phi, gtilde)."""
+    """Reference: the evaluator one point at a time by the formulas, weights
+    from the mollifier (``bump_values``), gtilde term by term in cover order,
+    f through freeze and CPoly.eval; returns (phi, gtilde)."""
     z = np.asarray(z, dtype=complex)
+    bumps = bump_values(pou, s)
     gt = np.zeros((len(points.solutions[0].g),) + z.shape, dtype=complex)
-    for w, sol in zip(pou.weights(s), points.solutions):
+    for w, sol in zip(bumps / bumps.sum(), points.solutions):
         if w == 0.0:
             continue
         for m, gm in enumerate(sol.g):
             gt[m] += w * np.asarray(gm.eval(z))
-    fv = np.stack([p.eval(z) for p in family.freeze(s)])
-    return (gt * fv).sum(axis=0), gt
+    return (gt * frozen_values(family, z, [s])[0]).sum(axis=0), gt
 
 
 def _two_param_points():
@@ -115,11 +116,33 @@ def test_evaluator_matches_per_point_reference(steep_solution, monkeypatch, case
         assert len(block.s) <= evaluator.block_size
         for i, s in enumerate(block.s):
             assert tuple(s) == grid[seen]
+            # a point of a block has the bits it has alone
+            alone = glue.GluedEvaluator(family, pou, points, z).at([s])
+            for name in ("gtilde", "f", "phi"):
+                assert getattr(block, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
+            # and the formulas' values to within 1e-14 (values are O(1))
             phi, gt = _reference_phi(family, pou, points, z, s)
-            assert block.phi[i].tobytes() == phi.tobytes()
-            assert block.gtilde[i].tobytes() == gt.tobytes()
+            np.testing.assert_allclose(block.phi[i], phi, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(block.gtilde[i], gt, rtol=0, atol=1e-14)
             seen += 1
     assert seen == len(grid)
+
+
+@pytest.mark.parametrize("which", ["steep", "two_param"])
+def test_values_are_the_order_0_entries_of_every_jet(rng, steep_solution,
+                                                     two_param_solution, which):
+    # one evaluator: a value is the order-0 jet, and a jet of any order
+    # holds the same bits in its order-0 entry
+    glued = steep_solution if which == "steep" else two_param_solution
+    evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points,
+                                    hnorm.boundary_points(32))
+    s = rng.uniform(*np.array(glued.family.box).T, (9, glued.family.dim))
+    block = evaluator.at(s)
+    for order in range(5):
+        gtilde, f, phi = evaluator.jets(s, order)
+        assert gtilde[0].swapaxes(0, 1).tobytes() == block.gtilde.tobytes()
+        assert f[0].swapaxes(0, 1).tobytes() == block.f.tobytes()
+        assert phi[0].tobytes() == block.phi.tobytes()
 
 
 def test_batched_weights_match_per_point_bit_for_bit(rng):
@@ -231,7 +254,7 @@ def test_g_eval_identity_grid(worked_solution):
     sup_norm = 0.0
     for s in np.linspace(0, 1, 20):
         g = glue.g_eval(glued, z, [s])
-        f = family.values(z, [s])[0]
+        f = family_values(family, z, [s])[0]
         worst = max(worst, float(np.abs((g * f).sum(axis=0) - 1.0).max()))
         sup_norm = max(sup_norm, float(np.sqrt((np.abs(g) ** 2).sum(axis=0)).max()))
     assert worst <= 1e-12
@@ -299,7 +322,7 @@ def test_solve_two_parameter_family():
     z = 0.5 * np.exp(2j * np.pi * np.arange(16) / 16)
     for s in ([0.0, 0.0], [1.0, 0.0], [0.7, 0.9]):
         g = glue.g_eval(glued, z, s)
-        f = glued.family.values(z, s)[0]
+        f = family_values(glued.family, z, s)[0]
         assert float(np.abs((g * f).sum(axis=0) - 1.0).max()) <= 1e-12
 
 

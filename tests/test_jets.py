@@ -12,6 +12,14 @@ from coronaglue import jets
 DIM_ORDER = st.tuples(st.integers(1, 2), st.integers(0, 6))
 
 
+def jet_variable(value, axis, dim, order):
+    """Jet of the coordinate function s_axis at the point ``value``."""
+    out = jets.jet_const(value, dim, order, dtype=float)
+    if order >= 1:
+        out[jets.position([int(i == axis) for i in range(dim)], order)] = 1.0
+    return out
+
+
 def test_mul_matches_polynomial_product():
     # (1 + 2x)(3 - x) truncated at order 2 = 3 + 5x - 2x^2
     a = np.array([1.0, 2.0, 0.0])
@@ -27,7 +35,7 @@ def test_reciprocal_univariate():
 
 def test_exp_univariate():
     # exp(x) jet: 1/k!
-    x = jets.jet_variable(0.0, 0, 1, 5)
+    x = jet_variable(0.0, 0, 1, 5)
     out = jets.jet_exp(x, 1, 5)
     np.testing.assert_allclose(out, [1 / math.factorial(k) for k in range(6)])
 
@@ -35,7 +43,7 @@ def test_exp_univariate():
 def test_exp_reciprocal_compose_against_closed_form():
     # h(x) = exp(-1/(1+x)); h'(x) = h(x)/(1+x)^2 at x = 0.3
     x0 = 0.3
-    v = jets.jet_variable(1.0 + x0, 0, 1, 3)
+    v = jet_variable(1.0 + x0, 0, 1, 3)
     w = jets.jet_reciprocal(v, 1, 3)
     h = jets.jet_exp(-w, 1, 3)
     val = math.exp(-1.0 / (1.0 + x0))
@@ -46,8 +54,8 @@ def test_exp_reciprocal_compose_against_closed_form():
 
 def test_bivariate_product_and_extract():
     # f = (1 + x)(1 + 2y): d^2 f / dx dy = 2
-    fx = jets.jet_variable(1.0, 0, 2, 2)
-    fy = jets.jet_const(1.0, 2, 2) + 2.0 * jets.jet_variable(0.0, 1, 2, 2)
+    fx = jet_variable(1.0, 0, 2, 2)
+    fy = jets.jet_const(1.0, 2, 2) + 2.0 * jet_variable(0.0, 1, 2, 2)
     f = jets.jet_mul(fx, fy, 2, 2)
     assert jets.jet_extract(f, (1, 1), 2) == pytest.approx(2.0)
     assert jets.jet_extract(f, (0, 0), 2) == pytest.approx(1.0)
@@ -59,10 +67,10 @@ def test_bivariate_reciprocal_matches_finite_differences():
 
     x0, y0 = 0.2, -0.1
     den = (jets.jet_const(2.0, 2, 2)
-           + jets.jet_variable(x0, 0, 2, 2)
-           + 0.5 * jets.jet_variable(y0, 1, 2, 2)
-           + 0.25 * jets.jet_mul(jets.jet_variable(x0, 0, 2, 2),
-                                 jets.jet_variable(y0, 1, 2, 2), 2, 2))
+           + jet_variable(x0, 0, 2, 2)
+           + 0.5 * jet_variable(y0, 1, 2, 2)
+           + 0.25 * jets.jet_mul(jet_variable(x0, 0, 2, 2),
+                                 jet_variable(y0, 1, 2, 2), 2, 2))
     rec = jets.jet_reciprocal(den, 2, 2)
     h = 1e-5
     fd_xy = (func(x0 + h, y0 + h) - func(x0 + h, y0 - h)
@@ -150,7 +158,7 @@ def test_exp_of_linear_jet(dim_order):
     # exp(x) in 1-D and exp(x + 2y) in 2-D at the origin: the coefficient of
     # x^i y^j is 2^j / (i! j!)
     dim, order = dim_order
-    lin = sum((axis + 1.0) * jets.jet_variable(0.0, axis, dim, order)
+    lin = sum((axis + 1.0) * jet_variable(0.0, axis, dim, order)
               for axis in range(dim))
     expected = [math.prod((axis + 1.0) ** g / math.factorial(g)
                           for axis, g in enumerate(gamma))

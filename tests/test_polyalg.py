@@ -7,9 +7,11 @@ from numpy.polynomial import polynomial as npp
 
 import spoly_reference
 import tensor_jets
-from conftest import (components, partial_s, random_cpoly, same_bits, stack,
-                      three_component_family, with_zero_component, worked_family)
-from coronaglue import hnorm, jets
+from conftest import (components, family_values, frozen_values, partial_s, random_cpoly,
+                      same_bits, stack, three_component_family, with_zero_component,
+                      worked_family)
+from coronaglue import glue, hnorm, jets
+from coronaglue.cover_pou import Cover, PartitionOfUnity
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
     CPoly,
@@ -35,20 +37,26 @@ def test_canonical_form():
 
 def test_family_values_examples():
     family = worked_family()
-    np.testing.assert_allclose(family.values(1.0, [0.0])[0], [1.0, 1.0])
-    np.testing.assert_allclose(family.values(0.0, [1.0])[0], [0.0, 3.0])
+    np.testing.assert_allclose(family_values(family, 1.0, [0.0])[0], [1.0, 1.0])
+    np.testing.assert_allclose(family_values(family, 0.0, [1.0])[0], [0.0, 3.0])
     one = ParamFamily(ZSPoly([[SPoly([1.0])]]), [(0.0, 1.0)])
-    np.testing.assert_allclose(one.values(0.3 + 0.1j, [0.7])[0], [1.0])
+    np.testing.assert_allclose(family_values(one, 0.3 + 0.1j, [0.7])[0], [1.0])
 
 
 def test_family_values_rejects_outside_domain():
+    # the one evaluation path refuses a point outside the box
     family = worked_family()
-    with pytest.raises(DomainError):
-        family.values(0.0, [1.5])
-    with pytest.raises(DomainError):
-        family.values(0.0, [[0.5], [-0.2]])
-    with pytest.raises(DomainError):
-        family.values(0.0, [math.nan])
+    cover = Cover(((0.5,),), math.inf, family.box)
+    evaluator = glue.GluedEvaluator(family, PartitionOfUnity(cover),
+                                    glue.solve_at_samples(family, cover), [0.0])
+    for points in ([1.5], [[0.5], [-0.2]], [math.nan]):
+        with pytest.raises(DomainError):
+            evaluator.at(points)
+        with pytest.raises(DomainError):
+            evaluator.jets(np.reshape(points, (-1, 1)), 2)
+    # a block is checked at once, and the message names its first point outside
+    with pytest.raises(DomainError, match=r"point \[-0\.2\] lies outside"):
+        family.require_inside([[0.5], [-0.2], [2.0]])
 
 
 @pytest.mark.parametrize("family, points", [
@@ -65,27 +73,30 @@ def test_family_values_rejects_outside_domain():
     (three_component_family(), [[0.0], [0.5], [0.123456789], [1.0]]),
     (with_zero_component(worked_family()), [[0.0], [0.3], [1.0]]),
 ])
-def test_family_values_match_freeze_bit_for_bit(rng, family, points):
+def test_family_values_match_freeze(rng, family, points):
+    # the values are the order-0 Taylor coefficients; Horner through freeze
+    # and the per-component Horner of the reference sum the same terms in
+    # another order, so they agree to within 1e-14 (values are O(1))
     z = np.concatenate([[0.0], 0.9 * np.exp(2j * np.pi * rng.uniform(0, 1, 15))])
-    values = family.values(z, points)
+    values = family_values(family, z, points)
     for row, s in zip(values, points):
-        expected = np.stack([p.eval(z) for p in family.freeze(s)])
-        assert row.tobytes() == expected.tobytes()
-    # and what each component gives alone
-    assert same_bits(values, spoly_reference.values(components(family), z, points))
+        assert same_bits(row, family_values(family, z, [s])[0])
+    np.testing.assert_allclose(values, frozen_values(family, z, points), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(values, spoly_reference.values(components(family), z, points),
+                               rtol=0, atol=1e-14)
 
 
 def test_partial_s_examples():
     family = worked_family()
     d = partial_s(family, (1,))
-    np.testing.assert_allclose(d.values(0.5, [0.3])[0], [0.0, 1.0])
+    np.testing.assert_allclose(family_values(d, 0.5, [0.3])[0], [0.0, 1.0])
     same = partial_s(family, (0,))
     np.testing.assert_allclose(
-        same.values(0.5, [0.3])[0], family.values(0.5, [0.3])[0]
+        family_values(same, 0.5, [0.3])[0], family_values(family, 0.5, [0.3])[0]
     )
     sq = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([0.0, 0.0, 1.0])]]), [(0.0, 1.0)])
     dd = partial_s(sq, (2,))
-    np.testing.assert_allclose(dd.values(1.0, [0.5])[0], [2.0])
+    np.testing.assert_allclose(family_values(dd, 1.0, [0.5])[0], [2.0])
 
 
 def test_partial_s_commutes_exactly():
@@ -240,8 +251,9 @@ def test_partial_matches_finite_differences():
     h = 1e-4
     z = 0.4 + 0.3j
     for s in (0.25, 0.5, 0.75):
-        fd = (family.values(z, [s + h])[0] - family.values(z, [s - h])[0]) / (2 * h)
-        an = deriv.values(z, [s])[0]
+        fd = (family_values(family, z, [s + h])[0]
+              - family_values(family, z, [s - h])[0]) / (2 * h)
+        an = family_values(deriv, z, [s])[0]
         np.testing.assert_allclose(fd, an, rtol=1e-6, atol=1e-9)
 
 
@@ -352,8 +364,12 @@ def test_zspoly_table_matches_the_per_power_reference(dim, seed):
             assert _same(p.taylor_coeffs(s, order, z)[:, 0], r.taylor_coeffs(s, order, z))
             assert _same(p.taylor_coeffs(points, order, z[None])[:, 0],
                          r.taylor_coeffs(points, order, z[None]))
+    # the order-0 Taylor coefficients against the reference's Horner, which
+    # sums the same terms in another order: within 1e-14 of the values' scale
     family = ParamFamily(stack(pa, pb), box)
-    assert same_bits(family.values(z, points), spoly_reference.values([a, b], z, points))
+    want = spoly_reference.values([a, b], z, points)
+    np.testing.assert_allclose(family_values(family, z, points), want, rtol=0,
+                               atol=1e-14 * max(1.0, float(np.abs(want).max())))
 
 
 def test_zspoly_trims_trailing_zero_z_powers():

@@ -26,7 +26,9 @@ _spec.loader.exec_module(same_outputs)
     ("a.csv", "k,re_g\n0,0.25\n", "k,re_g\n0,0.5\n",
      "largest relative difference 0.5, 0.25 vs 0.5"),
     ("a.csv", "k,re_g\n0,0.25\n", "k,im_g\n0,0.25\n", "structure differs"),
-    ("a.stdout", "c0 1\n", "c0 2\n", None),
+    # numbers inside text count as numbers: a console line or a check's
+    # detail differs in structure only where the words around them do
+    ("a.stdout", "c0 1\n", "c0 2\n", "largest relative difference 0.5, 1 vs 2"),
     # the scale is the largest magnitude on either side, anywhere in the file;
     # a number far above the rounding floor also reads relative to itself
     ("a.csv", "k,re_g\n0,8\n1,1e-3\n", "k,re_g\n0,8\n1,1.001e-3\n",
@@ -39,6 +41,23 @@ _spec.loader.exec_module(same_outputs)
      "0.5 relative to the pair, 1e-13 vs 2e-13"),
     ("a.json", {"g": [0.0, 0.5]}, {"g": [5e-17, 0.5]},
      "largest relative difference 1e-16, 0 vs 5e-17"),
+    # a flipped check is structure; an exit code file is not compared by number
+    ("a.stdout", "[PASS] pou_sum: 0\n", "[FAIL] pou_sum: 0\n", "structure differs"),
+    ("a.code", "0\n", "1\n", None),
+    ("a.verify-report.json",
+     {"checks": [{"name": "pou_sum", "detail": "max |sum eta - 1| = 0 over 8 points"}]},
+     {"checks": [{"name": "pou_sum", "detail": "max |sum eta - 1| = 1.1e-16 over 8 points"}]},
+     "largest relative difference 1.4e-17, 0 vs 1.1e-16"),
+    ("a.json", {"detail": "tolerance 1e-12, h = 0.0001."},
+     {"detail": "tolerance 1e-12, h = 0.0002."},
+     "largest relative difference 0.5, 0.0001 vs 0.0002"),
+    # digits inside a word are text, a NaN on both sides is no difference,
+    # and an imaginary part is the number between its sign and its j
+    ("a.json", {"name": "fd_order_1"}, {"name": "fd_order_2"}, "structure differs"),
+    ("a.json", {"name": "C1", "g": "nan", "c0": 1.0}, {"name": "C1", "g": "nan", "c0": 2.0},
+     "largest relative difference 0.5, 1 vs 2"),
+    ("a.stderr", "z = (0.5-0.25j)\n", "z = (0.5-0.5j)\n",
+     "largest relative difference 0.5, 0.25 vs 0.5"),
 ])
 def test_difference_size(tmp_path, name, old, new, expected):
     paths = []

@@ -17,12 +17,15 @@ change that adds a config or a benchmark family is compared with OLD on it:
 It compares exit codes, console output, solution files, CSVs and summaries
 byte for byte, and the check, solve and verify reports with their
 ``timings`` removed.  It prints every file that differs and exits 1 if any
-does, 0 if none does.  For a JSON or CSV file that differs, it also prints
-the largest difference between the numbers at matching positions, relative
-to the largest magnitude of any number in the two files, with the two
-numbers, or that the structure differs: a last-bit change of a number that
-is zero on one side reads as the rounding it is, not as a relative
-difference of 1.  Where a number above 1e-14 of that scale changed by more
+does, 0 if none does.  For a JSON, CSV or console output file that differs,
+it also prints the largest difference between the numbers at matching
+positions, relative to the largest magnitude of any number in the two
+files, with the two numbers, or that the structure differs: a last-bit
+change of a number that is zero on one side reads as the rounding it is,
+not as a relative difference of 1.  Numbers written inside text (a verify
+check's ``detail``, a console line) count as numbers, so the structure
+differs only where the text around them does, such as a flipped
+``[PASS]``.  Where a number above 1e-14 of that scale changed by more
 relative to itself, the largest such change follows, relative to the two
 numbers themselves, so a real change in a small number does not read as
 rounding.  The work directories are kept when files differ.
@@ -34,6 +37,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -45,6 +49,11 @@ SEEDS = (1, 2)
 SOLUTION_FILE = "corrupted_solution.json"
 REPORTS = (".check.json", ".solve-report.json", ".verify-report.json")
 ROUNDING_FLOOR = 1e-14   # a number below this share of the file's scale is noise
+TEXT = (".stdout", ".stderr")
+# a number inside text, not part of a word such as fd_order_1 or C2; a
+# trailing j (an imaginary part) stays in the text
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:nan|inf|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)"
+                    r"(?=j\b|(?!\w|\.\d))")
 
 
 def _load_workloads(tree, name):
@@ -142,6 +151,9 @@ def _numbers(value, out):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         out.append(float(value))
         return None
+    if isinstance(value, str):
+        out.extend(map(float, NUMBER.findall(value)))
+        return NUMBER.sub("\0", value)
     return value
 
 
@@ -153,15 +165,17 @@ def _csv_cell(cell):
 
 
 def difference_size(old, new):
-    """How far apart two differing JSON or CSV files are; None for any other
-    file, or a file present on one side only."""
-    if old.suffix not in (".json", ".csv") or not (old.is_file() and new.is_file()):
+    """How far apart two differing JSON, CSV or console output files are;
+    None for any other file, or a file present on one side only."""
+    if old.suffix not in (".json", ".csv") + TEXT or not (old.is_file() and new.is_file()):
         return None
     numbers, shapes = ([], []), []
     for path, out in zip((old, new), numbers):
         if path.suffix == ".csv":
             value = [[_csv_cell(cell) for cell in line.split(",")]
                      for line in path.read_text().splitlines()]
+        elif path.suffix in TEXT:
+            value = path.read_text().splitlines()
         else:
             try:
                 value = json.loads(_content(path))
@@ -170,7 +184,8 @@ def difference_size(old, new):
         shapes.append(_numbers(value, out))
     if shapes[0] != shapes[1]:
         return "structure differs"
-    pairs = [pair for pair in zip(*numbers) if pair[0] != pair[1]]
+    # a NaN on both sides is no difference
+    pairs = [(a, b) for a, b in zip(*numbers) if a != b and (a == a or b == b)]
     if not pairs:
         return "largest relative difference 0"
     scale = max((abs(x) for x in numbers[0] + numbers[1] if math.isfinite(x)), default=0.0)
