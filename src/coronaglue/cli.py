@@ -352,7 +352,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"(tolerance {POU_DERIV_TOL})", dsum.witness)
 
     # derivative spot checks against central differences: one block per
-    # multi-index, each point's stencil at its own z
+    # order, each point's stencils at its own z
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
@@ -364,13 +364,12 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
                               math.sin(rng.uniform(0, 2 * math.pi))))
         s = np.array(points)
         alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
-        devs, breaches = zip(*(smoothness.fd_deviations(glued, zs, s, alpha, h)
-                               for alpha in alphas))
+        devs, breaches = smoothness.fd_deviations(glued, zs, s, alphas, h)
         # point by point, each point's multi-indices in order; a tripped
         # guard skips its deviation and the first one is the witness
-        breaches = [b for point in zip(*breaches) for b in point]
+        breaches = [b for point in breaches for b in point]
         fd_breach = next((b for b in breaches if b is not None), None)
-        devs = np.stack(devs, axis=1).ravel()
+        devs = devs.ravel()
         devs[[b is not None for b in breaches]] = -math.inf
 
         def fd_witness(i):

@@ -14,6 +14,8 @@ Three layers:
   coefficient bounds, Taylor shift) runs on all components at once; a sum
   over z-powers runs once per run of components of equal z-count
   (``ZSPoly.z_groups``), so the padding of a short component costs nothing.
+  One kernel substitutes s, once per axis: :func:`_taylor_shift`, Horner at
+  order 0, for freezes, s-grid tables, coefficient bounds and jets alike.
 
 Everything is immutable after construction and safe to share across threads.
 """
@@ -21,10 +23,8 @@ Everything is immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from . import jets
 from .errors import DomainError
@@ -77,32 +77,16 @@ class CPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_cpoly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         out = np.zeros(n, dtype=complex)
         out[: len(self.coeffs)] += self.coeffs
         out[: len(other.coeffs)] += other.coeffs
         return CPoly(out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CPoly(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-_as_cpoly(other))
-
     def __mul__(self, other):
-        if isinstance(other, CPoly):
-            if self.is_zero or other.is_zero:
-                return CPoly.zero()
-            return CPoly(np.convolve(self.coeffs, other.coeffs))
-        return CPoly(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return CPoly(self.coeffs / complex(scalar))
+        if self.is_zero or other.is_zero:
+            return CPoly.zero()
+        return CPoly(np.convolve(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):
@@ -123,12 +107,6 @@ class CPoly:
         if acc.ndim == 0:
             return complex(acc)
         return acc
-
-
-def _as_cpoly(value) -> CPoly:
-    if isinstance(value, CPoly):
-        return value
-    return CPoly([complex(value)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +171,7 @@ class SPoly:
 
     def partial(self, axis: int) -> "SPoly":
         """Formal partial derivative along one parameter axis."""
-        return SPoly(npp.polyder(self.coeffs, m=1, axis=axis))
+        return SPoly(_derivative(self.coeffs, axis))
 
 
 def _pack(components):
@@ -214,53 +192,40 @@ def _points(s, dim):
     return s.reshape(-1, dim)
 
 
-def _taylor_shift(tables, points, order):
-    """Jets of total order ``order`` about every row of the (n, d) array
-    ``points`` of the polynomials whose coefficient tables are stacked on the
-    leading axis of ``tables``; shape (tables, n, jet size).
+def _taylor_shift(c, x, order):
+    """The Taylor coefficients of orders 0..order about ``x``, on a new
+    leading axis, of the polynomials whose coefficients run along the leading
+    axis of ``c`` (``x`` broadcasts against the others): synthetic division
+    by (t - x), repeated in place in one copy of the table (von zur Gathen
+    and Gerhard, ISSAC 1997), each pass leaving its value at the bottom.
+    Order 0 is Horner's accumulator alone, started as numpy's polyval starts
+    (c[-1] + x * 0), so it has polyval's bits, and no order depends on the
+    orders above it.  Coefficients above the degree are 0."""
+    top = c[-1] + x * 0
+    if not order:
+        for a in c[-2::-1]:
+            top *= x
+            top += a
+        return top[None]
+    work = np.zeros((max(len(c), order + 1),) + top.shape, top.dtype)
+    work[:len(c) - 1], work[len(c) - 1] = c[:-1], top
+    for k in range(min(order + 1, len(c))):
+        for j in range(len(c) - 2, k - 1, -1):
+            work[j] += work[j + 1] * x
+    return work[:order + 1]
 
-    A Taylor shift along each axis in turn, then the entries with
-    |gamma| <= order: the coefficient of h^k in p(x + h) is
-    sum_j C(j, k) x^(j-k) c_j, added in increasing j, so a lower order gives
-    exactly the truncated bits (unlike a BLAS contraction), and every table
-    and point gets the bits it gets alone."""
-    order = int(order)
-    out = tables[:, None]
-    for axis, x in enumerate(points.T):
-        binom, power = _shift_table(out.shape[2 + axis], order)
-        weights = binom * x[:, None, None] ** power
-        # the shifted axis last, its order-k axis put back in its place
-        moved = np.moveaxis(out, 2 + axis, -1)
-        lead = (1, len(x)) + (1,) * (moved.ndim - 3)
-        terms = (moved[..., j, None] * weights[:, :, j].reshape(lead + (-1,))
-                 for j in range(moved.shape[-1]))
-        out = np.moveaxis(functools.reduce(np.add, terms), -1, 2 + axis)
-    return out[(slice(None), slice(None)) + _jet_entries(points.shape[1], order)]
 
-
-def _polyval_axes(points, coeffs):
-    """Horner along the leading coefficient axis once per entry of
-    ``points``, as numpy's polyval2d and polygrid2d do: scalars evaluate at a
-    point, 1-D arrays on their tensor grid."""
-    for x in points:
-        coeffs = npp.polyval(x, coeffs)
-    return coeffs
+def _derivative(table, axis):
+    """The formal derivative along one axis, with numpy's polyder bits."""
+    c = np.moveaxis(table, axis, 0)
+    n = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return np.moveaxis(c[1:] * n if len(c) > 1 else c[:1] * 0, 0, axis)
 
 
 @functools.lru_cache(maxsize=None)
 def _jet_entries(dim, order):
     """Index arrays picking the jet layout out of an (order + 1)^dim table."""
     return tuple(np.array(jets.multi_indices(dim, order)).T)
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_table(n, order):
-    """C(j, k) and max(j - k, 0) for 0 <= k <= order, 0 <= j < n; C(j, k) is
-    zero for k > j."""
-    table = np.array([[(math.comb(j, k), max(j - k, 0)) for j in range(n)]
-                      for k in range(order + 1)], dtype=float)
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table[..., 0], table[..., 1]
 
 
 class ZSPoly:
@@ -327,12 +292,12 @@ class ZSPoly:
 
     def partial(self, axis: int) -> "ZSPoly":
         """Formal partial derivative along one parameter axis."""
-        return ZSPoly(npp.polyder(self.coeffs, m=1, axis=axis + 2))
+        return ZSPoly(_derivative(self.coeffs, axis + 2))
 
     def _s_leading(self):
-        """The table with its component and z axes last, so that Horner in s
-        runs along the leading axes."""
-        return np.moveaxis(self.coeffs, (0, 1), (-2, -1))
+        """The table with its component and z axes last, so that a Taylor
+        shift in s runs along the leading axes."""
+        return self.coeffs.transpose(tuple(range(2, self.coeffs.ndim)) + (0, 1))
 
     def freeze(self, s) -> tuple:
         """Substitute the parameter, leaving one plain polynomial in z per
@@ -340,16 +305,21 @@ class ZSPoly:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if s.shape != (self.dim,):
             raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
-        return tuple(map(CPoly, _polyval_axes(s, self._s_leading())))
+        table = self._s_leading()
+        for x in s:
+            table = _taylor_shift(table, x, 0)[0]
+        return tuple(map(CPoly, table))
 
     def sgrid_table(self, axes):
         """The z-coefficients on the tensor s-grid spanned by ``axes``: an
-        array of shape ``(N,) + s_grid_shape + (n_z,)``."""
+        array of shape ``(N,) + s_grid_shape + (n_z,)``.  Each axis's samples
+        go on a new trailing axis, as in numpy's polygrid2d."""
         if len(axes) != self.dim:
             raise ValueError("one sample array per parameter axis required")
-        values = _polyval_axes([np.asarray(x, dtype=float) for x in axes],
-                               self._s_leading())
-        return np.ascontiguousarray(np.moveaxis(values, 1, -1), dtype=complex)
+        table = self._s_leading()
+        for x in axes:
+            table = _taylor_shift(table[..., None], np.asarray(x, dtype=float), 0)[0]
+        return np.ascontiguousarray(np.moveaxis(table, 1, -1), dtype=complex)
 
     def z_powers(self, z):
         """z^j for every z-power j of the table: an array of shape
@@ -375,8 +345,10 @@ class ZSPoly:
         """Per component and z-power, an upper bound for the coefficient
         magnitude on the box: sum_e |c_e| * prod_i max(|a_i|, |b_i|)**e_i;
         shape (N, n_z)."""
-        mags = [max(abs(a), abs(b)) for a, b in box]
-        return _polyval_axes(mags, np.abs(self._s_leading()))
+        table = np.abs(self._s_leading())
+        for a, b in box:
+            table = _taylor_shift(table, max(abs(a), abs(b)), 0)[0]
+        return table
 
     def taylor_coeffs(self, s0, order, z):
         """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
@@ -386,23 +358,29 @@ class ZSPoly:
         of ``z`` is 1 (every point reads the same z values) or n (each point
         reads its own).
 
-        One Taylor shift of the table, batched over the components, the
-        points and the z-powers, then one stacked matrix product per
-        :meth:`z_groups` run on its own z-powers (numpy computes a product
-        of one row, column or z-power apart from gemm, and there zero
-        padding would change its bits): every point and every component
+        One pass of the substitution kernel :func:`_taylor_shift` per
+        parameter axis (Horner's rule at order 0, so the values have the
+        bits of :meth:`freeze`), batched over the components, the z-powers
+        and the points (on a trailing axis), then one stacked matrix product
+        per :meth:`z_groups` run on its own z-powers (numpy computes a
+        product of one row, column or z-power apart from gemm, and there
+        zero padding would change its bits): every point and every component
         gets the bits it gets alone."""
         z = np.asarray(z, dtype=complex)
         points = _points(s0, self.dim)
         block = np.ndim(s0) == 2
         zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
         size, count = self.coeffs.shape[:2]
-        shifted = _taylor_shift(self.coeffs.reshape((-1,) + self.coeffs.shape[2:]),
-                                points, order)
+        # each shift puts its orders first; the swap brings the next s-axis
+        # to the front and leaves the orders in axis order
+        shifted = self._s_leading()[..., None]
+        for x in points.T:
+            shifted = _taylor_shift(shifted, x, order).swapaxes(0, self.dim - 1)
+        shifted = shifted[_jet_entries(self.dim, order)]
         # filled in place: the matrix product's bits follow its operands'
         # memory layout
-        tables = np.empty((size, len(points), shifted.shape[-1], count), dtype=complex)
-        tables[...] = np.moveaxis(shifted.reshape((size, count) + shifted.shape[1:]), 1, -1)
+        tables = np.empty((size, len(points), len(shifted), count), dtype=complex)
+        tables[...] = shifted.transpose(1, 3, 0, 2)
         powers = zf[:, None, :] ** np.arange(count)[:, None]
         jet = np.empty(tables.shape[:-1] + powers.shape[-1:], dtype=complex)
         for run, n in self.z_groups():

@@ -10,11 +10,11 @@ jet reciprocal, which is valid wherever |phi| >= 1/2.
 Every jet carries a trailing axis over a block of parameter points: the C^k
 report sweeps the evaluator's blocks of its s-grid and reads the norms of
 both g and f off the jets of that one pass (the data's jets are the ones phi
-is built from), and the finite-difference spot checks take one block per
-multi-index, each point and each of its stencil points at the point's own
-z.  The single-point :func:`g_partial` and :func:`fd_check` are blocks of
-one through the same code, and every point of a block gets the bits it gets
-alone.
+is built from), and the finite-difference spot checks take one jet pass and
+one stencil block per derivative order, each point and each of its stencil
+points at the point's own z.  The single-point :func:`g_partial` and
+:func:`fd_check` are blocks of one through the same code, and every point of
+a block gets the bits it gets alone.
 
 The norm reports never assert an inequality: the contract is finiteness
 (a NaN sample makes a maximum NaN) and stability under grid refinement, with
@@ -24,6 +24,7 @@ the g-to-f ratio left to the reader.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,49 +78,57 @@ def _stencil(alpha, h: float):
     return np.array([delta for delta, _ in stencil]), [c for _, c in stencil], scale
 
 
-def fd_deviations(glued: GluedSolution, z, s, alpha, h: float):
-    """Central-difference verification of :func:`g_partial` for |alpha| in
-    {1, 2} at the (n, d) block of points ``s``, point i at z[i].  Returns the
-    relative deviations, shape (n,) (absolute where the derivative is
-    numerically zero), and per point the |phi| >= 1/2 guard's
+def fd_deviations(glued: GluedSolution, z, s, alphas, h: float):
+    """Central-difference verification of :func:`g_partial` for each
+    multi-index in ``alphas`` (of order 1 or 2) at the (n, d) block of
+    points ``s``, point i at z[i].  Returns the relative deviations, shape
+    (n, len(alphas)) (absolute where the derivative is numerically zero),
+    and per point, per multi-index, the |phi| >= 1/2 guard's
     InternalInconsistency for its stencil, or None.
 
-    The stencil points are one block on their own evaluator, each at its
-    point's z only (``own_z``), so a point's stencil has the bits it has
-    alone, and the guard sees exactly those (point, z) pairs."""
+    All stencils are one block on their own evaluator, each stencil point
+    at its point's z only (``own_z``), and the derivatives come from one jet
+    pass, so a (point, multi-index) pair has the bits it has alone, and the
+    guard sees exactly its stencil's (point, z) pairs."""
     family = glued.family
-    alpha = as_alpha(alpha, family.dim)
-    offsets, weights, scale = _stencil(alpha, h)
+    alphas = [as_alpha(alpha, family.dim) for alpha in alphas]
+    stencils = [_stencil(alpha, h) for alpha in alphas]
     s = np.asarray(s, dtype=float)
     z = np.asarray(z, dtype=complex).ravel()
-    n, m = len(s), len(offsets)
-    stencil = s[:, None] + offsets
+    stencil = s[:, None] + np.concatenate([offsets for offsets, _, _ in stencils])
+    n, m = stencil.shape[:2]
     gtilde, f, phi = GluedEvaluator(family, glued.pou, glued.points, np.repeat(z, m)).jets(
         stencil.reshape(n * m, -1), 0, own_z=True)
     gtilde, f = (np.moveaxis(a[0], 0, 1).reshape(n, m, -1, 1) for a in (gtilde, f))
     phi = phi[0].reshape(n, m, 1)
-    breaches = [EvalBlock(stencil[i], z[i:i + 1], gtilde[i], f[i], phi[i]).breach()
-                for i in range(n)]
     g = gtilde[..., 0] / phi
-    fd = functools.reduce(np.add, [c * g[:, j] for j, c in enumerate(weights)]) / scale
 
-    order = sum(alpha)
+    order = max(map(sum, alphas))
     evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
-    g, _ = _solution_jets(evaluator, s, order, own_z=True)
-    # one contiguous row per point, as each point alone has it
-    analytic = np.ascontiguousarray(jets.jet_extract(g, alpha, order)[..., 0].T)
-    size = np.linalg.norm(analytic, axis=1)
-    return np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0), breaches
+    jet, _ = _solution_jets(evaluator, s, order, own_z=True)
+    devs, breaches = [], []
+    ends = itertools.accumulate(len(weights) for _, weights, _ in stencils)
+    for alpha, (_, weights, scale), end in zip(alphas, stencils, ends):
+        run = slice(end - len(weights), end)
+        breaches.append([EvalBlock(stencil[i, run], z[i:i + 1], gtilde[i, run], f[i, run],
+                                   phi[i, run]).breach() for i in range(n)])
+        fd = functools.reduce(np.add, [c * g[:, j] for j, c in
+                                       enumerate(weights, run.start)]) / scale
+        # one contiguous row per point, as each point alone has it
+        analytic = np.ascontiguousarray(jets.jet_extract(jet, alpha, order)[..., 0].T)
+        size = np.linalg.norm(analytic, axis=1)
+        devs.append(np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0))
+    return np.stack(devs, axis=1), [list(point) for point in zip(*breaches)]
 
 
 def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
-    """:func:`fd_deviations` at one point and one z value; raises the |phi|
-    guard's InternalInconsistency."""
-    dev, (breach,) = fd_deviations(glued, np.reshape(np.asarray(z, dtype=complex), 1),
-                                   [np.atleast_1d(np.asarray(s, dtype=float))], alpha, h)
+    """:func:`fd_deviations` at one point, one z value and one multi-index;
+    raises the |phi| guard's InternalInconsistency."""
+    dev, ((breach,),) = fd_deviations(glued, np.reshape(np.asarray(z, dtype=complex), 1),
+                                      [np.atleast_1d(np.asarray(s, dtype=float))], [alpha], h)
     if breach is not None:
         raise breach
-    return float(dev[0])
+    return float(dev[0, 0])
 
 
 @dataclass(frozen=True)

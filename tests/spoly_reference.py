@@ -16,6 +16,15 @@ from coronaglue import jets
 from coronaglue.polyalg import CPoly, _points, _taylor_shift, _trim_ndarray
 
 
+def _shifted(tables, points, order):
+    """The jets of the tables stacked on the leading axis about every row of
+    ``points``: shape (tables, n, jet size), one Taylor shift per axis."""
+    out = np.moveaxis(tables, 0, -1)[..., None]
+    for x in points.T:
+        out = np.moveaxis(_taylor_shift(out, x, order), 0, points.shape[1] - 1)
+    return np.stack([out[ix] for ix in jets.multi_indices(points.shape[1], order)], axis=-1)
+
+
 def _polyval_axes(points, coeffs):
     for x in points:
         coeffs = npp.polyval(x, coeffs)
@@ -144,7 +153,7 @@ class RefZSPoly:
             groups.setdefault((c.coeffs.shape, c.coeffs.dtype), []).append(i)
         for members in groups.values():
             stacked = np.stack([self.coeffs[i].coeffs for i in members])
-            tables[..., members] = np.moveaxis(_taylor_shift(stacked, points, order), 0, -1)
+            tables[..., members] = np.moveaxis(_shifted(stacked, points, order), 0, -1)
         powers = zf[:, None, :] ** np.arange(len(self.coeffs))[:, None]
         jet = np.moveaxis(np.matmul(tables, powers), 0, 1)
         return jet.reshape(jet.shape[:2] + z.shape[1:]) if block else \

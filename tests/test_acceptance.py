@@ -219,7 +219,7 @@ def test_criterion_08_bezout_suite():
             continue
         a, b = gcd_chain_bezout([p, q]).g
         checked += 1
-        worst = max(worst, np.abs((a * p + b * q - 1).coeffs).sum())
+        worst = max(worst, np.abs((a * p + b * q + CPoly([-1.0])).coeffs).sum())
     a, b = gcd_chain_bezout([CPoly([0, 1]), CPoly([1, -0.5])]).g
     exact = all(len(g.coeffs) == 1 and abs(g.coeffs[0] - c) <= 4 * np.spacing(c)
                 for g, c in ((a, 0.5), (b, 1.0)))

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +166,26 @@ def test_cli_check_exit_codes(tmp_path):
     assert cli.main(["check", "--config",
                      str(CONFIGS / "negative_common_zero.json")]) == 1
     assert cli.main(["check", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_commands_load_no_unused_numpy_subpackage(tmp_path):
+    # importing numpy.polynomial or numpy.ma costs every CLI process memory
+    # and start-up time; verify loads numpy.random by design, so it is not run
+    config, sol = str(CONFIGS / "worked_family.json"), str(tmp_path / "sol.json")
+    commands = [["check", "--config", config], ["solve", "--config", config, "--out", sol],
+                ["eval-grid", "--solution", sol, "--out", str(tmp_path / "grid.csv")]]
+    script = ("import json, sys\n"
+              "from coronaglue import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+              "    if m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma']))]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
 
 
 def test_cli_solve_verify_flow(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_sup_disc_scaling_equivariance(rng):
     p = random_cpoly(rng, 6)
     base = hnorm.sup_disc(p, 128)
     for c in (2.0, 0.5, 4.0):  # powers of two scale exactly
-        scaled = hnorm.sup_disc(p * c, 128)
+        scaled = hnorm.sup_disc(CPoly(p.coeffs * c), 128)
         assert scaled.lo == c * base.lo
         assert scaled.hi == c * base.hi
 

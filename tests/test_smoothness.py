@@ -212,14 +212,16 @@ def test_fd_deviations_equal_fd_check_bit_for_bit(rng, steep_solution,
     glued = steep_solution if which == "steep" else two_param_solution
     block = _interior_block(rng, glued, 9)
     zs = 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, len(block)))
-    for alpha in jets.multi_indices(glued.family.dim, 2):
-        if sum(alpha) == 0:
-            continue
-        h = 1e-4 if sum(alpha) == 1 else 1e-3
-        devs, breaches = smoothness.fd_deviations(glued, zs, block, alpha, h)
-        assert devs.shape == (len(block),) and breaches == [None] * len(block)
-        for i, s in enumerate(block):
-            assert same_bits(devs[i], np.float64(smoothness.fd_check(glued, zs[i], s, alpha, h)))
+    # every multi-index of one order in one call, as verify calls it
+    for order, h in ((1, 1e-4), (2, 1e-3)):
+        alphas = [a for a in jets.multi_indices(glued.family.dim, order) if sum(a) == order]
+        devs, breaches = smoothness.fd_deviations(glued, zs, block, alphas, h)
+        assert devs.shape == (len(block), len(alphas))
+        assert breaches == [[None] * len(alphas)] * len(block)
+        for k, alpha in enumerate(alphas):
+            for i, s in enumerate(block):
+                assert same_bits(devs[i, k],
+                                 np.float64(smoothness.fd_check(glued, zs[i], s, alpha, h)))
 
 
 def test_fd_deviations_guard_witness_equals_fd_check(steep_solution):
@@ -229,11 +231,13 @@ def test_fd_deviations_guard_witness_equals_fd_check(steep_solution):
     glued = _with_point_solution(steep_solution, 1, lambda gm: CPoly(0.1 * gm.coeffs))
     block = np.linspace(0.06, 0.94, 12)[:, None]
     zs = 0.3 * np.exp(2j * np.pi * np.arange(len(block)) / len(block))
-    devs, breaches = smoothness.fd_deviations(glued, zs, block, (2,), 1e-3)
+    devs, breaches = smoothness.fd_deviations(glued, zs, block, [(2,)], 1e-3)
+    breaches = [b for (b,) in breaches]
     assert any(b is None for b in breaches) and any(b is not None for b in breaches)
     for i, (s, breach) in enumerate(zip(block, breaches)):
         if breach is None:
-            assert same_bits(devs[i], np.float64(smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)))
+            assert same_bits(devs[i, 0],
+                             np.float64(smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)))
             continue
         with pytest.raises(InternalInconsistency) as info:
             smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)
