@@ -33,6 +33,10 @@ POU_DERIV_TOL = 1e-9
 FD_TOLS = {1: (1e-4, 1e-6), 2: (1e-3, 1e-4)}
 _POU_RANDOM_SAMPLES = 10_000
 _FD_RANDOM_POINTS = 20
+# the seeded (state, increment) of numpy's default_rng(0), a PCG64 generator,
+# and its 128-bit LCG multiplier
+_PCG64_SEED0 = (0x1aa1b5345996452d09585eb7a69561e3, 0x418ddadb3af71a82588133bc447873a9)
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 
 
 @dataclass
@@ -215,11 +219,35 @@ def cmd_solve(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+class _Stream:
+    """The doubles of numpy's ``default_rng(0)``, bit for bit, without
+    importing numpy.random: each draw steps the 128-bit LCG, takes the XSL-RR
+    output rotr64(hi ^ lo, state >> 122) and returns (x >> 11) 2^-53."""
+
+    def __init__(self):
+        self.state, self.inc = _PCG64_SEED0
+
+    def random(self, n: int) -> np.ndarray:
+        state, inc, mask, out = self.state, self.inc, (1 << 64) - 1, []
+        for _ in range(n):
+            state = (state * _PCG64_MULT + inc) & ((1 << 128) - 1)
+            x, rot = ((state >> 64) ^ state) & mask, state >> 122
+            out.append(((x >> rot | x << (64 - rot)) & mask) >> 11)
+        self.state = state
+        return np.array(out, dtype=float) * 2.0 ** -53
+
+    def uniform(self, lows, highs, n: int) -> np.ndarray:
+        """``n`` points of the box [lows, highs], (n, d), as numpy's
+        ``uniform(lows, highs, (n, d))`` computes them: lows + (highs - lows) u."""
+        lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
+        return lows + (highs - lows) * self.random(n * lows.size).reshape(n, lows.size)
+
+
 def _uniform_blocks(rng, lows, highs, count, size):
     """``count`` points drawn uniformly from the box [lows, highs], in (n, d)
     blocks of at most ``size`` rows: the same stream as one by one."""
     for start in range(0, count, size):
-        yield rng.uniform(lows, highs, (min(size, count - start), len(lows)))
+        yield rng.uniform(lows, highs, min(size, count - start))
 
 
 def _interior(box, margin):
@@ -323,8 +351,9 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
                      f"certificates of {glued.cover.size} point solution(s) recomputed", mismatch)
 
     # partition of unity: sum and derivative sums; the random points are
-    # drawn in blocks, the same stream as one by one
-    rng = np.random.default_rng(0)
+    # numpy's default_rng(0) stream, drawn without numpy.random in blocks,
+    # the same stream as one by one
+    rng = _Stream()
     pou = glued.pou
     # blocks of 8 EVAL_BUDGET (point, center) pairs: the weights' cost per
     # call is paid a few dozen times, and the peak RSS does not move
@@ -356,13 +385,15 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
-        points, zs = [], []
-        for _ in range(_FD_RANDOM_POINTS):
-            points.append(rng.uniform(*inner))
-            zs.append(0.5 * math.sqrt(rng.uniform(0, 1)) *
-                      complex(math.cos(rng.uniform(0, 2 * math.pi)),
-                              math.sin(rng.uniform(0, 2 * math.pi))))
-        s = np.array(points)
+        # per point: its d coordinates, then the uniforms of |z|^2 and two
+        # angles in [0, 2 pi)
+        draws = rng.random(_FD_RANDOM_POINTS * (family.dim + 3)).reshape(
+            _FD_RANDOM_POINTS, family.dim + 3)
+        lows_in, highs_in = np.array(inner)
+        s = lows_in + (highs_in - lows_in) * draws[:, :family.dim]
+        zs = [0.5 * math.sqrt(r) * complex(math.cos(2 * math.pi * a1),
+                                           math.sin(2 * math.pi * a2))
+              for r, a1, a2 in draws[:, family.dim:].tolist()]
         alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
         devs, breaches = smoothness.fd_deviations(glued, zs, s, alphas, h)
         # point by point, each point's multi-indices in order; a tripped

@@ -169,22 +169,25 @@ def test_cli_check_exit_codes(tmp_path):
 
 
 def test_cli_commands_load_no_unused_numpy_subpackage(tmp_path):
-    # importing numpy.polynomial or numpy.ma costs every CLI process memory
-    # and start-up time; verify loads numpy.random by design, so it is not run
+    # importing numpy.polynomial, numpy.ma or numpy.random costs every CLI
+    # process memory and start-up time; verify draws numpy's default_rng(0)
+    # stream without numpy.random
     config, sol = str(CONFIGS / "worked_family.json"), str(tmp_path / "sol.json")
     commands = [["check", "--config", config], ["solve", "--config", config, "--out", sol],
+                ["verify", "--solution", sol, "--z-samples", "4", "--s-samples", "3"],
                 ["eval-grid", "--solution", sol, "--out", str(tmp_path / "grid.csv")]]
     script = ("import json, sys\n"
               "from coronaglue import cli\n"
               "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-              "    if m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma']))]))\n")
+              "    if m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'ma'],\n"
+              "                            ['numpy', 'random']))]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     codes, loaded = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
 
 

@@ -476,16 +476,33 @@ def test_streamed_bracket_equals_the_whole_grid_bit_for_bit(monkeypatch, dim, in
         assert cert.samples_used == kept.size
 
 
+# parameter points per evaluator block for each case of RUNS, in 1-D and 2-D,
+# on the AXIS^d grid of a C^k report: from one point to the whole grid, with
+# and without a short last block
+REPORT_BLOCKS = {"one-block": (9, 81), "several-blocks": (3, 27),
+                 "ragged-last-block": (4, 20), "under-one-row": (1, 1),
+                 "ragged-last-chunk": (5, 50), "one-node-remainder": (8, 80)}
+
+
 @pytest.mark.parametrize("case", list(RUNS))
 @pytest.mark.parametrize("which", ["steep", "two_param"])
 def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
         monkeypatch, steep_solution, two_param_solution, which, case):
-    # the report reads f off the data jets: whatever the block budget of the
-    # streamed certificates, f keeps the whole grid's bits
+    # the report reads f off the data jets: whatever the evaluator's block
+    # size, f keeps the whole grid's bits
     glued = steep_solution if which == "steep" else two_param_solution
     family, z = glued.family, hnorm.boundary_points(64)
-    monkeypatch.setattr(hnorm, "BLOCK_BUDGET", RUNS[case][family.dim - 1][0])
+    points, grid = REPORT_BLOCKS[case][family.dim - 1], AXIS ** family.dim
+    # the block size is EVAL_BUDGET // max(N_f nz, K) points
+    monkeypatch.setattr(glue, "EVAL_BUDGET", points * max(family.size * z.size, glued.pou.size))
+    sizes, real = [], smoothness._solution_jets
+
+    def recording(evaluator, s, order):
+        sizes.append(len(s))
+        return real(evaluator, s, order)
+    monkeypatch.setattr(smoothness, "_solution_jets", recording)
     rep = smoothness.cnorm_report(glued, 2, axis_samples=AXIS, boundary_samples=64)
+    assert sizes == [points] * (grid // points) + [grid % points] * (grid % points > 0)
     axes = [np.linspace(a, b, AXIS) for a, b in family.box]
     for ix, _, f in rep.per_index:
         modulus = _ref_modulus(components(partial_s(family, ix)), axes, z)
