@@ -385,15 +385,15 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
-        # per point: its d coordinates, then the uniforms of |z|^2 and two
-        # angles in [0, 2 pi)
+        # per point: its d coordinates, then the uniforms of |z|^2 and of
+        # the angle, z uniform in the disc of radius 0.5; a third uniform is
+        # drawn and unused, which keeps every later draw of the stream
         draws = rng.random(_FD_RANDOM_POINTS * (family.dim + 3)).reshape(
             _FD_RANDOM_POINTS, family.dim + 3)
         lows_in, highs_in = np.array(inner)
         s = lows_in + (highs_in - lows_in) * draws[:, :family.dim]
-        zs = [0.5 * math.sqrt(r) * complex(math.cos(2 * math.pi * a1),
-                                           math.sin(2 * math.pi * a2))
-              for r, a1, a2 in draws[:, family.dim:].tolist()]
+        zs = [0.5 * math.sqrt(r) * complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
+              for r, a, _ in draws[:, family.dim:].tolist()]
         alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
         devs, breaches = smoothness.fd_deviations(glued, zs, s, alphas, h)
         # point by point, each point's multi-indices in order; a tripped

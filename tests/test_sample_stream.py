@@ -65,7 +65,8 @@ def test_scalar_draws_equal_numpy():
 def _numpy_points(box, order, pou_size):
     """verify's sample points as numpy draws them from default_rng(0): the
     partition-of-unity blocks, the derivative blocks, then per FD order and
-    point its coordinates, the radius uniform and two angles."""
+    point its coordinates, the radius uniform, the angle and one unused
+    uniform."""
     rng = np.random.default_rng(0)
     size, dim = max(1, 8 * glue.EVAL_BUDGET // pou_size), len(box)
     lows, highs = np.array(box).T
@@ -79,9 +80,9 @@ def _numpy_points(box, order, pou_size):
         points, zs = [], []
         for _ in range(cli._FD_RANDOM_POINTS):
             points.append(rng.uniform(*inner))
-            zs.append(0.5 * math.sqrt(rng.uniform(0, 1)) *
-                      complex(math.cos(rng.uniform(0, 2 * math.pi)),
-                              math.sin(rng.uniform(0, 2 * math.pi))))
+            radius, angle = 0.5 * math.sqrt(rng.uniform(0, 1)), rng.uniform(0, 2 * math.pi)
+            rng.uniform(0, 2 * math.pi)
+            zs.append(radius * complex(math.cos(angle), math.sin(angle)))
         fd.append((np.array(points), zs))
     return weights, derivs, fd
 
@@ -122,3 +123,4 @@ def test_verify_draws_the_numpy_stream_in_order(monkeypatch, tmp_path, name):
     for (s, zs), (want_s, want_zs) in zip(seen["fd"], want_fd):
         np.testing.assert_array_equal(s, want_s)
         assert zs == want_zs
+        assert max(abs(z) for z in zs) < 0.5
