@@ -228,11 +228,11 @@ class _Stream:
         self.state, self.inc = _PCG64_SEED0
 
     def random(self, n: int) -> np.ndarray:
-        state, inc, mask, out = self.state, self.inc, (1 << 64) - 1, []
-        for _ in range(n):
+        state, inc, mask, out = self.state, self.inc, (1 << 64) - 1, [0] * n
+        for i in range(n):
             state = (state * _PCG64_MULT + inc) & ((1 << 128) - 1)
             x, rot = ((state >> 64) ^ state) & mask, state >> 122
-            out.append(((x >> rot | x << (64 - rot)) & mask) >> 11)
+            out[i] = (x >> rot | x << (64 - rot) & mask) >> 11
         self.state = state
         return np.array(out, dtype=float) * 2.0 ** -53
 
@@ -385,15 +385,14 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     alpha_cap = min(config.solver.order, 2)
     for order in range(1, alpha_cap + 1):
         h, tol = FD_TOLS[order]
-        # per point: its d coordinates, then the uniforms of |z|^2 and of
-        # the angle, z uniform in the disc of radius 0.5; a third uniform is
-        # drawn and unused, which keeps every later draw of the stream
-        draws = rng.random(_FD_RANDOM_POINTS * (family.dim + 3)).reshape(
-            _FD_RANDOM_POINTS, family.dim + 3)
-        lows_in, highs_in = np.array(inner)
-        s = lows_in + (highs_in - lows_in) * draws[:, :family.dim]
-        zs = [0.5 * math.sqrt(r) * complex(math.cos(2 * math.pi * a), math.sin(2 * math.pi * a))
-              for r, a, _ in draws[:, family.dim:].tolist()]
+        # per point: its d coordinates, then |z|^2 / 0.25 and the angle, so
+        # z is uniform in the disc of radius 0.5; a third uniform is drawn
+        # and unused, which keeps every later draw of the stream
+        draws = rng.uniform([*inner[0], 0.0, 0.0, 0.0],
+                            [*inner[1], 1.0, 2 * math.pi, 2 * math.pi], _FD_RANDOM_POINTS)
+        s = np.ascontiguousarray(draws[:, :family.dim])
+        zs = [0.5 * math.sqrt(r) * complex(math.cos(t), math.sin(t))
+              for r, t, _ in draws[:, family.dim:].tolist()]
         alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
         devs, breaches = smoothness.fd_deviations(glued, zs, s, alphas, h)
         # point by point, each point's multi-indices in order; a tripped
