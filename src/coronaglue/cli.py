@@ -232,7 +232,7 @@ class _Stream:
         for i in range(n):
             state = (state * _PCG64_MULT + inc) & ((1 << 128) - 1)
             x, rot = ((state >> 64) ^ state) & mask, state >> 122
-            out[i] = (x >> rot | x << (64 - rot) & mask) >> 11
+            out[i] = (x >> rot | (x << (64 - rot) & mask)) >> 11
         self.state = state
         return np.array(out, dtype=float) * 2.0 ** -53
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import (bump_values, constant_family, family_values, frozen_values,
                       rational_gcd_family, stack, steep_family, two_param_family,
                       worked_family)
-from coronaglue import glue, hnorm
+from coronaglue import cli, glue, hnorm
 from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
 from coronaglue.config import SolverSettings
 from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
@@ -158,15 +158,16 @@ def test_batched_weights_match_per_point_bit_for_bit(rng):
 
 
 def test_blocked_uniform_draws_match_scalar_draws():
-    # verify draws its PoU sum points in blocks; the stream, and so every
-    # later random point, must match the one-at-a-time draws
+    # verify draws its PoU sum points in blocks of its own default_rng(0)
+    # stream; the stream, and so every later random point, must match
+    # numpy's one-at-a-time draws
     box = [(0.0, 1.0), (-0.5, 2.5)]
-    one, blocked = np.random.default_rng(0), np.random.default_rng(0)
+    one, blocked = np.random.default_rng(0), cli._Stream()
     scalar = np.array([[one.uniform(a, b) for a, b in box] for _ in range(1000)])
     lows, highs = np.array(box).T
-    drawn = np.concatenate([blocked.uniform(lows, highs, (n, 2)) for n in (7, 300, 693)])
+    drawn = np.concatenate(list(cli._uniform_blocks(blocked, lows, highs, 1000, 300)))
     assert drawn.tobytes() == scalar.tobytes()
-    assert one.uniform(0, 1) == blocked.uniform(0, 1)
+    assert one.uniform(0, 1) == blocked.random(1)[0]
 
 
 def test_gtilde_convexity_and_locality(steep_solution):
