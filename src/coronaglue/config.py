@@ -267,15 +267,24 @@ def _deep_list(t):
     return float(t)
 
 
-def load_config(path) -> ProblemConfig:
+def read_json(path):
+    """The JSON value of the UTF-8 file ``path``.  A file that cannot be
+    read, is not UTF-8 text or is not JSON is a ConfigError; a parse error
+    names its line and column, since a solution file is one line."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                          f"{exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return ProblemConfig.from_dict(raw)
+
+
+def load_config(path) -> ProblemConfig:
+    return ProblemConfig.from_dict(read_json(path))
 
 
 @contextmanager

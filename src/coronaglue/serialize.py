@@ -6,7 +6,8 @@ verification needs no recomputation of the pipeline.  Complex numbers are
 stored as [re, im] pairs; infinite radii as the string "inf", and any
 non-finite float of a report or summary as "nan", "inf" or "-inf".  Files are
 written with sorted keys and LF endings so identical runs produce
-byte-identical artifacts.
+byte-identical artifacts: the solution file as one line of compact JSON,
+reports and summaries indented for reading.  Readers accept any whitespace.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezout_point import PointSolution
-from .config import ProblemConfig, _number, open_output
+from .config import ProblemConfig, _number, open_output, read_json
 from .cover_pou import Cover, PartitionOfUnity
 from .errors import ConfigError
 from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
@@ -85,7 +86,6 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
             "delta_cert": glued.delta_cert.to_dict(),
             "sup_cert": glued.sup_cert.to_dict(),
             "residual_cert": glued.residual_cert.to_dict(),
-            "r_final": glued.cover.to_dict()["radius"],
             "refinements": glued.refinements,
         },
     }
@@ -158,26 +158,25 @@ def _strict(value):
     return value
 
 
-def write_json(payload, path):
-    """Strict JSON with sorted keys and LF endings."""
+def write_json(payload, path, indent=2):
+    """Strict JSON with sorted keys and LF endings.  ``indent=None`` writes
+    one line with no whitespace between tokens; one ``json.dumps`` call then
+    runs the C encoder, which ``json.dump`` and any indent never use."""
+    separators = (",", ":") if indent is None else None
     with open_output(path) as fh:
-        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write(json.dumps(_strict(payload), indent=indent, separators=separators,
+                            sort_keys=True, allow_nan=False))
         fh.write("\n")
 
 
 def save_solution(config: ProblemConfig, glued: GluedSolution, path):
-    write_json(solution_to_dict(config, glued), path)
+    """The solution file: one line of compact JSON, about 40 % of the
+    indented bytes."""
+    write_json(solution_to_dict(config, glued), path, indent=None)
 
 
 def load_solution(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return solution_from_dict(raw)
+    return solution_from_dict(read_json(path))
 
 
 def polar_grid(radial: int, angular: int):

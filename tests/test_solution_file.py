@@ -1,0 +1,117 @@
+"""The solution file: one line of sorted-key compact JSON.  Files written by
+earlier versions (indented, with an ``r_final`` copy of the cover radius)
+still load and verify the same."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from coronaglue import cli, glue, serialize
+from coronaglue.config import load_config
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
+
+
+def _old_writer(config, glued, path):
+    """The writer of earlier versions: indented, with ``r_final``."""
+    payload = serialize.solution_to_dict(config, glued)
+    payload["result"]["r_final"] = glued.cover.to_dict()["radius"]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(serialize._strict(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
+        fh.write("\n")
+
+
+@pytest.fixture(scope="module", params=["three_center_family.json",
+                                        "two_param_family.json"])
+def solved(request, tmp_path_factory):
+    config = load_config(CONFIGS / request.param)
+    glued, _ = glue.solve(config.to_family(), config.solver)
+    work = tmp_path_factory.mktemp(request.param.removesuffix(".json"))
+    new, old = work / "new.json", work / "old.json"
+    serialize.save_solution(config, glued, new)
+    _old_writer(config, glued, old)
+    return config, glued, new, old
+
+
+def test_solution_file_is_one_compact_line(solved):
+    _, _, new, _ = solved
+    data = new.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1 and b"\r" not in data
+    # no whitespace between tokens (strings such as "l2 sup norm" keep theirs):
+    # the line is the compact dump of what it parses to
+    assert data[:-1].decode("ascii") == json.dumps(
+        json.loads(data), sort_keys=True, separators=(",", ":"))
+
+
+def test_save_load_save_is_byte_identical(solved, tmp_path):
+    _, _, new, _ = solved
+    again = tmp_path / "again.json"
+    serialize.save_solution(*serialize.load_solution(new), again)
+    assert again.read_bytes() == new.read_bytes()
+
+
+def test_compact_file_holds_the_indented_payload_without_r_final(solved):
+    _, _, new, old = solved
+    expected = json.loads(old.read_text())
+    assert "r_final" in expected["result"]
+    del expected["result"]["r_final"]
+    assert json.loads(new.read_text()) == expected
+    assert new.stat().st_size < 0.5 * old.stat().st_size
+
+
+def _equal_solutions(a, b):
+    (cfg_a, glued_a), (cfg_b, glued_b) = a, b
+    assert cfg_a.to_dict() == cfg_b.to_dict()
+    assert glued_a.cover == glued_b.cover
+    assert glued_a.points == glued_b.points
+    for name in ("delta_cert", "sup_cert", "residual_cert", "refinements"):
+        assert getattr(glued_a, name) == getattr(glued_b, name)
+
+
+def _verify_report(solution, report):
+    code = cli.main(["verify", "--solution", str(solution), "--z-samples", "6",
+                     "--s-samples", "6", "--report", str(report)])
+    payload = json.loads(report.read_text())
+    del payload["timings"]
+    return code, payload
+
+
+def test_an_indented_file_with_r_final_loads_and_verifies_the_same(solved, tmp_path):
+    config, glued, new, old = solved
+    from_old, from_new = serialize.load_solution(old), serialize.load_solution(new)
+    _equal_solutions(from_old, from_new)
+    _equal_solutions(from_new, (config, glued))
+    old_code, old_report = _verify_report(old, tmp_path / "old-report.json")
+    new_code, new_report = _verify_report(new, tmp_path / "new-report.json")
+    assert old_code == new_code == 0
+    assert old_report == new_report
+
+
+def test_reports_stay_indented(tmp_path):
+    report = tmp_path / "report.json"
+    assert cli.main(["solve", "--config", str(CONFIGS / "worked_family.json"),
+                     "--out", str(tmp_path / "sol.json"), "--report", str(report)]) == 0
+    text = report.read_text()
+    assert text.startswith('{\n  "') and text.endswith("}\n")
+
+
+@pytest.mark.parametrize("command, option", [
+    ("check", "--config"), ("rescale", "--config"), ("solve", "--config"),
+    ("verify", "--solution"), ("eval-grid", "--solution")])
+def test_a_non_utf8_input_file_exits_2(tmp_path, capsys, command, option):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    out = tmp_path / "out"
+    argv = [command, option, str(bad)]
+    if command in ("rescale", "solve", "eval-grid"):
+        argv += ["--out", str(out)]
+    if command == "rescale":
+        argv += ["--factor", "0.5"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {bad} is not UTF-8 text")
+    assert not out.exists()
