@@ -48,7 +48,7 @@ class RunReport:
     sup_cert: dict | None = None
     c0: float | None = None
     cover_size: int | None = None
-    r_final: float | str | None = None
+    r_final: float | None = None
     residual_cert: dict | None = None
     cnorm_reports: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
@@ -66,11 +66,8 @@ class RunReport:
         return passed
 
     def settle(self):
-        gates_ok = all(c["passed"] for c in self.checks)
-        residual_ok = (self.residual_cert is None
-                       or self.residual_cert["hi"] <= glue.RESIDUAL_GATE)
-        delta_ok = self.delta_cert is None or self.delta_cert["lo"] > 0.0
-        self.verdict = "pass" if (gates_ok and residual_ok and delta_ok) else "fail"
+        """The verdict: pass when every recorded check passed."""
+        self.verdict = "pass" if all(c["passed"] for c in self.checks) else "fail"
         return self.verdict
 
     def save(self, path):
@@ -192,7 +189,7 @@ def cmd_solve(args) -> int:
 
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
-    report.r_final = glued.cover.to_dict()["radius"]
+    report.r_final = glued.cover.radius
     report.residual_cert = glued.residual_cert.to_dict()
     report.rounds = list(glued.rounds)
     report.add_check(
@@ -297,6 +294,14 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     failing one with a witness point.  A tripped |phi| >= 1/2 guard fails
     the check that met it and the other checks still run."""
     family = glued.family
+    # the stored gates: the corona lower bound and the glued residual
+    # certificate, as check and solve record them
+    gate = glue.RESIDUAL_GATE
+    delta_lo, stored_hi = glued.delta_cert.lo, glued.residual_cert.hi
+    report.add_check("corona_lower_bound", delta_lo > 0.0,
+                     f"stored delta_cert.lo = {delta_lo:.6g} (must be > 0)")
+    report.add_check("residual_gate", stored_hi <= gate,
+                     f"stored residual_cert.hi = {stored_hi:.6g} (gate {gate})")
     degenerate = radial * angular <= 1 or s_per_axis <= 1
     if degenerate:
         report.warnings.append(
@@ -322,7 +327,6 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         ident.update(np.abs(sum_in_order(g * block.f, axis=1) - 1.0), block.point)
         g_norm.update(_l2(g), block.point)
 
-    gate, stored_hi = glue.RESIDUAL_GATE, glued.residual_cert.hi
     report.add_check(
         "residual_resample", resid.value <= gate,
         f"max |1 - gtilde^T f| = {resid.value:.6g} on the fresh grid (gate {gate})",
@@ -438,7 +442,7 @@ def cmd_verify(args) -> int:
     report.residual_cert = glued.residual_cert.to_dict()
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
-    report.r_final = glued.cover.to_dict()["radius"]
+    report.r_final = glued.cover.radius
     alpha_max = args.alpha if args.alpha is not None else config.solver.order
     if alpha_max > config.solver.order:
         raise ConfigError(

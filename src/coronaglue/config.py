@@ -6,7 +6,7 @@ A problem file is JSON:
       "family": {"components": [{"z_coeffs": [[2.0, 1.0], [-1.0]]}, ...]},
       "domain": {"bounds": [[0.0, 1.0]]},
       "solver": {"boundary_samples": 512, ...},
-      "output": {"directory": ".", "formats": ["json", "csv"]},
+      "output": {"directory": "."},
       "rescale_factor": 1.0
     }
 
@@ -68,17 +68,13 @@ class SolverSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     directory: str = "."
-    formats: tuple = ("json", "csv")
 
     def validate(self):
         if not isinstance(self.directory, str) or not self.directory:
             raise ConfigError("output.directory must be a nonempty string")
-        bad = set(self.formats) - {"json", "csv"}
-        if bad:
-            raise ConfigError(f"output.formats contains unknown entries {sorted(bad)}")
 
     def to_dict(self):
-        return {"directory": self.directory, "formats": list(self.formats)}
+        return {"directory": self.directory}
 
 
 def _is_number(x):
@@ -243,13 +239,7 @@ class ProblemConfig:
         output_raw = raw.get("output", {})
         if not isinstance(output_raw, dict):
             raise ConfigError("output must be an object")
-        formats = output_raw.get("formats", ["json", "csv"])
-        if not (isinstance(formats, list) and all(isinstance(f, str) for f in formats)):
-            raise ConfigError(f"output.formats must be a list of strings, got {formats!r}")
-        output = OutputSettings(
-            directory=output_raw.get("directory", "."),
-            formats=tuple(formats),
-        )
+        output = OutputSettings(directory=output_raw.get("directory", "."))
         cfg = ProblemConfig(
             components=tuple(components),
             bounds=bounds,

@@ -45,32 +45,15 @@ def lipschitz_s_bound(family: ParamFamily) -> float:
 
 @dataclass(frozen=True)
 class Cover:
-    """Centers plus a common ball radius covering the box."""
+    """Centers plus a common ball radius; an infinite radius makes every
+    bump live on the whole box."""
 
     centers: tuple
     radius: float
-    box: tuple
 
     @property
     def size(self) -> int:
         return len(self.centers)
-
-    def to_dict(self):
-        return {
-            "centers": [list(c) for c in self.centers],
-            "radius": self.radius if math.isfinite(self.radius) else "inf",
-            "box": [list(b) for b in self.box],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        radius = d["radius"]
-        radius = math.inf if radius == "inf" else float(radius)
-        return Cover(
-            tuple(tuple(c) for c in d["centers"]),
-            radius,
-            tuple(tuple(b) for b in d["box"]),
-        )
 
 
 def build_cover(box, radius: float) -> Cover:
@@ -79,17 +62,13 @@ def build_cover(box, radius: float) -> Cover:
     box = tuple((float(a), float(b)) for a, b in box)
     if radius <= 0:
         raise DomainError("cover radius must be positive")
-    d = len(box)
-    if math.isinf(radius):
-        center = tuple((a + b) / 2.0 for a, b in box)
-        return Cover((center,), radius, box)
-    spacing = 2.0 * (COVER_MARGIN * radius) / math.sqrt(d)
+    spacing = 2.0 * (COVER_MARGIN * radius) / math.sqrt(len(box))
     axis_centers = []
     for a, b in box:
         n = max(1, math.ceil((b - a) / spacing))
         axis_centers.append([a + (b - a) * (2 * j + 1) / (2 * n) for j in range(n)])
     centers = tuple(tuple(c) for c in itertools.product(*axis_centers))
-    return Cover(centers, radius, box)
+    return Cover(centers, radius)
 
 
 class PartitionOfUnity:
@@ -109,8 +88,8 @@ class PartitionOfUnity:
     def _point(self, s) -> np.ndarray:
         """One point as a (d,) array, or a block of points as (n, d)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if s.ndim > 2 or s.shape[-1] != len(self.cover.box):
-            raise DomainError("point dimension does not match the box")
+        if s.ndim > 2 or s.shape[-1] != self._centers.shape[1]:
+            raise DomainError("point dimension does not match the cover")
         return s
 
     def weights(self, s) -> np.ndarray:
@@ -129,16 +108,12 @@ class PartitionOfUnity:
         block = np.atleast_2d(s)
         dim, order = block.shape[1], int(order)
         centers, r = self._centers, self.cover.radius
-        if math.isinf(r):
-            points, live_centers = np.nonzero(np.ones((len(block), len(centers)), dtype=bool))
-            bumps = jets.jet_const(math.exp(-1.0), dim, order, batch=(len(points),))
-        else:
-            # |s - c|^2 added over the axes in order, one (point, center)
-            # table per axis
-            sq = sum_in_order([(x[:, None] - c) ** 2 for x, c in zip(block.T, centers.T)])
-            live = sq < ((1.0 - BUMP_CLAMP) * r) ** 2
-            points, live_centers = np.nonzero(live)
-            bumps = self._bump_jets(block[points] - centers[live_centers], sq[live], order)
+        # |s - c|^2 added over the axes in order, one (point, center) table
+        # per axis; an infinite radius keeps every pair live
+        sq = sum_in_order([(x[:, None] - c) ** 2 for x, c in zip(block.T, centers.T)])
+        live = sq < ((1.0 - BUMP_CLAMP) * r) ** 2
+        points, live_centers = np.nonzero(live)
+        bumps = self._bump_jets(block[points] - centers[live_centers], sq[live], order)
         # each point adds its live bumps one term at a time in cover order to
         # +0.0, as the jet kernels add: the first live bump of every point,
         # then the second, and so on; a point with fewer adds +0.0, which
@@ -182,7 +157,7 @@ class PartitionOfUnity:
         point ``s``, (n, K) at an (n, d) block, each point's K values
         contiguous so that a sum over them adds as at one point.  Orders
         with |alpha| >= 1 sum to zero across centers."""
-        alphas = [as_alpha(alpha, len(self.cover.box)) for alpha in alphas]
+        alphas = [as_alpha(alpha, self._centers.shape[1]) for alpha in alphas]
         order = max(map(sum, alphas))
         wj = np.moveaxis(self.weight_jets(s, order), 0, -1)
         return [np.ascontiguousarray(jets.jet_extract(wj, alpha, order)) for alpha in alphas]

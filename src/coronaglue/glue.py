@@ -273,7 +273,7 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     maximum principle, Lipschitz slack in z and s).  A bump is nonzero only
     where |s - s_k| < r (1 - ``cover_pou.BUMP_CLAMP``), so the ball of
     radius r leaves a margin of 1e-6 r against rounding in the node test.
-    An infinite radius has the whole box as its support and no ball.
+    An infinite radius clips its ball to the whole box and keeps every node.
     Lower end: direct sampling of |1 - gtilde^T f| on a global grid.
     """
     box = family.box
@@ -282,12 +282,8 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     z_mesh = hnorm.boundary_mesh_radius(boundary_samples)
     hi, count = 0.0, 0
     for center, sol in zip(pou.cover.centers, points.solutions):
-        if math.isinf(radius):
-            supp, ball = box, None
-        else:
-            supp = tuple((max(a, c - radius), min(b, c + radius))
-                         for (a, b), c in zip(box, center))
-            ball = (center, radius)
+        supp = tuple((max(a, c - radius), min(b, c + radius))
+                     for (a, b), c in zip(box, center))
         # q_k - 1 = -1 + sum_m g_km f_m: one product for every component,
         # then one sum over them that starts at -1
         products = (ZSPoly.from_cpolys(sol.g, family.dim) * family.poly).coeffs
@@ -296,7 +292,7 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
         terms[1:] = products
         resid = ZSPoly(sum_in_order(terms)[None])
         cert = hnorm.bracket(resid, z, z_mesh, "glued residual sup", supp,
-                             axis_samples, ball=ball)
+                             axis_samples, ball=(center, radius))
         hi = max(hi, cert.hi)
         count += cert.samples_used
 

@@ -3,9 +3,9 @@
 A solution file is self-contained: the full problem configuration, the cover,
 every pointwise solution's coefficients, and all certificates, so
 verification needs no recomputation of the pipeline.  Complex numbers are
-stored as [re, im] pairs; infinite radii as the string "inf", and any
-non-finite float of a report or summary as "nan", "inf" or "-inf".  Files are
-written with sorted keys and LF endings so identical runs produce
+stored as [re, im] pairs, and every non-finite float, such as the infinite
+cover radius of data constant in s, as the string "nan", "inf" or "-inf".
+Files are written with sorted keys and LF endings so identical runs produce
 byte-identical artifacts: the solution file as one line of compact JSON,
 reports and summaries indented for reading.  Readers accept any whitespace.
 """
@@ -54,18 +54,16 @@ def _cert_from_dict(d, where: str) -> NormCert:
                     _count(d["samples_used"], f"{where}.samples_used"))
 
 
-def _cover_from_dict(d, box) -> Cover:
-    if d["radius"] != "inf" and _number(d["radius"], "cover.radius") <= 0.0:
+def _cover_from_dict(d, dim: int) -> Cover:
+    """The cover's centers and radius; an older file's ``cover.box`` is not
+    read."""
+    radius = math.inf if d["radius"] == "inf" else _number(d["radius"], "cover.radius")
+    if not radius > 0.0:
         raise ConfigError('cover.radius must be positive or "inf"')
-    cover = Cover.from_dict(d)
-    if cover.box != box:
-        raise ConfigError("cover.box differs from domain.bounds")
-    if not cover.centers or any(len(c) != len(box) for c in cover.centers):
-        raise ConfigError(f"cover.centers must be points in {len(box)} dimensions")
-    for center in cover.centers:
-        for x in center:
-            _number(x, "cover.centers")
-    return cover
+    centers = tuple(tuple(_number(x, "cover.centers") for x in c) for c in d["centers"])
+    if not centers or any(len(c) != dim for c in centers):
+        raise ConfigError(f"cover.centers must be points in {dim} dimensions")
+    return Cover(centers, radius)
 
 
 def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
@@ -73,7 +71,8 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
         "format": SOLUTION_FORMAT,
         "config": config.to_dict(),
         "result": {
-            "cover": glued.cover.to_dict(),
+            "cover": {"centers": [list(c) for c in glued.cover.centers],
+                      "radius": glued.cover.radius},
             "point_solutions": [
                 {
                     "g": [_complex_list(gm) for gm in sol.g],
@@ -113,7 +112,7 @@ def _solution_from_dict(raw: dict):
     config = ProblemConfig.from_dict(raw["config"])
     family = config.to_family()
     result = raw["result"]
-    cover = _cover_from_dict(result["cover"], family.box)
+    cover = _cover_from_dict(result["cover"], family.dim)
     entries = result["point_solutions"]
     if len(entries) != cover.size:
         raise ConfigError(f"{len(entries)} point solutions for "

@@ -110,14 +110,13 @@ def test_criterion_03_perturbation_gate(tmp_path):
 def test_criterion_04_partition_of_unity():
     rng = np.random.default_rng(2024)
     pous = [
-        cover_pou.PartitionOfUnity(cover_pou.build_cover([(0.0, 1.0)], 0.22)),
-        cover_pou.PartitionOfUnity(
-            cover_pou.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.45)),
+        ([(0.0, 1.0)], cover_pou.PartitionOfUnity(cover_pou.build_cover([(0.0, 1.0)], 0.22))),
+        ([(0.0, 1.0), (0.0, 1.0)], cover_pou.PartitionOfUnity(
+            cover_pou.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.45))),
     ]
     worst_sum = worst_ref = 0.0
     support_exact = True
-    for pou in pous:
-        box = pou.cover.box
+    for box, pou in pous:
         centers = np.asarray(pou.cover.centers)
         for _ in range(10_000 // len(pous)):
             s = np.array([rng.uniform(a, b) for a, b in box])
@@ -130,8 +129,7 @@ def test_criterion_04_partition_of_unity():
             b_vals = bump_values(pou, s)
             worst_ref = max(worst_ref, float(np.abs(w - b_vals / b_vals.sum()).max()))
     worst_dsum = 0.0
-    for pou in pous:
-        box = pou.cover.box
+    for box, pou in pous:
         dim = len(box)
         orders = [(1,), (2,)] if dim == 1 else \
             [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]

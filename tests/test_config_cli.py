@@ -94,8 +94,6 @@ def _edit(path, value):
 
 @pytest.mark.parametrize("edit", [
     _edit(("output",), []),
-    _edit(("output", "formats"), "json"),
-    _edit(("output", "formats"), [["json"]]),
     _edit(("domain", "bounds"), [["0.0", 1.0]]),
     _edit(("domain", "bounds"), [[0.0]]),
     _edit(("domain", "bounds"), 5),
@@ -105,7 +103,7 @@ def _edit(path, value):
     _edit(("family", "components", 0, "z_coeffs"), [[10 ** 400], [0.5]]),
     _edit(("domain", "bounds"), [[0.0, 10 ** 400]]),
     _edit(("rescale_factor",), 10 ** 400),
-], ids=["output_list", "formats_string", "formats_nested", "bound_string",
+], ids=["output_list", "bound_string",
         "bound_one_element", "bounds_number", "bound_pair_as_string", "rescale_string",
         "z_coeffs_number", "z_coeff_huge_int", "bound_huge_int", "rescale_huge_int"])
 def test_cli_check_refuses_malformed_config(tmp_path, edit):
@@ -114,6 +112,18 @@ def test_cli_check_refuses_malformed_config(tmp_path, edit):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli.main(["check", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("formats", [["json", "csv"], "json", [["json"]]],
+                         ids=["benchmark_value", "string", "nested"])
+def test_config_with_output_formats_loads_with_the_key_ignored(tmp_path, formats):
+    # benchmark configs and older solution files still carry output.formats
+    raw = json.loads((CONFIGS / "worked_family.json").read_text())
+    raw["output"]["formats"] = formats
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    assert load_config(path).to_dict() == _load("worked_family.json").to_dict()
+    assert cli.main(["check", "--config", str(path)]) == 0
 
 
 def test_rescale_identity_and_scaling(tmp_path):
@@ -455,7 +465,6 @@ def _c0_times_10(raw):
     _set(("c0",), math.nan),
     _set(("cover", "radius"), math.inf),
     _set(("cover", "centers", 0, 0), math.nan),
-    _set(("cover", "box"), [[0.0, 2.0]]),
     _set(("c0",), "1.0"),
     _set(("refinements",), 0.5),
     _set(("point_solutions",), []),
@@ -469,7 +478,7 @@ def _c0_times_10(raw):
     _set(("point_solutions", 0, "g", 0, 0), [-10 ** 400, 0]),
     _set(("point_solutions", 0, "g", 0), []),
 ], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
-        "nan_c0", "numeric_infinite_radius", "nan_center", "foreign_box",
+        "nan_c0", "numeric_infinite_radius", "nan_center",
         "string_c0", "float_refinements",
         "no_point_solutions", "missing_c0", "lo_above_hi", "c0_times_10",
         "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient",
@@ -485,6 +494,29 @@ def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
     assert cli.main(["verify", "--solution", str(path)]) == 2
     assert cli.main(["eval-grid", "--solution", str(path),
                      "--out", str(tmp_path / "grid.csv")]) == 2
+
+
+@pytest.mark.parametrize("tamper, line", [
+    (_set(("residual_cert", "hi"), 0.6),
+     "[FAIL] residual_gate: stored residual_cert.hi = 0.6 (gate 0.5)"),
+    (_set(("delta_cert", "lo"), -0.1),
+     "[FAIL] corona_lower_bound: stored delta_cert.lo = -0.1 (must be > 0)"),
+], ids=["residual_hi_above_gate", "delta_lo_not_positive"])
+def test_verify_fails_a_stored_gate_as_a_named_check(tmp_path, worked_solution, capsys,
+                                                     tamper, line):
+    # the verdict is "every check passed", so a stored certificate past its
+    # gate shows as a failing check, not as a bare fail
+    path = tmp_path / "sol.json"
+    serialize.save_solution(_load("worked_family.json"), worked_solution, path)
+    raw = json.loads(path.read_text())
+    tamper(raw)
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert cli.main(["verify", "--solution", str(path), "--z-samples", "6",
+                     "--s-samples", "6"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [text for text in out if text.startswith("[FAIL]")] == [line]
+    assert out[-1] == "verdict: fail"
 
 
 @pytest.mark.parametrize("command, option, value", [

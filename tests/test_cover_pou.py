@@ -10,9 +10,9 @@ from coronaglue import jets
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
-def _covers_box(cover, scan_per_axis: int = 100) -> bool:
+def _covers_box(cover, box, scan_per_axis: int = 100) -> bool:
     """Dense-grid check of the ball-cover invariant."""
-    axes = [np.linspace(a, b, scan_per_axis) for a, b in cover.box]
+    axes = [np.linspace(a, b, scan_per_axis) for a, b in box]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
     centers = np.asarray(cover.centers)
@@ -35,31 +35,31 @@ def test_lipschitz_s_bound_examples():
 def test_build_cover_examples():
     cover = cp.build_cover([(0.0, 1.0)], 0.3)
     assert cover.size == 2
-    assert _covers_box(cover)
+    assert _covers_box(cover, [(0.0, 1.0)])
 
     single = cp.build_cover([(0.0, 1.0)], math.inf)
     assert single.centers == ((0.5,),)
 
     square = cp.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.5)
     assert square.size == 4
-    assert _covers_box(square)
+    assert _covers_box(square, [(0.0, 1.0), (0.0, 1.0)])
 
 
 def test_cover_invariants_random_radii(rng):
     for _ in range(20):
         r = float(rng.uniform(0.05, 2.0))
         cover = cp.build_cover([(0.0, 1.0)], r)
-        assert _covers_box(cover)
+        assert _covers_box(cover, [(0.0, 1.0)])
         assert all(0.0 <= c[0] <= 1.0 for c in cover.centers)
     for _ in range(5):
         r = float(rng.uniform(0.2, 2.0))
         cover = cp.build_cover([(0.0, 1.0), (-1.0, 0.5)], r)
-        assert _covers_box(cover)
+        assert _covers_box(cover, [(0.0, 1.0), (-1.0, 0.5)])
 
 
 def test_bump_profile():
     # the bump exists only as jets: its value is the order-0 entry
-    pou = cp.PartitionOfUnity(cp.Cover(((0.0,), (1.0,)), 1.0, ((0.0, 1.0),)))
+    pou = cp.PartitionOfUnity(cp.Cover(((0.0,), (1.0,)), 1.0))
 
     def value(t):
         diff = np.array([[t]])
@@ -79,6 +79,23 @@ def test_weights_single_center():
         np.testing.assert_allclose(pou.weights([s]), [1.0])
         for d in pou.derivs([s], [(1,), (2,)]):
             assert np.all(d == 0.0)
+
+
+def test_unbounded_cover_weight_jets_in_2d(rng):
+    # an infinite radius runs through the general path: |s - c|^2 / r^2 = 0
+    # and derivative entries 2 (s_i - c_i) / r^2 = 0, so the lone weight is
+    # e^-1 (1 / e^-1) and every derivative is exactly +0.0
+    box = [(-1.0, 2.0), (0.1, 0.7)]
+    pou = cp.PartitionOfUnity(cp.build_cover(box, math.inf))
+    assert pou.size == 1
+    lows, highs = np.array(box).T
+    block = np.vstack([rng.uniform(lows, highs, (20, 2)), lows, highs,
+                       pou.cover.centers[0]])
+    e = math.exp(-1.0)
+    for order in range(4):
+        want = np.zeros((1, len(jets.multi_indices(2, order)), len(block)))
+        want[0, jets.position((0, 0), order)] = e * (1.0 / e)
+        assert same_bits(pou.weight_jets(block, order), want), order
 
 
 def test_weights_partition_and_support(rng):
@@ -106,9 +123,9 @@ def test_lone_support_is_indicator():
 def test_derivs_match_finite_differences_midpoint():
     # plain central differences at the two-center midpoint, where the
     # profile is far from the steep support tails
-    cover = cp.Cover(((0.25,), (0.75,)), 0.55, ((0.0, 1.0),))
+    cover = cp.Cover(((0.25,), (0.75,)), 0.55)
     pou = cp.PartitionOfUnity(cover)
-    assert _covers_box(cover)
+    assert _covers_box(cover, [(0.0, 1.0)])
     h = 1e-4 * cover.radius
     (d1,) = pou.derivs([0.5], [(1,)])
     fd1 = (pou.weights([0.5 + h]) - pou.weights([0.5 - h])) / (2 * h)
@@ -119,9 +136,9 @@ def test_derivs_match_finite_differences_random(rng):
     # near support edges the second-order stencil's own truncation exceeds
     # the tolerance, so the sweep uses a fourth-order central stencil whose
     # truncation stays far below it
-    cover = cp.Cover(((0.2,), (0.8,)), 0.6, ((0.0, 1.0),))
+    cover = cp.Cover(((0.2,), (0.8,)), 0.6)
     pou = cp.PartitionOfUnity(cover)
-    assert _covers_box(cover)
+    assert _covers_box(cover, [(0.0, 1.0)])
     h = 1e-4 * cover.radius
 
     def weights(x):
@@ -158,7 +175,7 @@ def test_derivative_sums_vanish_2d(rng):
 
 
 def test_pou_eval_midpoint_two_centers():
-    cover = cp.Cover(((0.2,), (0.8,)), 0.6, ((0.0, 1.0),))
+    cover = cp.Cover(((0.2,), (0.8,)), 0.6)
     pou = cp.PartitionOfUnity(cover)
     w = pou.weights([0.5])
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
@@ -287,7 +304,7 @@ def test_bump_jets_equal_the_product_build_bit_for_bit(rng, dim):
 
 
 def test_weight_jets_block_witness_is_the_first_failing_point():
-    pou = cp.PartitionOfUnity(cp.Cover(((0.25,),), 0.1, ((0.0, 1.0),)))
+    pou = cp.PartitionOfUnity(cp.Cover(((0.25,),), 0.1))
     with pytest.raises(cp.InternalInconsistency) as info:
         pou.weight_jets([[0.25], [0.3], [0.9], [0.95]], 2)
     assert info.value.witness == (0.9,)

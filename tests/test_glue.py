@@ -24,7 +24,7 @@ from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 def test_solve_at_samples_single_center():
     family = worked_family()
-    cover = Cover(((0.5,),), 0.5, family.box)
+    cover = Cover(((0.5,),), 0.5)
     points = glue.solve_at_samples(family, cover)
     np.testing.assert_allclose(points.solutions[0].g[0].coeffs, [0.4], atol=1e-12)
     np.testing.assert_allclose(points.solutions[0].g[1].coeffs, [0.4], atol=1e-12)
@@ -51,7 +51,7 @@ def test_solve_at_samples_surfaces_corona_violation():
                 [SPoly([0.0, -1.0]), SPoly([0.0]), SPoly([1.0])]]),
         [(0.0, 1.0)],
     )
-    cover = Cover(((0.0,), (1.0,)), 0.6, family.box)
+    cover = Cover(((0.0,), (1.0,)), 0.6)
     with pytest.raises(CoronaViolation):
         glue.solve_at_samples(family, cover)
 
@@ -191,7 +191,7 @@ def test_gtilde_convexity_and_locality(steep_solution):
 
 def test_gtilde_mean_of_two_centers():
     family = worked_family()
-    cover = Cover(((0.4,), (0.6,)), 0.3, family.box)
+    cover = Cover(((0.4,), (0.6,)), 0.3)
     points = _point_set(cover, family)
     pou = PartitionOfUnity(cover)
     w = pou.weights([0.5])
@@ -339,7 +339,7 @@ def test_solve_deterministic():
 
 def test_point_solution_set_enforces_budget():
     family = worked_family()
-    cover = Cover(((0.5,),), 0.5, family.box)
+    cover = Cover(((0.5,),), 0.5)
     points = glue.solve_at_samples(family, cover)
     bad = PointSolution(
         points.solutions[0].g,

@@ -13,7 +13,7 @@ from conftest import (components, constant_family, partial_s, random_cpoly, same
 from spoly_reference import RefZSPoly, to_ref
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
-from coronaglue.cover_pou import PartitionOfUnity, build_cover
+from coronaglue.cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
 from coronaglue.errors import DomainError
 from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
@@ -327,6 +327,25 @@ def test_residual_certify_matches_the_old_formula(case):
             assert _bits(cert) == _ref_residual_certify(family, pou, points,
                                                         boundary, axis)
             assert cert.hi < boxed[1] and cert.samples_used < boxed[2]
+
+
+def test_residual_certify_of_an_unbounded_cover_is_the_whole_box_certificate():
+    # data constant in s has L_s = 0 and so an infinite radius: the one
+    # center's ball, clipped to the box, is the whole box and keeps every
+    # node, so the certificate is the box formula's, samples included
+    family = ParamFamily(ZSPoly([[SPoly([[1.0]]), SPoly([[0.5]])],
+                                 [SPoly([[0.0]]), SPoly([[0.3]])]]),
+                         [(-1.0, 2.0), (0.1, 0.7)])
+    assert lipschitz_s_bound(family) == 0.0
+    cover = build_cover(family.box, math.inf)
+    assert cover.size == 1
+    pou = PartitionOfUnity(cover)
+    points = glue.solve_at_samples(family, cover)
+    for boundary, axis in ((256, 33), (64, 9)):
+        cert = glue.residual_certify(family, pou, points, boundary, axis)
+        assert _bits(cert) == _ref_residual_certify(family, pou, points, boundary, axis,
+                                                    ball=False)
+        assert cert.samples_used == 2 * axis ** 2 * boundary
 
 
 @given(st.integers(1, 2), st.integers(2, 40), st.booleans(), st.integers(0, 10 ** 6))

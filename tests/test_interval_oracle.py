@@ -264,7 +264,7 @@ def _two_column_case():
     f2 = ZSPoly([[SPoly([[2 * sixth]]), SPoly([[-sixth]])]])
     family = ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 0.25)])
     cover = Cover(tuple((x, y) for x in (0.0, 0.5, 1.0) for y in (0.0625, 0.1875)),
-                  0.26, family.box)
+                  0.26)
     return family, PartitionOfUnity(cover), glue.solve_at_samples(family, cover)
 
 

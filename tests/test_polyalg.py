@@ -47,7 +47,7 @@ def test_family_values_examples():
 def test_family_values_rejects_outside_domain():
     # the one evaluation path refuses a point outside the box
     family = worked_family()
-    cover = Cover(((0.5,),), math.inf, family.box)
+    cover = Cover(((0.5,),), math.inf)
     evaluator = glue.GluedEvaluator(family, PartitionOfUnity(cover),
                                     glue.solve_at_samples(family, cover), [0.0])
     for points in ([1.5], [[0.5], [-0.2]], [math.nan]):

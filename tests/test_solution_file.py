@@ -1,6 +1,7 @@
 """The solution file: one line of sorted-key compact JSON.  Files written by
-earlier versions (indented, with an ``r_final`` copy of the cover radius)
-still load and verify the same."""
+earlier versions (indented, with an ``r_final`` copy of the cover radius, a
+``cover.box`` copy of the domain bounds and ``output.formats``) still load
+and verify the same."""
 
 import json
 from pathlib import Path
@@ -15,9 +16,12 @@ CONFIGS = REPO / "configs"
 
 
 def _old_writer(config, glued, path):
-    """The writer of earlier versions: indented, with ``r_final``."""
+    """The writer of earlier versions: indented, with ``r_final``,
+    ``cover.box`` and ``output.formats``."""
     payload = serialize.solution_to_dict(config, glued)
-    payload["result"]["r_final"] = glued.cover.to_dict()["radius"]
+    payload["result"]["r_final"] = glued.cover.radius
+    payload["result"]["cover"]["box"] = [list(b) for b in glued.family.box]
+    payload["config"]["output"]["formats"] = ["json", "csv"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(serialize._strict(payload), fh, indent=2, sort_keys=True,
                   allow_nan=False)
@@ -25,7 +29,8 @@ def _old_writer(config, glued, path):
 
 
 @pytest.fixture(scope="module", params=["three_center_family.json",
-                                        "two_param_family.json"])
+                                        "two_param_family.json",
+                                        "constant_family.json"])
 def solved(request, tmp_path_factory):
     config = load_config(CONFIGS / request.param)
     glued, _ = glue.solve(config.to_family(), config.solver)
@@ -58,6 +63,8 @@ def test_compact_file_holds_the_indented_payload_without_r_final(solved):
     expected = json.loads(old.read_text())
     assert "r_final" in expected["result"]
     del expected["result"]["r_final"]
+    del expected["result"]["cover"]["box"]
+    del expected["config"]["output"]["formats"]
     assert json.loads(new.read_text()) == expected
     assert new.stat().st_size < 0.5 * old.stat().st_size
 
