@@ -28,6 +28,9 @@ EXACT_RESIDUAL = 1e-9      # below this a solve counts as exact
 _PIVOT_REL = 1e-12         # relative trim threshold and lstsq cutoff
 _DISC_TOL = 1e-9           # a root this far outside the unit circle is on the disc
 _ROOT_REL = 1e-6           # zero relative to sum_i |a_i| |z|^i; double roots come to ~1e-8
+# the quantity of each certificate :func:`certify` returns, by its field of
+# PointSolution, in order; a solution file derives them instead of storing them
+CERT_QUANTITIES = {"norm_cert": hnorm.L2_SUP, "residual_cert": hnorm.H_INFINITY}
 
 
 @dataclass(frozen=True)

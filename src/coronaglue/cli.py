@@ -273,16 +273,17 @@ def _l2(values):
 
 
 def _point_cert_mismatch(glued, samples):
-    """Witness of the first stored point certificate that the stored tables and
-    coefficients do not reproduce exactly (the engine is deterministic)."""
+    """Witness of the first stored point certificate whose ``lo`` and ``hi``
+    the stored tables and coefficients do not reproduce exactly (the engine
+    is deterministic); ``stored`` and ``recomputed`` in the file's form."""
     for k, (center, sol) in enumerate(zip(glued.cover.centers, glued.points.solutions)):
         try:
-            fresh = [c.to_dict() for c in bezout_point.certify(
+            fresh = [serialize.point_cert_dict(c) for c in bezout_point.certify(
                 glued.family.freeze(np.asarray(center)), sol.g, samples)]
         except DomainError as exc:  # a non-finite coefficient bounds nothing
             fresh = [str(exc)] * 2
-        for name, cert in zip(("norm_cert", "residual_cert"), fresh):
-            if cert != (stored := getattr(sol, name).to_dict()):
+        for name, cert in zip(bezout_point.CERT_QUANTITIES, fresh):
+            if cert != (stored := serialize.point_cert_dict(getattr(sol, name))):
                 return {"field": f"point_solutions[{k}].{name}", "s": list(center),
                         "stored": stored, "recomputed": cert}
     return None

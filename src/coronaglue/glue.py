@@ -372,7 +372,7 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
             break
         radius /= 2.0
     raise RefinementExhausted(
-        f"no passing cover after {options.max_refinements} refinements "
+        f"no passing cover after {len(rounds)} round(s) "
         f"(last residual certificate hi = {cert.hi:.4g} > 1/2)",
         certificate=cert,
         rounds=tuple(rounds),

@@ -53,6 +53,8 @@ from .errors import DomainError
 from .polyalg import CPoly, ParamFamily, ZSPoly, sum_in_order
 
 BLOCK_BUDGET = 1 << 14  # complex elements per component in one sampled block, or in its z powers
+L2_SUP = "l2 sup norm"          # the quantity of vec_sup_norm and sup_family
+H_INFINITY = "H-infinity norm"  # the quantity of sup_disc
 
 
 @dataclass(frozen=True)
@@ -276,14 +278,14 @@ def sup_disc(p: CPoly, samples: int = 512) -> NormCert:
     if samples < 8:
         raise ValueError("need at least 8 boundary samples")
     return bracket((p,), boundary_points(samples), boundary_mesh_radius(samples),
-                   "H-infinity norm")
+                   H_INFINITY)
 
 
 def vec_sup_norm(polys, samples: int = 512) -> NormCert:
     """Bracket sup_{|z|<=1} (sum_k |p_k(z)|^2)^(1/2) for a tuple of
     polynomials."""
     return bracket(polys, boundary_points(samples), boundary_mesh_radius(samples),
-                   "l2 sup norm")
+                   L2_SUP)
 
 
 def delta_lower(family: ParamFamily, grid: DiscKGrid = DiscKGrid()) -> NormCert:
@@ -302,5 +304,5 @@ def sup_family(family: ParamFamily, grid: DiscKGrid = DiscKGrid(),
     """Bracket sup over (closed disc) x K of the l2 modulus (boundary circle
     sampling in z, uniform grid in the parameter)."""
     return bracket(family.poly, boundary_points(boundary),
-                   boundary_mesh_radius(boundary), "l2 sup norm", family.box,
+                   boundary_mesh_radius(boundary), L2_SUP, family.box,
                    grid.axis)

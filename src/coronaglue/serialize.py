@@ -8,6 +8,14 @@ cover radius of data constant in s, as the string "nan", "inf" or "-inf".
 Files are written with sorted keys and LF endings so identical runs produce
 byte-identical artifacts: the solution file as one line of compact JSON,
 reports and summaries indented for reading.  Readers accept any whitespace.
+
+A point solution's ``norm_cert`` and ``residual_cert`` are stored as their
+``lo`` and ``hi`` alone.  The reader derives the rest: the quantity from the
+names :func:`bezout_point.certify` gives them, and the sample count from
+``config.solver.boundary_samples``.  An older file that still stores
+``quantity`` or ``samples_used`` there loads only when they equal the
+derived values; any other value is a ConfigError naming the field.  The
+glued certificates keep all four fields.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezout_point import PointSolution
+from .bezout_point import CERT_QUANTITIES, PointSolution
 from .config import ProblemConfig, _number, open_output, read_json
 from .cover_pou import Cover, PartitionOfUnity
 from .errors import ConfigError
@@ -44,14 +52,33 @@ def _cpoly_from_list(pairs, where: str) -> CPoly:
                   for re, im in pairs])
 
 
-def _cert_from_dict(d, where: str) -> NormCert:
+def _bounds(d, where: str):
     lo, hi = _number(d["lo"], f"{where}.lo"), _number(d["hi"], f"{where}.hi")
     if lo > hi:
         raise ConfigError(f"{where} has lo = {lo!r} > hi = {hi!r}")
+    return lo, hi
+
+
+def _cert_from_dict(d, where: str) -> NormCert:
     if not isinstance(d["quantity"], str):
         raise ConfigError(f"{where}.quantity must be a string")
-    return NormCert(lo, hi, d["quantity"],
+    return NormCert(*_bounds(d, where), d["quantity"],
                     _count(d["samples_used"], f"{where}.samples_used"))
+
+
+def point_cert_dict(cert: NormCert) -> dict:
+    """The file form of a point certificate: its ``lo`` and ``hi``."""
+    return {"lo": cert.lo, "hi": cert.hi}
+
+
+def _point_cert_from_dict(d, where: str, quantity: str, samples: int) -> NormCert:
+    """A point certificate from its ``lo`` and ``hi``, with the derived
+    quantity and sample count; an older file's stored copies must equal
+    them."""
+    for key, derived in (("quantity", quantity), ("samples_used", samples)):
+        if key in d and (type(d[key]) is not type(derived) or d[key] != derived):
+            raise ConfigError(f"{where}.{key} is {d[key]!r}, not the derived {derived!r}")
+    return NormCert(*_bounds(d, where), quantity, samples)
 
 
 def _cover_from_dict(d, dim: int) -> Cover:
@@ -76,8 +103,8 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
             "point_solutions": [
                 {
                     "g": [_complex_list(gm) for gm in sol.g],
-                    "norm_cert": sol.norm_cert.to_dict(),
-                    "residual_cert": sol.residual_cert.to_dict(),
+                    "norm_cert": point_cert_dict(sol.norm_cert),
+                    "residual_cert": point_cert_dict(sol.residual_cert),
                 }
                 for sol in glued.points.solutions
             ],
@@ -117,6 +144,7 @@ def _solution_from_dict(raw: dict):
     if len(entries) != cover.size:
         raise ConfigError(f"{len(entries)} point solutions for "
                           f"{cover.size} cover centers")
+    samples = config.solver.boundary_samples
     solutions = []
     for k, entry in enumerate(entries):
         where = f"point_solutions[{k}]"
@@ -124,9 +152,8 @@ def _solution_from_dict(raw: dict):
             raise ConfigError(f"{where}.g needs {family.size} components")
         solutions.append(PointSolution(
             g=tuple(_cpoly_from_list(gm, f"{where}.g") for gm in entry["g"]),
-            norm_cert=_cert_from_dict(entry["norm_cert"], f"{where}.norm_cert"),
-            residual_cert=_cert_from_dict(entry["residual_cert"],
-                                          f"{where}.residual_cert"),
+            **{name: _point_cert_from_dict(entry[name], f"{where}.{name}", quantity, samples)
+               for name, quantity in CERT_QUANTITIES.items()},
         ))
     c0 = _number(result["c0"], "c0")
     points = PointSolutionSet(tuple(solutions))

@@ -25,15 +25,9 @@ def _load(name):
 
 
 def test_shipped_configs_parse_and_roundtrip(tmp_path):
-    for name in (
-        "worked_family.json",
-        "worked_family_unscaled.json",
-        "constant_family.json",
-        "two_param_family.json",
-        "three_center_family.json",
-        "negative_common_zero.json",
-        "negative_common_power.json",
-    ):
+    names = sorted(p.name for p in CONFIGS.glob("*.json") if p.name != "corrupted_solution.json")
+    assert len(names) >= 9
+    for name in names:
         cfg = _load(name)
         out = tmp_path / name
         save_config(cfg, out)
@@ -234,8 +228,13 @@ def test_cli_verify_catches_corruption(tmp_path):
     assert code == 1
     rep = json.loads((tmp_path / "rep.json").read_text())
     assert rep["verdict"] == "fail"
-    failing = [c for c in rep["checks"] if not c["passed"]]
-    assert failing and any("witness" in c for c in failing)
+    failing = {c["name"]: c for c in rep["checks"] if not c["passed"]}
+    assert all("witness" in c for c in failing.values())
+    # the older file's stored quantity and samples_used equal the derived
+    # ones, so it loads and fails for its tampered coefficients
+    assert set(failing) == {"residual_resample", "residual_cert_consistent",
+                            "gtilde_norm_consistent", "point_certificates"}
+    assert failing["point_certificates"]["witness"]["field"] == "point_solutions[0].norm_cert"
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])

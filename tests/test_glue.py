@@ -416,3 +416,15 @@ def test_refinement_exhausted_carries_the_rounds(monkeypatch):
     assert (first.outcome, last.outcome) == ("residual_gate", "residual_gate")
     assert last.radius == first.radius / 2.0
     assert first.residual_cert is last.residual_cert is forced
+
+
+def test_an_unbounded_cover_stops_after_one_round_and_says_so(monkeypatch):
+    # data constant in s has one center of infinite radius, which halving
+    # cannot refine: a failed gate ends the solve after its first round
+    forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
+    monkeypatch.setattr(glue, "residual_certify", lambda *a, **k: forced)
+    with pytest.raises(RefinementExhausted) as err:
+        glue.solve(constant_family(), SolverSettings(max_refinements=6))
+    (only,) = err.value.rounds
+    assert math.isinf(only.radius) and only.outcome == "residual_gate"
+    assert str(err.value).startswith("no passing cover after 1 round(s) ")

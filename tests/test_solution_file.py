@@ -1,14 +1,15 @@
-"""The solution file: one line of sorted-key compact JSON.  Files written by
-earlier versions (indented, with an ``r_final`` copy of the cover radius, a
-``cover.box`` copy of the domain bounds and ``output.formats``) still load
-and verify the same."""
+"""The solution file: one line of sorted-key compact JSON, each point
+certificate stored as its lo and hi.  Files written by earlier versions
+(indented, with an ``r_final`` copy of the cover radius, a ``cover.box`` copy
+of the domain bounds, ``output.formats`` and each point certificate's
+``quantity`` and ``samples_used``) still load and verify the same."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from coronaglue import cli, glue, serialize
+from coronaglue import bezout_point, cli, glue, serialize
 from coronaglue.config import load_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -17,11 +18,15 @@ CONFIGS = REPO / "configs"
 
 def _old_writer(config, glued, path):
     """The writer of earlier versions: indented, with ``r_final``,
-    ``cover.box`` and ``output.formats``."""
+    ``cover.box``, ``output.formats`` and every field of each point
+    certificate."""
     payload = serialize.solution_to_dict(config, glued)
     payload["result"]["r_final"] = glued.cover.radius
     payload["result"]["cover"]["box"] = [list(b) for b in glued.family.box]
     payload["config"]["output"]["formats"] = ["json", "csv"]
+    for entry, sol in zip(payload["result"]["point_solutions"], glued.points.solutions):
+        for name in bezout_point.CERT_QUANTITIES:
+            entry[name] = getattr(sol, name).to_dict()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(serialize._strict(payload), fh, indent=2, sort_keys=True,
                   allow_nan=False)
@@ -65,6 +70,10 @@ def test_compact_file_holds_the_indented_payload_without_r_final(solved):
     del expected["result"]["r_final"]
     del expected["result"]["cover"]["box"]
     del expected["config"]["output"]["formats"]
+    for entry in expected["result"]["point_solutions"]:
+        for name in bezout_point.CERT_QUANTITIES:
+            assert set(entry[name]) == {"lo", "hi", "quantity", "samples_used"}
+            del entry[name]["quantity"], entry[name]["samples_used"]
     assert json.loads(new.read_text()) == expected
     assert new.stat().st_size < 0.5 * old.stat().st_size
 
@@ -95,6 +104,90 @@ def test_an_indented_file_with_r_final_loads_and_verifies_the_same(solved, tmp_p
     new_code, new_report = _verify_report(new, tmp_path / "new-report.json")
     assert old_code == new_code == 0
     assert old_report == new_report
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("norm_cert", "quantity", "H-infinity norm"),
+    ("residual_cert", "quantity", None),
+    ("norm_cert", "samples_used", 256),
+    ("residual_cert", "samples_used", 512.0),
+    ("residual_cert", "samples_used", "512"),
+])
+def test_a_stored_point_descriptor_other_than_the_derived_one_exits_2(
+        solved, tmp_path, capsys, name, key, value):
+    config, _, _, old = solved
+    raw = json.loads(old.read_text())
+    cert = raw["result"]["point_solutions"][-1][name]
+    assert cert[key] == {"quantity": bezout_point.CERT_QUANTITIES[name],
+                         "samples_used": config.solver.boundary_samples}[key]
+    assert cert[key] != value or type(cert[key]) is not type(value)
+    cert[key] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--solution", str(path)]) == 2
+    err = capsys.readouterr().err
+    last = len(raw["result"]["point_solutions"]) - 1
+    assert err.startswith(f"error: point_solutions[{last}].{name}.{key} is {value!r}, ")
+    assert len(err.splitlines()) == 1
+
+
+def _numeric_leaves(node, path=()):
+    """(path, value) of every number in a parsed JSON tree, in order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+# The fields whose perturbation verify accepts, each with the reason.
+TAMPER_SURVIVORS = {
+    ("result", "delta_cert"): "verify checks the stored corona bound only for lo > 0",
+    ("result", "sup_cert"): "the data sup norm is informational; verify does not recompute it",
+    ("result", "residual_cert"): "verify checks the stored glued residual only against "
+                                 "the gate and the fresh-grid maximum",
+    ("result", "cover", "radius"): "a slightly wider radius is another cover of the same "
+                                   "centers, and the glued solution it defines passes",
+    ("result", "refinements"): "the round count of the solve is informational",
+    ("config", "rescale_factor"): "the accumulated factor is informational; the family "
+                                  "tables are the data",
+    ("config", "domain", "bounds"): "the box is not checked against the glued certificates "
+                                    "computed on it, and the cover still covers the moved box",
+    ("config", "solver", "radial_samples"): "a solve setting that verify does not read",
+    ("config", "solver", "angular_samples"): "a solve setting that verify does not read",
+    ("config", "solver", "axis_samples"): "a solve setting that verify does not read",
+    ("config", "solver", "degree_cap_factor"): "a solve setting that verify does not read",
+    ("config", "solver", "max_refinements"): "a solve setting that verify does not read",
+    ("config", "solver", "order"): "it only sets the default --alpha, and order 3 passes",
+}
+
+
+@pytest.mark.parametrize("solved", ["three_center_family.json", "two_param_family.json"],
+                         indirect=True)
+def test_verify_refuses_every_tampered_number_but_the_named_survivors(solved, tmp_path):
+    # each number of the file moved once: an integer by 1, a float by 1e-3
+    # of its magnitude (at least 1e-3)
+    _, _, new, _ = solved
+    leaves = list(_numeric_leaves(json.loads(new.read_text())))
+    path, accepted, expected = tmp_path / "tampered.json", set(), set()
+    for where, value in leaves:
+        tampered = json.loads(new.read_text())
+        *parents, last = where
+        node = tampered
+        for key in parents:
+            node = node[key]
+        node[last] = value + 1 if isinstance(value, int) else value + 1e-3 * max(abs(value), 1.0)
+        path.write_text(json.dumps(tampered))
+        if cli.main(["verify", "--solution", str(path), "--z-samples", "4",
+                     "--s-samples", "3"]) == 0:
+            accepted.add(where)
+        if any(where[:len(field)] == field for field in TAMPER_SURVIVORS):
+            expected.add(where)
+    assert accepted == expected
+    assert len(expected) < len(leaves)
 
 
 def test_reports_stay_indented(tmp_path):
