@@ -129,8 +129,9 @@ def cmd_check(args) -> int:
     if args.out:
         _make_parent(Path(args.out))
     t0 = time.perf_counter()
-    delta = hnorm.delta_lower(family, solver.grid)
-    sup = hnorm.sup_family(family, solver.grid, solver.boundary_samples)
+    delta = hnorm.delta_lower(family, solver.radial_samples, solver.angular_samples,
+                              solver.axis_samples)
+    sup = hnorm.sup_family(family, solver.axis_samples, solver.boundary_samples)
     report.timings["check"] = time.perf_counter() - t0
     _record_certs(report, delta, sup)
     report.settle()
@@ -167,7 +168,7 @@ def cmd_solve(args) -> int:
         glued, stage_timings = glue.solve(family, solver)
     except CoronaUncertified as exc:
         # glue.solve stops at the gate, before its sup certificate
-        sup = hnorm.sup_family(family, solver.grid, solver.boundary_samples)
+        sup = hnorm.sup_family(family, solver.axis_samples, solver.boundary_samples)
         _record_certs(report, exc.certificate, sup)
         report.settle()
         if args.report:
@@ -310,10 +311,9 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         )
         print("warning: degenerate grid; sampling checks are vacuous")
 
-    radii, angles = serialize.polar_grid(radial, angular)
-    z_nodes = (radii[:, None] * angles[None, :]).ravel() \
-        if radii.size and angles.size else np.zeros(1, dtype=complex)
-    axes = [np.linspace(a, b, max(s_per_axis, 1)) for a, b in family.box]
+    # the certificates' polar grid, or the single node z = 0
+    z_nodes = hnorm.disc_points(radial, angular) if radial * angular else np.zeros(1, complex)
+    axes = hnorm.box_axes(family.box, max(s_per_axis, 1))
 
     # residual, certificate consistency, Bezout identity and norm bounds in
     # one sweep

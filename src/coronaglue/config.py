@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .hnorm import DiscKGrid
 from .polyalg import ParamFamily, SPoly, ZSPoly
 
 MAX_Z_DEGREE = 64
@@ -44,11 +43,6 @@ class SolverSettings:
     degree_cap_factor: int = 8
     max_refinements: int = 6
     order: int = 2
-
-    @property
-    def grid(self) -> DiscKGrid:
-        return DiscKGrid(self.radial_samples, self.angular_samples,
-                         self.axis_samples)
 
     def validate(self):
         checks = [

@@ -56,17 +56,21 @@ class Cover:
         return len(self.centers)
 
 
-def build_cover(box, radius: float) -> Cover:
+def build_cover(box, radius: float, max_size: float = math.inf) -> Cover:
     """Axis-aligned grid cover: per-axis counts ceil(width sqrt(d)/(2 r')),
-    centers spread evenly so the worst point sits strictly inside a bump."""
+    centers spread evenly so the worst point sits strictly inside a bump.
+    A radius that needs more than ``max_size`` centers raises DomainError
+    before any center is laid out."""
     box = tuple((float(a), float(b)) for a, b in box)
     if radius <= 0:
         raise DomainError("cover radius must be positive")
     spacing = 2.0 * (COVER_MARGIN * radius) / math.sqrt(len(box))
-    axis_centers = []
-    for a, b in box:
-        n = max(1, math.ceil((b - a) / spacing))
-        axis_centers.append([a + (b - a) * (2 * j + 1) / (2 * n) for j in range(n)])
+    # a count above max_size is clipped to max_size + 1: still too many
+    counts = [max(1, math.ceil(min((b - a) / spacing, max_size + 1))) for a, b in box]
+    if math.prod(counts) > max_size:
+        raise DomainError(f"cover radius {radius!r} needs more than {max_size} centers")
+    axis_centers = [[a + (b - a) * (2 * j + 1) / (2 * n) for j in range(n)]
+                    for (a, b), n in zip(box, counts)]
     centers = tuple(tuple(c) for c in itertools.product(*axis_centers))
     return Cover(centers, radius)
 

@@ -291,17 +291,16 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
         terms[(0,) * terms.ndim] = -1.0
         terms[1:] = products
         resid = ZSPoly(sum_in_order(terms)[None])
-        cert = hnorm.bracket(resid, z, z_mesh, "glued residual sup", supp,
+        cert = hnorm.bracket(resid, z, z_mesh, hnorm.GLUED_RESIDUAL, supp,
                              axis_samples, ball=(center, radius))
         hi = max(hi, cert.hi)
         count += cert.samples_used
 
     lo = 0.0
-    axes = [np.linspace(a, b, axis_samples) for a, b in box]
-    for block in GluedEvaluator(family, pou, points, z).sweep(axes):
+    for block in GluedEvaluator(family, pou, points, z).sweep(hnorm.box_axes(box, axis_samples)):
         lo = float(np.maximum(lo, np.abs(1.0 - block.phi).max()))  # NaN sticks
         count += block.phi.size
-    return NormCert(lo, max(hi, lo), "glued residual sup", count)
+    return NormCert(lo, max(hi, lo), hnorm.GLUED_RESIDUAL, count)
 
 
 def _pilot_c0(family: ParamFamily, options: SolverSettings) -> float:
@@ -334,7 +333,8 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
     passes, in the ``rounds`` of the RefinementExhausted."""
     timings = {}
     with _stage(timings, "corona_check"):
-        delta = hnorm.delta_lower(family, options.grid)
+        delta = hnorm.delta_lower(family, options.radial_samples,
+                                  options.angular_samples, options.axis_samples)
     if not delta.lo > 0.0:
         raise CoronaUncertified(
             f"corona condition not certified: lower bound {delta.lo:.4g} <= 0 "
@@ -342,7 +342,7 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
             certificate=delta,
         )
     with _stage(timings, "sup_norm"):
-        sup = hnorm.sup_family(family, options.grid, options.boundary_samples)
+        sup = hnorm.sup_family(family, options.axis_samples, options.boundary_samples)
 
     with _stage(timings, "pilot_solves"):
         pilot = _pilot_c0(family, options)

@@ -22,6 +22,10 @@ of |f_k|^2 are subharmonic, so their maxima sit on the boundary), with
 z_mesh = pi / samples; infima may be interior, so they are sampled on a
 polar grid of the full closed disc, with z_mesh = :func:`disc_mesh_radius`.
 
+Every sample node set of the program comes from here: the circle
+(:func:`boundary_points`), the polar disc grid (:func:`disc_points`, also
+verify's and the CSV's z nodes) and each parameter grid (:func:`box_axes`).
+
 A ``ball`` (center, radius) narrows the parameter region to the open ball
 within the box.  The grid and the slack stay the same; only the nodes whose
 half-step cell, the product of the [x_i - h_i, x_i + h_i], meets the ball
@@ -55,6 +59,8 @@ from .polyalg import CPoly, ParamFamily, ZSPoly, sum_in_order
 BLOCK_BUDGET = 1 << 14  # complex elements per component in one sampled block, or in its z powers
 L2_SUP = "l2 sup norm"          # the quantity of vec_sup_norm and sup_family
 H_INFINITY = "H-infinity norm"  # the quantity of sup_disc
+CORONA_LOWER = "corona lower bound"    # the quantity of delta_lower
+GLUED_RESIDUAL = "glued residual sup"  # the quantity of glue.residual_certify
 
 
 @dataclass(frozen=True)
@@ -84,28 +90,22 @@ class NormCert:
         }
 
 
-@dataclass(frozen=True)
-class DiscKGrid:
-    """Sample counts: polar grid on the disc plus a uniform grid per box axis."""
-
-    radial: int = 64
-    angular: int = 128
-    axis: int = 33
-
-    def __post_init__(self):
-        if self.radial < 2 or self.angular < 4 or self.axis < 2:
-            raise ValueError("grid too coarse to certify anything")
-
-
 def boundary_points(samples: int) -> np.ndarray:
     theta = 2.0 * math.pi * np.arange(samples) / samples
     return np.exp(1j * theta)
 
 
 def disc_points(radial: int, angular: int) -> np.ndarray:
-    """Polar grid of the closed disc, radii 0..1 inclusive."""
+    """Polar grid of the closed disc, radii 0..1 inclusive, then angles:
+    radial x angular nodes, none when either count is 0."""
     radii = np.linspace(0.0, 1.0, radial)
     return (radii[:, None] * boundary_points(angular)[None, :]).ravel()
+
+
+def box_axes(box, n: int) -> list:
+    """The uniform grid of ``n`` nodes per axis of ``box``, ends included,
+    one array per axis; empty arrays for ``n`` = 0."""
+    return [np.linspace(a, b, n) for a, b in box]
 
 
 def disc_mesh_radius(radial: int, angular: int) -> float:
@@ -160,8 +160,7 @@ def _modulus_blocks(data, z, box, axis, ball):
     if box is None:
         yield _l2(np.stack([p.eval(z) for p in data]))
         return
-    axes = [np.linspace(a, b, axis) for a, b in box]
-    table = data.sgrid_table(axes)
+    table = data.sgrid_table(box_axes(box, axis))
     mask = None if ball is None else ball_mask(box, axis, ball)
     z = np.ravel(z)
     rest = axis ** (len(box) - 1)
@@ -229,8 +228,7 @@ def ball_mask(box, axis: int, ball) -> np.ndarray:
     summed over the axes, fall below radius^2."""
     center, radius = ball
     dist2 = np.zeros(())
-    for (a, b), c in zip(box, center):
-        nodes = np.linspace(a, b, axis)
+    for (a, b), c, nodes in zip(box, center, box_axes(box, axis)):
         gap = np.maximum(np.abs(nodes - c) - _half_step(a, b, axis), 0.0)
         dist2 = np.add.outer(dist2, gap * gap)
     return dist2 < radius * radius
@@ -288,21 +286,25 @@ def vec_sup_norm(polys, samples: int = 512) -> NormCert:
                    L2_SUP)
 
 
-def delta_lower(family: ParamFamily, grid: DiscKGrid = DiscKGrid()) -> NormCert:
-    """Bracket inf over (closed disc) x K of the l2 modulus of the data tuple.
+def delta_lower(family: ParamFamily, radial: int, angular: int, axis: int) -> NormCert:
+    """Bracket inf over (closed disc) x K of the l2 modulus of the data tuple
+    on a polar grid of ``radial`` x ``angular`` disc nodes crossed with
+    ``axis`` nodes per box axis.
 
     The corona lower bound is certified iff ``lo > 0``; a nonpositive ``lo``
     means either genuine failure or an insufficient grid.
     """
-    return bracket(family.poly, disc_points(grid.radial, grid.angular),
-                   disc_mesh_radius(grid.radial, grid.angular),
-                   "corona lower bound", family.box, grid.axis, inf=True)
+    if radial < 2 or angular < 4 or axis < 2:
+        raise ValueError("grid too coarse to certify anything")
+    return bracket(family.poly, disc_points(radial, angular),
+                   disc_mesh_radius(radial, angular), CORONA_LOWER,
+                   family.box, axis, inf=True)
 
 
-def sup_family(family: ParamFamily, grid: DiscKGrid = DiscKGrid(),
-               boundary: int = 512) -> NormCert:
-    """Bracket sup over (closed disc) x K of the l2 modulus (boundary circle
-    sampling in z, uniform grid in the parameter)."""
+def sup_family(family: ParamFamily, axis: int, boundary: int) -> NormCert:
+    """Bracket sup over (closed disc) x K of the l2 modulus (``boundary``
+    circle samples in z, ``axis`` nodes per box axis)."""
+    if axis < 2 or boundary < 8:
+        raise ValueError("grid too coarse to certify anything")
     return bracket(family.poly, boundary_points(boundary),
-                   boundary_mesh_radius(boundary), L2_SUP, family.box,
-                   grid.axis)
+                   boundary_mesh_radius(boundary), L2_SUP, family.box, axis)

@@ -15,7 +15,10 @@ names :func:`bezout_point.certify` gives them, and the sample count from
 ``config.solver.boundary_samples``.  An older file that still stores
 ``quantity`` or ``samples_used`` there loads only when they equal the
 derived values; any other value is a ConfigError naming the field.  The
-glued certificates keep all four fields.
+glued certificates keep all four fields, each quantity the one of
+:data:`GLUED_QUANTITIES`.  The reader rebuilds the cover from
+``config.domain.bounds`` and ``cover.radius`` and refuses stored
+``cover.centers`` (kept for other readers) that differ from it.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from pathlib import Path
 
 import numpy as np
 
+from . import hnorm
 from .bezout_point import CERT_QUANTITIES, PointSolution
 from .config import ProblemConfig, _number, open_output, read_json
-from .cover_pou import Cover, PartitionOfUnity
+from .cover_pou import Cover, PartitionOfUnity, build_cover
 from .errors import ConfigError
 from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
 from .hnorm import NormCert
 from .polyalg import CPoly
 
 SOLUTION_FORMAT = "coronaglue-solution-v1"
+# the quantity of each glued certificate, by its field of GluedSolution
+GLUED_QUANTITIES = {"delta_cert": hnorm.CORONA_LOWER, "sup_cert": hnorm.L2_SUP,
+                    "residual_cert": hnorm.GLUED_RESIDUAL}
 
 
 def _complex_list(p: CPoly):
@@ -59,10 +66,11 @@ def _bounds(d, where: str):
     return lo, hi
 
 
-def _cert_from_dict(d, where: str) -> NormCert:
-    if not isinstance(d["quantity"], str):
-        raise ConfigError(f"{where}.quantity must be a string")
-    return NormCert(*_bounds(d, where), d["quantity"],
+def _cert_from_dict(d, where: str, quantity: str) -> NormCert:
+    """A glued certificate, whose stored quantity must be ``quantity``."""
+    if d["quantity"] != quantity:
+        raise ConfigError(f"{where}.quantity is {d['quantity']!r}, not {quantity!r}")
+    return NormCert(*_bounds(d, where), quantity,
                     _count(d["samples_used"], f"{where}.samples_used"))
 
 
@@ -81,16 +89,18 @@ def _point_cert_from_dict(d, where: str, quantity: str, samples: int) -> NormCer
     return NormCert(*_bounds(d, where), quantity, samples)
 
 
-def _cover_from_dict(d, dim: int) -> Cover:
-    """The cover's centers and radius; an older file's ``cover.box`` is not
-    read."""
+def _cover_from_dict(d, bounds) -> Cover:
+    """The cover that :func:`build_cover` lays out on ``bounds`` with the
+    stored radius; the stored centers must be its centers.  An older file's
+    ``cover.box`` is not read."""
     radius = math.inf if d["radius"] == "inf" else _number(d["radius"], "cover.radius")
     if not radius > 0.0:
         raise ConfigError('cover.radius must be positive or "inf"')
-    centers = tuple(tuple(_number(x, "cover.centers") for x in c) for c in d["centers"])
-    if not centers or any(len(c) != dim for c in centers):
-        raise ConfigError(f"cover.centers must be points in {dim} dimensions")
-    return Cover(centers, radius)
+    centers = d["centers"]
+    cover = build_cover(bounds, radius, max_size=len(centers))
+    if centers != [list(c) for c in cover.centers]:
+        raise ConfigError("cover.centers differ from build_cover(domain.bounds, cover.radius)")
+    return cover
 
 
 def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
@@ -139,7 +149,7 @@ def _solution_from_dict(raw: dict):
     config = ProblemConfig.from_dict(raw["config"])
     family = config.to_family()
     result = raw["result"]
-    cover = _cover_from_dict(result["cover"], family.dim)
+    cover = _cover_from_dict(result["cover"], config.bounds)
     entries = result["point_solutions"]
     if len(entries) != cover.size:
         raise ConfigError(f"{len(entries)} point solutions for "
@@ -164,9 +174,8 @@ def _solution_from_dict(raw: dict):
         family=family,
         pou=PartitionOfUnity(cover),
         points=points,
-        delta_cert=_cert_from_dict(result["delta_cert"], "delta_cert"),
-        sup_cert=_cert_from_dict(result["sup_cert"], "sup_cert"),
-        residual_cert=_cert_from_dict(result["residual_cert"], "residual_cert"),
+        **{name: _cert_from_dict(result[name], name, quantity)
+           for name, quantity in GLUED_QUANTITIES.items()},
         refinements=_count(result["refinements"], "refinements"),
     )
     return config, glued
@@ -205,25 +214,16 @@ def load_solution(path):
     return solution_from_dict(read_json(path))
 
 
-def polar_grid(radial: int, angular: int):
-    """Deterministic polar nodes of the closed disc, radii then angles."""
-    radii = np.linspace(0.0, 1.0, radial) if radial > 0 else np.array([])
-    angles = (
-        np.exp(2j * math.pi * np.arange(angular) / angular)
-        if angular > 0 else np.array([])
-    )
-    return radii, angles
-
-
 def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
                     s_per_axis: int):
     """One CSV row per grid node per component; returns (row count, summary).
 
     Columns: re_z, im_z, s1[, s2], k, re_g, im_g, abs_phi -- k is the
     1-based component index.  Floats carry 17 significant digits.  The rows
-    run over parameter points (row-major over the s axes), then z nodes
-    (radii, then angles), then components: radial x angular x s_per_axis^d
-    x N_f rows, and the radius-0 ring repeats z = 0 once per angle.
+    run over parameter points (row-major over the s axes), then the z nodes
+    of :func:`hnorm.disc_points` (radii, then angles), then components:
+    radial x angular x s_per_axis^d x N_f rows, and the radius-0 ring
+    repeats z = 0 once per angle.
 
     The export streams one parameter point at a time: the text of a point's
     rows comes from one row template, built once per export with the z cells
@@ -234,14 +234,11 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
     removes the file, and an OSError is a ConfigError.
     """
     family = glued.family
-    radii, angles = polar_grid(radial, angular)
-    axes = [np.linspace(a, b, s_per_axis) for a, b in family.box] \
-        if s_per_axis > 0 else [np.array([]) for _ in family.box]
+    z_nodes = hnorm.disc_points(radial, angular)
+    axes = hnorm.box_axes(family.box, s_per_axis)
     s_cols = [f"s{i+1}" for i in range(family.dim)]
     header = ["re_z", "im_z", *s_cols, "k", "re_g", "im_g", "abs_phi"]
 
-    z_nodes = (radii[:, None] * angles[None, :]).ravel() if radii.size and \
-        angles.size else np.array([], dtype=complex)
     # the rows of one point: z cells and k in the text, slots for re(g),
     # im(g) and the |phi| cell, split where the point's s cells go
     z_cells = [f"{z.real:.17g},{z.imag:.17g}," for z in z_nodes.tolist()]

@@ -186,7 +186,6 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
         raise ValueError("order must be nonnegative")
     indices = jets.multi_indices(family.dim, order)
     z = hnorm.boundary_points(boundary_samples)
-    axes = [np.linspace(a, b, axis_samples) for a, b in family.box]
 
     def maxima(jet):
         # the l2 modulus per (point, z), its max per point, then over the
@@ -196,7 +195,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
     g_best = f_best = np.zeros(len(indices))
-    for s in grid_blocks(axes, evaluator.block_size):
+    for s in grid_blocks(hnorm.box_axes(family.box, axis_samples), evaluator.block_size):
         g_jets, f_jets = _solution_jets(evaluator, s, order)
         g_best = np.maximum(g_best, maxima(g_jets))
         f_best = np.maximum(f_best, maxima(f_jets))

@@ -83,17 +83,16 @@ def reference_grid_csv(glued, path, radial, angular, s_per_axis):
     |phi| < 1/2 removes the file and raises InternalInconsistency."""
     from coronaglue.errors import InternalInconsistency
     from coronaglue.glue import GluedEvaluator
+    from coronaglue.hnorm import disc_points
 
     family = glued.family
-    radii = np.linspace(0.0, 1.0, radial) if radial > 0 else np.array([])
-    angles = (np.exp(2j * math.pi * np.arange(angular) / angular)
-              if angular > 0 else np.array([]))
     axes = [np.linspace(a, b, s_per_axis) for a, b in family.box] \
         if s_per_axis > 0 else [np.array([]) for _ in family.box]
     s_cols = [f"s{i+1}" for i in range(family.dim)]
     header = ["re_z", "im_z", *s_cols, "k", "re_g", "im_g", "abs_phi"]
-    z_nodes = (radii[:, None] * angles[None, :]).ravel() if radii.size and \
-        angles.size else np.array([], dtype=complex)
+    # the certificates' polar grid: this is the reference for the rows, not
+    # for the grid
+    z_nodes = disc_points(radial, angular)
 
     rows = 0
     try:

@@ -17,7 +17,6 @@ from coronaglue import cli, cover_pou, glue, hnorm, serialize, smoothness
 from coronaglue.bezout_point import gcd_chain_bezout
 from coronaglue.config import load_config
 from coronaglue.errors import CoronaViolation
-from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 REPO = Path(__file__).resolve().parents[1]
@@ -197,8 +196,8 @@ def test_criterion_07_certificate_soundness():
         p = random_cpoly(rng, 10)
         comp = ZSPoly([[SPoly([float(c.real), float(c.imag)]) for c in p.coeffs]])
         family = ParamFamily(stack(comp, ZSPoly([[SPoly([1.0, 0.5])]])), [(0.0, 1.0)])
-        cert = hnorm.delta_lower(family, DiscKGrid(radial=8, angular=16, axis=5))
-        fine = hnorm.delta_lower(family, DiscKGrid(radial=71, angular=151, axis=41))
+        cert = hnorm.delta_lower(family, 8, 16, 5)
+        fine = hnorm.delta_lower(family, 71, 151, 41)
         delta_ok &= fine.hi >= cert.lo - 1e-12
     ok = sup_ok and delta_ok
     _report(7, ok, f"50 boundary brute-force suprema inside [lo, hi] "
@@ -229,8 +228,10 @@ def test_criterion_08_bezout_suite():
 def test_criterion_09_negative_controls(capsys):
     code = cli.main(["check", "--config",
                      str(CONFIGS / "negative_common_zero.json")])
-    family = load_config(CONFIGS / "negative_common_zero.json").to_family()
-    cert = hnorm.delta_lower(family)
+    config = load_config(CONFIGS / "negative_common_zero.json")
+    solver = config.solver
+    cert = hnorm.delta_lower(config.to_family(), solver.radial_samples,
+                             solver.angular_samples, solver.axis_samples)
     near_zero = cert.hi <= 1e-2 and cert.lo <= 0.0
     violated = False
     try:

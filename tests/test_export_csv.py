@@ -1,13 +1,18 @@
-"""``serialize.export_grid_csv`` against the per-row reference writer."""
+"""``serialize.export_grid_csv`` against the per-row reference writer, and
+the polar grid that it and ``verify`` share with the certificates."""
 
 import os
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import reference_grid_csv
-from coronaglue import glue, serialize
+from conftest import reference_grid_csv, same_bits
+from coronaglue import cli, glue, hnorm, serialize
 from coronaglue.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _budget_of_three_points(monkeypatch, glued, radial, angular):
@@ -91,3 +96,35 @@ def test_a_failed_export_removes_only_a_regular_file(worked_solution):
     with pytest.raises(ConfigError, match="cannot write /dev/full"):
         serialize.export_grid_csv(worked_solution, "/dev/full", 3, 3, 5)
     assert os.path.exists("/dev/full")
+
+
+@pytest.fixture(scope="module")
+def worked_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("worked") / "solution.json"
+    assert cli.main(["solve", "--config", str(CONFIGS / "worked_family.json"),
+                     "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+def test_the_csv_and_verify_sample_the_certificates_polar_grid(
+        tmp_path, monkeypatch, worked_file, n):
+    # at these counts 2 pi k / n and 2 pi k * (1 / n) round apart, so only
+    # one formula for the nodes passes
+    swept, sweep = [], glue.GluedEvaluator.sweep
+
+    def recording(self, axes):
+        swept.append(self.z)
+        return sweep(self, axes)
+
+    monkeypatch.setattr(glue.GluedEvaluator, "sweep", recording)
+    assert cli.main(["verify", "--solution", str(worked_file), "--z-samples", str(n),
+                     "--s-samples", "2", "--alpha", "0"]) == 0
+    assert len(swept) == 1 and same_bits(swept[0], hnorm.disc_points(n, n))
+
+    out = tmp_path / "grid.csv"
+    assert cli.main(["eval-grid", "--solution", str(worked_file), "--out", str(out),
+                     "--z-samples", str(n), "--s-samples", "1"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    z = np.array([complex(float(row[0]), float(row[1])) for row in rows if row[3] == "1"])
+    assert same_bits(z, hnorm.disc_points(n, n))

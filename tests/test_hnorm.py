@@ -15,10 +15,11 @@ from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
 from coronaglue.errors import DomainError
-from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# (radial, angular, axis) of the solver's default grid
+DEFAULT_GRID = (64, 128, 33)
 
 
 def test_coeff_lipschitz_examples():
@@ -86,18 +87,18 @@ def test_vec_sup_norm_examples():
 
 def test_delta_lower_examples():
     family = worked_family()
-    cert = hnorm.delta_lower(family)
+    cert = hnorm.delta_lower(family, *DEFAULT_GRID)
     # calculus oracle: min of x^2 + (2+s-x)^2 over the disc x box sits at
     # (z, s) = (1, 0) with value 2
     assert cert.hi == pytest.approx(math.sqrt(2), abs=1e-3)
     assert cert.lo > 0
     assert cert.lo <= math.sqrt(2) <= cert.hi + 1e-12
 
-    one = hnorm.delta_lower(constant_family())
+    one = hnorm.delta_lower(constant_family(), *DEFAULT_GRID)
     assert one.lo == one.hi == pytest.approx(1.0)
 
     z_only = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([1.0])]]), [(0.0, 1.0)])
-    failing = hnorm.delta_lower(z_only)
+    failing = hnorm.delta_lower(z_only, *DEFAULT_GRID)
     assert failing.hi == pytest.approx(0.0, abs=1e-12)
     assert failing.lo <= 0.0
 
@@ -108,8 +109,8 @@ def test_delta_lower_brute_force_soundness(rng):
         comp = ZSPoly([[SPoly([float(c.real)]) for c in p.coeffs]])
         comp2 = ZSPoly([[SPoly([float(c.imag), 0.5]) for c in p.coeffs]])
         family = ParamFamily(stack(comp, comp2), [(0.0, 1.0)])
-        cert = hnorm.delta_lower(family, DiscKGrid(radial=8, angular=16, axis=5))
-        fine = hnorm.delta_lower(family, DiscKGrid(radial=80, angular=160, axis=50))
+        cert = hnorm.delta_lower(family, 8, 16, 5)
+        fine = hnorm.delta_lower(family, 80, 160, 50)
         # a 100x denser scan can only move the sampled minimum down toward
         # the true infimum, which the certificate's lo must stay below
         assert fine.hi >= cert.lo - 1e-12
@@ -120,22 +121,24 @@ def test_delta_lower_negative_control():
     f1 = ZSPoly([[SPoly([0.0]), SPoly([1.0])]])
     f2 = ZSPoly([[SPoly([0.0, -0.25]), SPoly([1.0])]])
     family = ParamFamily(stack(f1, f2), [(0.0, 1.0)])
-    cert = hnorm.delta_lower(family)
+    cert = hnorm.delta_lower(family, *DEFAULT_GRID)
     assert cert.hi <= 1e-2
     assert cert.lo <= 0.0
 
 
 def test_sup_family_brackets_worked_value():
     family = worked_family()
-    cert = hnorm.sup_family(family)
+    cert = hnorm.sup_family(family, 33, 512)
     # sup of the l2 modulus sits at (z, s) = (-1, 1) with value sqrt(17)
     assert cert.lo <= math.sqrt(17.0) <= cert.hi
     assert cert.lo == pytest.approx(math.sqrt(17.0), rel=1e-3)
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        DiscKGrid(radial=1)
+    with pytest.raises(ValueError, match="too coarse"):
+        hnorm.delta_lower(worked_family(), 1, 128, 33)
+    with pytest.raises(ValueError, match="too coarse"):
+        hnorm.sup_family(worked_family(), 1, 512)
     with pytest.raises(ValueError):
         hnorm.sup_disc(CPoly([1.0]), 4)
 
@@ -201,17 +204,16 @@ def _ref_family(family, z, z_mesh, count):
     return _ref_modulus(comps, axes, z), slack
 
 
-def _ref_delta_lower(family, grid):
-    modulus, slack = _ref_family(
-        family, hnorm.disc_points(grid.radial, grid.angular),
-        hnorm.disc_mesh_radius(grid.radial, grid.angular), grid.axis)
+def _ref_delta_lower(family, radial, angular, axis):
+    modulus, slack = _ref_family(family, hnorm.disc_points(radial, angular),
+                                 hnorm.disc_mesh_radius(radial, angular), axis)
     hi = float(modulus.min())
     return hi - slack, hi, modulus.size
 
 
-def _ref_sup_family(family, grid, boundary):
+def _ref_sup_family(family, axis, boundary):
     modulus, slack = _ref_family(family, hnorm.boundary_points(boundary),
-                                 math.pi / boundary, grid.axis)
+                                 math.pi / boundary, axis)
     lo = float(modulus.max())
     return lo, lo + slack, modulus.size
 
@@ -285,8 +287,7 @@ def test_engine_matches_the_old_formulas_on_cpolys():
 def test_engine_matches_the_old_formulas_on_families(dim):
     rng = np.random.default_rng(52 + dim)
     box = [(-0.5, 1.0), (0.25, 2.0)][:dim]
-    for grid in (DiscKGrid(radial=8, angular=16, axis=5),
-                 DiscKGrid(radial=12, angular=24, axis=7)):
+    for grid in ((8, 16, 5), (12, 24, 7)):
         for _ in range(5):
             # two components, three with ragged z-degrees, three of which one
             # is zero, and z-degrees 11 and 4: numpy sums the longer rows of
@@ -299,9 +300,10 @@ def test_engine_matches_the_old_formulas_on_families(dim):
                           [_random_zspoly(rng, dim, 11), _random_zspoly(rng, dim, 4)]):
                 family = ParamFamily(stack(*polys), box)
                 assert family.size == len(polys)
-                assert _bits(hnorm.delta_lower(family, grid)) == _ref_delta_lower(family, grid)
-                assert _bits(hnorm.sup_family(family, grid, 64)) == \
-                    _ref_sup_family(family, grid, 64)
+                assert _bits(hnorm.delta_lower(family, *grid)) == \
+                    _ref_delta_lower(family, *grid)
+                assert _bits(hnorm.sup_family(family, grid[2], 64)) == \
+                    _ref_sup_family(family, grid[2], 64)
 
 
 @pytest.mark.parametrize("case", ["3-center-1d", "4-center-2d", "3-component-1d",
@@ -597,7 +599,7 @@ def test_an_overflow_in_a_later_block_is_refused(monkeypatch):
         sampled = _ref_modulus(components(family), [np.linspace(0.0, 1.0, AXIS)], z)
         assert np.isfinite(sampled[:6]).all() and np.isinf(sampled[6:]).any()
         with pytest.raises(DomainError, match="not finite"):
-            hnorm.sup_family(family, DiscKGrid(axis=AXIS), 16)
+            hnorm.sup_family(family, AXIS, 16)
 
 
 def _dense_2d_family():
@@ -622,16 +624,18 @@ def test_delta_lower_peak_memory_does_not_grow_with_the_grid():
     # grid, where only the z nodes themselves (0.5 MiB) grow
     limit = 12 * hnorm.BLOCK_BUDGET * 16
     config = load_config(CONFIGS / "two_param_family.json")
-    cases = ((config.to_family(), config.solver.grid),
-             (config.to_family(), DiscKGrid(128, 256, 33)),
-             (_dense_2d_family(), DiscKGrid(axis=13)),
-             (_z_degree_64_family(), DiscKGrid()))
-    for family, grid in cases:
+    solver = config.solver
+    cases = ((config.to_family(), (solver.radial_samples, solver.angular_samples,
+                                   solver.axis_samples)),
+             (config.to_family(), (128, 256, 33)),
+             (_dense_2d_family(), (64, 128, 13)),
+             (_z_degree_64_family(), DEFAULT_GRID))
+    for family, (radial, angular, axis) in cases:
         tracemalloc.start()
         try:
-            cert = hnorm.delta_lower(family, grid)
+            cert = hnorm.delta_lower(family, radial, angular, axis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cert.samples_used == grid.axis ** family.dim * grid.radial * grid.angular
-        assert peak < limit, (grid, peak / 2 ** 20)
+        assert cert.samples_used == axis ** family.dim * radial * angular
+        assert peak < limit, ((radial, angular, axis), peak / 2 ** 20)

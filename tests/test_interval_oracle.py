@@ -16,7 +16,6 @@ import pytest
 from conftest import components, stack, steep_family, worked_family
 from coronaglue import glue, hnorm
 from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
-from coronaglue.hnorm import DiscKGrid
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 mpmath = pytest.importorskip("mpmath")
@@ -228,16 +227,15 @@ def _s_quadratic_family():
                                     _s_quadratic_family()],
                          ids=["worked", "fixed", "s-quadratic"])
 def test_family_certificates_cover_the_interval_enclosure(family):
-    grid = DiscKGrid(radial=16, angular=32, axis=9)
     box = list(family.box)
 
     modulus = _family_modulus(family)
-    delta = hnorm.delta_lower(family, grid)
+    delta = hnorm.delta_lower(family, 16, 32, 9)
     lo, _ = _enclose(modulus, [(0.0, 1.0), THETA] + box, False, _width(delta),
                      delta.lo)
     assert delta.lo <= lo
 
-    sup = hnorm.sup_family(family, grid, 64)
+    sup = hnorm.sup_family(family, 9, 64)
     _, hi = _enclose(modulus, [THETA] + box, True, _width(sup), sup.hi)
     assert hi <= sup.hi
 

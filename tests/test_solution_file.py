@@ -2,7 +2,9 @@
 certificate stored as its lo and hi.  Files written by earlier versions
 (indented, with an ``r_final`` copy of the cover radius, a ``cover.box`` copy
 of the domain bounds, ``output.formats`` and each point certificate's
-``quantity`` and ``samples_used``) still load and verify the same."""
+``quantity`` and ``samples_used``) still load and verify the same.  The
+reader rebuilds the cover from the bounds and the radius and refuses stored
+centers or glued certificate names other than the ones it derives."""
 
 import json
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 
 from coronaglue import bezout_point, cli, glue, serialize
 from coronaglue.config import load_config
+from coronaglue.cover_pou import build_cover
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -131,6 +134,58 @@ def test_a_stored_point_descriptor_other_than_the_derived_one_exits_2(
     assert len(err.splitlines()) == 1
 
 
+def _refused(raw, tmp_path, capsys):
+    """The one ``error:`` line with which verify refuses ``raw`` (exit 2)."""
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["verify", "--solution", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("name", ["delta_cert", "sup_cert", "residual_cert"])
+def test_a_glued_certificate_of_another_quantity_exits_2(solved, tmp_path, capsys, name):
+    _, glued, new, _ = solved
+    raw = json.loads(new.read_text())
+    assert raw["result"][name]["quantity"] == getattr(glued, name).quantity
+    raw["result"][name]["quantity"] = "x"
+    assert _refused(raw, tmp_path, capsys).startswith(f"error: {name}.quantity is 'x', ")
+
+
+@pytest.mark.parametrize("where", ["center", "lower bound", "upper bound"])
+def test_a_moved_center_or_bound_exits_2(solved, tmp_path, capsys, where):
+    _, _, new, _ = solved
+    raw = json.loads(new.read_text())
+    if where == "center":
+        raw["result"]["cover"]["centers"][-1][0] += 1e-9
+    else:
+        raw["config"]["domain"]["bounds"][0][where == "upper bound"] += 1e-3
+    assert "cover.centers" in _refused(raw, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("radius", [1e-12, 5e-324])
+def test_a_radius_too_small_for_the_stored_centers_exits_2(solved, tmp_path, capsys,
+                                                           radius):
+    # the cover of such a radius is refused before any of its centers is laid out
+    _, _, new, _ = solved
+    raw = json.loads(new.read_text())
+    raw["result"]["cover"]["radius"] = radius
+    assert "more than" in _refused(raw, tmp_path, capsys)
+
+
+def test_the_cover_is_rebuilt_from_the_bounds_and_the_radius(solved, tmp_path):
+    config, glued, new, old = solved
+    assert glued.cover == build_cover(config.bounds, glued.cover.radius)
+    # an older file's cover.box and r_final are not read
+    raw = json.loads(old.read_text())
+    raw["result"]["cover"]["box"] = [[-5.0, 5.0]]
+    raw["result"]["r_final"] = 1.0
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    _equal_solutions(serialize.load_solution(path), serialize.load_solution(new))
+
+
 def _numeric_leaves(node, path=()):
     """(path, value) of every number in a parsed JSON tree, in order."""
     if isinstance(node, dict):
@@ -154,8 +209,6 @@ TAMPER_SURVIVORS = {
     ("result", "refinements"): "the round count of the solve is informational",
     ("config", "rescale_factor"): "the accumulated factor is informational; the family "
                                   "tables are the data",
-    ("config", "domain", "bounds"): "the box is not checked against the glued certificates "
-                                    "computed on it, and the cover still covers the moved box",
     ("config", "solver", "radial_samples"): "a solve setting that verify does not read",
     ("config", "solver", "angular_samples"): "a solve setting that verify does not read",
     ("config", "solver", "axis_samples"): "a solve setting that verify does not read",
