@@ -16,13 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bezout_point, glue, hnorm, jets, serialize, smoothness
-from .config import ProblemConfig, load_config, save_config
+from .config import ProblemConfig, load_config, save_config, write_json
 from .errors import (
     ConfigError,
     CoronaGlueError,
     CoronaUncertified,
     DomainError,
-    InternalInconsistency,
 )
 from .polyalg import sum_in_order
 
@@ -74,7 +73,7 @@ class RunReport:
         payload = asdict(self)
         if self.rounds is None:
             del payload["rounds"]
-        serialize.write_json(payload, path)
+        write_json(payload, path)
 
 
 def _make_parent(path: Path):
@@ -86,6 +85,19 @@ def _make_parent(path: Path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     if path.is_dir():
         raise ConfigError(f"cannot write {path}: it is a directory")
+
+
+def _distinct(*paths):
+    """Refuse, as a ConfigError, two of the input and output ``paths`` (None
+    skipped) that name one file after ``Path.resolve()``: no command writes
+    over a file it reads or over another of its own outputs."""
+    seen = {}
+    for path in filter(None, paths):
+        key = Path(path).resolve()
+        if key in seen:
+            raise ConfigError(f"{path} and {seen[key]} name the same file; "
+                              "a command never writes over its input or its other output")
+        seen[key] = path
 
 
 def _print_cert(label, cert):
@@ -122,6 +134,7 @@ def _record_certs(report: RunReport, delta, sup):
 
 
 def cmd_check(args) -> int:
+    _distinct(args.config, args.out)
     config = load_config(args.config)
     family = config.to_family()
     solver = config.solver
@@ -160,6 +173,7 @@ def cmd_solve(args) -> int:
     report = RunReport(command="solve")
     out = Path(args.out) if args.out else \
         Path(config.output.directory) / "solution.json"
+    _distinct(args.config, out, args.report)
     # refuse an unwritable output before the pipeline runs, not after
     for path in [out] + ([Path(args.report)] if args.report else []):
         _make_parent(path)
@@ -319,7 +333,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     # one sweep
     resid, gt_norm, ident, g_norm = (_Worst() for _ in range(4))
     breach = None
-    evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+    evaluator = glue.GluedEvaluator(family, glued.cover, glued.points, z_nodes)
     for block in evaluator.sweep(axes):
         resid.update(np.abs(1.0 - block.phi), block.point)
         gt_norm.update(_l2(block.gtilde), block.point)
@@ -359,14 +373,14 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     # numpy's default_rng(0) stream, drawn without numpy.random in blocks,
     # the same stream as one by one
     rng = _Stream()
-    pou = glued.pou
+    cover = glued.cover
     # blocks of 8 EVAL_BUDGET (point, center) pairs: the weights' cost per
     # call is paid a few dozen times, and the peak RSS does not move
-    size = max(1, 8 * glue.EVAL_BUDGET // pou.size)
+    size = max(1, 8 * glue.EVAL_BUDGET // cover.size)
     lows, highs = np.array(family.box).T
     pou_sum = _Worst(0.0)
     for s in _uniform_blocks(rng, lows, highs, _POU_RANDOM_SAMPLES, size):
-        pou_sum.update(np.abs(pou.weights(s).sum(-1) - 1.0),
+        pou_sum.update(np.abs(cover.weights(s).sum(-1) - 1.0),
                        lambda i: {"s": s[i].tolist()})
     report.add_check(
         "pou_sum", pou_sum.value <= POU_SUM_TOL,
@@ -377,7 +391,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     inner = _interior(family.box, 0.05)
     for s in _uniform_blocks(rng, *inner, 200, size):
         # point by point, each point's multi-indices in order
-        sums = np.stack([d.sum(-1) for d in pou.derivs(s, alphas)], axis=1)
+        sums = np.stack([d.sum(-1) for d in cover.derivs(s, alphas)], axis=1)
         dsum.update(np.abs(sums), lambda i: {"s": s[i // len(alphas)].tolist(),
                                              "alpha": list(alphas[i % len(alphas)])})
     report.add_check(
@@ -436,6 +450,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
 
 
 def cmd_verify(args) -> int:
+    _distinct(args.solution, args.report)
     config, glued = serialize.load_solution(args.solution)
     report = RunReport(command="verify")
     report.delta_cert = glued.delta_cert.to_dict()
@@ -469,14 +484,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_grid(args) -> int:
-    _config, glued = serialize.load_solution(args.solution)
     out = Path(args.out)
     _make_parent(out)
+    summary_path = out.with_suffix(".summary.json")
+    _distinct(args.solution, out, summary_path)
+    _config, glued = serialize.load_solution(args.solution)
     rows, summary = serialize.export_grid_csv(
         glued, out, args.z_samples, args.z_samples, args.s_samples
     )
     try:
-        serialize.save_summary(summary, out.with_suffix(".summary.json"))
+        serialize.save_summary(summary, summary_path)
     except BaseException:
         out.unlink()  # no CSV without its summary
         raise

@@ -291,8 +291,29 @@ def open_output(path):
         raise
 
 
+def _strict(value):
+    """``value`` with every non-finite float spelled as the string "nan",
+    "inf" or "-inf", so strict JSON parsers read it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if value != value else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def write_json(payload, path, indent=2):
+    """Strict JSON with sorted keys and LF endings.  ``indent=None`` writes
+    one line with no whitespace between tokens; one ``json.dumps`` call then
+    runs the C encoder, which ``json.dump`` and any indent never use."""
+    separators = (",", ":") if indent is None else None
+    with open_output(path) as fh:
+        fh.write(json.dumps(_strict(payload), indent=indent, separators=separators,
+                            sort_keys=True, allow_nan=False))
+        fh.write("\n")
+
+
 def save_config(config: ProblemConfig, path):
     config.validate()
-    with open_output(path) as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(config.to_dict(), path)

@@ -1,5 +1,10 @@
 """Finite ball covers of the parameter box and the smooth partition of unity.
 
+The cover is the partition of unity: :class:`PartitionOfUnity` holds the
+centers and the one radius, which fix the bumps completely, and
+:func:`build_cover` returns one.  Every weight method takes its points as an
+(n, d) block, one point per row; a single point is a block of one.
+
 The bump profile is the classical mollifier beta(t) = exp(-1/(1-t^2)) for
 |t| < 1 and 0 otherwise, scaled to the cover radius.  Radial slots are laid
 out on an axis-aligned grid whose spacing keeps every box point strictly
@@ -16,14 +21,14 @@ finite differencing.  At a point s only the bumps whose support holds s (at
 most 2^d of them) are built; every other weight and all of its derivatives
 are exactly zero there.  A block of points is one batched jet pass over its
 live (point, center) pairs, and each point's jets keep the bits they have
-when the point is alone.
+in a block of one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,20 +48,7 @@ def lipschitz_s_bound(family: ParamFamily) -> float:
     return math.sqrt(float(sum_in_order((bounds.T ** 2).ravel())))
 
 
-@dataclass(frozen=True)
-class Cover:
-    """Centers plus a common ball radius; an infinite radius makes every
-    bump live on the whole box."""
-
-    centers: tuple
-    radius: float
-
-    @property
-    def size(self) -> int:
-        return len(self.centers)
-
-
-def build_cover(box, radius: float, max_size: float = math.inf) -> Cover:
+def build_cover(box, radius: float, max_size: float = math.inf) -> PartitionOfUnity:
     """Axis-aligned grid cover: per-axis counts ceil(width sqrt(d)/(2 r')),
     centers spread evenly so the worst point sits strictly inside a bump.
     A radius that needs more than ``max_size`` centers raises DomainError
@@ -72,46 +64,44 @@ def build_cover(box, radius: float, max_size: float = math.inf) -> Cover:
     axis_centers = [[a + (b - a) * (2 * j + 1) / (2 * n) for j in range(n)]
                     for (a, b), n in zip(box, counts)]
     centers = tuple(tuple(c) for c in itertools.product(*axis_centers))
-    return Cover(centers, radius)
+    return PartitionOfUnity(centers, radius)
 
 
+@dataclass(frozen=True)
 class PartitionOfUnity:
-    """Normalized bumps subordinate to a cover: eta_k(s) =
-    beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r)."""
+    """The cover: centers s_k (a tuple of coordinate tuples) and one ball
+    radius r, and the normalized bumps subordinate to it, eta_k(s) =
+    beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r).  An infinite radius
+    makes every bump live on the whole box."""
 
-    __slots__ = ("cover", "_centers")
+    centers: tuple
+    radius: float
+    _centers: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, cover: Cover):
-        self.cover = cover
-        self._centers = np.asarray(cover.centers, dtype=float)
+    def __post_init__(self):
+        object.__setattr__(self, "_centers", np.asarray(self.centers, dtype=float))
 
     @property
     def size(self) -> int:
-        return self.cover.size
-
-    def _point(self, s) -> np.ndarray:
-        """One point as a (d,) array, or a block of points as (n, d)."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if s.ndim > 2 or s.shape[-1] != self._centers.shape[1]:
-            raise DomainError("point dimension does not match the cover")
-        return s
+        return len(self.centers)
 
     def weights(self, s) -> np.ndarray:
-        """Normalized weight vector at one point, or one row per point of an
-        (n, d) block, each row contiguous so that its sum adds as at one
-        point: the order-0 :meth:`weight_jets`."""
+        """Normalized weights at the (n, d) block of points ``s``: one row
+        per point, each row contiguous so that its sum adds as at a block of
+        one: the order-0 :meth:`weight_jets`."""
         return np.ascontiguousarray(self.weight_jets(s, 0)[:, 0].T)
 
     def weight_jets(self, s, order) -> np.ndarray:
         """Taylor-coefficient jets of every weight, truncated at total order
-        ``order``: shape (centers, jet size) at one point ``s``, or
-        (centers, jet size, n) at an (n, d) block of points.  Only the
-        (point, center) pairs whose bump support holds the point are built,
-        in one batched pass; every other entry is exactly zero."""
-        s = self._point(s)
-        block = np.atleast_2d(s)
+        ``order`` at the (n, d) block of points ``s``: shape (centers, jet
+        size, n).  Only the (point, center) pairs whose bump support holds
+        the point are built, in one batched pass; every other entry is
+        exactly zero."""
+        block = np.asarray(s, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self._centers.shape[1]:
+            raise DomainError(f"points of shape {block.shape} do not match the cover")
         dim, order = block.shape[1], int(order)
-        centers, r = self._centers, self.cover.radius
+        centers, r = self._centers, self.radius
         # |s - c|^2 added over the axes in order, one (point, center) table
         # per axis; an infinite radius keeps every pair live
         sq = sum_in_order([(x[:, None] - c) ** 2 for x, c in zip(block.T, centers.T)])
@@ -137,7 +127,7 @@ class PartitionOfUnity:
         inv = jets.jet_reciprocal(total, dim, order)
         out = np.zeros((len(centers), len(total), len(block)))
         out[live_centers, :, points] = jets.jet_mul(bumps, inv[:, points], dim, order).T
-        return out if s.ndim == 2 else out[..., 0]
+        return out
 
     def _bump_jets(self, diff, sq, order) -> np.ndarray:
         """Jets of beta(|s - c| / r) for the offsets ``diff`` = s - c, one
@@ -146,7 +136,7 @@ class PartitionOfUnity:
         exactly: sq / r^2, then 2 (s_i - c_i) / r^2 on s_i and 1 / r^2 on
         s_i^2."""
         batch, dim = diff.shape[:1], diff.shape[1]
-        r2 = self.cover.radius * self.cover.radius
+        r2 = self.radius * self.radius
         u = jets.jet_const(sq / r2, dim, order, batch)
         for axis, unit in enumerate(np.eye(dim, dtype=int) if order else ()):
             u[jets.position(unit, order)] = 2.0 * diff[:, axis] / r2
@@ -157,9 +147,9 @@ class PartitionOfUnity:
 
     def derivs(self, s, alphas) -> list:
         """d^alpha of every weight for each multi-index in ``alphas``, all
-        read off one weight jet whose order covers them: (K,) each at one
-        point ``s``, (n, K) at an (n, d) block, each point's K values
-        contiguous so that a sum over them adds as at one point.  Orders
+        read off one weight jet whose order covers them: (n, K) each at the
+        (n, d) block of points ``s``, each point's K values contiguous so
+        that a sum over them adds as at a block of one.  Orders
         with |alpha| >= 1 sum to zero across centers."""
         alphas = [as_alpha(alpha, self._centers.shape[1]) for alpha in alphas]
         order = max(map(sum, alphas))

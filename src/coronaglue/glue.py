@@ -17,10 +17,14 @@ The final solution is an evaluator: g(z,s) = gtilde(z,s) / phi(z,s) with
 phi = gtilde^T f computed pointwise, so g^T f = 1 holds to division rounding
 at every evaluated point and ||g|| <= 2 C0 wherever |phi| >= 1/2.
 
+The cover is one object, a :class:`cover_pou.PartitionOfUnity`: its centers
+and radius fix the weights, :func:`solve` builds it once per round, and a
+:class:`GluedSolution` holds it as ``cover``.
+
 One evaluator serves every reader of the solution.  :class:`GluedEvaluator`
 holds the point solutions on one z array (the table G[k, m, z] =
-g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at a block of
-parameter points; a value is the order-0 jet.  The lower end of
+g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at an (n, d)
+block of parameter points; a value is the order-0 jet.  The lower end of
 :func:`residual_certify`, verify's sweep and the CSV export read values, each
 array of a block within EVAL_BUDGET elements (one point per block when its z
 array alone is larger); the C^k reports, ``g_partial`` and the
@@ -43,7 +47,7 @@ import numpy as np
 from . import hnorm, jets
 from .bezout_point import PointSolution, RESIDUAL_ACCEPT, solve_point
 from .config import SolverSettings
-from .cover_pou import Cover, PartitionOfUnity, build_cover, lipschitz_s_bound
+from .cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
 from .errors import (
     CoronaGlueError,
     CoronaUncertified,
@@ -98,17 +102,13 @@ class GluedSolution:
     not hold."""
 
     family: ParamFamily
-    pou: PartitionOfUnity
+    cover: PartitionOfUnity
     points: PointSolutionSet
     delta_cert: NormCert
     sup_cert: NormCert
     residual_cert: NormCert
     refinements: int
     rounds: tuple = field(default=(), compare=False, repr=False)
-
-    @property
-    def cover(self) -> Cover:
-        return self.pou.cover
 
     @property
     def c0(self) -> float:
@@ -120,7 +120,7 @@ def _solve_at(family: ParamFamily, s, options: SolverSettings) -> PointSolution:
                        options.degree_cap_factor)
 
 
-def solve_at_samples(family: ParamFamily, cover: Cover,
+def solve_at_samples(family: ParamFamily, cover: PartitionOfUnity,
                      options: SolverSettings = SolverSettings()) -> PointSolutionSet:
     """Freeze the family at every cover center and solve there."""
     try:
@@ -177,12 +177,12 @@ class GluedEvaluator:
     elements; a row-major sweep reuses nearly every row before it is
     dropped."""
 
-    def __init__(self, family: ParamFamily, pou: PartitionOfUnity,
+    def __init__(self, family: ParamFamily, cover: PartitionOfUnity,
                  points: PointSolutionSet, z):
-        self.family, self.pou, self.points = family, pou, points
+        self.family, self.cover, self.points = family, cover, points
         self.z = np.asarray(z, dtype=complex).ravel()
         self.block_size = max(1, EVAL_BUDGET // max(family.size * self.z.size,
-                                                    pou.size))
+                                                    cover.size))
         self._rows = {}
 
     def row(self, k: int) -> np.ndarray:
@@ -205,12 +205,12 @@ class GluedEvaluator:
         alone.  Raises ``DomainError`` for a point outside the box."""
         family = self.family
         dim, size = family.dim, family.size
-        s = np.asarray(s, dtype=float).reshape(-1, dim)
+        s = np.asarray(s, dtype=float)
         family.require_inside(s)
         z = self.z.reshape(len(s) if own_z else 1, -1)
         batch = (size, len(s), z.shape[1])
 
-        eta = self.pou.weight_jets(s, order)
+        eta = self.cover.weight_jets(s, order)
         gt = jets.jet_const(0.0, dim, order, batch, complex)
         # each center adds to the points whose bump holds it, in cover order
         live = eta[:, 0] != 0.0
@@ -242,11 +242,11 @@ def grid_blocks(axes, size: int):
         yield np.array(block, dtype=float)
 
 
-def phi_eval(family: ParamFamily, pou: PartitionOfUnity,
+def phi_eval(family: ParamFamily, cover: PartitionOfUnity,
              points: PointSolutionSet, z, s):
     """phi = gtilde^T f at (z, s); returns (phi, gtilde)."""
     z = np.asarray(z, dtype=complex)
-    block = GluedEvaluator(family, pou, points, z).at(s)
+    block = GluedEvaluator(family, cover, points, z).at(s)
     return block.phi[0].reshape(z.shape), block.gtilde[0].reshape((-1,) + z.shape)
 
 
@@ -256,11 +256,11 @@ def g_eval(glued: GluedSolution, z, s):
     means the certificate was wrong and is reported as an internal
     inconsistency."""
     z = np.asarray(z, dtype=complex)
-    block = GluedEvaluator(glued.family, glued.pou, glued.points, z).at(s)
+    block = GluedEvaluator(glued.family, glued.cover, glued.points, z).at(s)
     return block.g()[0].reshape((-1,) + z.shape)
 
 
-def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
+def residual_certify(family: ParamFamily, cover: PartitionOfUnity,
                      points: PointSolutionSet, boundary_samples: int = 256,
                      axis_samples: int = 33) -> NormCert:
     """Bracket sup over disc x box of |1 - gtilde^T f|.
@@ -277,11 +277,11 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
     Lower end: direct sampling of |1 - gtilde^T f| on a global grid.
     """
     box = family.box
-    radius = pou.cover.radius
+    radius = cover.radius
     z = hnorm.boundary_points(boundary_samples)
     z_mesh = hnorm.boundary_mesh_radius(boundary_samples)
     hi, count = 0.0, 0
-    for center, sol in zip(pou.cover.centers, points.solutions):
+    for center, sol in zip(cover.centers, points.solutions):
         supp = tuple((max(a, c - radius), min(b, c + radius))
                      for (a, b), c in zip(box, center))
         # q_k - 1 = -1 + sum_m g_km f_m: one product for every component,
@@ -297,7 +297,7 @@ def residual_certify(family: ParamFamily, pou: PartitionOfUnity,
         count += cert.samples_used
 
     lo = 0.0
-    for block in GluedEvaluator(family, pou, points, z).sweep(hnorm.box_axes(box, axis_samples)):
+    for block in GluedEvaluator(family, cover, points, z).sweep(hnorm.box_axes(box, axis_samples)):
         lo = float(np.maximum(lo, np.abs(1.0 - block.phi).max()))  # NaN sticks
         count += block.phi.size
     return NormCert(lo, max(hi, lo), hnorm.GLUED_RESIDUAL, count)
@@ -355,16 +355,15 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
         with _stage(timings, "point_solves"):
             cover = build_cover(family.box, radius)
             points = solve_at_samples(family, cover, options)
-        pou = PartitionOfUnity(cover)
         with _stage(timings, "residual_certify"):
-            cert = residual_certify(family, pou, points,
+            cert = residual_certify(family, cover, points,
                                     max(256, options.angular_samples),
                                     options.axis_samples)
         outcome = "passed" if cert.hi <= RESIDUAL_GATE else "residual_gate"
         rounds.append(SolveRound(radius, cover.size, points.c0, cert, outcome))
         if outcome == "passed":
             return (
-                GluedSolution(family, pou, points, delta, sup, cert,
+                GluedSolution(family, cover, points, delta, sup, cert,
                               round_index, tuple(rounds)),
                 timings,
             )

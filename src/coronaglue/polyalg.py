@@ -16,6 +16,8 @@ Three layers:
   (``ZSPoly.z_groups``), so the padding of a short component costs nothing.
   One kernel substitutes s, once per axis: :func:`_taylor_shift`, Horner at
   order 0, for freezes, s-grid tables, coefficient bounds and jets alike.
+  The jets come from ``ZSPoly.taylor_coeffs``, which takes its points as an
+  (n, d) block only, with z of shape (1, q) or (n, q).
 
 Everything is immutable after construction and safe to share across threads.
 """
@@ -184,14 +186,6 @@ def _pack(components):
     return _padded([_padded([c.coeffs for c in comp]) for comp in components])
 
 
-def _points(s, dim):
-    """One point or an (n, d) block of points as an (n, d) float array."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim > 2 or np.atleast_1d(s).shape[-1] != dim:
-        raise ValueError(f"points of shape {s.shape}, expected {dim} coordinates each")
-    return s.reshape(-1, dim)
-
-
 def _taylor_shift(c, x, order):
     """The Taylor coefficients of orders 0..order about ``x``, on a new
     leading axis, of the polynomials whose coefficients run along the leading
@@ -351,12 +345,11 @@ class ZSPoly:
         return table
 
     def taylor_coeffs(self, s0, order, z):
-        """Taylor coefficients in s about ``s0`` of z -> p(z, s): a jet of
-        total order ``order`` whose batch starts with the component axis.
-        At one point (d,) its batch shape is (N,) + z.shape.  At an (n, d)
-        block of points it is (N, n) + z.shape[1:], where the leading axis
-        of ``z`` is 1 (every point reads the same z values) or n (each point
-        reads its own).
+        """Taylor coefficients in s about every row of the (n, d) block of
+        points ``s0`` of z -> p(z, s): a jet of total order ``order`` with
+        batch shape (N, n, q), the component axis first.  ``z`` is (1, q),
+        every point reading the same z values, or (n, q), each point reading
+        its own row.
 
         One pass of the substitution kernel :func:`_taylor_shift` per
         parameter axis (Horner's rule at order 0, so the values have the
@@ -366,10 +359,10 @@ class ZSPoly:
         product of one row, column or z-power apart from gemm, and there
         zero padding would change its bits): every point and every component
         gets the bits it gets alone."""
-        z = np.asarray(z, dtype=complex)
-        points = _points(s0, self.dim)
-        block = np.ndim(s0) == 2
-        zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
+        points, z = np.asarray(s0, dtype=float), np.asarray(z, dtype=complex)
+        if points.ndim != 2 or points.shape[1] != self.dim or z.ndim != 2:
+            raise ValueError(f"points of shape {points.shape} and z of shape {z.shape}, "
+                             f"expected (n, {self.dim}) and (1 or n, q)")
         size, count = self.coeffs.shape[:2]
         # each shift puts its orders first; the swap brings the next s-axis
         # to the front and leaves the orders in axis order
@@ -381,13 +374,11 @@ class ZSPoly:
         # memory layout
         tables = np.empty((size, len(points), len(shifted), count), dtype=complex)
         tables[...] = shifted.transpose(1, 3, 0, 2)
-        powers = zf[:, None, :] ** np.arange(count)[:, None]
+        powers = z[:, None, :] ** np.arange(count)[:, None]
         jet = np.empty(tables.shape[:-1] + powers.shape[-1:], dtype=complex)
         for run, n in self.z_groups():
             jet[run] = np.matmul(tables[run, ..., :n], powers[:, :n])
-        jet = np.moveaxis(jet, 2, 0)
-        return jet.reshape(jet.shape[:3] + z.shape[1:]) if block else \
-            jet[:, :, 0].reshape(jet.shape[:2] + z.shape)
+        return np.moveaxis(jet, 2, 0)
 
 
 class ParamFamily:
@@ -421,23 +412,23 @@ class ParamFamily:
         return len(self.poly.coeffs)
 
     def require_inside(self, s):
-        """Raise ``DomainError`` unless the point ``s``, or every row of an
-        (n, d) block, lies in the box, widened by a relative 1e-12 per axis
+        """Raise ``DomainError`` unless every row of the (n, d) block of
+        points ``s`` lies in the box, widened by a relative 1e-12 per axis
         (a NaN coordinate does not); the message names the first point
         outside."""
-        x = np.asarray(s, dtype=float)
-        rows = np.atleast_2d(x)
+        rows = np.asarray(s, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise DomainError(f"parameter points of shape {rows.shape}, expected (n, {self.dim})")
         lo, hi = np.array(self.box).T
         pad = _BOX_EPS * (1.0 + np.abs(lo) + np.abs(hi))
-        inside = x.ndim <= 2 and rows.shape[1] == self.dim and \
-            ((lo - pad <= rows) & (rows <= hi + pad)).all(axis=1)
-        if not np.all(inside):
-            point = rows[np.argmin(inside)].tolist() if x.ndim == 2 else s
+        inside = ((lo - pad <= rows) & (rows <= hi + pad)).all(axis=1)
+        if not inside.all():
+            point = rows[np.argmin(inside)].tolist()
             raise DomainError(f"parameter point {point!r} lies outside the box {self.box}")
 
     def freeze(self, s):
         """All components with the parameter substituted, as CPoly tuple."""
-        self.require_inside(s)
+        self.require_inside([s])
         return self.poly.freeze(s)
 
 

@@ -23,7 +23,6 @@ glued certificates keep all four fields, each quantity the one of
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from . import hnorm
 from .bezout_point import CERT_QUANTITIES, PointSolution
-from .config import ProblemConfig, _number, open_output, read_json
-from .cover_pou import Cover, PartitionOfUnity, build_cover
+from .config import ProblemConfig, _number, open_output, read_json, write_json
+from .cover_pou import PartitionOfUnity, build_cover
 from .errors import ConfigError
 from .glue import GluedEvaluator, GluedSolution, PointSolutionSet
 from .hnorm import NormCert
@@ -89,7 +88,7 @@ def _point_cert_from_dict(d, where: str, quantity: str, samples: int) -> NormCer
     return NormCert(*_bounds(d, where), quantity, samples)
 
 
-def _cover_from_dict(d, bounds) -> Cover:
+def _cover_from_dict(d, bounds) -> PartitionOfUnity:
     """The cover that :func:`build_cover` lays out on ``bounds`` with the
     stored radius; the stored centers must be its centers.  An older file's
     ``cover.box`` is not read."""
@@ -172,36 +171,13 @@ def _solution_from_dict(raw: dict):
                           f"norm_cert.hi, {points.c0!r}")
     glued = GluedSolution(
         family=family,
-        pou=PartitionOfUnity(cover),
+        cover=cover,
         points=points,
         **{name: _cert_from_dict(result[name], name, quantity)
            for name, quantity in GLUED_QUANTITIES.items()},
         refinements=_count(result["refinements"], "refinements"),
     )
     return config, glued
-
-
-def _strict(value):
-    """``value`` with every non-finite float spelled as the string "nan",
-    "inf" or "-inf", so strict JSON parsers read it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if value != value else ("inf" if value > 0 else "-inf")
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
-def write_json(payload, path, indent=2):
-    """Strict JSON with sorted keys and LF endings.  ``indent=None`` writes
-    one line with no whitespace between tokens; one ``json.dumps`` call then
-    runs the C encoder, which ``json.dump`` and any indent never use."""
-    separators = (",", ":") if indent is None else None
-    with open_output(path) as fh:
-        fh.write(json.dumps(_strict(payload), indent=indent, separators=separators,
-                            sort_keys=True, allow_nan=False))
-        fh.write("\n")
 
 
 def save_solution(config: ProblemConfig, glued: GluedSolution, path):
@@ -249,7 +225,7 @@ def export_grid_csv(glued: GluedSolution, path, radial: int, angular: int,
     rows = 0
     with open_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+        evaluator = GluedEvaluator(family, glued.cover, glued.points, z_nodes)
         for block in evaluator.sweep(axes) if z_nodes.size else ():
             g = block.g()  # the guard, before any row of the block
             n, n_f, n_z = g.shape

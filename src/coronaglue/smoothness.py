@@ -49,7 +49,7 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     plain evaluator.  ``z`` may be scalar or an array."""
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
-    evaluator = GluedEvaluator(glued.family, glued.pou, glued.points, z)
+    evaluator = GluedEvaluator(glued.family, glued.cover, glued.points, z)
     g, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
                           sum(alpha))
     return jets.jet_extract(g, alpha, sum(alpha))[:, 0].reshape((-1,) + z.shape)
@@ -97,14 +97,14 @@ def fd_deviations(glued: GluedSolution, z, s, alphas, h: float):
     z = np.asarray(z, dtype=complex).ravel()
     stencil = s[:, None] + np.concatenate([offsets for offsets, _, _ in stencils])
     n, m = stencil.shape[:2]
-    gtilde, f, phi = GluedEvaluator(family, glued.pou, glued.points, np.repeat(z, m)).jets(
+    gtilde, f, phi = GluedEvaluator(family, glued.cover, glued.points, np.repeat(z, m)).jets(
         stencil.reshape(n * m, -1), 0, own_z=True)
     gtilde, f = (np.moveaxis(a[0], 0, 1).reshape(n, m, -1, 1) for a in (gtilde, f))
     phi = phi[0].reshape(n, m, 1)
     g = gtilde[..., 0] / phi
 
     order = max(map(sum, alphas))
-    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
+    evaluator = GluedEvaluator(family, glued.cover, glued.points, z)
     jet, _ = _solution_jets(evaluator, s, order, own_z=True)
     devs, breaches = [], []
     ends = itertools.accumulate(len(weights) for _, weights, _ in stencils)
@@ -193,7 +193,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
         sq = sum_in_order(np.abs(jets.jet_derivatives(jet, family.dim, order)) ** 2, axis=1)
         return np.sqrt(sq.max(axis=2)).max(axis=1)
 
-    evaluator = GluedEvaluator(family, glued.pou, glued.points, z)
+    evaluator = GluedEvaluator(family, glued.cover, glued.points, z)
     g_best = f_best = np.zeros(len(indices))
     for s in grid_blocks(hnorm.box_axes(family.box, axis_samples), evaluator.block_size):
         g_jets, f_jets = _solution_jets(evaluator, s, order)

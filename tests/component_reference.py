@@ -23,7 +23,7 @@ def solution_jets(evaluator, s, order, own_z=False):
     z = evaluator.z.reshape(len(s) if own_z else 1, -1)
     batch = (len(s), z.shape[1])
 
-    eta = evaluator.pou.weight_jets(s, order)
+    eta = evaluator.cover.weight_jets(s, order)
     gt = [jets.jet_const(0.0, dim, order, batch, complex) for _ in range(size)]
     live = eta[:, 0] != 0.0
     for k in np.flatnonzero(live.any(axis=1)):

@@ -60,11 +60,11 @@ def bump_values(pou, s):
     from coronaglue.cover_pou import BUMP_CLAMP
 
     s = np.asarray(s, dtype=float)
-    centers = np.asarray(pou.cover.centers)
-    if math.isinf(pou.cover.radius):
+    centers = np.asarray(pou.centers)
+    if math.isinf(pou.radius):
         t = np.zeros(s.shape[:-1] + (len(centers),))
     else:
-        t = np.sqrt(((s[..., None, :] - centers) ** 2).sum(-1)) / pou.cover.radius
+        t = np.sqrt(((s[..., None, :] - centers) ** 2).sum(-1)) / pou.radius
     inside = t < 1.0 - BUMP_CLAMP
     return np.where(inside, np.exp(-1.0 / (1.0 - np.where(inside, t, 0.0) ** 2)), 0.0)
 
@@ -99,7 +99,7 @@ def reference_grid_csv(glued, path, radial, angular, s_per_axis):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             z_cells = [f"{z.real:.17g},{z.imag:.17g}," for z in z_nodes]
-            evaluator = GluedEvaluator(family, glued.pou, glued.points, z_nodes)
+            evaluator = GluedEvaluator(family, glued.cover, glued.points, z_nodes)
             for block in evaluator.sweep(axes) if z_nodes.size else ():
                 g, absphi = block.g().tolist(), np.abs(block.phi).tolist()
                 for g_s, absphi_s, s in zip(g, absphi, block.s):

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npp
 
 from coronaglue import jets
-from coronaglue.polyalg import CPoly, _points, _taylor_shift, _trim_ndarray
+from coronaglue.polyalg import CPoly, _taylor_shift, _trim_ndarray
 
 
 def _shifted(tables, points, order):
@@ -141,11 +141,9 @@ class RefZSPoly:
         return np.array([c.abs_coeff_bound(box) for c in self.coeffs])
 
     def taylor_coeffs(self, s0, order, z):
-        """One Taylor shift per coefficient-table shape and dtype."""
-        z = np.asarray(z, dtype=complex)
-        points = _points(s0, self.dim)
-        block = np.ndim(s0) == 2
-        zf = z.reshape(len(z), -1) if block else z.reshape(1, -1)
+        """One Taylor shift per coefficient-table shape and dtype, about
+        every row of the (n, d) block ``s0``; ``z`` is (1, q) or (n, q)."""
+        points, z = np.asarray(s0, dtype=float), np.asarray(z, dtype=complex)
         tables = np.empty((len(points), len(jets.multi_indices(self.dim, order)),
                            len(self.coeffs)), dtype=complex)
         groups = {}
@@ -154,10 +152,8 @@ class RefZSPoly:
         for members in groups.values():
             stacked = np.stack([self.coeffs[i].coeffs for i in members])
             tables[..., members] = np.moveaxis(_shifted(stacked, points, order), 0, -1)
-        powers = zf[:, None, :] ** np.arange(len(self.coeffs))[:, None]
-        jet = np.moveaxis(np.matmul(tables, powers), 0, 1)
-        return jet.reshape(jet.shape[:2] + z.shape[1:]) if block else \
-            jet[:, 0].reshape(jet.shape[:1] + z.shape)
+        powers = z[:, None, :] ** np.arange(len(self.coeffs))[:, None]
+        return np.moveaxis(np.matmul(tables, powers), 0, 1)
 
 
 def to_ref(p):

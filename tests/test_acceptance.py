@@ -109,20 +109,19 @@ def test_criterion_03_perturbation_gate(tmp_path):
 def test_criterion_04_partition_of_unity():
     rng = np.random.default_rng(2024)
     pous = [
-        ([(0.0, 1.0)], cover_pou.PartitionOfUnity(cover_pou.build_cover([(0.0, 1.0)], 0.22))),
-        ([(0.0, 1.0), (0.0, 1.0)], cover_pou.PartitionOfUnity(
-            cover_pou.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.45))),
+        ([(0.0, 1.0)], cover_pou.build_cover([(0.0, 1.0)], 0.22)),
+        ([(0.0, 1.0), (0.0, 1.0)], cover_pou.build_cover([(0.0, 1.0), (0.0, 1.0)], 0.45)),
     ]
     worst_sum = worst_ref = 0.0
     support_exact = True
     for box, pou in pous:
-        centers = np.asarray(pou.cover.centers)
+        centers = np.asarray(pou.centers)
         for _ in range(10_000 // len(pous)):
             s = np.array([rng.uniform(a, b) for a, b in box])
-            w = pou.weights(s)
+            w = pou.weights(s[None])[0]
             worst_sum = max(worst_sum, abs(float(w.sum()) - 1.0))
             dist = np.sqrt(((s - centers) ** 2).sum(-1))
-            if np.any((dist >= pou.cover.radius) & (w != 0.0)):
+            if np.any((dist >= pou.radius) & (w != 0.0)):
                 support_exact = False
             # the order-0 jets against the mollifier formula
             b_vals = bump_values(pou, s)
@@ -134,7 +133,7 @@ def test_criterion_04_partition_of_unity():
             [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
         for _ in range(300):
             s = np.array([rng.uniform(a, b) for a, b in box])
-            for d in pou.derivs(s, orders):
+            for d in pou.derivs(s[None], orders):
                 worst_dsum = max(worst_dsum, abs(float(d.sum())))
     ok = worst_sum <= 1e-12 and support_exact and worst_ref <= 1e-14 and worst_dsum <= 1e-9
     _report(4, ok, f"max |sum eta - 1| = {worst_sum:.2e} over 1e4 points; "

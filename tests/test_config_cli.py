@@ -11,8 +11,8 @@ import pytest
 
 from conftest import rational_gcd_tables, reference_grid_csv
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
-from coronaglue.config import ProblemConfig, load_config, save_config
-from coronaglue.cover_pou import PartitionOfUnity, build_cover
+from coronaglue.config import ProblemConfig, _strict, load_config, save_config
+from coronaglue.cover_pou import build_cover
 from coronaglue.errors import ConfigError, InternalInconsistency
 from coronaglue.polyalg import CPoly
 
@@ -312,7 +312,7 @@ def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_soluti
         witness = checks[name]["witness"]
         assert not checks[name]["passed"] and "|phi| = " in witness["detail"]
         _, glued = serialize.load_solution(tripped_solution)
-        phi, _ = glue.phi_eval(glued.family, glued.pou, glued.points,
+        phi, _ = glue.phi_eval(glued.family, glued.cover, glued.points,
                                complex(*witness["z"]), witness["s"])
         assert abs(phi) < 0.5
 
@@ -335,7 +335,7 @@ def test_cli_eval_grid_refuses_a_guard_tripped_in_a_later_block(
         reference_grid_csv(glued, tmp_path / "ref.csv", 8, 8, 40)
     # 64 z nodes and 2 components make blocks of 16 of the 40 s points: the
     # breach lies past the first block, after its rows were written
-    size = glue.GluedEvaluator(glued.family, glued.pou, glued.points, [0j] * 64).block_size
+    size = glue.GluedEvaluator(glued.family, glued.cover, glued.points, [0j] * 64).block_size
     assert ref.value.witness["s"][0] > np.linspace(0.0, 1.0, 40)[size - 1]
     assert cli.main(["eval-grid", "--solution", str(tripped), "--out", str(out),
                      "--z-samples", "8", "--s-samples", "40"]) == 1
@@ -592,6 +592,42 @@ def test_cli_output_in_a_missing_directory_is_written(tmp_path, worked_solution,
     assert isinstance(json.loads(target.read_text()), dict)
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--config", "c.json", "--out", "s.json", "--report", "s.json"], "s.json"),
+    (["verify", "--solution", "s.json", "--report", "s.json"], "s.json"),
+    (["verify", "--solution", "./s.json", "--report", "s.json"], "s.json"),
+    (["eval-grid", "--solution", "s.json", "--out", "s.json"], "s.json"),
+    (["eval-grid", "--solution", "g.summary.json", "--out", "g.csv"], "g.summary.json"),
+    (["check", "--config", "c.json", "--out", "c.json"], "c.json"),
+], ids=["solve", "verify", "verify-dot-slash", "eval-grid", "eval-grid-summary", "check"])
+def test_cli_refuses_to_write_over_its_own_input_or_output(tmp_path, capsys, monkeypatch,
+                                                          worked_solution, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_bytes((CONFIGS / "worked_family.json").read_bytes())
+    serialize.save_solution(_load("worked_family.json"), worked_solution, tmp_path / "s.json")
+    (tmp_path / "g.summary.json").write_bytes((tmp_path / "s.json").read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for module, name in [(glue, "solve"), (hnorm, "delta_lower"), (cli, "run_verification"),
+                         (serialize, "load_solution")]:
+        def pipeline(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the paths were compared")
+        monkeypatch.setattr(module, name, pipeline)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_cli_rescale_may_write_over_its_own_config(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_bytes((CONFIGS / "worked_family_unscaled.json").read_bytes())
+    argv = ["rescale", "--config", str(config), "--factor", "0.3333333333333333",
+            "--out", str(config)]
+    assert cli.main(argv) == 0
+    assert load_config(config).to_dict()["family"] == \
+        _load("worked_family.json").to_dict()["family"]
+
+
 def test_cli_eval_grid_leaves_no_csv_without_its_summary(tmp_path, capsys,
                                                         worked_solution):
     sol, out = tmp_path / "sol.json", tmp_path / "grid.csv"
@@ -706,15 +742,15 @@ def test_solve_reports_match_a_pass_per_order(tmp_path, components, bounds,
     ([(0.0, 1.0), (0.0, 1.0)], 0.3),
 ])
 def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
-    pou = PartitionOfUnity(build_cover(box, radius))
+    pou = build_cover(box, radius)
     assert pou.size >= 3
     alphas = [a for a in jets.multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
     # one jet of the top order gives every multi-index the bits of a jet of
     # its own order
     for _ in range(50):
         s = np.array([rng.uniform(a, b) for a, b in box])
-        for alpha, d in zip(alphas, pou.derivs(s, alphas)):
-            (expected,) = pou.derivs(s, [alpha])
+        for alpha, d in zip(alphas, pou.derivs(s[None], alphas)):
+            (expected,) = pou.derivs(s[None], [alpha])
             np.testing.assert_array_equal(d, expected)
             assert float(d.sum()) == float(expected.sum())
 
@@ -724,12 +760,12 @@ def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
     ([(0.0, 1.0), (0.0, 1.0)], 0.3),
 ])
 def test_pou_derivative_sums_block_equals_points_bit_for_bit(rng, box, radius):
-    pou = PartitionOfUnity(build_cover(box, radius))
+    pou = build_cover(box, radius)
     alphas = [a for a in jets.multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
     block = rng.uniform(*np.array(box).T, (25, len(box)))
     got = pou.derivs(block, alphas)
     for i, s in enumerate(block):
-        for d, expected in zip(got, pou.derivs(s, alphas)):
+        for d, (expected,) in zip(got, pou.derivs(s[None], alphas)):
             assert np.array_equal(d[i], expected)
             assert d.sum(-1)[i].tobytes() == expected.sum().tobytes()
 
@@ -756,7 +792,7 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     path = tmp_path / "report.json"
     report.save(path)
     saved = json.loads(path.read_text(), parse_constant=refuse)
-    assert saved["checks"] == json.loads(json.dumps(serialize._strict(report.checks)))
+    assert saved["checks"] == json.loads(json.dumps(_strict(report.checks)))
     assert {c["witness"]["g"] for c in saved["checks"]
             if c["name"].startswith("cnorm_finite")} == {"nan"}
     serialize.save_summary({"c0": math.inf, "lo": -math.inf}, tmp_path / "summary.json")

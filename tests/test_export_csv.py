@@ -17,7 +17,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _budget_of_three_points(monkeypatch, glued, radial, angular):
     """Set ``glue.EVAL_BUDGET`` so that an evaluator block holds 3 points."""
-    width = max(glued.family.size * radial * angular, glued.pou.size)
+    width = max(glued.family.size * radial * angular, glued.cover.size)
     monkeypatch.setattr(glue, "EVAL_BUDGET", 3 * width)
 
 
@@ -38,7 +38,7 @@ def test_export_is_byte_identical_to_the_per_row_writer(
     glued = request.getfixturevalue(solution)
     if split:
         _budget_of_three_points(monkeypatch, glued, radial, angular)
-        size = glue.GluedEvaluator(glued.family, glued.pou, glued.points,
+        size = glue.GluedEvaluator(glued.family, glued.cover, glued.points,
                                    [0j] * radial * angular).block_size
         assert size == 3 and (s_per_axis ** glued.family.dim) % size
     out, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"

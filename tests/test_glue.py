@@ -11,7 +11,7 @@ from conftest import (bump_values, constant_family, family_values, frozen_values
 from coronaglue import cli, glue, hnorm
 from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
 from coronaglue.config import SolverSettings
-from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import (
     CoronaUncertified,
     CoronaViolation,
@@ -24,7 +24,7 @@ from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 def test_solve_at_samples_single_center():
     family = worked_family()
-    cover = Cover(((0.5,),), 0.5)
+    cover = PartitionOfUnity(((0.5,),), 0.5)
     points = glue.solve_at_samples(family, cover)
     np.testing.assert_allclose(points.solutions[0].g[0].coeffs, [0.4], atol=1e-12)
     np.testing.assert_allclose(points.solutions[0].g[1].coeffs, [0.4], atol=1e-12)
@@ -51,7 +51,7 @@ def test_solve_at_samples_surfaces_corona_violation():
                 [SPoly([0.0, -1.0]), SPoly([0.0]), SPoly([1.0])]]),
         [(0.0, 1.0)],
     )
-    cover = Cover(((0.0,), (1.0,)), 0.6)
+    cover = PartitionOfUnity(((0.0,), (1.0,)), 0.6)
     with pytest.raises(CoronaViolation):
         glue.solve_at_samples(family, cover)
 
@@ -79,11 +79,11 @@ def _two_param_points():
     family = two_param_family()
     cover = build_cover(family.box, 0.3)
     assert cover.size > 4
-    return family, PartitionOfUnity(cover), _point_set(cover, family)
+    return family, cover, _point_set(cover, family)
 
 
 def _steep_points(steep_solution):
-    return steep_solution.family, steep_solution.pou, steep_solution.points
+    return steep_solution.family, steep_solution.cover, steep_solution.points
 
 
 def _flat_points():
@@ -91,7 +91,7 @@ def _flat_points():
         ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
         [(0.0, 1.0)]))
     assert math.isinf(glued.cover.radius)
-    return glued.family, glued.pou, glued.points
+    return glued.family, glued.cover, glued.points
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -134,7 +134,7 @@ def test_values_are_the_order_0_entries_of_every_jet(rng, steep_solution,
     # one evaluator: a value is the order-0 jet, and a jet of any order
     # holds the same bits in its order-0 entry
     glued = steep_solution if which == "steep" else two_param_solution
-    evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points,
+    evaluator = glue.GluedEvaluator(glued.family, glued.cover, glued.points,
                                     hnorm.boundary_points(32))
     s = rng.uniform(*np.array(glued.family.box).T, (9, glued.family.dim))
     block = evaluator.at(s)
@@ -148,13 +148,13 @@ def test_values_are_the_order_0_entries_of_every_jet(rng, steep_solution,
 def test_batched_weights_match_per_point_bit_for_bit(rng):
     for box, radius in (([(0.0, 1.0)], 0.05), ([(0.0, 1.0), (-1.0, 2.0)], 0.2),
                         ([(0.0, 1.0)], math.inf)):
-        pou = PartitionOfUnity(build_cover(box, radius))
+        pou = build_cover(box, radius)
         lows, highs = np.array(box).T
         s = rng.uniform(lows, highs, (300, len(box)))
         batched = pou.weights(s)
         for row, total, point in zip(batched, batched.sum(-1), s):
-            assert row.tobytes() == pou.weights(point).tobytes()
-            assert total == pou.weights(point).sum()  # verify's pou_sum per row
+            assert row.tobytes() == pou.weights(point[None])[0].tobytes()
+            assert total == pou.weights(point[None])[0].sum()  # verify's pou_sum per row
 
 
 def test_blocked_uniform_draws_match_scalar_draws():
@@ -175,28 +175,27 @@ def test_gtilde_convexity_and_locality(steep_solution):
     rng = np.random.default_rng(3)
     z = np.exp(2j * np.pi * rng.uniform(0, 1, 64))
     for s in rng.uniform(0, 1, 50):
-        _, gt = glue.phi_eval(glued.family, glued.pou, glued.points, z, [s])
+        _, gt = glue.phi_eval(glued.family, glued.cover, glued.points, z, [s])
         norms = np.sqrt((np.abs(gt) ** 2).sum(axis=0))
         assert norms.max() <= glued.c0 + 1e-9
 
     # a point covered by a single bump reproduces that center's solution up
     # to the scalar division
-    w = glued.pou.weights([0.02])
+    w = glued.cover.weights([[0.02]])[0]
     assert np.count_nonzero(w) == 1
     k = int(np.argmax(w))
-    _, gt = glue.phi_eval(glued.family, glued.pou, glued.points, 0.37 + 0.21j, [0.02])
+    _, gt = glue.phi_eval(glued.family, glued.cover, glued.points, 0.37 + 0.21j, [0.02])
     direct = np.array([g.eval(0.37 + 0.21j) for g in glued.points.solutions[k].g])
     np.testing.assert_allclose(gt, direct, rtol=1e-12)
 
 
 def test_gtilde_mean_of_two_centers():
     family = worked_family()
-    cover = Cover(((0.4,), (0.6,)), 0.3)
+    cover = PartitionOfUnity(((0.4,), (0.6,)), 0.3)
     points = _point_set(cover, family)
-    pou = PartitionOfUnity(cover)
-    w = pou.weights([0.5])
+    w = cover.weights([[0.5]])[0]
     np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
-    _, gt = glue.phi_eval(family, pou, points, 0.2, [0.5])
+    _, gt = glue.phi_eval(family, cover, points, 0.2, [0.5])
     mean = 0.5 * (np.array([g.eval(0.2) for g in points.solutions[0].g])
                   + np.array([g.eval(0.2) for g in points.solutions[1].g]))
     np.testing.assert_allclose(gt, mean, rtol=1e-14)
@@ -211,7 +210,7 @@ def test_residual_certify_brackets_brute_force(steep_solution):
     z = np.exp(2j * np.pi * np.arange(1024) / 1024)
     worst = 0.0
     for s in np.linspace(0.0, 1.0, 961):
-        phi, _ = glue.phi_eval(glued.family, glued.pou, glued.points, z, [s])
+        phi, _ = glue.phi_eval(glued.family, glued.cover, glued.points, z, [s])
         worst = max(worst, float(np.abs(1 - phi).max()))
     assert cert.lo - 1e-12 <= worst <= cert.hi + 1e-12
 
@@ -220,8 +219,7 @@ def test_residual_certify_corrupted_center_fails():
     family = worked_family(1.0 / 3.0)
     cover = build_cover(family.box, 0.35)
     points = _point_set(cover, family)
-    pou = PartitionOfUnity(cover)
-    good = glue.residual_certify(family, pou, points)
+    good = glue.residual_certify(family, cover, points)
     assert good.hi <= glue.RESIDUAL_GATE
 
     zeroed = list(points.solutions)
@@ -231,7 +229,7 @@ def test_residual_certify_corrupted_center_fails():
         zeroed[0].residual_cert,
     )
     broken = PointSolutionSet(tuple(zeroed))
-    bad = glue.residual_certify(family, pou, broken)
+    bad = glue.residual_certify(family, cover, broken)
     assert bad.hi > glue.RESIDUAL_GATE
     assert bad.lo > glue.RESIDUAL_GATE  # witnessed by direct sampling
 
@@ -273,7 +271,7 @@ def test_g_eval_guards_small_phi(worked_solution):
     )
     broken = glue.GluedSolution(
         glued.family,
-        glued.pou,
+        glued.cover,
         PointSolutionSet(zeroed),
         glued.delta_cert,
         glued.sup_cert,
@@ -339,7 +337,7 @@ def test_solve_deterministic():
 
 def test_point_solution_set_enforces_budget():
     family = worked_family()
-    cover = Cover(((0.5,),), 0.5)
+    cover = PartitionOfUnity(((0.5,),), 0.5)
     points = glue.solve_at_samples(family, cover)
     bad = PointSolution(
         points.solutions[0].g,

@@ -13,7 +13,7 @@ from conftest import (components, constant_family, partial_s, random_cpoly, same
 from spoly_reference import RefZSPoly, to_ref
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
-from coronaglue.cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
+from coronaglue.cover_pou import build_cover, lipschitz_s_bound
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
@@ -235,11 +235,11 @@ def _ref_residual_certify(family, pou, points, boundary_samples, axis_samples,
     """The residual certificate over each bump's support ball, or, with
     ``ball`` false, over its whole support box (the formula before the
     ball)."""
-    box, radius, dim = family.box, pou.cover.radius, family.dim
+    box, radius, dim = family.box, pou.radius, family.dim
     z = hnorm.boundary_points(boundary_samples)
     one = RefZSPoly.from_cpoly(CPoly([1.0]), dim)
     hi, count = 0.0, 0
-    for center, sol in zip(pou.cover.centers, points.solutions):
+    for center, sol in zip(pou.centers, points.solutions):
         supp = tuple((max(a, c - radius), min(b, c + radius))
                      for (a, b), c in zip(box, center))
         resid = -one
@@ -318,15 +318,14 @@ def test_residual_certify_matches_the_old_formula(case):
                                                   0.5, 4)}[case]
     cover = build_cover(family.box, radius)
     assert cover.size == size
-    pou = PartitionOfUnity(cover)
     points = glue.solve_at_samples(family, cover)
     for boundary, axis in ((256, 33), (64, 9)):
-        cert = glue.residual_certify(family, pou, points, boundary, axis)
-        boxed = _ref_residual_certify(family, pou, points, boundary, axis, ball=False)
+        cert = glue.residual_certify(family, cover, points, boundary, axis)
+        boxed = _ref_residual_certify(family, cover, points, boundary, axis, ball=False)
         if family.dim == 1:
             assert _bits(cert) == boxed
         else:
-            assert _bits(cert) == _ref_residual_certify(family, pou, points,
+            assert _bits(cert) == _ref_residual_certify(family, cover, points,
                                                         boundary, axis)
             assert cert.hi < boxed[1] and cert.samples_used < boxed[2]
 
@@ -341,11 +340,10 @@ def test_residual_certify_of_an_unbounded_cover_is_the_whole_box_certificate():
     assert lipschitz_s_bound(family) == 0.0
     cover = build_cover(family.box, math.inf)
     assert cover.size == 1
-    pou = PartitionOfUnity(cover)
     points = glue.solve_at_samples(family, cover)
     for boundary, axis in ((256, 33), (64, 9)):
-        cert = glue.residual_certify(family, pou, points, boundary, axis)
-        assert _bits(cert) == _ref_residual_certify(family, pou, points, boundary, axis,
+        cert = glue.residual_certify(family, cover, points, boundary, axis)
+        assert _bits(cert) == _ref_residual_certify(family, cover, points, boundary, axis,
                                                     ball=False)
         assert cert.samples_used == 2 * axis ** 2 * boundary
 
@@ -515,7 +513,7 @@ def test_cnorm_report_f_norms_equal_the_whole_grid_bit_for_bit(
     family, z = glued.family, hnorm.boundary_points(64)
     points, grid = REPORT_BLOCKS[case][family.dim - 1], AXIS ** family.dim
     # the block size is EVAL_BUDGET // max(N_f nz, K) points
-    monkeypatch.setattr(glue, "EVAL_BUDGET", points * max(family.size * z.size, glued.pou.size))
+    monkeypatch.setattr(glue, "EVAL_BUDGET", points * max(family.size * z.size, glued.cover.size))
     sizes, real = [], smoothness._solution_jets
 
     def recording(evaluator, s, order):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import components, stack, steep_family, worked_family
 from coronaglue import glue, hnorm
-from coronaglue.cover_pou import Cover, PartitionOfUnity, build_cover
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 mpmath = pytest.importorskip("mpmath")
@@ -147,9 +147,9 @@ def _glued_residual(family, pou, points):
     """|1 - gtilde^T f| on a (theta, s...) cell, written sum_k eta_k (q_k - 1)
     with q_k = g_k^T f and eta_k from the exact mollifier bump."""
     comps = [_zspoly(p) for p in components(family)]
-    radius = iv.mpf(pou.cover.radius)
+    radius = iv.mpf(pou.radius)
     centers = [([iv.mpf(x) for x in c], [_cpoly(gm) for gm in sol.g])
-               for c, sol in zip(pou.cover.centers, points.solutions)]
+               for c, sol in zip(pou.centers, points.solutions)]
 
     def modulus(cell):
         z, s = _z((1.0, 1.0), cell[0]), _s(cell[1:])
@@ -244,10 +244,9 @@ def test_residual_certificate_covers_the_interval_enclosure():
     family = steep_family()
     cover = build_cover(family.box, 0.2)
     assert cover.size == 3
-    pou = PartitionOfUnity(cover)
     points = glue.solve_at_samples(family, cover)
-    cert = glue.residual_certify(family, pou, points, 64, 9)
-    _, hi = _enclose(_glued_residual(family, pou, points),
+    cert = glue.residual_certify(family, cover, points, 64, 9)
+    _, hi = _enclose(_glued_residual(family, cover, points),
                      [THETA] + list(family.box), True, _width(cert), cert.hi)
     assert hi <= cert.hi
 
@@ -261,9 +260,9 @@ def _two_column_case():
     f1 = ZSPoly([[SPoly([[2 * sixth, sixth], [2 * sixth, 0.0]]), SPoly([[sixth]])]])
     f2 = ZSPoly([[SPoly([[2 * sixth]]), SPoly([[-sixth]])]])
     family = ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 0.25)])
-    cover = Cover(tuple((x, y) for x in (0.0, 0.5, 1.0) for y in (0.0625, 0.1875)),
-                  0.26)
-    return family, PartitionOfUnity(cover), glue.solve_at_samples(family, cover)
+    cover = PartitionOfUnity(tuple((x, y) for x in (0.0, 0.5, 1.0) for y in (0.0625, 0.1875)),
+                             0.26)
+    return family, cover, glue.solve_at_samples(family, cover)
 
 
 def test_two_parameter_residual_certificate_covers_the_interval_enclosure(monkeypatch):

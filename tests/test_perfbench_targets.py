@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coronaglue.cover_pou import PartitionOfUnity, build_cover
+from conftest import steep_family, two_param_family
+from coronaglue import glue
+from coronaglue.cover_pou import build_cover
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,10 +64,37 @@ def test_weight_jets_hook_reads_one_row_per_center(rng, box, radius):
     # the hook counts returned rows: one per center, nonzero only for the
     # at most 2^d bumps whose support holds s
     hook = _load_tracing()._weight_jets_post
-    pou = PartitionOfUnity(build_cover(box, radius))
+    pou = build_cover(box, radius)
     for _ in range(10):
         s = np.array([rng.uniform(a, b) for a, b in box])
         tracer = _StubTracer()
-        hook(tracer, (pou, s, 2), {}, pou.weight_jets(s, 2), None)
-        assert tracer.counts["cover_pou.weight_jets.computed"] == pou.cover.size
+        hook(tracer, (pou, s[None], 2), {}, pou.weight_jets(s[None], 2), None)
+        assert tracer.counts["cover_pou.weight_jets.computed"] == pou.size
         assert 1 <= tracer.counts["cover_pou.weight_jets.useful"] <= 2 ** len(box)
+
+
+@pytest.mark.parametrize("family", [steep_family, two_param_family])
+def test_reuse_hooks_read_a_real_solve_at_samples_call(family):
+    # the hooks read the cover's centers off the call's arguments, by
+    # position or by name, and test each one against a cache of centers
+    tracing, family = _load_tracing(), family()
+    cover = build_cover(family.box, 0.3)
+    assert all(isinstance(c, tuple) for c in cover.centers)
+    for args, kwargs in (((family, cover), {}), ((), {"family": family, "cover": cover})):
+        points = glue.solve_at_samples(*args, **kwargs)
+        tracer = _StubTracer()
+        ctx = tracing._reuse_pre(args, kwargs)
+        tracing._reuse_post(tracer, args, kwargs, points, ctx)
+        assert tracer.counts["glue.points_requested"] == cover.size == len(points.solutions)
+        assert tracer.counts["glue.points_reused"] == 0
+    cache = {cover.centers[0]: None, (9.0,) * family.dim: None}
+    assert tracing._reuse_pre((family, cover, None, cache), {}) == (cover.size, 1)
+
+
+def test_solve_hook_reads_the_glued_cover():
+    tracer, family = _StubTracer(), steep_family()
+    result = glue.solve(family)
+    _load_tracing()._solve_post(tracer, (family,), {}, result, None)
+    glued, _ = result
+    assert tracer.counts["glue.cover_centers"] == glued.cover.size == len(glued.points.solutions)
+    assert tracer.counts["glue.refinements"] == glued.refinements

@@ -11,7 +11,7 @@ from conftest import (components, family_values, frozen_values, partial_s, rando
                       same_bits, stack, three_component_family, with_zero_component,
                       worked_family)
 from coronaglue import glue, hnorm, jets
-from coronaglue.cover_pou import Cover, PartitionOfUnity
+from coronaglue.cover_pou import PartitionOfUnity
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
     CPoly,
@@ -47,8 +47,8 @@ def test_family_values_examples():
 def test_family_values_rejects_outside_domain():
     # the one evaluation path refuses a point outside the box
     family = worked_family()
-    cover = Cover(((0.5,),), math.inf)
-    evaluator = glue.GluedEvaluator(family, PartitionOfUnity(cover),
+    cover = PartitionOfUnity(((0.5,),), math.inf)
+    evaluator = glue.GluedEvaluator(family, cover,
                                     glue.solve_at_samples(family, cover), [0.0])
     for points in ([1.5], [[0.5], [-0.2]], [math.nan]):
         with pytest.raises(DomainError):
@@ -142,7 +142,7 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
     order = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
     p = ZSPoly([[SPoly(coeffs)]])
-    got = p.taylor_coeffs(s0, order, 1.0)[:, 0]
+    got = p.taylor_coeffs(s0[None], order, [[1.0]])[:, 0, 0, 0]
     expected = _taylor_by_partials(p, s0, order)
     # relative to the same coefficient of |p| at |s0|, which bounds |expected|
     # and stays meaningful where the terms cancel
@@ -167,7 +167,7 @@ def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
         coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
     top = int(rng.integers(0, 7))
     s0 = rng.uniform(-1.5, 1.5, dim)
-    full = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0, top, 1.0)[:, 0]
+    full = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0[None], top, [[1.0]])[:, 0, 0, 0]
     tensor = tensor_jets.taylor_shift(SPoly(coeffs), s0, (top,) * dim)
     scale = tensor_jets.taylor_shift(SPoly(np.abs(coeffs)), np.abs(s0), (top,) * dim)
     assert np.all(np.abs(full - tensor_jets.flat(tensor, dim, top))
@@ -176,7 +176,7 @@ def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
         np.testing.assert_array_equal(full, tensor_jets.flat(tensor, dim, top))
     indices = jets.multi_indices(dim, top)
     for order in range(top + 1):
-        low = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0, order, 1.0)[:, 0]
+        low = ZSPoly([[SPoly(coeffs)]]).taylor_coeffs(s0[None], order, [[1.0]])[:, 0, 0, 0]
         cut = [indices.index(ix) for ix in jets.multi_indices(dim, order)]
         np.testing.assert_array_equal(low, full[cut])
 
@@ -192,10 +192,10 @@ def test_taylor_coeffs_block_equals_points_bit_for_bit(dim, complex_coeffs, seed
     order = int(rng.integers(0, 7))
     points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 9)), dim))
     p = ZSPoly([[SPoly(coeffs)]])
-    block = p.taylor_coeffs(points, order, [1.0])
-    assert block.shape == (len(jets.multi_indices(dim, order)), 1, len(points))
+    block = p.taylor_coeffs(points, order, [[1.0]])
+    assert block.shape == (len(jets.multi_indices(dim, order)), 1, len(points), 1)
     for i, s0 in enumerate(points):
-        assert same_bits(block[:, :, i], p.taylor_coeffs(s0, order, 1.0))
+        assert same_bits(block[:, :, i], p.taylor_coeffs(s0[None], order, [[1.0]])[:, :, 0])
 
 
 @given(st.integers(1, 2), st.integers(0, 10 ** 6))
@@ -221,9 +221,10 @@ def test_zspoly_taylor_coeffs_block_equals_points_bit_for_bit(dim, seed):
     single = p.taylor_coeffs(points, order, own[:, :1].reshape(n, 1))
     assert shared.shape == mine.shape == (size, len(comps), n, q)
     for i, s0 in enumerate(points):
-        assert same_bits(shared[:, :, i], p.taylor_coeffs(s0, order, own[0]))
-        assert same_bits(mine[:, :, i], p.taylor_coeffs(s0, order, own[i]))
-        assert same_bits(single[:, :, i, 0], p.taylor_coeffs(s0, order, own[i, 0]))
+        assert same_bits(shared[:, :, i], p.taylor_coeffs(s0[None], order, own[:1])[:, :, 0])
+        assert same_bits(mine[:, :, i], p.taylor_coeffs(s0[None], order, own[i:i + 1])[:, :, 0])
+        assert same_bits(single[:, :, i, 0],
+                         p.taylor_coeffs(s0[None], order, own[i:i + 1, :1])[:, :, 0, 0])
     # each component gets the bits it gets alone, up to the sign of zero
     for m, comp in enumerate(components(ParamFamily(p, [(-1.0, 1.0)] * dim))):
         assert _same(mine[:, m], comp.taylor_coeffs(points, order, own)[:, 0])
@@ -255,8 +256,8 @@ def test_spoly_kernels_match_numpy(dim, seed):
         assert np.array_equal(pa.sgrid_table(axes)[0, ..., 0], npp.polygrid2d(*axes, a))
     points = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 9)), dim))
     values = npp.polyval(points[:, 0], a) if dim == 1 else npp.polyval2d(*points.T, a)
-    assert np.array_equal(pa.taylor_coeffs(points, 0, [1.0])[0, 0], values)
-    assert pa.taylor_coeffs(points[0], 0, 1.0)[0, 0] == values[0]
+    assert np.array_equal(pa.taylor_coeffs(points, 0, [[1.0]])[0, 0, :, 0], values)
+    assert pa.taylor_coeffs(points[:1], 0, [[1.0]])[0, 0, 0, 0] == values[0]
 
 
 def test_partial_matches_finite_differences():
@@ -375,7 +376,8 @@ def test_zspoly_table_matches_the_per_power_reference(dim, seed):
         assert same_bits(p.sgrid_table(axes)[0], r.sgrid_table(axes))
         assert same_bits(p.coeff_bounds(box)[0], r.coeff_bounds(box))
         for order in (0, 2, 6):
-            assert _same(p.taylor_coeffs(s, order, z)[:, 0], r.taylor_coeffs(s, order, z))
+            assert _same(p.taylor_coeffs(s[None], order, z[None])[:, 0],
+                         r.taylor_coeffs(s[None], order, z[None]))
             assert _same(p.taylor_coeffs(points, order, z[None])[:, 0],
                          r.taylor_coeffs(points, order, z[None]))
     # the order-0 Taylor coefficients against the reference's Horner, which

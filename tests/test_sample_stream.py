@@ -114,7 +114,7 @@ def test_verify_draws_the_numpy_stream_in_order(monkeypatch, tmp_path, name):
     cli.main(["verify", "--solution", str(path), "--z-samples", "4", "--s-samples", "3"])
 
     want_weights, want_derivs, want_fd = _numpy_points(
-        config.bounds, config.solver.order, glued.pou.size)
+        config.bounds, config.solver.order, glued.cover.size)
     for key, want in (("weights", want_weights), ("derivs", want_derivs)):
         assert len(seen[key]) == len(want)
         for got, block in zip(seen[key], want):

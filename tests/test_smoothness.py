@@ -12,7 +12,7 @@ from conftest import (family_values, partial_s, same_bits, stack, steep_family,
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
-from coronaglue.cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
+from coronaglue.cover_pou import build_cover, lipschitz_s_bound
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
@@ -20,12 +20,13 @@ def bezout_identity_jet(glued, z, s, order):
     """Jet of g^T f at (z, s): equals (1, 0, 0, ...) up to rounding because
     the identity holds exactly along the whole jet."""
     z_arr = np.asarray(z, dtype=complex)
-    evaluator = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z_arr)
+    evaluator = glue.GluedEvaluator(glued.family, glued.cover, glued.points, z_arr)
     g = smoothness._solution_jets(
         evaluator, [np.atleast_1d(np.asarray(s, dtype=float))], order)[0]
     g = g[:, :, 0].reshape(g.shape[:2] + z_arr.shape)
-    point = tuple(np.atleast_1d(np.asarray(s, dtype=float)))
-    f = glued.family.poly.taylor_coeffs(point, order, z_arr)
+    point = np.atleast_1d(np.asarray(s, dtype=float))
+    f = glued.family.poly.taylor_coeffs(point[None], order, z_arr.reshape(1, -1))
+    f = f[:, :, 0].reshape(f.shape[:2] + z_arr.shape)
     return jets.jet_mul(g, f, glued.family.dim, order).sum(axis=1)
 
 
@@ -172,12 +173,12 @@ def test_solution_jets_block_equals_points_bit_for_bit(rng, steep_solution,
     z = hnorm.boundary_points(16)
     own = 0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, (len(block), 3)))
     for order in (0, 1, 2):
-        shared = glue.GluedEvaluator(glued.family, glued.pou, glued.points, z)
-        mine = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own)
+        shared = glue.GluedEvaluator(glued.family, glued.cover, glued.points, z)
+        mine = glue.GluedEvaluator(glued.family, glued.cover, glued.points, own)
         got = smoothness._solution_jets(shared, block, order)[0]
         got_own = smoothness._solution_jets(mine, block, order, own_z=True)[0]
         for i, s in enumerate(block):
-            alone = glue.GluedEvaluator(glued.family, glued.pou, glued.points, own[i])
+            alone = glue.GluedEvaluator(glued.family, glued.cover, glued.points, own[i])
             assert same_bits(got[:, :, i:i + 1],
                              smoothness._solution_jets(shared, block[i:i + 1], order)[0])
             assert same_bits(got_own[:, :, i:i + 1],
@@ -192,13 +193,13 @@ def test_solution_jets_match_the_per_component_reference(rng, case):
     family = {"steep": steep_family, "three-component": three_component_family,
               "zero-component": lambda: with_zero_component(steep_family())}[case]()
     cover = build_cover(family.box, 0.2)
-    pou, points = PartitionOfUnity(cover), glue.solve_at_samples(family, cover)
+    points = glue.solve_at_samples(family, cover)
     lows, highs = np.array(family.box).T
     block = rng.uniform(lows, highs, (5, family.dim))
     own = 0.8 * np.exp(2j * np.pi * rng.uniform(0, 1, len(block)))
     for order in (0, 1, 2):
         for z, own_z in ((hnorm.boundary_points(16), False), (own, True)):
-            evaluator = glue.GluedEvaluator(family, pou, points, z)
+            evaluator = glue.GluedEvaluator(family, cover, points, z)
             got = smoothness._solution_jets(evaluator, block, order, own_z)
             want = component_reference.solution_jets(evaluator, block, order, own_z)
             for a, b in zip(got, want):
@@ -249,7 +250,7 @@ def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):
     """Reference: the C^k report's g and f maxima, one grid point at a time."""
     family = glued.family
     z = hnorm.boundary_points(boundary_samples)
-    evaluator = glue.GluedEvaluator(family, glued.pou, glued.points, z)
+    evaluator = glue.GluedEvaluator(family, glued.cover, glued.points, z)
     best = np.zeros((2, len(jets.multi_indices(family.dim, order))))
     for s in itertools.product(*[np.linspace(a, b, axis_samples) for a, b in family.box]):
         for half, jet in enumerate(smoothness._solution_jets(evaluator, [s], order)):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from coronaglue import bezout_point, cli, glue, serialize
-from coronaglue.config import load_config
+from coronaglue.config import _strict, load_config
 from coronaglue.cover_pou import build_cover
 
 REPO = Path(__file__).resolve().parents[1]
@@ -31,7 +31,7 @@ def _old_writer(config, glued, path):
         for name in bezout_point.CERT_QUANTITIES:
             entry[name] = getattr(sol, name).to_dict()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(serialize._strict(payload), fh, indent=2, sort_keys=True,
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
 
