@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bezout_point, glue, hnorm, jets, serialize, smoothness
+from . import bezout_point, glue, hnorm, serialize, smoothness
 from .config import ProblemConfig, load_config, save_config, write_json
 from .errors import (
     ConfigError,
@@ -27,15 +27,6 @@ from .polyalg import sum_in_order
 
 IDENTITY_TOL = 1e-12
 NORM_SLACK = 1e-9
-POU_SUM_TOL = 1e-12
-POU_DERIV_TOL = 1e-9
-FD_TOLS = {1: (1e-4, 1e-6), 2: (1e-3, 1e-4)}
-_POU_RANDOM_SAMPLES = 10_000
-_FD_RANDOM_POINTS = 20
-# the seeded (state, increment) of numpy's default_rng(0), a PCG64 generator,
-# and its 128-bit LCG multiplier
-_PCG64_SEED0 = (0x1aa1b5345996452d09585eb7a69561e3, 0x418ddadb3af71a82588133bc447873a9)
-_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
 
 
 @dataclass
@@ -231,41 +222,10 @@ def cmd_solve(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
-class _Stream:
-    """The doubles of numpy's ``default_rng(0)``, bit for bit, without
-    importing numpy.random: each draw steps the 128-bit LCG, takes the XSL-RR
-    output rotr64(hi ^ lo, state >> 122) and returns (x >> 11) 2^-53."""
-
-    def __init__(self):
-        self.state, self.inc = _PCG64_SEED0
-
-    def random(self, n: int) -> np.ndarray:
-        state, inc, mask, out = self.state, self.inc, (1 << 64) - 1, [0] * n
-        for i in range(n):
-            state = (state * _PCG64_MULT + inc) & ((1 << 128) - 1)
-            x, rot = ((state >> 64) ^ state) & mask, state >> 122
-            out[i] = (x >> rot | (x << (64 - rot) & mask)) >> 11
-        self.state = state
-        return np.array(out, dtype=float) * 2.0 ** -53
-
-    def uniform(self, lows, highs, n: int) -> np.ndarray:
-        """``n`` points of the box [lows, highs], (n, d), as numpy's
-        ``uniform(lows, highs, (n, d))`` computes them: lows + (highs - lows) u."""
-        lows, highs = np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
-        return lows + (highs - lows) * self.random(n * lows.size).reshape(n, lows.size)
-
-
-def _uniform_blocks(rng, lows, highs, count, size):
-    """``count`` points drawn uniformly from the box [lows, highs], in (n, d)
-    blocks of at most ``size`` rows: the same stream as one by one."""
-    for start in range(0, count, size):
-        yield rng.uniform(lows, highs, min(size, count - start))
-
-
-def _interior(box, margin):
-    """The bounds of the box shrunk by ``margin`` of each width."""
-    return ([a + margin * (b - a) for a, b in box],
-            [b - margin * (b - a) for a, b in box])
+def _directions(dim):
+    """The Taylor test's directions: each axis, and both diagonals in 2-D,
+    along which the mixed derivative shows."""
+    return np.vstack([np.eye(dim)] + ([[1.0, 1.0], [1.0, -1.0]] if dim == 2 else []))
 
 
 class _Worst:
@@ -369,69 +329,48 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     report.add_check("point_certificates", mismatch is None,
                      f"certificates of {glued.cover.size} point solution(s) recomputed", mismatch)
 
-    # partition of unity: sum and derivative sums; the random points are
-    # numpy's default_rng(0) stream, drawn without numpy.random in blocks,
-    # the same stream as one by one
-    rng = _Stream()
+    # the partition-of-unity sum and the Taylor test at the cover's own
+    # points, each at its own z on the ring |z| = 1/2
     cover = glued.cover
-    # blocks of 8 EVAL_BUDGET (point, center) pairs: the weights' cost per
-    # call is paid a few dozen times, and the peak RSS does not move
+    points = hnorm.centers_and_midpoints(cover.centers)
+    eps = np.finfo(float).eps
+    # blocks of 8 EVAL_BUDGET (point, center) pairs
     size = max(1, 8 * glue.EVAL_BUDGET // cover.size)
-    lows, highs = np.array(family.box).T
     pou_sum = _Worst(0.0)
-    for s in _uniform_blocks(rng, lows, highs, _POU_RANDOM_SAMPLES, size):
-        pou_sum.update(np.abs(cover.weights(s).sum(-1) - 1.0),
-                       lambda i: {"s": s[i].tolist()})
+    for start in range(0, len(points), size):
+        s = points[start:start + size]
+        weights = cover.weights(s)
+        total, live = weights.sum(-1), np.count_nonzero(weights, axis=-1)
+        # the normalization rounds each of the m live weights once
+        pou_sum.update(np.abs(total - 1.0) / ((2 * live + 1) * eps),
+                       lambda i: {"s": s[i].tolist(), "sum": float(total[i]),
+                                 "live": int(live[i])})
     report.add_check(
-        "pou_sum", pou_sum.value <= POU_SUM_TOL,
-        f"max |sum eta - 1| = {pou_sum.value:.3g} over {_POU_RANDOM_SAMPLES} "
-        f"random points (tolerance {POU_SUM_TOL})", pou_sum.witness)
-    dsum = _Worst(0.0)
-    alphas = [a for a in jets.multi_indices(family.dim, 2) if 1 <= sum(a) <= 2]
-    inner = _interior(family.box, 0.05)
-    for s in _uniform_blocks(rng, *inner, 200, size):
-        # point by point, each point's multi-indices in order
-        sums = np.stack([d.sum(-1) for d in cover.derivs(s, alphas)], axis=1)
-        dsum.update(np.abs(sums), lambda i: {"s": s[i // len(alphas)].tolist(),
-                                             "alpha": list(alphas[i % len(alphas)])})
+        "pou_sum", pou_sum.value <= 1.0,
+        f"max |sum eta - 1| / ((2 m + 1) eps) = {pou_sum.value:.3g} over {len(points)} "
+        "points, m the live bumps (bound 1)", pou_sum.witness)
+
+    order = min(config.solver.order, 2)
+    zs = 0.5 * hnorm.boundary_points(len(points))
+    directions = _directions(family.dim)
+    h0 = 0.05 * min(cover.radius, min(b - a for a, b in family.box))
+    orders, breach = smoothness.taylor_orders(glued, points, zs, directions, order, h0)
+    exact = int(np.isposinf(orders).sum())
+    worst = _Worst(-math.inf)  # the lowest order, as the largest -order
+
+    def taylor_witness(i):
+        point, direction = divmod(i, len(directions))
+        return {"s": points[point].tolist(), "z": [zs[point].real, zs[point].imag],
+                "v": directions[direction].tolist()}
+
+    worst.update(-orders, taylor_witness)
     report.add_check(
-        "pou_derivative_sums", dsum.value <= POU_DERIV_TOL,
-        f"max |sum d^a eta| = {dsum.value:.3g} for 1 <= |a| <= 2 "
-        f"(tolerance {POU_DERIV_TOL})", dsum.witness)
-
-    # derivative spot checks against central differences: one block per
-    # order, each point's stencils at its own z
-    alpha_cap = min(config.solver.order, 2)
-    for order in range(1, alpha_cap + 1):
-        h, tol = FD_TOLS[order]
-        # per point: its d coordinates, then |z|^2 / 0.25 and the angle, so
-        # z is uniform in the disc of radius 0.5; a third uniform is drawn
-        # and unused, which keeps every later draw of the stream
-        draws = rng.uniform([*inner[0], 0.0, 0.0, 0.0],
-                            [*inner[1], 1.0, 2 * math.pi, 2 * math.pi], _FD_RANDOM_POINTS)
-        s = np.ascontiguousarray(draws[:, :family.dim])
-        zs = [0.5 * math.sqrt(r) * complex(math.cos(t), math.sin(t))
-              for r, t, _ in draws[:, family.dim:].tolist()]
-        alphas = [a for a in jets.multi_indices(family.dim, order) if sum(a) == order]
-        devs, breaches = smoothness.fd_deviations(glued, zs, s, alphas, h)
-        # point by point, each point's multi-indices in order; a tripped
-        # guard skips its deviation and the first one is the witness
-        breaches = [b for point in breaches for b in point]
-        fd_breach = next((b for b in breaches if b is not None), None)
-        devs = devs.ravel()
-        devs[[b is not None for b in breaches]] = -math.inf
-
-        def fd_witness(i):
-            point, alpha = divmod(i, len(alphas))
-            return {"z": [zs[point].real, zs[point].imag], "s": s[point].tolist(),
-                    "alpha": list(alphas[alpha])}
-
-        fd = _Worst(0.0)
-        fd.update(devs, fd_witness)
-        report.add_check(
-            f"fd_order_{order}", fd_breach is None and fd.value <= tol,
-            f"max relative deviation {fd.value:.3g} (tolerance {tol}, h = {h})",
-            {**fd_breach.witness, "detail": str(fd_breach)} if fd_breach else fd.witness)
+        f"taylor_order_{order}", breach is None and -worst.value >= order + 0.5,
+        f"worst observed order {-worst.value:.3g} (must be >= {order + 0.5}) over "
+        f"{orders.size} (point, direction) pairs, {exact} exact to rounding (remainder "
+        f"under {smoothness.TAYLOR_FLOOR} eps ||g|| on {smoothness.TAYLOR_STEPS} "
+        f"halvings of h0 = {h0:.3g})",
+        {**breach.witness, "detail": str(breach)} if breach else worst.witness)
 
     # norm reports: finiteness is the contract
     top = smoothness.cnorm_report(glued, alpha_max,

@@ -27,8 +27,8 @@ g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at an (n, d)
 block of parameter points; a value is the order-0 jet.  The lower end of
 :func:`residual_certify`, verify's sweep and the CSV export read values, each
 array of a block within EVAL_BUDGET elements (one point per block when its z
-array alone is larger); the C^k reports, ``g_partial`` and the
-finite-difference stencils of :mod:`coronaglue.smoothness` read jets.
+array alone is larger); the C^k reports, ``g_partial`` and verify's Taylor
+test in :mod:`coronaglue.smoothness` read jets.
 :meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
 :func:`g_eval` and the CSV export raise it, and verify records it as a
 failed check with its witness.
@@ -51,6 +51,7 @@ from .cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
 from .errors import (
     CoronaGlueError,
     CoronaUncertified,
+    DomainError,
     InternalInconsistency,
     RefinementExhausted,
 )
@@ -202,7 +203,8 @@ class GluedEvaluator:
         run of q = nz / n consecutive ones.  The weights come from one
         batched :meth:`PartitionOfUnity.weight_jets` call, and each point
         adds its centers to 0 in cover order, so it gets the bits it gets
-        alone.  Raises ``DomainError`` for a point outside the box."""
+        alone.  Raises ``DomainError`` for a block of another shape or a
+        point outside the box."""
         family = self.family
         dim, size = family.dim, family.size
         s = np.asarray(s, dtype=float)
@@ -223,9 +225,10 @@ class GluedEvaluator:
         return gt, f, sum_in_order(jets.jet_mul(gt, f, dim, order), axis=1)
 
     def at(self, s) -> EvalBlock:
-        """The block at the parameter points ``s``, one per row: the order-0
-        slice of :meth:`jets`."""
-        s = np.asarray(s, dtype=float).reshape(-1, self.family.dim)
+        """The block at the (n, d) block of parameter points ``s``, one per
+        row: the order-0 slice of :meth:`jets`.  Any other shape raises
+        ``DomainError``."""
+        s = np.asarray(s, dtype=float)
         gtilde, f, phi = self.jets(s, 0)
         return EvalBlock(s, self.z, gtilde[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
 
@@ -242,11 +245,22 @@ def grid_blocks(axes, size: int):
         yield np.array(block, dtype=float)
 
 
+def _one_point(family: ParamFamily, s) -> np.ndarray:
+    """The parameter point ``s`` (a scalar in 1-D) as a block of one row;
+    a point of another length raises ``DomainError``."""
+    point = np.atleast_1d(np.asarray(s, dtype=float))
+    if point.shape != (family.dim,):
+        raise DomainError(f"a parameter point of shape {point.shape}, "
+                          f"expected ({family.dim},)")
+    return point[None]
+
+
 def phi_eval(family: ParamFamily, cover: PartitionOfUnity,
              points: PointSolutionSet, z, s):
-    """phi = gtilde^T f at (z, s); returns (phi, gtilde)."""
+    """phi = gtilde^T f at (z, s), one parameter point; returns (phi,
+    gtilde)."""
     z = np.asarray(z, dtype=complex)
-    block = GluedEvaluator(family, cover, points, z).at(s)
+    block = GluedEvaluator(family, cover, points, z).at(_one_point(family, s))
     return block.phi[0].reshape(z.shape), block.gtilde[0].reshape((-1,) + z.shape)
 
 
@@ -256,7 +270,8 @@ def g_eval(glued: GluedSolution, z, s):
     means the certificate was wrong and is reported as an internal
     inconsistency."""
     z = np.asarray(z, dtype=complex)
-    block = GluedEvaluator(glued.family, glued.cover, glued.points, z).at(s)
+    block = GluedEvaluator(glued.family, glued.cover, glued.points, z).at(
+        _one_point(glued.family, s))
     return block.g()[0].reshape((-1,) + z.shape)
 
 

@@ -23,8 +23,10 @@ z_mesh = pi / samples; infima may be interior, so they are sampled on a
 polar grid of the full closed disc, with z_mesh = :func:`disc_mesh_radius`.
 
 Every sample node set of the program comes from here: the circle
-(:func:`boundary_points`), the polar disc grid (:func:`disc_points`, also
-verify's and the CSV's z nodes) and each parameter grid (:func:`box_axes`).
+(:func:`boundary_points`, also the ring of verify's Taylor test), the polar
+disc grid (:func:`disc_points`, also verify's and the CSV's z nodes), each
+parameter grid (:func:`box_axes`) and verify's points of a cover
+(:func:`centers_and_midpoints`).
 
 A ``ball`` (center, radius) narrows the parameter region to the open ball
 within the box.  The grid and the slack stay the same; only the nodes whose
@@ -48,6 +50,7 @@ grid's bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +109,20 @@ def box_axes(box, n: int) -> list:
     """The uniform grid of ``n`` nodes per axis of ``box``, ends included,
     one array per axis; empty arrays for ``n`` = 0."""
     return [np.linspace(a, b, n) for a, b in box]
+
+
+def centers_and_midpoints(centers) -> np.ndarray:
+    """The centers of a product grid, one per row, then the midpoints of its
+    cells: the product over the axes of the midpoints between neighbouring
+    center coordinates (an axis with one center keeps it), so every ball of
+    a grid cover and every overlap of two holds a point.  A grid of one
+    center is its center."""
+    centers = np.asarray(centers, dtype=float)
+    axes = [np.array(sorted(set(c))) for c in centers.T.tolist()]
+    if all(len(a) == 1 for a in axes):
+        return centers
+    mids = [(a[1:] + a[:-1]) / 2.0 if len(a) > 1 else a for a in axes]
+    return np.concatenate([centers, np.array(list(itertools.product(*mids)))])
 
 
 def disc_mesh_radius(radial: int, angular: int) -> float:

@@ -10,11 +10,16 @@ jet reciprocal, which is valid wherever |phi| >= 1/2.
 Every jet carries a trailing axis over a block of parameter points: the C^k
 report sweeps the evaluator's blocks of its s-grid and reads the norms of
 both g and f off the jets of that one pass (the data's jets are the ones phi
-is built from), and the finite-difference spot checks take one jet pass and
-one stencil block per derivative order, each point and each of its stencil
-points at the point's own z.  The single-point :func:`g_partial` and
-:func:`fd_check` are blocks of one through the same code, and every point of
-a block gets the bits it gets alone.
+is built from), and the single-point :func:`g_partial` is a block of one
+through the same code; every point of a block gets the bits it gets alone.
+
+:func:`taylor_orders` is verify's derivative check (Farrell, Ham, Funke and
+Rognes, SIAM J. Sci. Comput. 35(4), 2013): the remainder of a right jet of
+order K shrinks like h^(K+1) along a ladder of halving steps, and a wrong
+coefficient of order k <= K shows as order k, with no tolerance tied to
+the scale of g or of the cover.  Its jets and its ladder's values come from
+the same evaluator, each point at its own z.  :func:`fd_check`, a
+central-difference oracle at one point, stays for the tests.
 
 The norm reports never assert an inequality: the contract is finiteness
 (a NaN sample makes a maximum NaN) and stability under grid refinement, with
@@ -24,13 +29,14 @@ the g-to-f ratio left to the reader.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hnorm, jets
-from .glue import EvalBlock, GluedEvaluator, GluedSolution, grid_blocks
+from .glue import (EVAL_BUDGET, RESIDUAL_GATE, EvalBlock, GluedEvaluator, GluedSolution,
+                   grid_blocks)
 from .polyalg import as_alpha, sum_in_order
 
 
@@ -53,6 +59,70 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     g, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
                           sum(alpha))
     return jets.jet_extract(g, alpha, sum(alpha))[:, 0].reshape((-1,) + z.shape)
+
+
+TAYLOR_STEPS = 32   # halvings of the Taylor ladder
+TAYLOR_FLOOR = 16   # remainders under this many eps ||g(z, s)|| are rounding
+
+
+def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float):
+    """Observed convergence orders of the Taylor remainder of g at the
+    (n, d) block of points ``s``, point i at z[i], along each row v of the
+    (m, d) ``directions``.
+
+    R(h) = ||g(z, s + h v) - sum_{|b| <= order} J_b (h v)^b||_2, with J the
+    jet of g at (z, s) truncated at ``order``, on the ladder h_j = h0 2^-j,
+    j < TAYLOR_STEPS.  A pair (point, direction) reads log2(R(h_{j-1}) /
+    R(h_j)) at the largest j where both remainders lie above the floor
+    TAYLOR_FLOOR eps ||g(z, s)||: order + 1 where the jet is right, and the
+    order of its first wrong coefficient where it is not.  A pair under the
+    floor at every step is exact to rounding and reads +inf; a NaN
+    remainder or floor reads NaN.
+
+    Returns the (n, m) orders and the |phi| >= 1/2 guard's
+    InternalInconsistency at the first ladder point that trips it, or None.
+    The ladder is evaluated point-major, each row at its own point's z, in
+    blocks of 8 EVAL_BUDGET (row, center) pairs, as verify's weights are:
+    the cost per call is paid a few dozen times and the peak RSS does not
+    move."""
+    family, cover = glued.family, glued.cover
+    s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=complex)
+    directions = np.asarray(directions, dtype=float)
+    jet, _ = _solution_jets(GluedEvaluator(family, cover, glued.points, z), s, order,
+                            own_z=True)
+    jet = jet[..., 0]
+    indices = np.array(jets.multi_indices(family.dim, order))
+    h = h0 * 0.5 ** np.arange(TAYLOR_STEPS)
+    shape = (len(s), len(directions), TAYLOR_STEPS)
+    point, direction, step = np.unravel_index(np.arange(math.prod(shape)), shape)
+    remainders, breach = np.empty(math.prod(shape)), None
+    size = max(1, 8 * EVAL_BUDGET // max(family.size, cover.size))
+    for start in range(0, len(point), size):
+        rows = slice(start, start + size)
+        p, offset = point[rows], h[step[rows], None] * directions[direction[rows]]
+        ladder = s[p] + offset
+        gt, f, phi = GluedEvaluator(family, cover, glued.points, z[p]).jets(ladder, 0, True)
+        gt, f, phi = gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0]
+        tripped = np.flatnonzero(~(np.abs(phi[:, 0]) >= RESIDUAL_GATE))
+        if breach is None and tripped.size:
+            i = tripped[:1]
+            breach = EvalBlock(ladder[i], z[p[i]], gt[i], f[i], phi[i]).breach()
+        # the Taylor polynomial at each row's step h v, term by term in
+        # layout order
+        monomials = np.prod(offset[:, None] ** indices, axis=2)
+        taylor = sum_in_order(jet[:, :, p] * monomials.T[:, None])
+        remainders[rows] = np.sqrt(sum_in_order(np.abs(gt[..., 0].T / phi[:, 0] - taylor) ** 2))
+    remainders = remainders.reshape(shape)
+    floor = TAYLOR_FLOOR * np.finfo(float).eps * np.sqrt(sum_in_order(np.abs(jet[0]) ** 2))
+    above = remainders > floor[:, None, None]
+    pairs = above[..., 1:] & above[..., :-1]
+    last = TAYLOR_STEPS - 1 - np.argmax(pairs[..., ::-1], axis=-1)[..., None]
+    found = pairs.any(-1)
+    orders = np.log2(np.divide(np.take_along_axis(remainders, last - 1, -1)[..., 0],
+                               np.take_along_axis(remainders, last, -1)[..., 0],
+                               out=np.full(found.shape, np.inf), where=found))
+    orders[np.isnan(remainders).any(-1) | np.isnan(floor)[:, None]] = np.nan
+    return orders, breach
 
 
 _FD_FLOOR = 1e-8
@@ -78,57 +148,20 @@ def _stencil(alpha, h: float):
     return np.array([delta for delta, _ in stencil]), [c for _, c in stencil], scale
 
 
-def fd_deviations(glued: GluedSolution, z, s, alphas, h: float):
-    """Central-difference verification of :func:`g_partial` for each
-    multi-index in ``alphas`` (of order 1 or 2) at the (n, d) block of
-    points ``s``, point i at z[i].  Returns the relative deviations, shape
-    (n, len(alphas)) (absolute where the derivative is numerically zero),
-    and per point, per multi-index, the |phi| >= 1/2 guard's
-    InternalInconsistency for its stencil, or None.
-
-    All stencils are one block on their own evaluator, each stencil point
-    at its point's z only (``own_z``), and the derivatives come from one jet
-    pass, so a (point, multi-index) pair has the bits it has alone, and the
-    guard sees exactly its stencil's (point, z) pairs."""
-    family = glued.family
-    alphas = [as_alpha(alpha, family.dim) for alpha in alphas]
-    stencils = [_stencil(alpha, h) for alpha in alphas]
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=complex).ravel()
-    stencil = s[:, None] + np.concatenate([offsets for offsets, _, _ in stencils])
-    n, m = stencil.shape[:2]
-    gtilde, f, phi = GluedEvaluator(family, glued.cover, glued.points, np.repeat(z, m)).jets(
-        stencil.reshape(n * m, -1), 0, own_z=True)
-    gtilde, f = (np.moveaxis(a[0], 0, 1).reshape(n, m, -1, 1) for a in (gtilde, f))
-    phi = phi[0].reshape(n, m, 1)
-    g = gtilde[..., 0] / phi
-
-    order = max(map(sum, alphas))
-    evaluator = GluedEvaluator(family, glued.cover, glued.points, z)
-    jet, _ = _solution_jets(evaluator, s, order, own_z=True)
-    devs, breaches = [], []
-    ends = itertools.accumulate(len(weights) for _, weights, _ in stencils)
-    for alpha, (_, weights, scale), end in zip(alphas, stencils, ends):
-        run = slice(end - len(weights), end)
-        breaches.append([EvalBlock(stencil[i, run], z[i:i + 1], gtilde[i, run], f[i, run],
-                                   phi[i, run]).breach() for i in range(n)])
-        fd = functools.reduce(np.add, [c * g[:, j] for j, c in
-                                       enumerate(weights, run.start)]) / scale
-        # one contiguous row per point, as each point alone has it
-        analytic = np.ascontiguousarray(jets.jet_extract(jet, alpha, order)[..., 0].T)
-        size = np.linalg.norm(analytic, axis=1)
-        devs.append(np.linalg.norm(fd - analytic, axis=1) / np.where(size > _FD_FLOOR, size, 1.0))
-    return np.stack(devs, axis=1), [list(point) for point in zip(*breaches)]
-
-
 def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
-    """:func:`fd_deviations` at one point, one z value and one multi-index;
-    raises the |phi| guard's InternalInconsistency."""
-    dev, ((breach,),) = fd_deviations(glued, np.reshape(np.asarray(z, dtype=complex), 1),
-                                      [np.atleast_1d(np.asarray(s, dtype=float))], [alpha], h)
-    if breach is not None:
-        raise breach
-    return float(dev[0, 0])
+    """Central-difference check of :func:`g_partial` for d^alpha, |alpha| in
+    {1, 2}, at one point (z, s): the relative deviation (absolute where the
+    derivative is numerically zero).  Raises the |phi| guard's
+    InternalInconsistency for a stencil point that trips it."""
+    alpha = as_alpha(alpha, glued.family.dim)
+    offsets, weights, scale = _stencil(alpha, h)
+    point = np.atleast_1d(np.asarray(s, dtype=float))
+    z = np.reshape(np.asarray(z, dtype=complex), 1)
+    g = GluedEvaluator(glued.family, glued.cover, glued.points, z).at(point + offsets).g()
+    fd = functools.reduce(np.add, [c * gj[:, 0] for c, gj in zip(weights, g)]) / scale
+    analytic = g_partial(glued, z, point, alpha)[:, 0]
+    size = np.linalg.norm(analytic)
+    return float(np.linalg.norm(fd - analytic) / (size if size > _FD_FLOOR else 1.0))
 
 
 @dataclass(frozen=True)

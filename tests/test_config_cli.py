@@ -12,7 +12,7 @@ import pytest
 from conftest import rational_gcd_tables, reference_grid_csv
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, _strict, load_config, save_config
-from coronaglue.cover_pou import build_cover
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import ConfigError, InternalInconsistency
 from coronaglue.polyalg import CPoly
 
@@ -174,8 +174,7 @@ def test_cli_check_exit_codes(tmp_path):
 
 def test_cli_commands_load_no_unused_numpy_subpackage(tmp_path):
     # importing numpy.polynomial, numpy.ma or numpy.random costs every CLI
-    # process memory and start-up time; verify draws numpy's default_rng(0)
-    # stream without numpy.random
+    # process memory and start-up time; verify samples no random points
     config, sol = str(CONFIGS / "worked_family.json"), str(tmp_path / "sol.json")
     commands = [["check", "--config", config], ["solve", "--config", config, "--out", sol],
                 ["verify", "--solution", sol, "--z-samples", "4", "--s-samples", "3"],
@@ -217,7 +216,7 @@ def test_cli_solve_verify_flow(tmp_path, capsys):
     assert vrep["verdict"] == "pass"
     names = {c["name"] for c in vrep["checks"]}
     assert {"residual_resample", "bezout_identity", "norm_bound",
-            "point_certificates", "pou_sum", "pou_derivative_sums"} <= names
+            "point_certificates", "pou_sum", "taylor_order_2"} <= names
 
 
 def test_cli_verify_catches_corruption(tmp_path):
@@ -308,7 +307,7 @@ def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_soluti
     assert "cnorm_finite_order_2" in checks  # every stage ran
     assert all(f"] {name}: " in out for name in checks)
     assert not checks["residual_resample"]["passed"]
-    for name in ("bezout_identity", "fd_order_1", "fd_order_2"):
+    for name in ("bezout_identity", "taylor_order_2"):
         witness = checks[name]["witness"]
         assert not checks[name]["passed"] and "|phi| = " in witness["detail"]
         _, glued = serialize.load_solution(tripped_solution)
@@ -343,20 +342,38 @@ def test_cli_eval_grid_refuses_a_guard_tripped_in_a_later_block(
     assert not out.exists() and not out.with_suffix(".summary.json").exists()
 
 
-def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, tripped_solution):
-    # negative tolerances fail every tolerance check, on top of the tampering
-    for name in ("IDENTITY_TOL", "NORM_SLACK", "POU_SUM_TOL", "POU_DERIV_TOL"):
+@pytest.mark.parametrize("tripped", [True, False])
+def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, three_center_solution,
+                                                  tripped_solution, tripped):
+    # negative tolerances fail the tolerance checks, weight 0 scaled as a
+    # whole fails the partition-of-unity sum, and g's order-2 jet scaled
+    # fails the Taylor test where no |phi| guard trips first; the tripped
+    # file fails the sampled checks for its tampering too
+    for name in ("IDENTITY_TOL", "NORM_SLACK"):
         monkeypatch.setattr(cli, name, -1.0)
-    monkeypatch.setattr(cli, "FD_TOLS", {1: (1e-4, -1.0), 2: (1e-3, -1.0)})
+    weight_jets, solution_jets = PartitionOfUnity.weight_jets, smoothness._solution_jets
+
+    def scaled_weight(self, s, order):
+        out = weight_jets(self, s, order)
+        out[0] *= 1.1
+        return out
+
+    def scaled_second_order(evaluator, s, order, own_z=False):
+        g, f = solution_jets(evaluator, s, order, own_z)
+        return np.concatenate([g[:2], 1.001 * g[2:]]), f  # 1-D: entry 2 is order 2
+
+    monkeypatch.setattr(PartitionOfUnity, "weight_jets", scaled_weight)
+    monkeypatch.setattr(smoothness, "_solution_jets", scaled_second_order)
     rep = tmp_path / "rep.json"
-    assert cli.main(["verify", "--solution", str(tripped_solution), "--z-samples", "6",
+    solution = tripped_solution if tripped else three_center_solution
+    assert cli.main(["verify", "--solution", str(solution), "--z-samples", "6",
                      "--s-samples", "6", "--report", str(rep)]) == 1
-    failing = [c for c in json.loads(rep.read_text())["checks"] if not c["passed"]]
-    assert {c["name"] for c in failing} >= {
-        "residual_resample", "residual_cert_consistent", "gtilde_norm_consistent",
-        "bezout_identity", "norm_bound", "pou_sum", "pou_derivative_sums",
-        "fd_order_1", "fd_order_2"}
-    assert all(c.get("witness") for c in failing)
+    failing = {c["name"]: c for c in json.loads(rep.read_text())["checks"] if not c["passed"]}
+    assert set(failing) >= {"bezout_identity", "norm_bound", "pou_sum", "taylor_order_2"} | (
+        {"residual_resample", "residual_cert_consistent", "gtilde_norm_consistent"}
+        if tripped else set())
+    assert all(c.get("witness") for c in failing.values())
+    assert ("|phi| = " in failing["taylor_order_2"]["witness"].get("detail", "")) == tripped
 
 
 def test_cli_rescale_roundtrip(tmp_path):
@@ -753,21 +770,6 @@ def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
             (expected,) = pou.derivs(s[None], [alpha])
             np.testing.assert_array_equal(d, expected)
             assert float(d.sum()) == float(expected.sum())
-
-
-@pytest.mark.parametrize("box, radius", [
-    ([(0.0, 1.0)], 0.22),
-    ([(0.0, 1.0), (0.0, 1.0)], 0.3),
-])
-def test_pou_derivative_sums_block_equals_points_bit_for_bit(rng, box, radius):
-    pou = build_cover(box, radius)
-    alphas = [a for a in jets.multi_indices(len(box), 2) if 1 <= sum(a) <= 2]
-    block = rng.uniform(*np.array(box).T, (25, len(box)))
-    got = pou.derivs(block, alphas)
-    for i, s in enumerate(block):
-        for d, (expected,) in zip(got, pou.derivs(s[None], alphas)):
-            assert np.array_equal(d[i], expected)
-            assert d.sum(-1)[i].tobytes() == expected.sum().tobytes()
 
 
 def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_solution):

@@ -8,13 +8,14 @@ import pytest
 from conftest import (bump_values, constant_family, family_values, frozen_values,
                       rational_gcd_family, stack, steep_family, two_param_family,
                       worked_family)
-from coronaglue import cli, glue, hnorm
+from coronaglue import glue, hnorm
 from coronaglue.bezout_point import EXACT_RESIDUAL, PointSolution
 from coronaglue.config import SolverSettings
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import (
     CoronaUncertified,
     CoronaViolation,
+    DomainError,
     InternalInconsistency,
     RefinementExhausted,
 )
@@ -117,7 +118,7 @@ def test_evaluator_matches_per_point_reference(steep_solution, monkeypatch, case
         for i, s in enumerate(block.s):
             assert tuple(s) == grid[seen]
             # a point of a block has the bits it has alone
-            alone = glue.GluedEvaluator(family, pou, points, z).at([s])
+            alone = glue.GluedEvaluator(family, pou, points, z).at(block.s[i:i + 1])
             for name in ("gtilde", "f", "phi"):
                 assert getattr(block, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
             # and the formulas' values to within 1e-14 (values are O(1))
@@ -155,19 +156,6 @@ def test_batched_weights_match_per_point_bit_for_bit(rng):
         for row, total, point in zip(batched, batched.sum(-1), s):
             assert row.tobytes() == pou.weights(point[None])[0].tobytes()
             assert total == pou.weights(point[None])[0].sum()  # verify's pou_sum per row
-
-
-def test_blocked_uniform_draws_match_scalar_draws():
-    # verify draws its PoU sum points in blocks of its own default_rng(0)
-    # stream; the stream, and so every later random point, must match
-    # numpy's one-at-a-time draws
-    box = [(0.0, 1.0), (-0.5, 2.5)]
-    one, blocked = np.random.default_rng(0), cli._Stream()
-    scalar = np.array([[one.uniform(a, b) for a, b in box] for _ in range(1000)])
-    lows, highs = np.array(box).T
-    drawn = np.concatenate(list(cli._uniform_blocks(blocked, lows, highs, 1000, 300)))
-    assert drawn.tobytes() == scalar.tobytes()
-    assert one.uniform(0, 1) == blocked.random(1)[0]
 
 
 def test_gtilde_convexity_and_locality(steep_solution):
@@ -289,6 +277,23 @@ def test_g_eval_guards_small_phi(worked_solution):
     with pytest.raises(InternalInconsistency):
         glue.g_eval(dataclasses.replace(broken, points=PointSolutionSet(nan)),
                     0.2 + 0.1j, [0.5])
+
+
+def test_one_point_evaluators_refuse_a_point_of_the_wrong_length(worked_solution):
+    # two values for a 1-D family are not one point: they were read as the
+    # block [[0.1], [0.9]], and g at s = 0.1 came back
+    glued = worked_solution
+    for point in ([0.1, 0.9], [[0.1]], []):
+        with pytest.raises(DomainError, match=r"expected \(1,\)"):
+            glue.g_eval(glued, 0.2, point)
+        with pytest.raises(DomainError, match=r"expected \(1,\)"):
+            glue.phi_eval(glued.family, glued.cover, glued.points, 0.2, point)
+    # the block evaluator takes (n, d) blocks only
+    evaluator = glue.GluedEvaluator(glued.family, glued.cover, glued.points, [0.2])
+    for block in ([0.1, 0.9], [[0.1, 0.9]], 0.5):
+        with pytest.raises(DomainError, match=r"expected \(n, 1\)"):
+            evaluator.at(block)
+    assert glue.g_eval(glued, 0.2, 0.5).tobytes() == glue.g_eval(glued, 0.2, [0.5]).tobytes()
 
 
 def test_solve_constant_family():

@@ -53,7 +53,7 @@ _spec.loader.exec_module(same_outputs)
      "largest relative difference 0.5, 0.0001 vs 0.0002"),
     # digits inside a word are text, a NaN on both sides is no difference,
     # and an imaginary part is the number between its sign and its j
-    ("a.json", {"name": "fd_order_1"}, {"name": "fd_order_2"}, "structure differs"),
+    ("a.json", {"name": "taylor_order_1"}, {"name": "taylor_order_2"}, "structure differs"),
     ("a.json", {"name": "C1", "g": "nan", "c0": 1.0}, {"name": "C1", "g": "nan", "c0": 2.0},
      "largest relative difference 0.5, 1 vs 2"),
     ("a.stderr", "z = (0.5-0.25j)\n", "z = (0.5-0.5j)\n",

@@ -207,43 +207,22 @@ def test_solution_jets_match_the_per_component_reference(rng, case):
                 assert same_bits(a + 0.0, np.stack(b, axis=1) + 0.0)
 
 
-@pytest.mark.parametrize("which", ["steep", "two_param"])
-def test_fd_deviations_equal_fd_check_bit_for_bit(rng, steep_solution,
-                                                 two_param_solution, which):
-    glued = steep_solution if which == "steep" else two_param_solution
-    block = _interior_block(rng, glued, 9)
-    zs = 0.5 * np.exp(2j * np.pi * rng.uniform(0, 1, len(block)))
-    # every multi-index of one order in one call, as verify calls it
-    for order, h in ((1, 1e-4), (2, 1e-3)):
-        alphas = [a for a in jets.multi_indices(glued.family.dim, order) if sum(a) == order]
-        devs, breaches = smoothness.fd_deviations(glued, zs, block, alphas, h)
-        assert devs.shape == (len(block), len(alphas))
-        assert breaches == [[None] * len(alphas)] * len(block)
-        for k, alpha in enumerate(alphas):
-            for i, s in enumerate(block):
-                assert same_bits(devs[i, k],
-                                 np.float64(smoothness.fd_check(glued, zs[i], s, alpha, h)))
-
-
-def test_fd_deviations_guard_witness_equals_fd_check(steep_solution):
+def test_derivative_checks_raise_or_return_a_tripped_phi_guard(steep_solution):
     # center 1's solution scaled by 0.1 leaves |phi| < 1/2 where its bump
-    # carries the weight; each tripped stencil keeps the witness and the
-    # message that the point alone raises
+    # carries the weight: fd_check raises the guard of the stencil that
+    # meets it, and the Taylor test returns the first ladder point's
     glued = _with_point_solution(steep_solution, 1, lambda gm: CPoly(0.1 * gm.coeffs))
-    block = np.linspace(0.06, 0.94, 12)[:, None]
-    zs = 0.3 * np.exp(2j * np.pi * np.arange(len(block)) / len(block))
-    devs, breaches = smoothness.fd_deviations(glued, zs, block, [(2,)], 1e-3)
-    breaches = [b for (b,) in breaches]
-    assert any(b is None for b in breaches) and any(b is not None for b in breaches)
-    for i, (s, breach) in enumerate(zip(block, breaches)):
-        if breach is None:
-            assert same_bits(devs[i, 0],
-                             np.float64(smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)))
-            continue
-        with pytest.raises(InternalInconsistency) as info:
-            smoothness.fd_check(glued, zs[i], s, (2,), 1e-3)
-        assert info.value.witness == breach.witness
-        assert str(info.value) == str(breach)
+    center = glued.cover.centers[1]
+    with pytest.raises(InternalInconsistency) as info:
+        smoothness.fd_check(glued, 0.3, center, (2,), 1e-3)
+    _, breach = smoothness.taylor_orders(glued, [center], [0.3], [[1.0]], 2, 1e-3)
+    for witness in (info.value.witness, breach.witness):
+        phi, _ = glue.phi_eval(glued.family, glued.cover, glued.points,
+                               complex(*witness["z"]), witness["s"])
+        assert abs(phi) < 0.5 and abs(witness["s"][0] - center[0]) <= 1.5e-3
+    assert str(breach).startswith("|phi| = ")
+    _, none = smoothness.taylor_orders(steep_solution, [center], [0.3], [[1.0]], 2, 1e-3)
+    assert none is None
 
 
 def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):

@@ -50,7 +50,7 @@ SOLUTION_FILE = "corrupted_solution.json"
 REPORTS = (".check.json", ".solve-report.json", ".verify-report.json")
 ROUNDING_FLOOR = 1e-14   # a number below this share of the file's scale is noise
 TEXT = (".stdout", ".stderr")
-# a number inside text, not part of a word such as fd_order_1 or C2; a
+# a number inside text, not part of a word such as taylor_order_2 or C2; a
 # trailing j (an imaginary part) stays in the text
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:nan|inf|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)"
                     r"(?=j\b|(?!\w|\.\d))")
