@@ -89,6 +89,17 @@ def test_fd_check_multi_center(steep_solution, rng):
         assert smoothness.fd_check(glued, z, s, (2,), 1e-3) <= 1e-4
 
 
+
+@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
+def test_fd_check_two_param(two_param_solution, rng, alpha):
+    # the mixed stencil (1, 1) has four corners and no center
+    h = 1e-4 if sum(alpha) == 1 else 1e-3
+    for _ in range(5):
+        s = rng.uniform(0.1, 0.9, 2).tolist()
+        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        assert smoothness.fd_check(two_param_solution, z, s, alpha, h) <= \
+            (1e-6 if sum(alpha) == 1 else 1e-4)
+
 def test_identity_jet_is_unit(steep_solution):
     glued = steep_solution
     jet = bezout_identity_jet(glued, 0.4 - 0.35j, [0.37], 3)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coronaglue import cli, glue, hnorm, jets, smoothness
-from coronaglue.config import ProblemConfig
+from coronaglue.config import ProblemConfig, SolverSettings
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -92,6 +92,25 @@ def test_a_wrong_g_jet_fails_the_taylor_check(monkeypatch, solution, degree, fac
     assert float(re.search(r"worst observed order (\S+)", check["detail"])[1]) < degree + 0.1
     assert set(check["witness"]) == {"s", "z", "v"}
 
+
+
+def test_order_one_solutions_get_the_order_one_check(monkeypatch, solution):
+    # a solver of order 1 gets taylor_order_1, whose remainder falls like
+    # h^2; a first-order jet wrong by 1e-6 reads order 1
+    config = ProblemConfig((), solution.family.box, SolverSettings(order=1))
+
+    def check():
+        report = cli.RunReport(command="verify")
+        cli.run_verification(config, solution, 6, 6, 5, 1, report)
+        names = [c["name"] for c in report.checks]
+        assert "taylor_order_1" in names and "taylor_order_2" not in names
+        return report.checks[names.index("taylor_order_1")]
+
+    assert check()["passed"], check()
+    _g_jet_mutant(monkeypatch, 1, 1.0 + 1e-6)
+    wrong = check()
+    assert not wrong["passed"]
+    assert float(re.search(r"worst observed order (\S+)", wrong["detail"])[1]) < 1.1
 
 def test_a_wrong_weight_derivative_fails_the_taylor_check(monkeypatch, lead_solution):
     # the values of the weights, and so their sum and g, are untouched
