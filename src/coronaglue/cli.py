@@ -40,7 +40,7 @@ class RunReport:
     cover_size: int | None = None
     r_final: float | None = None
     residual_cert: dict | None = None
-    cnorm_reports: list = field(default_factory=list)
+    cnorm_reports: list = field(default_factory=list)   # verify only
     timings: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -172,9 +172,7 @@ def cmd_solve(args) -> int:
     try:
         glued, stage_timings = glue.solve(family, solver)
     except CoronaUncertified as exc:
-        # glue.solve stops at the gate, before its sup certificate
-        sup = hnorm.sup_family(family, solver.axis_samples, solver.boundary_samples)
-        _record_certs(report, exc.certificate, sup)
+        _record_certs(report, exc.certificate, exc.sup)
         report.settle()
         if args.report:
             report.save(args.report)
@@ -202,12 +200,6 @@ def cmd_solve(args) -> int:
         "residual_gate", glued.residual_cert.hi <= glue.RESIDUAL_GATE,
         f"certified residual hi = {glued.residual_cert.hi:.6g} <= 1/2",
     )
-    t0 = time.perf_counter()
-    top = smoothness.cnorm_report(glued, config.solver.order,
-                                  axis_samples=config.solver.axis_samples)
-    report.cnorm_reports = [top.restricted(order).to_dict()
-                            for order in range(top.order + 1)]
-    report.timings["cnorm_reports"] = time.perf_counter() - t0
 
     serialize.save_solution(config, glued, out)
     report.settle()

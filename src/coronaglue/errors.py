@@ -3,7 +3,7 @@
 
 class CoronaGlueError(Exception):
     """Base class for all package errors; keyword details (``witness``,
-    ``certificate``, ``rounds``) are kept as attributes."""
+    ``certificate``, ``sup``, ``rounds``) are kept as attributes."""
 
     def __init__(self, message, **details):
         super().__init__(message)
@@ -28,7 +28,8 @@ class PointSolveFailure(CoronaGlueError):
 
 
 class CoronaUncertified(CoronaGlueError):
-    """The lower-bound certificate could not establish a positive margin."""
+    """The lower-bound certificate could not establish a positive margin;
+    carries it and the data's sup certificate."""
 
 
 class RefinementExhausted(CoronaGlueError):

@@ -3,7 +3,9 @@ combination, certified residual gate, and the division-normalized solution.
 
 Stages of :func:`solve`:
 
-1. certify the corona lower bound over disc x box (hard gate);
+1. certify the corona lower bound (hard gate) and the data's sup norm
+   over disc x box; a failed gate raises CoronaUncertified, which carries
+   both certificates;
 2. pilot norm bound from solves at the box corners and midpoint;
 3. first cover radius 1 / (2 pilot L_s) from the data's parameter Lipschitz
    bound L_s and the pilot;
@@ -27,8 +29,8 @@ g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at an (n, d)
 block of parameter points; a value is the order-0 jet.  The lower end of
 :func:`residual_certify`, verify's sweep and the CSV export read values, each
 array of a block within EVAL_BUDGET elements (one point per block when its z
-array alone is larger); the C^k reports, ``g_partial`` and verify's Taylor
-test in :mod:`coronaglue.smoothness` read jets.
+array alone is larger); verify's C^k report and Taylor test and
+``g_partial`` in :mod:`coronaglue.smoothness` read jets.
 :meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
 :func:`g_eval` and the CSV export raise it, and verify records it as a
 failed check with its witness.
@@ -350,14 +352,14 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
     with _stage(timings, "corona_check"):
         delta = hnorm.delta_lower(family, options.radial_samples,
                                   options.angular_samples, options.axis_samples)
+    with _stage(timings, "sup_norm"):
+        sup = hnorm.sup_family(family, options.axis_samples, options.boundary_samples)
     if not delta.lo > 0.0:
         raise CoronaUncertified(
             f"corona condition not certified: lower bound {delta.lo:.4g} <= 0 "
             "(genuine failure or insufficient grid)",
-            certificate=delta,
+            certificate=delta, sup=sup,
         )
-    with _stage(timings, "sup_norm"):
-        sup = hnorm.sup_family(family, options.axis_samples, options.boundary_samples)
 
     with _stage(timings, "pilot_solves"):
         pilot = _pilot_c0(family, options)

@@ -8,10 +8,11 @@ polynomials); this module forms the quotient g = gtilde / phi through the
 jet reciprocal, which is valid wherever |phi| >= 1/2.
 
 Every jet carries a trailing axis over a block of parameter points: the C^k
-report sweeps the evaluator's blocks of its s-grid and reads the norms of
-both g and f off the jets of that one pass (the data's jets are the ones phi
-is built from), and the single-point :func:`g_partial` is a block of one
-through the same code; every point of a block gets the bits it gets alone.
+report, which verify alone runs, sweeps the evaluator's blocks of its s-grid
+and reads the norms of both g and f off the jets of that one pass (the
+data's jets are the ones phi is built from), and the single-point
+:func:`g_partial` is a block of one through the same code; every point of a
+block gets the bits it gets alone.
 
 :func:`taylor_orders` is verify's derivative check (Farrell, Ham, Funke and
 Rognes, SIAM J. Sci. Comput. 35(4), 2013): the remainder of a right jet of

@@ -670,17 +670,29 @@ def test_cli_solve_negative_common_zero(tmp_path):
     assert len(gate) == 1 and not gate[0]["passed"]
 
 
-def test_cli_solve_certifies_the_family_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, code", [
+    ("three_center_family.json", 0),
+    # the failed gate's CoronaUncertified carries the sup certificate
+    ("negative_common_zero.json", 1),
+])
+def test_cli_solve_certifies_the_family_once(tmp_path, monkeypatch, name, code):
     calls = {"delta_lower": 0, "sup_family": 0}
-    for name, original in [(n, getattr(hnorm, n)) for n in calls]:
-        def counted(*args, _name=name, _original=original, **kwargs):
+    for fn, original in [(n, getattr(hnorm, n)) for n in calls]:
+        def counted(*args, _name=fn, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
-        monkeypatch.setattr(hnorm, name, counted)
-    code = cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
-                     "--out", str(tmp_path / "sol.json")])
-    assert code == 0
+        monkeypatch.setattr(hnorm, fn, counted)
+    assert cli.main(["solve", "--config", str(CONFIGS / name),
+                     "--out", str(tmp_path / "sol.json")]) == code
     assert calls == {"delta_lower": 1, "sup_family": 1}
+
+
+def test_cli_solve_never_runs_the_cnorm_report(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve ran the C^k report")
+    monkeypatch.setattr(smoothness, "cnorm_report", refuse)
+    assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
+                     "--out", str(tmp_path / "sol.json")]) == 0
 
 
 def test_solve_report_records_every_round(tmp_path, capsys, monkeypatch):
@@ -735,8 +747,8 @@ SIXTH = 1.0 / 6.0
     ([[[[2 * SIXTH], [0.4]], [[SIXTH]]], [[[2 * SIXTH, 0.4]], [[-SIXTH]]]],
      [[0.0, 1.0], [0.0, 1.0]], 9, 4),
 ], ids=["steep-1d", "four-center-2d"])
-def test_solve_reports_match_a_pass_per_order(tmp_path, components, bounds,
-                                              axis_samples, min_centers):
+def test_verify_owns_the_cnorm_reports(tmp_path, components, bounds,
+                                       axis_samples, min_centers):
     raw = _load("worked_family.json").to_dict()
     raw["family"]["components"] = [{"z_coeffs": t} for t in components]
     raw["domain"]["bounds"] = bounds
@@ -745,8 +757,12 @@ def test_solve_reports_match_a_pass_per_order(tmp_path, components, bounds,
     save_config(ProblemConfig.from_dict(raw), cfg_path)
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(sol),
                      "--report", str(rep)]) == 0
+    solved = json.loads(rep.read_text())
+    assert solved["cnorm_reports"] == [] and "cnorm_reports" not in solved["timings"]
     _, glued = serialize.load_solution(sol)
     assert glued.cover.size >= min_centers
+    assert cli.main(["verify", "--solution", str(sol), "--s-samples", str(axis_samples),
+                     "--alpha", "2", "--report", str(rep)]) == 0
     written = json.loads(rep.read_text())["cnorm_reports"]
     assert [r["order"] for r in written] == [0, 1, 2]
     for order, entry in enumerate(written):

@@ -316,9 +316,13 @@ def test_solve_corona_violating_family():
     f1 = ZSPoly([[SPoly([0.0]), SPoly([1.0])]])
     f2 = ZSPoly([[SPoly([0.0, -0.25]), SPoly([1.0])]])
     family = ParamFamily(stack(f1, f2), [(0.0, 1.0)])
+    options = SolverSettings()
     with pytest.raises(CoronaUncertified) as err:
-        glue.solve(family)
+        glue.solve(family, options)
     assert err.value.certificate.lo <= 0.0
+    # the failed gate carries the sup certificate, so no caller makes another
+    assert err.value.sup == hnorm.sup_family(family, options.axis_samples,
+                                             options.boundary_samples)
 
 
 def test_solve_two_parameter_family():
