@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bezout_point, glue, hnorm, serialize, smoothness
-from .config import ProblemConfig, load_config, save_config, write_json
+from .config import MAX_ORDER, ProblemConfig, load_config, save_config, write_json
 from .errors import (
     ConfigError,
     CoronaGlueError,
@@ -158,13 +158,12 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    out = Path(args.out or "solution.json")
+    _distinct(args.config, out, args.report)
     config = load_config(args.config)
     family = config.to_family()
     solver = config.solver
     report = RunReport(command="solve")
-    out = Path(args.out) if args.out else \
-        Path(config.output.directory) / "solution.json"
-    _distinct(args.config, out, args.report)
     # refuse an unwritable output before the pipeline runs, not after
     for path in [out] + ([Path(args.report)] if args.report else []):
         _make_parent(path)
@@ -270,16 +269,10 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
                      f"stored delta_cert.lo = {delta_lo:.6g} (must be > 0)")
     report.add_check("residual_gate", stored_hi <= gate,
                      f"stored residual_cert.hi = {stored_hi:.6g} (gate {gate})")
-    degenerate = radial * angular <= 1 or s_per_axis <= 1
-    if degenerate:
-        report.warnings.append(
-            "grid spec is degenerate (one point); sampling checks are vacuous"
-        )
-        print("warning: degenerate grid; sampling checks are vacuous")
 
-    # the certificates' polar grid, or the single node z = 0
-    z_nodes = hnorm.disc_points(radial, angular) if radial * angular else np.zeros(1, complex)
-    axes = hnorm.box_axes(family.box, max(s_per_axis, 1))
+    # the certificates' polar grid
+    z_nodes = hnorm.disc_points(radial, angular)
+    axes = hnorm.box_axes(family.box, s_per_axis)
 
     # residual, certificate consistency, Bezout identity and norm bounds in
     # one sweep
@@ -342,7 +335,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"max |sum eta - 1| / ((2 m + 1) eps) = {pou_sum.value:.3g} over {len(points)} "
         "points, m the live bumps (bound 1)", pou_sum.witness)
 
-    order = min(config.solver.order, 2)
+    order = min(alpha_max, 2)
     zs = 0.5 * hnorm.boundary_points(len(points))
     directions = _directions(family.dim)
     h0 = 0.05 * min(cover.radius, min(b - a for a, b in family.box))
@@ -365,8 +358,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         {**breach.witness, "detail": str(breach)} if breach else worst.witness)
 
     # norm reports: finiteness is the contract
-    top = smoothness.cnorm_report(glued, alpha_max,
-                                  axis_samples=max(s_per_axis, 2))
+    top = smoothness.cnorm_report(glued, alpha_max, axis_samples=s_per_axis)
     for order in range(alpha_max + 1):
         rep = top.restricted(order)
         report.cnorm_reports.append(rep.to_dict())
@@ -382,6 +374,12 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
 
 def cmd_verify(args) -> int:
     _distinct(args.solution, args.report)
+    # one grid point per axis checks nothing between points
+    for flag, value in (("--z-samples", args.z_samples), ("--s-samples", args.s_samples)):
+        if value < 2:
+            raise ConfigError(f"{flag} {value} is below 2, too coarse to check")
+    if args.alpha > MAX_ORDER:
+        raise ConfigError(f"--alpha {args.alpha} exceeds the largest order, {MAX_ORDER}")
     config, glued = serialize.load_solution(args.solution)
     report = RunReport(command="verify")
     report.delta_cert = glued.delta_cert.to_dict()
@@ -390,16 +388,11 @@ def cmd_verify(args) -> int:
     report.c0 = glued.c0
     report.cover_size = glued.cover.size
     report.r_final = glued.cover.radius
-    alpha_max = args.alpha if args.alpha is not None else config.solver.order
-    if alpha_max > config.solver.order:
-        raise ConfigError(
-            f"--alpha {alpha_max} exceeds the configured order {config.solver.order}"
-        )
     if args.report:
         _make_parent(Path(args.report))
     t0 = time.perf_counter()
     run_verification(config, glued, args.z_samples, args.z_samples,
-                     args.s_samples, alpha_max, report)
+                     args.s_samples, args.alpha, report)
     report.timings["verify"] = time.perf_counter() - t0
     report.settle()
     for check in report.checks:
@@ -473,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="polar grid: radii and angles per direction")
     p.add_argument("--s-samples", type=_nonnegative, default=20,
                    help="parameter samples per axis")
-    p.add_argument("--alpha", type=_nonnegative, default=None,
-                   help="max derivative order for the norm reports")
+    p.add_argument("--alpha", type=_nonnegative, default=2,
+                   help=f"max derivative order for the norm reports (at most {MAX_ORDER})")
     p.add_argument("--report", help="write the run report to this path")
     p.set_defaults(func=cmd_verify)
 

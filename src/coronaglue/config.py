@@ -6,14 +6,14 @@ A problem file is JSON:
       "family": {"components": [{"z_coeffs": [[2.0, 1.0], [-1.0]]}, ...]},
       "domain": {"bounds": [[0.0, 1.0]]},
       "solver": {"boundary_samples": 512, ...},
-      "output": {"directory": "."},
       "rescale_factor": 1.0
     }
 
 ``z_coeffs[j]`` is the dense coefficient table of the parameter polynomial
 multiplying z**j: a flat list for one parameter axis, a rectangular nested
 list for two.  Parsing is lossless: serialize(parse(text)) is semantically
-identical to the input.
+identical to the input.  Other keys, such as an older file's ``output``
+section and ``solver.order``, are not read.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class SolverSettings:
     axis_samples: int = 33
     degree_cap_factor: int = 8
     max_refinements: int = 6
-    order: int = 2
 
     def validate(self):
         checks = [
@@ -52,23 +51,10 @@ class SolverSettings:
             ("axis_samples", self.axis_samples >= 2),
             ("degree_cap_factor", self.degree_cap_factor >= 1),
             ("max_refinements", self.max_refinements >= 0),
-            ("order", 0 <= self.order <= MAX_ORDER),
         ]
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"solver.{name} = {getattr(self, name)} out of range")
-
-
-@dataclass(frozen=True)
-class OutputSettings:
-    directory: str = "."
-
-    def validate(self):
-        if not isinstance(self.directory, str) or not self.directory:
-            raise ConfigError("output.directory must be a nonempty string")
-
-    def to_dict(self):
-        return {"directory": self.directory}
 
 
 def _is_number(x):
@@ -128,7 +114,6 @@ class ProblemConfig:
     components: tuple          # tuple of tuples of dense coefficient tables
     bounds: tuple              # ((a, b), ...) per parameter axis
     solver: SolverSettings = field(default_factory=SolverSettings)
-    output: OutputSettings = field(default_factory=OutputSettings)
     rescale_factor: float = 1.0
 
     @property
@@ -164,7 +149,6 @@ class ProblemConfig:
         if not (math.isfinite(self.rescale_factor) and self.rescale_factor > 0):
             raise ConfigError("rescale_factor must be positive and finite")
         self.solver.validate()
-        self.output.validate()
 
     def to_family(self) -> ParamFamily:
         return ParamFamily(ZSPoly([[SPoly(np.asarray(t, dtype=float)) for t in tables]
@@ -197,7 +181,6 @@ class ProblemConfig:
             },
             "domain": {"bounds": [list(b) for b in self.bounds]},
             "solver": asdict(self.solver),
-            "output": self.output.to_dict(),
             "rescale_factor": self.rescale_factor,
         }
 
@@ -230,15 +213,10 @@ class ProblemConfig:
             name: _int_field(solver_raw, f"solver.{name}", getattr(defaults, name))
             for name in asdict(defaults)
         })
-        output_raw = raw.get("output", {})
-        if not isinstance(output_raw, dict):
-            raise ConfigError("output must be an object")
-        output = OutputSettings(directory=output_raw.get("directory", "."))
         cfg = ProblemConfig(
             components=tuple(components),
             bounds=bounds,
             solver=solver,
-            output=output,
             rescale_factor=_number(raw.get("rescale_factor", 1.0), "rescale_factor"),
         )
         cfg.validate()

@@ -110,12 +110,17 @@ class GluedSolution:
     delta_cert: NormCert
     sup_cert: NormCert
     residual_cert: NormCert
-    refinements: int
     rounds: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def c0(self) -> float:
         return self.points.c0
+
+    @property
+    def refinements(self) -> int:
+        """The radius halvings of the solve that built it, its rounds but
+        the first; -1 for a loaded solution, which has no rounds."""
+        return len(self.rounds) - 1
 
 
 def _solve_at(family: ParamFamily, s, options: SolverSettings) -> PointSolution:
@@ -368,7 +373,7 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
     radius = 1.0 / (2.0 * pilot) / lip if lip else math.inf
 
     rounds = []
-    for round_index in range(options.max_refinements + 1):
+    for _ in range(options.max_refinements + 1):
         with _stage(timings, "point_solves"):
             cover = build_cover(family.box, radius)
             points = solve_at_samples(family, cover, options)
@@ -380,8 +385,7 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
         rounds.append(SolveRound(radius, cover.size, points.c0, cert, outcome))
         if outcome == "passed":
             return (
-                GluedSolution(family, cover, points, delta, sup, cert,
-                              round_index, tuple(rounds)),
+                GluedSolution(family, cover, points, delta, sup, cert, tuple(rounds)),
                 timings,
             )
         if math.isinf(radius):

@@ -18,7 +18,8 @@ derived values; any other value is a ConfigError naming the field.  The
 glued certificates keep all four fields, each quantity the one of
 :data:`GLUED_QUANTITIES`.  The reader rebuilds the cover from
 ``config.domain.bounds`` and ``cover.radius`` and refuses stored
-``cover.centers`` (kept for other readers) that differ from it.
+``cover.centers`` (kept for other readers) that differ from it.  An older
+file's ``refinements`` is not read.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def solution_to_dict(config: ProblemConfig, glued: GluedSolution) -> dict:
             "delta_cert": glued.delta_cert.to_dict(),
             "sup_cert": glued.sup_cert.to_dict(),
             "residual_cert": glued.residual_cert.to_dict(),
-            "refinements": glued.refinements,
         },
     }
 
@@ -175,7 +175,6 @@ def _solution_from_dict(raw: dict):
         points=points,
         **{name: _cert_from_dict(result[name], name, quantity)
            for name, quantity in GLUED_QUANTITIES.items()},
-        refinements=_count(result["refinements"], "refinements"),
     )
     return config, glued
 

@@ -51,11 +51,6 @@ def test_config_validation_errors(tmp_path):
         ProblemConfig.from_dict(bad)
 
     bad = json.loads(json.dumps(base))
-    bad["solver"]["order"] = 7
-    with pytest.raises(ConfigError):
-        ProblemConfig.from_dict(bad)
-
-    bad = json.loads(json.dumps(base))
     bad["solver"]["axis_samples"] = 0
     with pytest.raises(ConfigError):
         ProblemConfig.from_dict(bad)
@@ -87,7 +82,6 @@ def _edit(path, value):
 
 
 @pytest.mark.parametrize("edit", [
-    _edit(("output",), []),
     _edit(("domain", "bounds"), [["0.0", 1.0]]),
     _edit(("domain", "bounds"), [[0.0]]),
     _edit(("domain", "bounds"), 5),
@@ -97,9 +91,8 @@ def _edit(path, value):
     _edit(("family", "components", 0, "z_coeffs"), [[10 ** 400], [0.5]]),
     _edit(("domain", "bounds"), [[0.0, 10 ** 400]]),
     _edit(("rescale_factor",), 10 ** 400),
-], ids=["output_list", "bound_string",
-        "bound_one_element", "bounds_number", "bound_pair_as_string", "rescale_string",
-        "z_coeffs_number", "z_coeff_huge_int", "bound_huge_int", "rescale_huge_int"])
+], ids=["bound_string", "bound_one_element", "bounds_number", "bound_pair_as_string",
+        "rescale_string", "z_coeffs_number", "z_coeff_huge_int", "bound_huge_int", "rescale_huge_int"])
 def test_cli_check_refuses_malformed_config(tmp_path, edit):
     raw = json.loads((CONFIGS / "worked_family.json").read_text())
     edit(raw)
@@ -108,12 +101,16 @@ def test_cli_check_refuses_malformed_config(tmp_path, edit):
     assert cli.main(["check", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("formats", [["json", "csv"], "json", [["json"]]],
-                         ids=["benchmark_value", "string", "nested"])
-def test_config_with_output_formats_loads_with_the_key_ignored(tmp_path, formats):
-    # benchmark configs and older solution files still carry output.formats
+@pytest.mark.parametrize("output, order", [
+    ({"directory": ".", "formats": ["json", "csv"]}, 2),
+    ([], 7),
+    ("json", "2"),
+], ids=["benchmark_value", "list_and_order_7", "strings"])
+def test_config_output_section_and_solver_order_load_with_the_keys_ignored(
+        tmp_path, output, order):
+    # benchmark configs and older solution files still carry both
     raw = json.loads((CONFIGS / "worked_family.json").read_text())
-    raw["output"]["formats"] = formats
+    raw["output"], raw["solver"]["order"] = output, order
     path = tmp_path / "old.json"
     path.write_text(json.dumps(raw))
     assert load_config(path).to_dict() == _load("worked_family.json").to_dict()
@@ -279,6 +276,34 @@ def test_verify_recomputes_the_point_certificates(tmp_path, three_center_solutio
     witness = checks["point_certificates"]["witness"]
     assert witness["field"] == f"point_solutions[{center}].{field}"
     assert witness["stored"] == cert and witness["recomputed"] != cert
+
+
+def test_verify_alpha_is_its_own_setting(tmp_path, three_center_solution):
+    # the solution, solved with the default settings, holds no order: --alpha 3
+    # adds the C^3 report and keeps the Taylor test at order 2
+    rep = tmp_path / "rep.json"
+    assert cli.main(["verify", "--solution", str(three_center_solution), "--z-samples", "6",
+                     "--s-samples", "6", "--alpha", "3", "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert [r["order"] for r in report["cnorm_reports"]] == [0, 1, 2, 3]
+    names = [c["name"] for c in report["checks"]]
+    assert "taylor_order_2" in names and "taylor_order_3" not in names
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--alpha", "7"), ("--z-samples", "1"), ("--s-samples", "1"), ("--z-samples", "0"),
+])
+def test_verify_refuses_an_order_above_6_or_a_grid_too_coarse_to_check(
+        capsys, monkeypatch, three_center_solution, option, value):
+    # one sample per axis would pass every sampling check vacuously; the
+    # refusal comes before the solution is read
+    def load_solution(path):
+        raise AssertionError(f"{path} read before {option} {value} was refused")
+
+    monkeypatch.setattr(serialize, "load_solution", load_solution)
+    assert cli.main(["verify", "--solution", str(three_center_solution), option, value]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {option} {value} ")
 
 
 def _tripped(solution, center, path):
@@ -482,7 +507,6 @@ def _c0_times_10(raw):
     _set(("cover", "radius"), math.inf),
     _set(("cover", "centers", 0, 0), math.nan),
     _set(("c0",), "1.0"),
-    _set(("refinements",), 0.5),
     _set(("point_solutions",), []),
     _drop_c0,
     _lo_above_hi,
@@ -495,8 +519,7 @@ def _c0_times_10(raw):
     _set(("point_solutions", 0, "g", 0), []),
 ], ids=["nan_coefficient", "infinite_cert", "negative_infinite_cert",
         "nan_c0", "numeric_infinite_radius", "nan_center",
-        "string_c0", "float_refinements",
-        "no_point_solutions", "missing_c0", "lo_above_hi", "c0_times_10",
+        "string_c0", "no_point_solutions", "missing_c0", "lo_above_hi", "c0_times_10",
         "huge_int_c0", "huge_int_radius", "huge_int_cert", "huge_int_coefficient",
         "empty_coefficients"])
 def test_verify_refuses_malformed_solution(tmp_path, worked_solution, tamper):
@@ -611,12 +634,13 @@ def test_cli_output_in_a_missing_directory_is_written(tmp_path, worked_solution,
 
 @pytest.mark.parametrize("argv, named", [
     (["solve", "--config", "c.json", "--out", "s.json", "--report", "s.json"], "s.json"),
+    (["solve", "--config", "solution.json"], "solution.json"),  # the default --out
     (["verify", "--solution", "s.json", "--report", "s.json"], "s.json"),
     (["verify", "--solution", "./s.json", "--report", "s.json"], "s.json"),
     (["eval-grid", "--solution", "s.json", "--out", "s.json"], "s.json"),
     (["eval-grid", "--solution", "g.summary.json", "--out", "g.csv"], "g.summary.json"),
     (["check", "--config", "c.json", "--out", "c.json"], "c.json"),
-], ids=["solve", "verify", "verify-dot-slash", "eval-grid", "eval-grid-summary", "check"])
+], ids=["solve", "solve-default-out", "verify", "verify-dot-slash", "eval-grid", "eval-grid-summary", "check"])
 def test_cli_refuses_to_write_over_its_own_input_or_output(tmp_path, capsys, monkeypatch,
                                                           worked_solution, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -625,7 +649,7 @@ def test_cli_refuses_to_write_over_its_own_input_or_output(tmp_path, capsys, mon
     (tmp_path / "g.summary.json").write_bytes((tmp_path / "s.json").read_bytes())
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     for module, name in [(glue, "solve"), (hnorm, "delta_lower"), (cli, "run_verification"),
-                         (serialize, "load_solution")]:
+                         (serialize, "load_solution"), (cli, "load_config")]:
         def pipeline(*args, _name=name, **kwargs):
             raise AssertionError(f"{_name} ran before the paths were compared")
         monkeypatch.setattr(module, name, pipeline)

@@ -264,7 +264,6 @@ def test_g_eval_guards_small_phi(worked_solution):
         glued.delta_cert,
         glued.sup_cert,
         glued.residual_cert,
-        glued.refinements,
     )
     with pytest.raises(InternalInconsistency):
         glue.g_eval(broken, 0.2 + 0.1j, [0.5])

@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as npp
 import tensor_jets
 from coronaglue import jets
 
-# every jet order the configuration accepts (solver.order <= 6), in 1-D and 2-D
+# every jet order verify accepts (--alpha <= 6), in 1-D and 2-D
 DIM_ORDER = st.tuples(st.integers(1, 2), st.integers(0, 6))
 
 

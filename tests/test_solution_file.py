@@ -1,7 +1,8 @@
 """The solution file: one line of sorted-key compact JSON, each point
 certificate stored as its lo and hi.  Files written by earlier versions
 (indented, with an ``r_final`` copy of the cover radius, a ``cover.box`` copy
-of the domain bounds, ``output.formats`` and each point certificate's
+of the domain bounds, the round count ``refinements``, the config's
+``output`` section and ``solver.order``, and each point certificate's
 ``quantity`` and ``samples_used``) still load and verify the same.  The
 reader rebuilds the cover from the bounds and the radius and refuses stored
 centers or glued certificate names other than the ones it derives."""
@@ -21,12 +22,14 @@ CONFIGS = REPO / "configs"
 
 def _old_writer(config, glued, path):
     """The writer of earlier versions: indented, with ``r_final``,
-    ``cover.box``, ``output.formats`` and every field of each point
-    certificate."""
+    ``cover.box``, ``refinements``, ``output``, ``solver.order`` and every
+    field of each point certificate."""
     payload = serialize.solution_to_dict(config, glued)
     payload["result"]["r_final"] = glued.cover.radius
     payload["result"]["cover"]["box"] = [list(b) for b in glued.family.box]
-    payload["config"]["output"]["formats"] = ["json", "csv"]
+    payload["result"]["refinements"] = glued.refinements
+    payload["config"]["output"] = {"directory": ".", "formats": ["json", "csv"]}
+    payload["config"]["solver"]["order"] = 2
     for entry, sol in zip(payload["result"]["point_solutions"], glued.points.solutions):
         for name in bezout_point.CERT_QUANTITIES:
             entry[name] = getattr(sol, name).to_dict()
@@ -72,7 +75,9 @@ def test_compact_file_holds_the_indented_payload_without_r_final(solved):
     assert "r_final" in expected["result"]
     del expected["result"]["r_final"]
     del expected["result"]["cover"]["box"]
-    del expected["config"]["output"]["formats"]
+    del expected["result"]["refinements"]
+    del expected["config"]["output"]
+    del expected["config"]["solver"]["order"]
     for entry in expected["result"]["point_solutions"]:
         for name in bezout_point.CERT_QUANTITIES:
             assert set(entry[name]) == {"lo", "hi", "quantity", "samples_used"}
@@ -86,7 +91,7 @@ def _equal_solutions(a, b):
     assert cfg_a.to_dict() == cfg_b.to_dict()
     assert glued_a.cover == glued_b.cover
     assert glued_a.points == glued_b.points
-    for name in ("delta_cert", "sup_cert", "residual_cert", "refinements"):
+    for name in ("delta_cert", "sup_cert", "residual_cert"):
         assert getattr(glued_a, name) == getattr(glued_b, name)
 
 
@@ -206,7 +211,6 @@ TAMPER_SURVIVORS = {
                                  "the gate and the fresh-grid maximum",
     ("result", "cover", "radius"): "a slightly wider radius is another cover of the same "
                                    "centers, and the glued solution it defines passes",
-    ("result", "refinements"): "the round count of the solve is informational",
     ("config", "rescale_factor"): "the accumulated factor is informational; the family "
                                   "tables are the data",
     ("config", "solver", "radial_samples"): "a solve setting that verify does not read",
@@ -214,7 +218,6 @@ TAMPER_SURVIVORS = {
     ("config", "solver", "axis_samples"): "a solve setting that verify does not read",
     ("config", "solver", "degree_cap_factor"): "a solve setting that verify does not read",
     ("config", "solver", "max_refinements"): "a solve setting that verify does not read",
-    ("config", "solver", "order"): "it only sets the default --alpha, and order 3 passes",
 }
 
 

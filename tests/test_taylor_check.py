@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coronaglue import cli, glue, hnorm, jets, smoothness
-from coronaglue.config import ProblemConfig, SolverSettings
+from coronaglue.config import ProblemConfig
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -93,15 +93,14 @@ def test_a_wrong_g_jet_fails_the_taylor_check(monkeypatch, solution, degree, fac
     assert set(check["witness"]) == {"s", "z", "v"}
 
 
-
-def test_order_one_solutions_get_the_order_one_check(monkeypatch, solution):
-    # a solver of order 1 gets taylor_order_1, whose remainder falls like
-    # h^2; a first-order jet wrong by 1e-6 reads order 1
-    config = ProblemConfig((), solution.family.box, SolverSettings(order=1))
+def test_alpha_one_gets_the_order_one_check(monkeypatch, solution):
+    # verify --alpha 1 gets taylor_order_1, whose remainder falls like h^2;
+    # a first-order jet wrong by 1e-6 reads order 1
+    config = ProblemConfig((), solution.family.box)
 
     def check():
         report = cli.RunReport(command="verify")
-        cli.run_verification(config, solution, 6, 6, 5, 1, report)
+        cli.run_verification(config, solution, 6, 6, 5, 1, report)  # --alpha 1
         names = [c["name"] for c in report.checks]
         assert "taylor_order_1" in names and "taylor_order_2" not in names
         return report.checks[names.index("taylor_order_1")]
@@ -111,6 +110,7 @@ def test_order_one_solutions_get_the_order_one_check(monkeypatch, solution):
     wrong = check()
     assert not wrong["passed"]
     assert float(re.search(r"worst observed order (\S+)", wrong["detail"])[1]) < 1.1
+
 
 def test_a_wrong_weight_derivative_fails_the_taylor_check(monkeypatch, lead_solution):
     # the values of the weights, and so their sum and g, are untouched
