@@ -353,8 +353,9 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"taylor_order_{order}", breach is None and -worst.value >= order + 0.5,
         f"worst observed order {-worst.value:.3g} (must be >= {order + 0.5}) over "
         f"{orders.size} (point, direction) pairs, {exact} exact to rounding (remainder "
-        f"under {smoothness.TAYLOR_FLOOR} eps ||g|| on {smoothness.TAYLOR_STEPS} "
-        f"halvings of h0 = {h0:.3g})",
+        f"under {smoothness.TAYLOR_FLOOR} eps "
+        f"{'(||g|| + sum_i max|s_i| ||dg/ds_i||)' if order else '||g||'} on "
+        f"{smoothness.TAYLOR_STEPS} halvings of h0 = {h0:.3g})",
         {**breach.witness, "detail": str(breach)} if breach else worst.witness)
 
     # norm reports: finiteness is the contract

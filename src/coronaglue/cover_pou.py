@@ -12,6 +12,8 @@ inside some bump: centers are spread evenly with per-axis count
 ceil(width * sqrt(d) / (2 r')), where r' is the radius shrunk by a 0.5%
 safety margin.  Without the margin, box corners can land exactly on a support
 boundary, where every bump vanishes and the normalization is undefined.
+The solve's first cover is one ball over the box, and each halving of its
+radius doubles the centers on the widest axis.
 
 The bump exists only as jets: :meth:`PartitionOfUnity.weight_jets` builds
 the Taylor-coefficient jets of the normalized weights by truncated-jet
@@ -32,20 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hnorm, jets
+from . import jets
 from .errors import DomainError, InternalInconsistency
-from .polyalg import ParamFamily, as_alpha, sum_in_order
+from .polyalg import as_alpha, sum_in_order
 
 BUMP_CLAMP = 1e-6      # t >= 1 - this evaluates to exactly 0
 COVER_MARGIN = 0.995   # effective radius factor used for center spacing
-
-
-def lipschitz_s_bound(family: ParamFamily) -> float:
-    """L with ||f(., s) - f(., s')|| <= L |s - s'| over disc x box, from
-    coefficient-sum bounds on the parameter gradient: the squared bounds
-    added one component after another, each over its axes in turn."""
-    bounds = hnorm.partial_bounds(family.poly, family.box)
-    return math.sqrt(float(sum_in_order((bounds.T ** 2).ravel())))
 
 
 def build_cover(box, radius: float, max_size: float = math.inf) -> PartitionOfUnity:
@@ -71,7 +65,8 @@ def build_cover(box, radius: float, max_size: float = math.inf) -> PartitionOfUn
 class PartitionOfUnity:
     """The cover: centers s_k (a tuple of coordinate tuples) and one ball
     radius r, and the normalized bumps subordinate to it, eta_k(s) =
-    beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r).  An infinite radius
+    beta(|s - s_k| / r) / sum_j beta(|s - s_j| / r).  An infinite radius,
+    which solution files of earlier versions hold for data constant in s,
     makes every bump live on the whole box."""
 
     centers: tuple

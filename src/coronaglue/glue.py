@@ -6,14 +6,14 @@ Stages of :func:`solve`:
 1. certify the corona lower bound (hard gate) and the data's sup norm
    over disc x box; a failed gate raises CoronaUncertified, which carries
    both certificates;
-2. pilot norm bound from solves at the box corners and midpoint;
-3. first cover radius 1 / (2 pilot L_s) from the data's parameter Lipschitz
-   bound L_s and the pilot;
-4. Bezout solves at every cover center, one after another;
-5. residual certificate for sup |1 - gtilde^T f| over disc x box, each
+2. a first cover of one ball over the box;
+3. Bezout solves at every cover center, one after another;
+4. residual certificate for sup |1 - gtilde^T f| over disc x box, each
    center's term bounded over its bump's support ball, gate 1/2: the one
    gate that picks the cover, since |phi| >= 1/2 is all the gluing needs;
-6. on failure halve the radius and repeat, at most ``max_refinements`` times.
+5. on failure halve the radius and repeat, at most ``max_refinements``
+   times, so k halvings reach 2^k centers per axis; data constant in s
+   stops after its first round, since a smaller ball changes nothing there.
 
 The final solution is an evaluator: g(z,s) = gtilde(z,s) / phi(z,s) with
 phi = gtilde^T f computed pointwise, so g^T f = 1 holds to division rounding
@@ -47,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hnorm, jets
-from .bezout_point import PointSolution, RESIDUAL_ACCEPT, solve_point
+from .bezout_point import RESIDUAL_ACCEPT, solve_point
 from .config import SolverSettings
-from .cover_pou import PartitionOfUnity, build_cover, lipschitz_s_bound
+from .cover_pou import PartitionOfUnity, build_cover
 from .errors import (
     CoronaGlueError,
     CoronaUncertified,
@@ -123,16 +123,12 @@ class GluedSolution:
         return len(self.rounds) - 1
 
 
-def _solve_at(family: ParamFamily, s, options: SolverSettings) -> PointSolution:
-    return solve_point(family.freeze(np.asarray(s)), options.boundary_samples,
-                       options.degree_cap_factor)
-
-
 def solve_at_samples(family: ParamFamily, cover: PartitionOfUnity,
                      options: SolverSettings = SolverSettings()) -> PointSolutionSet:
     """Freeze the family at every cover center and solve there."""
     try:
-        solutions = [_solve_at(family, c, options) for c in cover.centers]
+        solutions = [solve_point(family.freeze(np.asarray(c)), options.boundary_samples,
+                                 options.degree_cap_factor) for c in cover.centers]
     except CoronaGlueError as exc:
         exc.args = (f"pointwise solve failed: {exc.args[0]}",) + exc.args[1:]
         raise
@@ -325,17 +321,6 @@ def residual_certify(family: ParamFamily, cover: PartitionOfUnity,
     return NormCert(lo, max(hi, lo), hnorm.GLUED_RESIDUAL, count)
 
 
-def _pilot_c0(family: ParamFamily, options: SolverSettings) -> float:
-    """Norm bound from corner and midpoint solves; breaks the circular
-    dependency between the cover radius and the point solutions."""
-    pts = [tuple(p) for p in itertools.product(*family.box)]
-    pts.append(tuple((a + b) / 2.0 for a, b in family.box))
-    c0 = 0.0
-    for s in pts:
-        c0 = max(c0, _solve_at(family, s, options).norm_cert.hi)
-    return c0
-
-
 @contextlib.contextmanager
 def _stage(timings: dict, key: str):
     """Add the wall time of the with-block to ``timings[key]``."""
@@ -366,12 +351,11 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
             certificate=delta, sup=sup,
         )
 
-    with _stage(timings, "pilot_solves"):
-        pilot = _pilot_c0(family, options)
-
-    lip = lipschitz_s_bound(family)
-    radius = 1.0 / (2.0 * pilot) / lip if lip else math.inf
-
+    # one ball over the box: build_cover spaces centers 2 COVER_MARGIN r /
+    # sqrt(d) apart, and 0.99 < COVER_MARGIN keeps every axis at one center
+    # through rounding
+    radius = max(b - a for a, b in family.box) * math.sqrt(family.dim) / (2.0 * 0.99)
+    constant = family.poly.coeffs.shape[2:] == (1,) * family.dim
     rounds = []
     for _ in range(options.max_refinements + 1):
         with _stage(timings, "point_solves"):
@@ -388,12 +372,14 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
                 GluedSolution(family, cover, points, delta, sup, cert, tuple(rounds)),
                 timings,
             )
-        if math.isinf(radius):
+        if constant:
             break
         radius /= 2.0
     raise RefinementExhausted(
         f"no passing cover after {len(rounds)} round(s) "
-        f"(last residual certificate hi = {cert.hi:.4g} > 1/2)",
+        f"(last residual certificate hi = {cert.hi:.4g} > 1/2); from one ball over "
+        f"the box, solver.max_refinements = {options.max_refinements} halvings reach "
+        f"{2 ** options.max_refinements} center(s) per axis",
         certificate=cert,
         rounds=tuple(rounds),
     )

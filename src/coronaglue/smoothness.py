@@ -63,7 +63,7 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
 
 
 TAYLOR_STEPS = 32   # halvings of the Taylor ladder
-TAYLOR_FLOOR = 16   # remainders under this many eps ||g(z, s)|| are rounding
+TAYLOR_FLOOR = 16   # remainders under this many eps times g's scale are rounding
 
 
 def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float):
@@ -73,12 +73,15 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
 
     R(h) = ||g(z, s + h v) - sum_{|b| <= order} J_b (h v)^b||_2, with J the
     jet of g at (z, s) truncated at ``order``, on the ladder h_j = h0 2^-j,
-    j < TAYLOR_STEPS.  A pair (point, direction) reads log2(R(h_{j-1}) /
-    R(h_j)) at the largest j where both remainders lie above the floor
-    TAYLOR_FLOOR eps ||g(z, s)||: order + 1 where the jet is right, and the
-    order of its first wrong coefficient where it is not.  A pair under the
-    floor at every step is exact to rounding and reads +inf; a NaN
-    remainder or floor reads NaN.
+    j < TAYLOR_STEPS; h v is the step from s to the rounded ladder point.
+    A pair (point, direction) reads log2(R(h_{j-1}) / R(h_j)) at the largest
+    j where both remainders lie above the floor TAYLOR_FLOOR eps (||g(z, s)||
+    + sum_i max(|a_i|, |b_i|) ||d g / d s_i (z, s)||), [a_i, b_i] the box's
+    axis i, whose second term (for order >= 1) is the rounding of the ladder
+    point's coordinates: order + 1 where the jet is right, and the order of
+    its first wrong coefficient where it is not.  A pair under the floor at
+    every step is exact to rounding and reads +inf; a NaN remainder or floor
+    reads NaN.
 
     Returns the (n, m) orders and the |phi| >= 1/2 guard's
     InternalInconsistency at the first ladder point that trips it, or None.
@@ -102,6 +105,9 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
         rows = slice(start, start + size)
         p, offset = point[rows], h[step[rows], None] * directions[direction[rows]]
         ladder = s[p] + offset
+        # the step actually taken: the ladder point is rounded, and the
+        # Taylor polynomial is evaluated where g is
+        offset = ladder - s[p]
         gt, f, phi = GluedEvaluator(family, cover, glued.points, z[p]).jets(ladder, 0, True)
         gt, f, phi = gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0]
         tripped = np.flatnonzero(~(np.abs(phi[:, 0]) >= RESIDUAL_GATE))
@@ -114,7 +120,13 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
         taylor = sum_in_order(jet[:, :, p] * monomials.T[:, None])
         remainders[rows] = np.sqrt(sum_in_order(np.abs(gt[..., 0].T / phi[:, 0] - taylor) ** 2))
     remainders = remainders.reshape(shape)
-    floor = TAYLOR_FLOOR * np.finfo(float).eps * np.sqrt(sum_in_order(np.abs(jet[0]) ** 2))
+    # rounding a coordinate s_i moves g by up to eps max(|a_i|, |b_i|) times
+    # its first derivative, so the floor's scale adds those terms
+    scale = np.sqrt(sum_in_order(np.abs(jet[0]) ** 2))
+    for (a, b), unit in zip(family.box, np.eye(family.dim, dtype=int) if order else ()):
+        partial = jet[jets.position(unit, order)]
+        scale = scale + max(abs(a), abs(b)) * np.sqrt(sum_in_order(np.abs(partial) ** 2))
+    floor = TAYLOR_FLOOR * np.finfo(float).eps * scale
     above = remainders > floor[:, None, None]
     pairs = above[..., 1:] & above[..., :-1]
     last = TAYLOR_STEPS - 1 - np.argmax(pairs[..., ::-1], axis=-1)[..., None]

@@ -4,6 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coronaglue import hnorm
+from coronaglue.config import SolverSettings
+from coronaglue.cover_pou import PartitionOfUnity
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
 
@@ -132,7 +135,8 @@ def worked_family(scale=1.0):
 
 
 def steep_family():
-    """(z, (1.5 + 2.5 s) - z) / 5 on [0, 1]; needs a multi-center cover."""
+    """(z, (1.5 + 2.5 s) - z) / 5 on [0, 1], the data of
+    configs/steep_family.json."""
     f1 = ZSPoly([[SPoly([0.0]), SPoly([0.2])]])
     f2 = ZSPoly([[SPoly([0.3, 0.5]), SPoly([-0.2])]])
     return ParamFamily(stack(f1, f2), [(0.0, 1.0)])
@@ -201,12 +205,33 @@ def worked_solution():
     return glued
 
 
-@pytest.fixture(scope="session")
-def steep_solution():
+# three centers at 1/6, 1/2 and 5/6, each bump overlapping its neighbours
+# on a strip 0.01 r wide: the cover that build_cover lays out at this
+# radius, so a solution file of it loads
+STEEP_COVER = PartitionOfUnity(((1 / 6,), (0.5,), (5 / 6,)), 0.21213203435596426)
+
+
+def glued_on(family, cover, options=SolverSettings()):
+    """The glued solution of ``family`` on the explicit ``cover``: the
+    certificates and point solves of ``glue.solve``'s round on that cover,
+    whatever cover the solve itself would pick.  Its residual certificate
+    must pass the gate."""
     from coronaglue import glue
 
-    glued, _ = glue.solve(steep_family())
-    return glued
+    delta = hnorm.delta_lower(family, options.radial_samples, options.angular_samples,
+                              options.axis_samples)
+    sup = hnorm.sup_family(family, options.axis_samples, options.boundary_samples)
+    points = glue.solve_at_samples(family, cover, options)
+    cert = glue.residual_certify(family, cover, points, max(256, options.angular_samples),
+                                 options.axis_samples)
+    assert cert.hi <= glue.RESIDUAL_GATE
+    return glue.GluedSolution(family, cover, points, delta, sup, cert)
+
+
+@pytest.fixture(scope="session")
+def steep_solution():
+    """steep_family on the three-center STEEP_COVER."""
+    return glued_on(steep_family(), STEEP_COVER)
 
 
 @pytest.fixture(scope="session")

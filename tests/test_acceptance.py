@@ -25,7 +25,7 @@ PASSING_CONFIGS = (
     "worked_family.json",
     "constant_family.json",
     "two_param_family.json",
-    "three_center_family.json",
+    "steep_family.json",
 )
 
 
@@ -250,7 +250,7 @@ def test_criterion_10_determinism(tmp_path):
         sol = tmp_path / f"sol_{tag}.json"
         csv = tmp_path / f"grid_{tag}.csv"
         assert cli.main(["solve", "--config",
-                         str(CONFIGS / "three_center_family.json"),
+                         str(CONFIGS / "steep_family.json"),
                          "--out", str(sol)]) == 0
         assert cli.main(["eval-grid", "--solution", str(sol), "--out",
                          str(csv), "--z-samples", "6", "--s-samples", "6"]) == 0

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rational_gcd_tables, reference_grid_csv
+from conftest import STEEP_COVER, glued_on, rational_gcd_tables, reference_grid_csv
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
 from coronaglue.config import ProblemConfig, _strict, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
@@ -152,11 +152,15 @@ def test_solution_roundtrip(tmp_path, worked_solution):
 
 
 def test_solution_roundtrip_infinite_radius(tmp_path):
+    # solve no longer writes an infinite radius; earlier versions wrote one
+    # for data constant in s, and such a file still loads
     cfg = _load("constant_family.json")
     glued, _ = glue.solve(cfg.to_family())
-    assert math.isinf(glued.cover.radius)
+    assert glued.cover.size == 1 and math.isfinite(glued.cover.radius)
+    glued = dataclasses.replace(glued, cover=PartitionOfUnity(((0.5,),), math.inf))
     path = tmp_path / "const.json"
     serialize.save_solution(cfg, glued, path)
+    assert json.loads(path.read_text())["result"]["cover"]["radius"] == "inf"
     _, glued2 = serialize.load_solution(path)
     assert math.isinf(glued2.cover.radius)
     np.testing.assert_allclose(glue.g_eval(glued2, 0.1 + 0.2j, [0.5]), [1.0])
@@ -194,8 +198,14 @@ def test_cli_commands_load_no_unused_numpy_subpackage(tmp_path):
 def test_cli_solve_verify_flow(tmp_path, capsys):
     sol = tmp_path / "solution.json"
     rep = tmp_path / "report.json"
+    # steep_family.json's data with s three times as strong:
+    # (z, (1.5 + 7.5 s) - z) / 5, which needs several centers
+    raw = _load("steep_family.json").to_dict()
+    raw["family"]["components"][1]["z_coeffs"][0] = [0.3, 1.5]
+    cfg = tmp_path / "steeper.json"
+    save_config(ProblemConfig.from_dict(raw), cfg)
     code = cli.main([
-        "solve", "--config", str(CONFIGS / "three_center_family.json"),
+        "solve", "--config", str(cfg),
         "--out", str(sol), "--report", str(rep),
     ])
     assert code == 0
@@ -251,10 +261,11 @@ def test_cli_refuses_non_finite_certificates(tmp_path, capsys, command):
 
 
 @pytest.fixture(scope="module")
-def three_center_solution(tmp_path_factory):
+def three_center_solution(tmp_path_factory, steep_solution):
+    """configs/steep_family.json glued on the three-center cover, as a
+    solution file."""
     sol = tmp_path_factory.mktemp("three_center") / "solution.json"
-    assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
-                     "--out", str(sol)]) == 0
+    serialize.save_solution(_load("steep_family.json"), steep_solution, sol)
     return sol
 
 
@@ -695,7 +706,7 @@ def test_cli_solve_negative_common_zero(tmp_path):
 
 
 @pytest.mark.parametrize("name, code", [
-    ("three_center_family.json", 0),
+    ("steep_family.json", 0),
     # the failed gate's CoronaUncertified carries the sup certificate
     ("negative_common_zero.json", 1),
 ])
@@ -715,7 +726,7 @@ def test_cli_solve_never_runs_the_cnorm_report(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solve ran the C^k report")
     monkeypatch.setattr(smoothness, "cnorm_report", refuse)
-    assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
+    assert cli.main(["solve", "--config", str(CONFIGS / "steep_family.json"),
                      "--out", str(tmp_path / "sol.json")]) == 0
 
 
@@ -764,27 +775,31 @@ def test_solve_report_records_every_round(tmp_path, capsys, monkeypatch):
 SIXTH = 1.0 / 6.0
 
 
-@pytest.mark.parametrize("components, bounds, axis_samples, min_centers", [
-    # steep_family: (z, (1.5 + 2.5 s) - z) / 5
-    ([[[0.0], [0.2]], [[0.3, 0.5], [-0.2]]], [[0.0, 1.0]], 17, 3),
-    # ((z + 2 + 2.4 s1) / 6, (2 - z + 2.4 s2) / 6)
+@pytest.mark.parametrize("components, bounds, axis_samples, cover", [
+    # steep_family: (z, (1.5 + 2.5 s) - z) / 5 on three centers
+    ([[[0.0], [0.2]], [[0.3, 0.5], [-0.2]]], [[0.0, 1.0]], 17, STEEP_COVER),
+    # ((z + 2 + 2.4 s1) / 6, (2 - z + 2.4 s2) / 6) on four centers
     ([[[[2 * SIXTH], [0.4]], [[SIXTH]]], [[[2 * SIXTH, 0.4]], [[-SIXTH]]]],
-     [[0.0, 1.0], [0.0, 1.0]], 9, 4),
+     [[0.0, 1.0], [0.0, 1.0]], 9,
+     PartitionOfUnity(((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)),
+                      0.41666666666666674)),
 ], ids=["steep-1d", "four-center-2d"])
-def test_verify_owns_the_cnorm_reports(tmp_path, components, bounds,
-                                       axis_samples, min_centers):
+def test_verify_owns_the_cnorm_reports(tmp_path, components, bounds, axis_samples, cover):
     raw = _load("worked_family.json").to_dict()
     raw["family"]["components"] = [{"z_coeffs": t} for t in components]
     raw["domain"]["bounds"] = bounds
     raw["solver"]["axis_samples"] = axis_samples
+    config = ProblemConfig.from_dict(raw)
     cfg_path, sol, rep = (tmp_path / n for n in ("cfg.json", "sol.json", "rep.json"))
-    save_config(ProblemConfig.from_dict(raw), cfg_path)
+    save_config(config, cfg_path)
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(sol),
                      "--report", str(rep)]) == 0
     solved = json.loads(rep.read_text())
     assert solved["cnorm_reports"] == [] and "cnorm_reports" not in solved["timings"]
+    # the same data glued on a cover of several centers
+    serialize.save_solution(config, glued_on(config.to_family(), cover, config.solver), sol)
     _, glued = serialize.load_solution(sol)
-    assert glued.cover.size >= min_centers
+    assert glued.cover == cover
     assert cli.main(["verify", "--solution", str(sol), "--s-samples", str(axis_samples),
                      "--alpha", "2", "--report", str(rep)]) == 0
     written = json.loads(rep.read_text())["cnorm_reports"]
@@ -822,7 +837,7 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     glued = dataclasses.replace(steep_solution, points=glue.PointSolutionSet(tuple(sols)))
     report = cli.RunReport(command="verify")
     with np.errstate(all="ignore"):
-        cli.run_verification(_load("three_center_family.json"), glued, 6, 6, 9, 2, report)
+        cli.run_verification(_load("steep_family.json"), glued, 6, 6, 9, 2, report)
     checks = {c["name"]: c for c in report.checks}
     for order in range(3):
         check = checks[f"cnorm_finite_order_{order}"]

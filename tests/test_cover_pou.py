@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tensor_jets
-from conftest import same_bits, worked_family
+from conftest import same_bits
 from coronaglue import cover_pou as cp
 from coronaglue import jets
 from coronaglue.errors import DomainError
@@ -19,18 +19,6 @@ def _covers_box(cover, box, scan_per_axis: int = 100) -> bool:
     centers = np.asarray(cover.centers)
     dist = np.sqrt(((pts[:, None, :] - centers[None, :, :]) ** 2).sum(-1))
     return bool((dist.min(axis=1) <= cover.radius).all())
-
-
-def test_lipschitz_s_bound_examples():
-    assert cp.lipschitz_s_bound(worked_family()) == pytest.approx(1.0)
-
-    flat = ParamFamily(ZSPoly([[SPoly([1.0]), SPoly([2.0])]]), [(0.0, 1.0)])
-    assert cp.lipschitz_s_bound(flat) == 0.0
-
-    # f = s^2 z on [0,1]: |2 s z| <= 2
-    sq = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([0.0, 0.0, 1.0])]]),
-                     [(0.0, 1.0)])
-    assert cp.lipschitz_s_bound(sq) == pytest.approx(2.0)
 
 
 def test_build_cover_examples():

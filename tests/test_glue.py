@@ -88,11 +88,13 @@ def _steep_points(steep_solution):
 
 
 def _flat_points():
-    glued, _ = glue.solve(ParamFamily(
+    # the one center of infinite radius that earlier versions wrote for data
+    # constant in s, and that the reader still loads
+    family = ParamFamily(
         ZSPoly([[SPoly([0.0]), SPoly([1.0])], [SPoly([2.0]), SPoly([-1.0])]]),
-        [(0.0, 1.0)]))
-    assert math.isinf(glued.cover.radius)
-    return glued.family, glued.cover, glued.points
+        [(0.0, 1.0)])
+    cover = PartitionOfUnity(((0.5,),), math.inf)
+    return family, cover, _point_set(cover, family)
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -385,14 +387,42 @@ def _clocked_solve(monkeypatch, family, certify=glue.residual_certify, **options
 
 def test_solve_timings_of_a_one_round_rational_gcd_solve(monkeypatch):
     # the residual certificate alone picks the cover: rational-gcd passes on
-    # its first one, 2 centers
+    # its first one, one ball over the box
     glued, timings = _clocked_solve(monkeypatch, rational_gcd_family())
     (only,) = glued.rounds
     assert only.outcome == "passed" and glued.refinements == 0
-    assert (only.radius, only.centers, only.c0) == (glued.cover.radius, 2, glued.c0)
+    assert (only.radius, only.centers, only.c0) == (glued.cover.radius, 1, glued.c0)
+    assert only.radius == 1.0 / (2.0 * 0.99)
     assert only.residual_cert == glued.residual_cert
-    assert timings == {"corona_check": 0.0, "sup_norm": 0.0, "pilot_solves": 0.0,
+    assert timings == {"corona_check": 0.0, "sup_norm": 0.0,
                        "point_solves": 1.0, "residual_certify": 100.0}
+
+
+@pytest.mark.parametrize("box", [
+    [(0.0, 1.0)], [(-1.0, 2.0)], [(0.1, 0.7)], [(0.0, 1e-3)], [(1e6, 1e6 + 3.0)],
+    [(0.0, 1.0), (0.0, 1.0)], [(-1.0, 2.0), (0.1, 0.7)], [(0.0, 1.0), (0.0, 3.0)],
+])
+def test_the_first_cover_is_one_ball_and_k_halvings_give_2_to_the_k_per_axis(
+        monkeypatch, box):
+    # every round fails its gate, so the solve halves from the box ball to
+    # the last refinement
+    family = ParamFamily(ZSPoly([[SPoly(np.ones((1,) * len(box)))],
+                                 [SPoly(np.ones((2,) * len(box)))]]), box)
+    forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
+    exact = hnorm.NormCert(0.0, 0.0, "H-infinity norm", 1)
+    points = glue.PointSolutionSet((PointSolution((CPoly([1.0]),), exact, exact),))
+    monkeypatch.setattr(glue, "solve_at_samples", lambda *a: points)
+    monkeypatch.setattr(glue, "residual_certify", lambda *a, **k: forced)
+    with pytest.raises(RefinementExhausted) as err:
+        glue.solve(family, SolverSettings(max_refinements=3))
+    widest = max(b - a for a, b in box)
+    for k, round_ in enumerate(err.value.rounds):
+        cover = build_cover(box, round_.radius)
+        assert round_.centers == cover.size
+        # an axis as wide as the widest takes 2^k centers, a narrower one at most
+        for i, (a, b) in enumerate(box):
+            count = len({c[i] for c in cover.centers})
+            assert count == 2 ** k if b - a == widest else count <= 2 ** k
 
 
 def test_solve_timings_sum_over_a_residual_gate_failure(monkeypatch):
@@ -421,16 +451,25 @@ def test_refinement_exhausted_carries_the_rounds(monkeypatch):
     first, last = err.value.rounds
     assert (first.outcome, last.outcome) == ("residual_gate", "residual_gate")
     assert last.radius == first.radius / 2.0
+    assert (first.centers, last.centers) == (1, 2)
     assert first.residual_cert is last.residual_cert is forced
+    # the message names the setting that bounds the rounds, and what it reaches
+    assert str(err.value) == (
+        "no passing cover after 2 round(s) (last residual certificate hi = 0.75 > 1/2); "
+        "from one ball over the box, solver.max_refinements = 1 halvings reach 2 "
+        "center(s) per axis")
 
 
-def test_an_unbounded_cover_stops_after_one_round_and_says_so(monkeypatch):
-    # data constant in s has one center of infinite radius, which halving
-    # cannot refine: a failed gate ends the solve after its first round
+def test_data_constant_in_s_stops_after_one_round_and_says_so(monkeypatch):
+    # its coefficient table has s-extent 1, so a smaller ball changes
+    # nothing: a failed gate ends the solve after its one-ball first round
     forced = hnorm.NormCert(0.25, 0.75, "glued residual sup", 1)
     monkeypatch.setattr(glue, "residual_certify", lambda *a, **k: forced)
+    family = constant_family()
+    assert family.poly.coeffs.shape[2:] == (1,)
     with pytest.raises(RefinementExhausted) as err:
-        glue.solve(constant_family(), SolverSettings(max_refinements=6))
+        glue.solve(family, SolverSettings(max_refinements=6))
     (only,) = err.value.rounds
-    assert math.isinf(only.radius) and only.outcome == "residual_gate"
+    assert (only.radius, only.centers, only.outcome) == (1.0 / (2.0 * 0.99), 1,
+                                                         "residual_gate")
     assert str(err.value).startswith("no passing cover after 1 round(s) ")

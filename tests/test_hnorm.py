@@ -13,7 +13,7 @@ from conftest import (components, constant_family, partial_s, random_cpoly, same
 from spoly_reference import RefZSPoly, to_ref
 from coronaglue import glue, hnorm, smoothness
 from coronaglue.config import load_config
-from coronaglue.cover_pou import build_cover, lipschitz_s_bound
+from coronaglue.cover_pou import build_cover
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import CPoly, ParamFamily, SPoly, ZSPoly
 
@@ -330,14 +330,28 @@ def test_residual_certify_matches_the_old_formula(case):
             assert cert.hi < boxed[1] and cert.samples_used < boxed[2]
 
 
+def test_partial_bounds_examples():
+    # the l2 norm of the (d, N) bounds is a Lipschitz constant of f in s
+    def lipschitz(family):
+        return float(np.sqrt((hnorm.partial_bounds(family.poly, family.box) ** 2).sum()))
+
+    assert lipschitz(worked_family()) == pytest.approx(1.0)
+    flat = ParamFamily(ZSPoly([[SPoly([1.0]), SPoly([2.0])]]), [(0.0, 1.0)])
+    assert lipschitz(flat) == 0.0
+    # f = s^2 z on [0,1]: |2 s z| <= 2
+    sq = ParamFamily(ZSPoly([[SPoly([0.0]), SPoly([0.0, 0.0, 1.0])]]), [(0.0, 1.0)])
+    assert lipschitz(sq) == pytest.approx(2.0)
+
+
 def test_residual_certify_of_an_unbounded_cover_is_the_whole_box_certificate():
-    # data constant in s has L_s = 0 and so an infinite radius: the one
-    # center's ball, clipped to the box, is the whole box and keeps every
-    # node, so the certificate is the box formula's, samples included
+    # an infinite radius (older solution files hold one for data constant
+    # in s): the one center's ball, clipped to the box, is the whole box and
+    # keeps every node, so the certificate is the box formula's, samples
+    # included
     family = ParamFamily(ZSPoly([[SPoly([[1.0]]), SPoly([[0.5]])],
                                  [SPoly([[0.0]]), SPoly([[0.3]])]]),
                          [(-1.0, 2.0), (0.1, 0.7)])
-    assert lipschitz_s_bound(family) == 0.0
+    assert family.poly.coeffs.shape[2:] == (1, 1)
     cover = build_cover(family.box, math.inf)
     assert cover.size == 1
     points = glue.solve_at_samples(family, cover)

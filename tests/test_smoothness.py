@@ -12,7 +12,7 @@ from conftest import (family_values, partial_s, same_bits, stack, steep_family,
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
-from coronaglue.cover_pou import build_cover, lipschitz_s_bound
+from coronaglue.cover_pou import build_cover
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
@@ -145,9 +145,10 @@ def test_cnorm_report_lexicographic_two_param():
 
 def test_modulus_samples_respect_bound():
     # measured sup_z ||f(., s) - f(., s')|| against the Lipschitz bound
-    # L |s - s'| for random parameter pairs
+    # L |s - s'| for random parameter pairs, L the l2 norm of the
+    # coefficient-sum bounds on the parameter gradient
     family = worked_family()
-    bound = lipschitz_s_bound(family)
+    bound = float(np.sqrt((hnorm.partial_bounds(family.poly, family.box) ** 2).sum()))
     assert bound == pytest.approx(1.0)
     rng = np.random.default_rng(0)
     z = hnorm.boundary_points(256)

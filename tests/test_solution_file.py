@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import STEEP_COVER, glued_on
 from coronaglue import bezout_point, cli, glue, serialize
 from coronaglue.config import _strict, load_config
 from coronaglue.cover_pou import build_cover
@@ -39,12 +40,17 @@ def _old_writer(config, glued, path):
         fh.write("\n")
 
 
-@pytest.fixture(scope="module", params=["three_center_family.json",
+@pytest.fixture(scope="module", params=["steep_family.json",
                                         "two_param_family.json",
                                         "constant_family.json"])
 def solved(request, tmp_path_factory):
+    """A solved file; steep_family.json is glued on three centers, so the
+    file holds several point solutions."""
     config = load_config(CONFIGS / request.param)
-    glued, _ = glue.solve(config.to_family(), config.solver)
+    if request.param == "steep_family.json":
+        glued = glued_on(config.to_family(), STEEP_COVER, config.solver)
+    else:
+        glued, _ = glue.solve(config.to_family(), config.solver)
     work = tmp_path_factory.mktemp(request.param.removesuffix(".json"))
     new, old = work / "new.json", work / "old.json"
     serialize.save_solution(config, glued, new)
@@ -221,7 +227,7 @@ TAMPER_SURVIVORS = {
 }
 
 
-@pytest.mark.parametrize("solved", ["three_center_family.json", "two_param_family.json"],
+@pytest.mark.parametrize("solved", ["steep_family.json", "two_param_family.json"],
                          indirect=True)
 def test_verify_refuses_every_tampered_number_but_the_named_survivors(solved, tmp_path):
     # each number of the file moved once: an integer by 1, a float by 1e-3

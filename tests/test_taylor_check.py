@@ -11,22 +11,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import glued_on
 from coronaglue import cli, glue, hnorm, jets, smoothness
-from coronaglue.config import ProblemConfig
+from coronaglue.config import ProblemConfig, load_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-# (0.3 z^2, 0.5 + 2 s - 0.2 z) on [0, 1]: six centers whose local solutions
-# are not proportional, so a weight's jet moves g's
-LEAD = ProblemConfig(components=(([0.0], [0.0], [0.3]), ([0.5, 2.0], [-0.2])),
-                     bounds=((0.0, 1.0),))
+
+
+def _lead(degree, slope):
+    """(0.3 z^degree, 0.5 + slope s - 0.2 z) on [0, 1]."""
+    return ProblemConfig(components=(([0.0],) * degree + ([0.3],), ([0.5, slope], [-0.2])),
+                         bounds=((0.0, 1.0),))
+
+
+# (0.3 z^2, 0.5 + 2 s - 0.2 z), whose local solutions are not proportional,
+# so a weight's jet moves g's
+LEAD = _lead(2, 2.0)
 
 
 @pytest.fixture(scope="module")
 def lead_solution():
-    glued, _ = glue.solve(LEAD.to_family(), LEAD.solver)
-    assert glued.cover.size >= 3
-    return glued
+    """LEAD on four centers whose cell midpoints sit at t = 0.99 of both
+    neighbouring supports, where the weights' jets are steepest."""
+    thin = PartitionOfUnity(((0.125,), (0.375,), (0.625,), (0.875,)), 1 / (8 * 0.99))
+    return glued_on(LEAD.to_family(), thin, LEAD.solver)
 
 
 @pytest.fixture(params=["lead", "steep", "two_param"])
@@ -76,6 +85,10 @@ def _weight_mutant(monkeypatch, degrees):
     monkeypatch.setattr(PartitionOfUnity, "weight_jets", mutant)
 
 
+def _worst_order(check) -> float:
+    return float(re.search(r"worst observed order (\S+)", check["detail"])[1])
+
+
 def test_right_solutions_pass_both_checks(solution):
     checks = _checks(solution)
     assert checks["taylor_order_2"]["passed"], checks["taylor_order_2"]
@@ -89,7 +102,7 @@ def test_a_wrong_g_jet_fails_the_taylor_check(monkeypatch, solution, degree, fac
     assert not check["passed"]
     # the remainder falls like h^degree, and the witness is the pair that
     # reads it
-    assert float(re.search(r"worst observed order (\S+)", check["detail"])[1]) < degree + 0.1
+    assert _worst_order(check) < degree + 0.1
     assert set(check["witness"]) == {"s", "z", "v"}
 
 
@@ -109,15 +122,18 @@ def test_alpha_one_gets_the_order_one_check(monkeypatch, solution):
     _g_jet_mutant(monkeypatch, 1, 1.0 + 1e-6)
     wrong = check()
     assert not wrong["passed"]
-    assert float(re.search(r"worst observed order (\S+)", wrong["detail"])[1]) < 1.1
+    assert _worst_order(wrong) < 1.1
 
 
-def test_a_wrong_weight_derivative_fails_the_taylor_check(monkeypatch, lead_solution):
-    # the values of the weights, and so their sum and g, are untouched
-    _weight_mutant(monkeypatch, {1, 2})
+@pytest.mark.parametrize("degrees", [{1, 2}, {1}])
+def test_a_wrong_weight_derivative_fails_the_taylor_check(monkeypatch, lead_solution, degrees):
+    # the values of the weights, and so their sum and g, are untouched; the
+    # wrong first derivative shows as order 1
+    _weight_mutant(monkeypatch, degrees)
     checks = _checks(lead_solution)
     assert checks["pou_sum"]["passed"]
     assert not checks["taylor_order_2"]["passed"]
+    assert _worst_order(checks["taylor_order_2"]) < 1.1
 
 
 def test_a_scaled_weight_fails_the_pou_sum(monkeypatch, lead_solution):
@@ -143,7 +159,7 @@ def test_a_constant_solution_passes_as_exact_to_rounding(tmp_path, capsys):
 
 def test_two_verify_runs_give_identical_reports(tmp_path, capsys):
     sol = tmp_path / "sol.json"
-    assert cli.main(["solve", "--config", str(CONFIGS / "three_center_family.json"),
+    assert cli.main(["solve", "--config", str(CONFIGS / "steep_family.json"),
                      "--out", str(sol)]) == 0
     capsys.readouterr()
     runs = []
@@ -183,3 +199,23 @@ def test_verify_points_are_the_centers_and_the_cell_midpoints(box, radius, count
     # every point lies in some bump, and each midpoint in at least two
     live = np.count_nonzero(cover.weights(points), axis=1)
     assert (live[:cover.size] >= 1).all() and (live[cover.size:] >= 2).all()
+
+
+SHIPPED = sorted(p.name for p in CONFIGS.glob("*.json")
+                 if not p.name.startswith(("negative_", "corrupted_")))
+
+
+@pytest.mark.parametrize("config", [
+    *SHIPPED,
+    # lead families whose own verify needs the Taylor polynomial at the
+    # rounded ladder point and the floor's first-derivative terms
+    *(pytest.param(_lead(d, a), id=f"lead-d{d}-a{a}")
+      for d, a in ((2, 2.75), (4, 4.25), (4, 7.0), (2, 8.0))),
+])
+def test_every_solve_passes_its_own_verify(config):
+    if isinstance(config, str):
+        config = load_config(CONFIGS / config)
+    glued, _ = glue.solve(config.to_family(), config.solver)
+    report = cli.RunReport(command="verify")
+    cli.run_verification(config, glued, 20, 20, 20, 2, report)  # verify's defaults
+    assert [c for c in report.checks if not c["passed"]] == []
