@@ -40,7 +40,7 @@ class RunReport:
     cover_size: int | None = None
     r_final: float | None = None
     residual_cert: dict | None = None
-    cnorm_reports: list = field(default_factory=list)   # verify only
+    cnorm_report: dict | None = None   # verify only
     timings: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
@@ -61,10 +61,8 @@ class RunReport:
         return self.verdict
 
     def save(self, path):
-        payload = asdict(self)
-        if self.rounds is None:
-            del payload["rounds"]
-        write_json(payload, path)
+        write_json({k: v for k, v in asdict(self).items()
+                    if v is not None or k not in ("rounds", "cnorm_report")}, path)
 
 
 def _make_parent(path: Path):
@@ -345,7 +343,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
 
     def taylor_witness(i):
         point, direction = divmod(i, len(directions))
-        return {"s": points[point].tolist(), "z": [zs[point].real, zs[point].imag],
+        return {"s": points[point].tolist(), "z": [float(zs[point].real), float(zs[point].imag)],
                 "v": directions[direction].tolist()}
 
     worst.update(-orders, taylor_witness)
@@ -358,19 +356,18 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         f"{smoothness.TAYLOR_STEPS} halvings of h0 = {h0:.3g})",
         {**breach.witness, "detail": str(breach)} if breach else worst.witness)
 
-    # norm reports: finiteness is the contract
-    top = smoothness.cnorm_report(glued, alpha_max, axis_samples=s_per_axis)
-    for order in range(alpha_max + 1):
-        rep = top.restricted(order)
-        report.cnorm_reports.append(rep.to_dict())
-        alpha, g, f = next((e for e in rep.per_index if not math.isfinite(e[1])),
-                           max(rep.per_index, key=lambda e: e[1]))
-        report.add_check(
-            f"cnorm_finite_order_{order}",
-            math.isfinite(rep.g_norm_estimate) and math.isfinite(rep.ratio),
-            f"||g||_C{order} ~ {rep.g_norm_estimate:.6g}, "
-            f"||f||_C{order} ~ {rep.f_norm_estimate:.6g}, ratio {rep.ratio:.6g}",
-            {"alpha": list(alpha), "g": g, "f": f})
+    # the C^k report: finiteness and the |phi| guard are the contract
+    cnorm = smoothness.cnorm_report(glued, alpha_max, axis_samples=s_per_axis)
+    breach, report.cnorm_report = cnorm.breach, cnorm.to_dict()
+    rows, entries = report.cnorm_report["per_order"], report.cnorm_report["per_index"]
+    witness = next((e for e in entries if not (math.isfinite(e["g"]) and math.isfinite(e["f"]))),
+                   max(entries, key=lambda e: e["g"]))
+    report.add_check(
+        "cnorm_finite",
+        breach is None and all(math.isfinite(r["g"]) and math.isfinite(r["ratio"]) for r in rows),
+        "; ".join(f"||g||_C{r['order']} ~ {r['g']:.6g}, ||f||_C{r['order']} ~ {r['f']:.6g}, "
+                  f"ratio {r['ratio']:.6g}" for r in rows),
+        {**witness, **breach.witness, "detail": str(breach)} if breach else witness)
 
 
 def cmd_verify(args) -> int:

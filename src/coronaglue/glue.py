@@ -32,8 +32,8 @@ array of a block within EVAL_BUDGET elements (one point per block when its z
 array alone is larger); verify's C^k report and Taylor test and
 ``g_partial`` in :mod:`coronaglue.smoothness` read jets.
 :meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
-:func:`g_eval` and the CSV export raise it, and verify records it as a
-failed check with its witness.
+:func:`g_eval`, ``g_partial`` and the CSV export raise it, the C^k report
+carries it, and verify records it as a failed check with its witness.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ def solve_at_samples(family: ParamFamily, cover: PartitionOfUnity,
 
 @dataclass(frozen=True)
 class EvalBlock:
-    """The glued solution on a block of parameter points times one z array:
-    ``s`` is (n, d), ``z`` is (nz,), ``gtilde`` and ``f`` are (n, N_f, nz)
-    and ``phi`` = gtilde^T f is (n, nz)."""
+    """The glued solution on a block of parameter points times z values:
+    ``s`` is (n, d), ``gtilde`` and ``f`` are (n, N_f, q) and ``phi`` is
+    (n, q), each point at all q of ``z`` or at its own run of q of them."""
 
     s: np.ndarray
     z: np.ndarray
@@ -148,8 +148,8 @@ class EvalBlock:
     phi: np.ndarray
 
     def point(self, i: int) -> dict:
-        """The (z, s) point of flat index ``i`` into an (n, nz) array."""
-        z, s = self.z[i % self.z.size], self.s[i // self.z.size]
+        """The (z, s) point of flat index ``i`` into an (n, q) array."""
+        z, s = self.z[i % self.z.size], self.s[i // self.phi.shape[1]]
         return {"z": [float(z.real), float(z.imag)], "s": s.tolist()}
 
     def breach(self):
@@ -321,6 +321,11 @@ def residual_certify(family: ParamFamily, cover: PartitionOfUnity,
     return NormCert(lo, max(hi, lo), hnorm.GLUED_RESIDUAL, count)
 
 
+def residual_boundary_samples(options: SolverSettings) -> int:
+    """The z nodes on |z| = 1 of :func:`solve`'s residual certificates."""
+    return max(256, options.angular_samples)
+
+
 @contextlib.contextmanager
 def _stage(timings: dict, key: str):
     """Add the wall time of the with-block to ``timings[key]``."""
@@ -362,8 +367,7 @@ def solve(family: ParamFamily, options: SolverSettings = SolverSettings()):
             cover = build_cover(family.box, radius)
             points = solve_at_samples(family, cover, options)
         with _stage(timings, "residual_certify"):
-            cert = residual_certify(family, cover, points,
-                                    max(256, options.angular_samples),
+            cert = residual_certify(family, cover, points, residual_boundary_samples(options),
                                     options.axis_samples)
         outcome = "passed" if cert.hi <= RESIDUAL_GATE else "residual_gate"
         rounds.append(SolveRound(radius, cover.size, points.c0, cert, outcome))

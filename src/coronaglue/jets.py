@@ -16,9 +16,9 @@ coefficient are added one at a time in exactly that order, never by a
 reduction whose grouping depends on the array size.  Since the pairs of
 gamma do not depend on the truncation, a coefficient has the same bits at
 every order >= |gamma|, given input jets that obey the same rule (as
-ZSPoly.taylor_coeffs does); so :meth:`coronaglue.smoothness.CAlphaReport.restricted`
-reads the lower orders off one top-order pass, and d^alpha comes from a jet
-of order |alpha|.
+ZSPoly.taylor_coeffs does); so the C^k report,
+:func:`coronaglue.smoothness.cnorm_report`, reads every lower order off one
+top-order pass, and d^alpha comes from a jet of order |alpha|.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ the scale of g or of the cover.  Its jets and its ladder's values come from
 the same evaluator, each point at its own z.  :func:`fd_check`, a
 central-difference oracle at one point, stays for the tests.
 
-The norm reports never assert an inequality: the contract is finiteness
-(a NaN sample makes a maximum NaN) and stability under grid refinement, with
-the g-to-f ratio left to the reader.
+The C^k report never asserts an inequality: its contract is finiteness (a
+NaN sample makes a maximum NaN) and the |phi| >= 1/2 guard, with stability
+under grid refinement and the g-to-f ratio left to the reader.
 """
 
 from __future__ import annotations
@@ -36,29 +36,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hnorm, jets
-from .glue import (EVAL_BUDGET, RESIDUAL_GATE, EvalBlock, GluedEvaluator, GluedSolution,
+from .errors import InternalInconsistency
+from .glue import (EVAL_BUDGET, EvalBlock, GluedEvaluator, GluedSolution, _one_point,
                    grid_blocks)
 from .polyalg import as_alpha, sum_in_order
 
 
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
-    """(g jets, f jets) at the (n, d) block of parameter points ``s``, each
-    of shape (jet size, N_f, n, q): g = gtilde / phi from the jets of
-    :meth:`GluedEvaluator.jets`, with the same ``order`` and ``own_z``."""
+    """(g jets, f jets, breach) at the (n, d) block of parameter points ``s``:
+    jets of shape (jet size, N_f, n, q), g = gtilde / phi from those of
+    :meth:`GluedEvaluator.jets` at the same ``order`` and ``own_z``, and
+    :meth:`EvalBlock.breach` of their values."""
     dim = evaluator.family.dim
     gt, f, phi = evaluator.jets(s, order, own_z)
+    breach = EvalBlock(s, evaluator.z, gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1),
+                       phi[0]).breach()
     inv = jets.jet_reciprocal(phi, dim, order)
-    return jets.jet_mul(gt, inv[:, None], dim, order), f
+    return jets.jet_mul(gt, inv[:, None], dim, order), f, breach
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     """d^alpha_s of the glued solution at (z, s); order 0 reproduces the
-    plain evaluator.  ``z`` may be scalar or an array."""
+    plain evaluator.  ``z`` may be scalar or an array.  Raises the |phi|
+    guard's InternalInconsistency, as :func:`g_eval` does."""
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.cover, glued.points, z)
-    g, _ = _solution_jets(evaluator, [np.atleast_1d(np.asarray(s, dtype=float))],
-                          sum(alpha))
+    g, _, breach = _solution_jets(evaluator, _one_point(glued.family, s), sum(alpha))
+    if breach is not None:
+        raise breach
     return jets.jet_extract(g, alpha, sum(alpha))[:, 0].reshape((-1,) + z.shape)
 
 
@@ -84,7 +90,7 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
     reads NaN.
 
     Returns the (n, m) orders and the |phi| >= 1/2 guard's
-    InternalInconsistency at the first ladder point that trips it, or None.
+    InternalInconsistency of the first block (``s``, then the ladder) to trip it, or None.
     The ladder is evaluated point-major, each row at its own point's z, in
     blocks of 8 EVAL_BUDGET (row, center) pairs, as verify's weights are:
     the cost per call is paid a few dozen times and the peak RSS does not
@@ -92,14 +98,14 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
     family, cover = glued.family, glued.cover
     s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=complex)
     directions = np.asarray(directions, dtype=float)
-    jet, _ = _solution_jets(GluedEvaluator(family, cover, glued.points, z), s, order,
-                            own_z=True)
+    jet, _, breach = _solution_jets(GluedEvaluator(family, cover, glued.points, z), s,
+                                    order, own_z=True)
     jet = jet[..., 0]
     indices = np.array(jets.multi_indices(family.dim, order))
     h = h0 * 0.5 ** np.arange(TAYLOR_STEPS)
     shape = (len(s), len(directions), TAYLOR_STEPS)
     point, direction, step = np.unravel_index(np.arange(math.prod(shape)), shape)
-    remainders, breach = np.empty(math.prod(shape)), None
+    remainders = np.empty(math.prod(shape))
     size = max(1, 8 * EVAL_BUDGET // max(family.size, cover.size))
     for start in range(0, len(point), size):
         rows = slice(start, start + size)
@@ -110,10 +116,7 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
         offset = ladder - s[p]
         gt, f, phi = GluedEvaluator(family, cover, glued.points, z[p]).jets(ladder, 0, True)
         gt, f, phi = gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0]
-        tripped = np.flatnonzero(~(np.abs(phi[:, 0]) >= RESIDUAL_GATE))
-        if breach is None and tripped.size:
-            i = tripped[:1]
-            breach = EvalBlock(ladder[i], z[p[i]], gt[i], f[i], phi[i]).breach()
+        breach = breach or EvalBlock(ladder, z[p], gt, f, phi).breach()
         # the Taylor polynomial at each row's step h v, term by term in
         # layout order
         monomials = np.prod(offset[:, None] ** indices, axis=2)
@@ -179,40 +182,32 @@ def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
 
 @dataclass(frozen=True)
 class CAlphaReport:
-    """Grid estimates of the C^alpha norms of the solution and the data;
-    ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order."""
+    """Grid estimates of the C^k norms of the solution and the data, k = 0..order:
+    ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order, and
+    ``breach`` the first block's tripped |phi| >= 1/2 guard, or None."""
 
     order: int
-    g_norm_estimate: float
-    f_norm_estimate: float
-    ratio: float
     axis_samples: int
     boundary_samples: int
     per_index: tuple
+    breach: InternalInconsistency | None = None
 
-    @staticmethod
-    def from_per_index(order, per_index, axis_samples, boundary_samples):
-        g_norm = float(np.max([g for _, g, _ in per_index]))  # NaN sticks
-        f_norm = float(np.max([f for _, _, f in per_index]))
-        ratio = g_norm / max(f_norm, float(np.finfo(float).tiny))
-        return CAlphaReport(order, g_norm, f_norm, ratio, axis_samples,
-                            boundary_samples, tuple(per_index))
-
-    def restricted(self, order: int) -> "CAlphaReport":
-        """The report of a lower order: each jet of order k holds every
-        lower order, so its per-index maxima are those with |alpha| <= order."""
-        return CAlphaReport.from_per_index(
-            order, [e for e in self.per_index if sum(e[0]) <= order],
-            self.axis_samples, self.boundary_samples)
+    @property
+    def per_order(self) -> list:
+        """Row k: ||g||_{C^k}, ||f||_{C^k} and their ratio, maxima over |alpha| <= k
+        (a NaN sticks); a jet coefficient has the same bits at every truncation
+        order, so row k is the order-k report's top row."""
+        maxima = [np.max([(g, f) for a, g, f in self.per_index if sum(a) <= k], axis=0).tolist()
+                  for k in range(self.order + 1)]
+        return [{"order": k, "g": g, "f": f, "ratio": g / max(f, float(np.finfo(float).tiny))}
+                for k, (g, f) in enumerate(maxima)]
 
     def to_dict(self):
         return {
             "order": self.order,
-            "g_norm_estimate": self.g_norm_estimate,
-            "f_norm_estimate": self.f_norm_estimate,
-            "ratio": self.ratio,
             "axis_samples": self.axis_samples,
             "boundary_samples": self.boundary_samples,
+            "per_order": self.per_order,
             "per_index": [
                 {"alpha": list(a), "g": g, "f": f} for a, g, f in self.per_index
             ],
@@ -225,8 +220,9 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     maximizing over an s-grid, all multi-indices of total order <= order, and
     boundary-circle z samples (each parameter derivative is analytic in z, so
     the maximum principle applies).  One jet pass per block of grid points
-    gives both: the derivatives of f are those of the data jets that
-    :func:`_solution_jets` builds phi from, reduced the same way as g's."""
+    gives both, at every order up to ``order``: the derivatives of f are those
+    of the data jets that :func:`_solution_jets` builds phi from, reduced the
+    same way as g's.  Past a tripped |phi| guard the report carries it."""
     family = glued.family
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -241,10 +237,11 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
 
     evaluator = GluedEvaluator(family, glued.cover, glued.points, z)
     g_best = f_best = np.zeros(len(indices))
+    breach = None
     for s in grid_blocks(hnorm.box_axes(family.box, axis_samples), evaluator.block_size):
-        g_jets, f_jets = _solution_jets(evaluator, s, order)
+        g_jets, f_jets, block_breach = _solution_jets(evaluator, s, order)
+        breach = breach or block_breach
         g_best = np.maximum(g_best, maxima(g_jets))
         f_best = np.maximum(f_best, maxima(f_jets))
-    return CAlphaReport.from_per_index(
-        order, list(zip(indices, g_best.tolist(), f_best.tolist())),
-        axis_samples, boundary_samples)
+    return CAlphaReport(order, axis_samples, boundary_samples,
+                        tuple(zip(indices, g_best.tolist(), f_best.tolist())), breach)

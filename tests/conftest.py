@@ -222,8 +222,8 @@ def glued_on(family, cover, options=SolverSettings()):
                               options.axis_samples)
     sup = hnorm.sup_family(family, options.axis_samples, options.boundary_samples)
     points = glue.solve_at_samples(family, cover, options)
-    cert = glue.residual_certify(family, cover, points, max(256, options.angular_samples),
-                                 options.axis_samples)
+    cert = glue.residual_certify(family, cover, points,
+                                 glue.residual_boundary_samples(options), options.axis_samples)
     assert cert.hi <= glue.RESIDUAL_GATE
     return glue.GluedSolution(family, cover, points, delta, sup, cert)
 

@@ -151,11 +151,10 @@ def test_criterion_05_smoothness(steep_solution):
         z = 0.6 * math.sqrt(rng.uniform(0, 1)) * np.exp(2j * np.pi * rng.uniform(0, 1))
         worst[1] = max(worst[1], smoothness.fd_check(glued, complex(z), s, (1,), 1e-4))
         worst[2] = max(worst[2], smoothness.fd_check(glued, complex(z), s, (2,), 1e-3))
-    stable = []
-    for order in (0, 1):
-        a = smoothness.cnorm_report(glued, order, axis_samples=33)
-        b = smoothness.cnorm_report(glued, order, axis_samples=65)
-        stable.append(abs(a.ratio - b.ratio) <= 0.10 * max(a.ratio, b.ratio))
+    coarse, fine = (smoothness.cnorm_report(glued, 1, axis_samples=n).per_order
+                    for n in (33, 65))
+    stable = [abs(a["ratio"] - b["ratio"]) <= 0.10 * max(a["ratio"], b["ratio"])
+              for a, b in zip(coarse, fine)]
     ok = worst[1] <= 1e-6 and worst[2] <= 1e-4 and all(stable)
     _report(5, ok, f"fd deviations: order1 {worst[1]:.2e} <= 1e-6, "
                    f"order2 {worst[2]:.2e} <= 1e-4; ratio stability under "

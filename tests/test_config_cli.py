@@ -11,7 +11,7 @@ import pytest
 
 from conftest import STEEP_COVER, glued_on, rational_gcd_tables, reference_grid_csv
 from coronaglue import cli, glue, hnorm, jets, serialize, smoothness
-from coronaglue.config import ProblemConfig, _strict, load_config, save_config
+from coronaglue.config import ProblemConfig, SolverSettings, _strict, load_config, save_config
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.errors import ConfigError, InternalInconsistency
 from coronaglue.polyalg import CPoly
@@ -173,6 +173,20 @@ def test_cli_check_exit_codes(tmp_path):
     assert cli.main(["check", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("degree", [48, 64])
+def test_a_finer_disc_grid_certifies_the_z_degree_limit(tmp_path, degree):
+    # (0.3 z^d, 0.6 + 0.3 s - 0.2 z): the default 64 x 128 disc grid leaves
+    # the corona bound of d = 48 and d = 64 uncertified (lo -0.068 and
+    # -0.227), and the documented 128 x 256 grid certifies both
+    config = ProblemConfig(
+        components=(([0.0],) * degree + ([0.3],), ([0.6, 0.3], [-0.2])), bounds=((0.0, 1.0),),
+        solver=dataclasses.replace(SolverSettings(), radial_samples=128, angular_samples=256))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "check.json"
+    save_config(config, cfg)
+    assert cli.main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["delta_cert"]["lo"] > 0.0
+
+
 def test_cli_commands_load_no_unused_numpy_subpackage(tmp_path):
     # importing numpy.polynomial, numpy.ma or numpy.random costs every CLI
     # process memory and start-up time; verify samples no random points
@@ -296,7 +310,8 @@ def test_verify_alpha_is_its_own_setting(tmp_path, three_center_solution):
     assert cli.main(["verify", "--solution", str(three_center_solution), "--z-samples", "6",
                      "--s-samples", "6", "--alpha", "3", "--report", str(rep)]) == 0
     report = json.loads(rep.read_text())
-    assert [r["order"] for r in report["cnorm_reports"]] == [0, 1, 2, 3]
+    assert report["cnorm_report"]["order"] == 3
+    assert [r["order"] for r in report["cnorm_report"]["per_order"]] == [0, 1, 2, 3]
     names = [c["name"] for c in report["checks"]]
     assert "taylor_order_2" in names and "taylor_order_3" not in names
 
@@ -340,10 +355,10 @@ def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_soluti
                      "--report", str(rep)]) == 1
     out = capsys.readouterr().out
     checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
-    assert "cnorm_finite_order_2" in checks  # every stage ran
+    assert "cnorm_finite" in checks  # every stage ran
     assert all(f"] {name}: " in out for name in checks)
     assert not checks["residual_resample"]["passed"]
-    for name in ("bezout_identity", "taylor_order_2"):
+    for name in ("bezout_identity", "taylor_order_2", "cnorm_finite"):
         witness = checks[name]["witness"]
         assert not checks[name]["passed"] and "|phi| = " in witness["detail"]
         _, glued = serialize.load_solution(tripped_solution)
@@ -379,8 +394,9 @@ def test_cli_eval_grid_refuses_a_guard_tripped_in_a_later_block(
 
 
 @pytest.mark.parametrize("tripped", [True, False])
-def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, three_center_solution,
-                                                  tripped_solution, tripped):
+def test_every_failing_verify_check_has_a_witness(tmp_path, capsys, monkeypatch,
+                                                  three_center_solution, tripped_solution,
+                                                  tripped):
     # negative tolerances fail the tolerance checks, weight 0 scaled as a
     # whole fails the partition-of-unity sum, and g's order-2 jet scaled
     # fails the Taylor test where no |phi| guard trips first; the tripped
@@ -395,8 +411,8 @@ def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, three_c
         return out
 
     def scaled_second_order(evaluator, s, order, own_z=False):
-        g, f = solution_jets(evaluator, s, order, own_z)
-        return np.concatenate([g[:2], 1.001 * g[2:]]), f  # 1-D: entry 2 is order 2
+        g, f, breach = solution_jets(evaluator, s, order, own_z)
+        return np.concatenate([g[:2], 1.001 * g[2:]]), f, breach  # 1-D: entry 2 is order 2
 
     monkeypatch.setattr(PartitionOfUnity, "weight_jets", scaled_weight)
     monkeypatch.setattr(smoothness, "_solution_jets", scaled_second_order)
@@ -410,6 +426,9 @@ def test_every_failing_verify_check_has_a_witness(tmp_path, monkeypatch, three_c
         if tripped else set())
     assert all(c.get("witness") for c in failing.values())
     assert ("|phi| = " in failing["taylor_order_2"]["witness"].get("detail", "")) == tripped
+    # the console prints each witness with plain floats
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "] taylor_order_2: " in ln]
+    assert " witness: {" in line and "np.float64" not in line
 
 
 def test_cli_rescale_roundtrip(tmp_path):
@@ -767,9 +786,9 @@ def test_solve_report_records_every_round(tmp_path, capsys, monkeypatch):
     assert [r["outcome"] for r in report["rounds"]] == ["residual_gate"]
     assert not sol.exists()
 
-    # check and verify reports have no rounds
+    # check and verify reports have no rounds, and check's no C^k report
     assert cli.main(["check", "--config", str(cfg_path), "--out", str(rep)]) == 0
-    assert "rounds" not in json.loads(rep.read_text())
+    assert {"rounds", "cnorm_report"}.isdisjoint(json.loads(rep.read_text()))
 
 
 SIXTH = 1.0 / 6.0
@@ -795,18 +814,21 @@ def test_verify_owns_the_cnorm_reports(tmp_path, components, bounds, axis_sample
     assert cli.main(["solve", "--config", str(cfg_path), "--out", str(sol),
                      "--report", str(rep)]) == 0
     solved = json.loads(rep.read_text())
-    assert solved["cnorm_reports"] == [] and "cnorm_reports" not in solved["timings"]
+    assert "cnorm_report" not in solved and "cnorm_report" not in solved["timings"]
     # the same data glued on a cover of several centers
     serialize.save_solution(config, glued_on(config.to_family(), cover, config.solver), sol)
     _, glued = serialize.load_solution(sol)
     assert glued.cover == cover
     assert cli.main(["verify", "--solution", str(sol), "--s-samples", str(axis_samples),
                      "--alpha", "2", "--report", str(rep)]) == 0
-    written = json.loads(rep.read_text())["cnorm_reports"]
-    assert [r["order"] for r in written] == [0, 1, 2]
-    for order, entry in enumerate(written):
-        direct = smoothness.cnorm_report(glued, order, axis_samples=axis_samples)
-        assert entry == direct.to_dict()
+    written = json.loads(rep.read_text())["cnorm_report"]
+    assert written == smoothness.cnorm_report(glued, 2, axis_samples=axis_samples).to_dict()
+    assert [row["order"] for row in written["per_order"]] == [0, 1, 2]
+    for order, row in enumerate(written["per_order"]):
+        direct = smoothness.cnorm_report(glued, order, axis_samples=axis_samples).to_dict()
+        assert row == direct["per_order"][-1]
+        assert [e for e in written["per_index"] if sum(e["alpha"]) <= order] == \
+            direct["per_index"]
 
 
 @pytest.mark.parametrize("box, radius", [
@@ -829,7 +851,7 @@ def test_pou_derivatives_match_per_index_derivs(rng, box, radius):
 
 def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_solution):
     # one infinite point-solution coefficient: g is NaN where center 0's
-    # bump is live, and every C^k report must say so with a witness
+    # bump is live, and the C^k report must say so with a witness
     sols = list(steep_solution.points.solutions)
     g0 = sols[0].g[0]
     sols[0] = dataclasses.replace(sols[0], g=(CPoly(np.r_[math.inf, g0.coeffs[1:]]),)
@@ -839,9 +861,9 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     with np.errstate(all="ignore"):
         cli.run_verification(_load("steep_family.json"), glued, 6, 6, 9, 2, report)
     checks = {c["name"]: c for c in report.checks}
-    for order in range(3):
-        check = checks[f"cnorm_finite_order_{order}"]
-        assert not check["passed"] and math.isnan(check["witness"]["g"])
+    check = checks["cnorm_finite"]
+    assert not check["passed"] and math.isnan(check["witness"]["g"])
+    assert all(math.isnan(row["g"]) for row in report.cnorm_report["per_order"])
 
     def refuse(token):
         raise ValueError(f"non-standard JSON token {token}")
@@ -850,6 +872,7 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     report.save(path)
     saved = json.loads(path.read_text(), parse_constant=refuse)
     assert saved["checks"] == json.loads(json.dumps(_strict(report.checks)))
+    assert saved["cnorm_report"]["per_order"][0]["g"] == "nan"
     assert {c["witness"]["g"] for c in saved["checks"]
             if c["name"].startswith("cnorm_finite")} == {"nan"}
     serialize.save_summary({"c0": math.inf, "lo": -math.inf}, tmp_path / "summary.json")

@@ -154,7 +154,7 @@ def test_taylor_coeffs_match_repeated_partials(dim, seed):
 @given(st.integers(1, 2), st.booleans(), st.integers(0, 10 ** 6))
 @settings(max_examples=100, deadline=None)
 def test_taylor_coeffs_truncate_bit_for_bit(dim, complex_coeffs, seed):
-    # CAlphaReport.restricted reads lower orders out of the top-order jet,
+    # the C^k report reads lower orders out of the top-order jet,
     # so the order-j jet must equal the order-k jet's entries at
     # multi_indices(dim, j) bit for bit.  Against the binomial Taylor shift
     # (a different summation) the jet agrees within 1e-14 of the same

@@ -109,9 +109,9 @@ def test_identity_jet_is_unit(steep_solution):
 
 def test_cnorm_report_order_zero_bound(worked_solution):
     glued = worked_solution
-    rep = smoothness.cnorm_report(glued, 0)
-    assert rep.g_norm_estimate <= 2.0 * glued.c0 * (1.0 + 1e-9)
-    assert rep.ratio > 0.0
+    (row,) = smoothness.cnorm_report(glued, 0).per_order
+    assert row["g"] <= 2.0 * glued.c0 * (1.0 + 1e-9)
+    assert row["ratio"] > 0.0
 
 
 def test_cnorm_report_s_independent():
@@ -120,17 +120,16 @@ def test_cnorm_report_s_independent():
         [(0.0, 1.0)],
     )
     glued, _ = glue.solve(family)
-    zero = smoothness.cnorm_report(glued, 0)
-    one = smoothness.cnorm_report(glued, 1)
-    assert one.g_norm_estimate == pytest.approx(zero.g_norm_estimate, rel=1e-12)
+    zero, one = smoothness.cnorm_report(glued, 1).per_order
+    assert one["g"] == pytest.approx(zero["g"], rel=1e-12)
 
 
 def test_cnorm_report_stable_under_refinement(steep_solution):
     glued = steep_solution
-    a = smoothness.cnorm_report(glued, 1, axis_samples=33)
-    b = smoothness.cnorm_report(glued, 1, axis_samples=65)
-    assert abs(a.ratio - b.ratio) <= 0.10 * max(a.ratio, b.ratio)
-    assert math.isfinite(a.ratio)
+    a = smoothness.cnorm_report(glued, 1, axis_samples=33).per_order[1]["ratio"]
+    b = smoothness.cnorm_report(glued, 1, axis_samples=65).per_order[1]["ratio"]
+    assert abs(a - b) <= 0.10 * max(a, b)
+    assert math.isfinite(a)
 
 
 def test_cnorm_report_lexicographic_two_param():
@@ -221,20 +220,30 @@ def test_solution_jets_match_the_per_component_reference(rng, case):
 
 def test_derivative_checks_raise_or_return_a_tripped_phi_guard(steep_solution):
     # center 1's solution scaled by 0.1 leaves |phi| < 1/2 where its bump
-    # carries the weight: fd_check raises the guard of the stencil that
-    # meets it, and the Taylor test returns the first ladder point's
+    # carries the weight: fd_check and g_partial raise the guard, the Taylor
+    # test returns the first point's, and the C^k report, whose norms stay
+    # finite, carries the first grid point's
     glued = _with_point_solution(steep_solution, 1, lambda gm: CPoly(0.1 * gm.coeffs))
     center = glued.cover.centers[1]
     with pytest.raises(InternalInconsistency) as info:
         smoothness.fd_check(glued, 0.3, center, (2,), 1e-3)
+    with pytest.raises(InternalInconsistency) as partial:
+        smoothness.g_partial(glued, 0.3, center, (1,))
     _, breach = smoothness.taylor_orders(glued, [center], [0.3], [[1.0]], 2, 1e-3)
-    for witness in (info.value.witness, breach.witness):
+    for witness in (info.value.witness, partial.value.witness, breach.witness):
         phi, _ = glue.phi_eval(glued.family, glued.cover, glued.points,
                                complex(*witness["z"]), witness["s"])
         assert abs(phi) < 0.5 and abs(witness["s"][0] - center[0]) <= 1.5e-3
     assert str(breach).startswith("|phi| = ")
+    rep = smoothness.cnorm_report(glued, 2, axis_samples=20)
+    assert all(math.isfinite(row["g"]) for row in rep.per_order)
+    witness = rep.breach.witness
+    phi, _ = glue.phi_eval(glued.family, glued.cover, glued.points,
+                           complex(*witness["z"]), witness["s"])
+    assert abs(phi) < 0.5
     _, none = smoothness.taylor_orders(steep_solution, [center], [0.3], [[1.0]], 2, 1e-3)
     assert none is None
+    assert smoothness.cnorm_report(steep_solution, 2, axis_samples=20).breach is None
 
 
 def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):
@@ -244,7 +253,7 @@ def _per_point_maxima(glued, order, axis_samples, boundary_samples=256):
     evaluator = glue.GluedEvaluator(family, glued.cover, glued.points, z)
     best = np.zeros((2, len(jets.multi_indices(family.dim, order))))
     for s in itertools.product(*[np.linspace(a, b, axis_samples) for a, b in family.box]):
-        for half, jet in enumerate(smoothness._solution_jets(evaluator, [s], order)):
+        for half, jet in enumerate(smoothness._solution_jets(evaluator, [s], order)[:2]):
             sq = functools.reduce(np.add, [np.abs(jets.jet_derivatives(c, family.dim, order))
                                            ** 2 for c in np.moveaxis(jet, 1, 0)])
             best[half] = np.maximum(best[half], np.sqrt(sq[:, 0].max(axis=1)))
@@ -262,19 +271,23 @@ def test_cnorm_report_equals_per_point_reference_bit_for_bit(request, which, axi
 
 
 @pytest.mark.parametrize("which", ["steep", "two_param", "curved"])
-def test_cnorm_report_restricted_equals_the_lower_orders_bit_for_bit(request, which):
+def test_cnorm_report_rows_equal_the_lower_orders_bit_for_bit(request, which):
     # a coefficient has the same bits at every truncation order, in the data
     # jets as in the solution jets, so one order-6 pass holds every lower report
     glued = request.getfixturevalue(f"{which}_solution")
     top = smoothness.cnorm_report(glued, 6, axis_samples=7, boundary_samples=64)
+    rows = top.per_order
+    assert [row["order"] for row in rows] == list(range(7))
     for order in range(6):
         want = smoothness.cnorm_report(glued, order, axis_samples=7, boundary_samples=64)
-        got = top.restricted(order)
-        assert [ix for ix, _, _ in got.per_index] == [ix for ix, _, _ in want.per_index]
+        got = [e for e in top.per_index if sum(e[0]) <= order]
+        assert [ix for ix, _, _ in got] == [ix for ix, _, _ in want.per_index]
         for half in (1, 2):
-            assert same_bits(np.array([e[half] for e in got.per_index]),
+            assert same_bits(np.array([e[half] for e in got]),
                              np.array([e[half] for e in want.per_index]))
-        assert got == want
+        for key in ("g", "f", "ratio"):
+            assert same_bits(rows[order][key], want.per_order[-1][key])
+        assert rows[:order + 1] == want.per_order
 
 
 def _formal_f_maxima(family, order, axis_samples, boundary_samples):
@@ -310,11 +323,14 @@ def test_cnorm_report_f_maxima_match_the_formal_derivatives(curved_solution, dim
 
 def test_cnorm_report_nan_sticks(steep_solution):
     # one infinite point-solution coefficient makes g NaN where that
-    # center's bump is live; the report must not drop those samples
+    # center's bump is live; the report must not drop those samples, and a
+    # NaN phi trips the |phi| guard
     glued = _with_point_solution(steep_solution, 0, lambda gm: CPoly(
         np.where(np.arange(gm.coeffs.size) == 0, math.inf, gm.coeffs)))
     with np.errstate(all="ignore"):
-        assert np.isnan(smoothness.g_partial(glued, 0.0, [0.0], (1,))).any()
+        with pytest.raises(InternalInconsistency, match=r"^\|phi\| = nan < 1/2"):
+            smoothness.g_partial(glued, 0.0, [0.0], (1,))
         rep = smoothness.cnorm_report(glued, 2, axis_samples=9)
-    assert math.isnan(rep.g_norm_estimate) and math.isnan(rep.ratio)
+    assert all(math.isnan(row["g"]) and math.isnan(row["ratio"]) for row in rep.per_order)
     assert any(math.isnan(g) for _, g, _ in rep.per_index)
+    assert str(rep.breach).startswith("|phi| = nan < 1/2")

@@ -67,8 +67,8 @@ def _g_jet_mutant(monkeypatch, degree, factor):
     solution_jets = smoothness._solution_jets
 
     def mutant(evaluator, s, order, own_z=False):
-        g, f = solution_jets(evaluator, s, order, own_z)
-        return _scale_orders(g, evaluator.family.dim, order, {degree}, factor), f
+        g, f, breach = solution_jets(evaluator, s, order, own_z)
+        return _scale_orders(g, evaluator.family.dim, order, {degree}, factor), f, breach
 
     monkeypatch.setattr(smoothness, "_solution_jets", mutant)
 
