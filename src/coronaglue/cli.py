@@ -23,7 +23,6 @@ from .errors import (
     CoronaUncertified,
     DomainError,
 )
-from .polyalg import sum_in_order
 
 IDENTITY_TOL = 1e-12
 NORM_SLACK = 1e-9
@@ -217,25 +216,6 @@ def _directions(dim):
     return np.vstack([np.eye(dim)] + ([[1.0, 1.0], [1.0, -1.0]] if dim == 2 else []))
 
 
-class _Worst:
-    """The largest value seen so far and a witness of its first occurrence;
-    a NaN sticks, so the check it feeds fails."""
-
-    def __init__(self, value=-1.0):
-        self.value, self.witness = value, None
-
-    def update(self, values, witness_of):
-        values = np.asarray(values)
-        i = int(np.argmax(values))  # flat index; the first NaN wins
-        v = float(values.flat[i])
-        if not v <= self.value and self.value == self.value:
-            self.value, self.witness = v, witness_of(i)
-
-
-def _l2(values):
-    return np.sqrt(sum_in_order(np.abs(values) ** 2, axis=1))
-
-
 def _point_cert_mismatch(glued, samples):
     """Witness of the first stored point certificate whose ``lo`` and ``hi``
     the stored tables and coefficients do not reproduce exactly (the engine
@@ -253,9 +233,10 @@ def _point_cert_mismatch(glued, samples):
     return None
 
 
-def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
-                     s_per_axis: int, alpha_max: int, report: RunReport):
-    """Re-evaluate every invariant on a fresh grid; records checks, each
+def run_verification(config: ProblemConfig, glued, z_samples: int, s_per_axis: int,
+                     alpha_max: int, report: RunReport):
+    """Re-evaluate every invariant on a fresh grid, ``z_samples`` nodes on
+    |z| = 1 times ``s_per_axis`` per parameter axis; records checks, each
     failing one with a witness point.  A tripped |phi| >= 1/2 guard fails
     the check that met it and the other checks still run."""
     family = glued.family
@@ -268,23 +249,11 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     report.add_check("residual_gate", stored_hi <= gate,
                      f"stored residual_cert.hi = {stored_hi:.6g} (gate {gate})")
 
-    # the certificates' polar grid
-    z_nodes = hnorm.disc_points(radial, angular)
-    axes = hnorm.box_axes(family.box, s_per_axis)
-
-    # residual, certificate consistency, Bezout identity and norm bounds in
-    # one sweep
-    resid, gt_norm, ident, g_norm = (_Worst() for _ in range(4))
-    breach = None
-    evaluator = glue.GluedEvaluator(family, glued.cover, glued.points, z_nodes)
-    for block in evaluator.sweep(axes):
-        resid.update(np.abs(1.0 - block.phi), block.point)
-        gt_norm.update(_l2(block.gtilde), block.point)
-        breach = breach or block.breach()
-        g = block.gtilde / block.phi[:, None]  # past a breach too, for the norms
-        ident.update(np.abs(sum_in_order(g * block.f, axis=1) - 1.0), block.point)
-        g_norm.update(_l2(g), block.point)
-
+    # one pass on |z| = 1, where every sampled sup lies: the C^k report and
+    # the residual, consistency, Bezout identity and norm bound samples
+    cnorm = smoothness.cnorm_report(glued, alpha_max, s_per_axis, z_samples)
+    resid, gt_norm, ident, g_norm, breach = (cnorm.residual, cnorm.gtilde_norm,
+                                             cnorm.identity, cnorm.g_norm, cnorm.breach)
     report.add_check(
         "residual_resample", resid.value <= gate,
         f"max |1 - gtilde^T f| = {resid.value:.6g} on the fresh grid (gate {gate})",
@@ -319,7 +288,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     eps = np.finfo(float).eps
     # blocks of 8 EVAL_BUDGET (point, center) pairs
     size = max(1, 8 * glue.EVAL_BUDGET // cover.size)
-    pou_sum = _Worst(0.0)
+    pou_sum = hnorm.Worst(0.0)
     for start in range(0, len(points), size):
         s = points[start:start + size]
         weights = cover.weights(s)
@@ -339,7 +308,7 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
     h0 = 0.05 * min(cover.radius, min(b - a for a, b in family.box))
     orders, breach = smoothness.taylor_orders(glued, points, zs, directions, order, h0)
     exact = int(np.isposinf(orders).sum())
-    worst = _Worst(-math.inf)  # the lowest order, as the largest -order
+    worst = hnorm.Worst(-math.inf)  # the lowest order, as the largest -order
 
     def taylor_witness(i):
         point, direction = divmod(i, len(directions))
@@ -357,7 +326,6 @@ def run_verification(config: ProblemConfig, glued, radial: int, angular: int,
         {**breach.witness, "detail": str(breach)} if breach else worst.witness)
 
     # the C^k report: finiteness and the |phi| guard are the contract
-    cnorm = smoothness.cnorm_report(glued, alpha_max, axis_samples=s_per_axis)
     breach, report.cnorm_report = cnorm.breach, cnorm.to_dict()
     rows, entries = report.cnorm_report["per_order"], report.cnorm_report["per_index"]
     witness = next((e for e in entries if not (math.isfinite(e["g"]) and math.isfinite(e["f"]))),
@@ -389,8 +357,7 @@ def cmd_verify(args) -> int:
     if args.report:
         _make_parent(Path(args.report))
     t0 = time.perf_counter()
-    run_verification(config, glued, args.z_samples, args.z_samples,
-                     args.s_samples, args.alpha, report)
+    run_verification(config, glued, args.z_samples, args.s_samples, args.alpha, report)
     report.timings["verify"] = time.perf_counter() - t0
     report.settle()
     for check in report.checks:
@@ -460,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check all invariants of a solution")
     p.add_argument("--solution", required=True)
-    p.add_argument("--z-samples", type=_nonnegative, default=20,
-                   help="polar grid: radii and angles per direction")
+    p.add_argument("--z-samples", type=_nonnegative, default=256,
+                   help="z nodes on |z| = 1, where every sampled sup lies")
     p.add_argument("--s-samples", type=_nonnegative, default=20,
                    help="parameter samples per axis")
     p.add_argument("--alpha", type=_nonnegative, default=2,

@@ -27,10 +27,10 @@ One evaluator serves every reader of the solution.  :class:`GluedEvaluator`
 holds the point solutions on one z array (the table G[k, m, z] =
 g_{s_k, m}(z)) and computes the jets in s of gtilde, f and phi at an (n, d)
 block of parameter points; a value is the order-0 jet.  The lower end of
-:func:`residual_certify`, verify's sweep and the CSV export read values, each
-array of a block within EVAL_BUDGET elements (one point per block when its z
-array alone is larger); verify's C^k report and Taylor test and
-``g_partial`` in :mod:`coronaglue.smoothness` read jets.
+:func:`residual_certify` and the CSV export read values, each array of a
+block within EVAL_BUDGET elements (one point per block when its z array
+alone is larger); verify's C^k report (its sampled checks too) and Taylor
+test and ``g_partial`` in :mod:`coronaglue.smoothness` read jets.
 :meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
 :func:`g_eval`, ``g_partial`` and the CSV export raise it, the C^k report
 carries it, and verify records it as a failed check with its witness.

@@ -23,10 +23,10 @@ z_mesh = pi / samples; infima may be interior, so they are sampled on a
 polar grid of the full closed disc, with z_mesh = :func:`disc_mesh_radius`.
 
 Every sample node set of the program comes from here: the circle
-(:func:`boundary_points`, also the ring of verify's Taylor test), the polar
-disc grid (:func:`disc_points`, also verify's and the CSV's z nodes), each
-parameter grid (:func:`box_axes`) and verify's points of a cover
-(:func:`centers_and_midpoints`).
+(:func:`boundary_points`, also verify's z nodes and, at radius 1/2, its
+Taylor test's), the polar disc grid (:func:`disc_points`, also the CSV's),
+each parameter grid (:func:`box_axes`) and verify's points of a cover
+(:func:`centers_and_midpoints`); so do :func:`l2` and :class:`Worst`.
 
 A ``ball`` (center, radius) narrows the parameter region to the open ball
 within the box.  The grid and the slack stay the same; only the nodes whose
@@ -137,12 +137,27 @@ def boundary_mesh_radius(samples: int) -> float:
     return math.pi / samples
 
 
-def _l2(values):
-    """The l2 modulus (sum_k |v_k|^2)^(1/2) over the leading component axis
-    of ``values``; one component gives |v| itself."""
-    if len(values) == 1:
-        return np.abs(values[0])
-    return np.sqrt(sum_in_order(np.abs(values) ** 2))
+def l2(values, axis: int = 0):
+    """The l2 modulus (sum_k |v_k|^2)^(1/2) over the component axis ``axis``
+    of the array ``values``, summed in order; one component gives |v|."""
+    if values.shape[axis] == 1:
+        return np.abs(np.take(values, 0, axis))
+    return np.sqrt(sum_in_order(np.abs(values) ** 2, axis=axis))
+
+
+class Worst:
+    """The largest sampled value so far and a witness of its first
+    occurrence; a NaN sticks, so the check it feeds fails."""
+
+    def __init__(self, value=-1.0):
+        self.value, self.witness = value, None
+
+    def update(self, values, witness_of):
+        values = np.asarray(values)
+        i = int(np.argmax(values))  # flat index; the first NaN wins
+        v = float(values.flat[i])
+        if not v <= self.value and self.value == self.value:
+            self.value, self.witness = v, witness_of(i)
 
 
 def _runs(total: int, step: int, unit: int = 1):
@@ -175,7 +190,7 @@ def _modulus_blocks(data, z, box, axis, ball):
     single grid point or z node (see :func:`_runs`).  The s-grid
     coefficient table is built once, before the first block."""
     if box is None:
-        yield _l2(np.stack([p.eval(z) for p in data]))
+        yield l2(np.stack([p.eval(z) for p in data]))
         return
     table = data.sgrid_table(box_axes(box, axis))
     mask = None if ball is None else ball_mask(box, axis, ball)
@@ -187,7 +202,7 @@ def _modulus_blocks(data, z, box, axis, ball):
         powers = data.z_powers(chunk)
         step = max(BLOCK_BUDGET // (rest * chunk.size), 1 if rest > 1 else 2)
         for rows in _runs(axis, step, rest):
-            block = _l2(data.eval_sgrid(table[:, rows], powers))
+            block = l2(data.eval_sgrid(table[:, rows], powers))
             yield block if mask is None else block[mask[rows]]
 
 

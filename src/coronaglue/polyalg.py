@@ -357,8 +357,8 @@ class ZSPoly:
         and the points (on a trailing axis), then one stacked matrix product
         per :meth:`z_groups` run on its own z-powers (numpy computes a
         product of one row, column or z-power apart from gemm, and there
-        zero padding would change its bits): every point and every component
-        gets the bits it gets alone."""
+        zero padding would change its bits), one row per jet entry: every
+        point, component and entry gets the bits it gets alone, at any order."""
         points, z = np.asarray(s0, dtype=float), np.asarray(z, dtype=complex)
         if points.ndim != 2 or points.shape[1] != self.dim or z.ndim != 2:
             raise ValueError(f"points of shape {points.shape} and z of shape {z.shape}, "
@@ -377,7 +377,7 @@ class ZSPoly:
         powers = z[:, None, :] ** np.arange(count)[:, None]
         jet = np.empty(tables.shape[:-1] + powers.shape[-1:], dtype=complex)
         for run, n in self.z_groups():
-            jet[run] = np.matmul(tables[run, ..., :n], powers[:, :n])
+            jet[run] = np.matmul(tables[run, ..., None, :n], powers[:, None, :n])[..., 0, :]
         return np.moveaxis(jet, 2, 0)
 
 

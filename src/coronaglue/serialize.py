@@ -4,7 +4,8 @@ A solution file is self-contained: the full problem configuration, the cover,
 every pointwise solution's coefficients, and all certificates, so
 verification needs no recomputation of the pipeline.  Complex numbers are
 stored as [re, im] pairs, and every non-finite float, such as the infinite
-cover radius of data constant in s, as the string "nan", "inf" or "-inf".
+cover radius that older solution files hold for data constant in s, as the
+string "nan", "inf" or "-inf".
 Files are written with sorted keys and LF endings so identical runs produce
 byte-identical artifacts: the solution file as one line of compact JSON,
 reports and summaries indented for reading.  Readers accept any whitespace.

@@ -8,11 +8,11 @@ polynomials); this module forms the quotient g = gtilde / phi through the
 jet reciprocal, which is valid wherever |phi| >= 1/2.
 
 Every jet carries a trailing axis over a block of parameter points: the C^k
-report, which verify alone runs, sweeps the evaluator's blocks of its s-grid
-and reads the norms of both g and f off the jets of that one pass (the
-data's jets are the ones phi is built from), and the single-point
-:func:`g_partial` is a block of one through the same code; every point of a
-block gets the bits it gets alone.
+report, which verify alone runs, walks the evaluator's blocks of its s-grid
+on |z| = 1 and reads verify's sampled maxima and the norms of both g and f
+off that one pass (the data's jets are the ones phi is built from); the
+single-point :func:`g_partial` is a block of one through the same code;
+every point of a block gets the bits it gets alone.
 
 :func:`taylor_orders` is verify's derivative check (Farrell, Ham, Funke and
 Rognes, SIAM J. Sci. Comput. 35(4), 2013): the remainder of a right jet of
@@ -43,16 +43,15 @@ from .polyalg import as_alpha, sum_in_order
 
 
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
-    """(g jets, f jets, breach) at the (n, d) block of parameter points ``s``:
+    """(g jets, f jets, values) at the (n, d) block of parameter points ``s``:
     jets of shape (jet size, N_f, n, q), g = gtilde / phi from those of
-    :meth:`GluedEvaluator.jets` at the same ``order`` and ``own_z``, and
-    :meth:`EvalBlock.breach` of their values."""
+    :meth:`GluedEvaluator.jets` at the same ``order`` and ``own_z``, and the
+    :class:`EvalBlock` of their order-0 entries (:meth:`GluedEvaluator.at`'s bits)."""
     dim = evaluator.family.dim
     gt, f, phi = evaluator.jets(s, order, own_z)
-    breach = EvalBlock(s, evaluator.z, gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1),
-                       phi[0]).breach()
+    values = EvalBlock(s, evaluator.z, gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
     inv = jets.jet_reciprocal(phi, dim, order)
-    return jets.jet_mul(gt, inv[:, None], dim, order), f, breach
+    return jets.jet_mul(gt, inv[:, None], dim, order), f, values
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
@@ -62,8 +61,8 @@ def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
     evaluator = GluedEvaluator(glued.family, glued.cover, glued.points, z)
-    g, _, breach = _solution_jets(evaluator, _one_point(glued.family, s), sum(alpha))
-    if breach is not None:
+    g, _, values = _solution_jets(evaluator, _one_point(glued.family, s), sum(alpha))
+    if (breach := values.breach()) is not None:
         raise breach
     return jets.jet_extract(g, alpha, sum(alpha))[:, 0].reshape((-1,) + z.shape)
 
@@ -98,9 +97,9 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
     family, cover = glued.family, glued.cover
     s, z = np.asarray(s, dtype=float), np.asarray(z, dtype=complex)
     directions = np.asarray(directions, dtype=float)
-    jet, _, breach = _solution_jets(GluedEvaluator(family, cover, glued.points, z), s,
+    jet, _, values = _solution_jets(GluedEvaluator(family, cover, glued.points, z), s,
                                     order, own_z=True)
-    jet = jet[..., 0]
+    jet, breach = jet[..., 0], values.breach()
     indices = np.array(jets.multi_indices(family.dim, order))
     h = h0 * 0.5 ** np.arange(TAYLOR_STEPS)
     shape = (len(s), len(directions), TAYLOR_STEPS)
@@ -121,14 +120,13 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
         # layout order
         monomials = np.prod(offset[:, None] ** indices, axis=2)
         taylor = sum_in_order(jet[:, :, p] * monomials.T[:, None])
-        remainders[rows] = np.sqrt(sum_in_order(np.abs(gt[..., 0].T / phi[:, 0] - taylor) ** 2))
+        remainders[rows] = hnorm.l2(gt[..., 0].T / phi[:, 0] - taylor)
     remainders = remainders.reshape(shape)
     # rounding a coordinate s_i moves g by up to eps max(|a_i|, |b_i|) times
     # its first derivative, so the floor's scale adds those terms
-    scale = np.sqrt(sum_in_order(np.abs(jet[0]) ** 2))
+    scale = hnorm.l2(jet[0])
     for (a, b), unit in zip(family.box, np.eye(family.dim, dtype=int) if order else ()):
-        partial = jet[jets.position(unit, order)]
-        scale = scale + max(abs(a), abs(b)) * np.sqrt(sum_in_order(np.abs(partial) ** 2))
+        scale = scale + max(abs(a), abs(b)) * hnorm.l2(jet[jets.position(unit, order)])
     floor = TAYLOR_FLOOR * np.finfo(float).eps * scale
     above = remainders > floor[:, None, None]
     pairs = above[..., 1:] & above[..., :-1]
@@ -183,13 +181,19 @@ def fd_check(glued: GluedSolution, z, s, alpha, h: float) -> float:
 @dataclass(frozen=True)
 class CAlphaReport:
     """Grid estimates of the C^k norms of the solution and the data, k = 0..order:
-    ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order, and
-    ``breach`` the first block's tripped |phi| >= 1/2 guard, or None."""
+    ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order; the
+    :class:`hnorm.Worst` fields, the sampled maxima of |1 - phi|, ||gtilde||,
+    |g^T f - 1| and ||g|| (g = gtilde / phi past a breach too) with (z, s)
+    witnesses; ``breach`` the first block's tripped |phi| >= 1/2 guard, or None."""
 
     order: int
     axis_samples: int
     boundary_samples: int
     per_index: tuple
+    residual: hnorm.Worst
+    gtilde_norm: hnorm.Worst
+    identity: hnorm.Worst
+    g_norm: hnorm.Worst
     breach: InternalInconsistency | None = None
 
     @property
@@ -222,26 +226,34 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     the maximum principle applies).  One jet pass per block of grid points
     gives both, at every order up to ``order``: the derivatives of f are those
     of the data jets that :func:`_solution_jets` builds phi from, reduced the
-    same way as g's.  Past a tripped |phi| guard the report carries it."""
+    same way as g's.  The same pass's values give verify's sampled maxima,
+    whose sups over the disc sit on the circle too (|1 - phi|, ||gtilde||
+    and ||g|| = ||gtilde|| / |phi| with |phi| >= 1/2 are subharmonic in z).
+    Past a tripped |phi| guard the report carries it."""
     family = glued.family
     if order < 0:
         raise ValueError("order must be nonnegative")
     indices = jets.multi_indices(family.dim, order)
-    z = hnorm.boundary_points(boundary_samples)
 
     def maxima(jet):
-        # the l2 modulus per (point, z), its max per point, then over the
-        # block; a NaN sample sticks
-        sq = sum_in_order(np.abs(jets.jet_derivatives(jet, family.dim, order)) ** 2, axis=1)
-        return np.sqrt(sq.max(axis=2)).max(axis=1)
+        # the l2 modulus per (point, z), its max over the block; NaN sticks
+        return hnorm.l2(jets.jet_derivatives(jet, family.dim, order), axis=1).max(axis=(1, 2))
 
-    evaluator = GluedEvaluator(family, glued.cover, glued.points, z)
+    evaluator = GluedEvaluator(family, glued.cover, glued.points,
+                               hnorm.boundary_points(boundary_samples))
     g_best = f_best = np.zeros(len(indices))
+    residual, gtilde_norm, identity, g_norm = (hnorm.Worst() for _ in range(4))
     breach = None
     for s in grid_blocks(hnorm.box_axes(family.box, axis_samples), evaluator.block_size):
-        g_jets, f_jets, block_breach = _solution_jets(evaluator, s, order)
-        breach = breach or block_breach
+        g_jets, f_jets, block = _solution_jets(evaluator, s, order)
+        breach = breach or block.breach()
         g_best = np.maximum(g_best, maxima(g_jets))
         f_best = np.maximum(f_best, maxima(f_jets))
+        g = block.gtilde / block.phi[:, None]
+        residual.update(np.abs(1.0 - block.phi), block.point)
+        gtilde_norm.update(hnorm.l2(block.gtilde, axis=1), block.point)
+        identity.update(np.abs(sum_in_order(g * block.f, axis=1) - 1.0), block.point)
+        g_norm.update(hnorm.l2(g, axis=1), block.point)
     return CAlphaReport(order, axis_samples, boundary_samples,
-                        tuple(zip(indices, g_best.tolist(), f_best.tolist())), breach)
+                        tuple(zip(indices, g_best.tolist(), f_best.tolist())),
+                        residual, gtilde_norm, identity, g_norm, breach)

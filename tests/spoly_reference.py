@@ -153,7 +153,8 @@ class RefZSPoly:
             stacked = np.stack([self.coeffs[i].coeffs for i in members])
             tables[..., members] = np.moveaxis(_shifted(stacked, points, order), 0, -1)
         powers = z[:, None, :] ** np.arange(len(self.coeffs))[:, None]
-        return np.moveaxis(np.matmul(tables, powers), 0, 1)
+        # one one-row product per jet entry, as at order 0
+        return np.moveaxis(np.matmul(tables[..., None, :], powers[:, None])[..., 0, :], 0, 1)
 
 
 def to_ref(p):

@@ -367,6 +367,35 @@ def test_cli_verify_records_a_tripped_phi_guard(tmp_path, capsys, tripped_soluti
         assert abs(phi) < 0.5
 
 
+GRID_CHECKS = ("residual_resample", "residual_cert_consistent", "gtilde_norm_consistent",
+               "bezout_identity", "norm_bound")
+
+
+@pytest.mark.parametrize("tripped", [False, True])
+def test_verify_reads_its_grid_checks_off_the_one_circle_pass(
+        tmp_path, monkeypatch, three_center_solution, tripped_solution, tripped):
+    # no second sweep of the solution: one C^k report on --z-samples nodes
+    # of |z| = 1, which the sampled checks read, witnesses included
+    def no_sweep(self, axes):
+        raise AssertionError("verify swept the solution outside the C^k pass")
+
+    reports, report = [], smoothness.cnorm_report
+    monkeypatch.setattr(glue.GluedEvaluator, "sweep", no_sweep)
+    monkeypatch.setattr(smoothness, "cnorm_report",
+                        lambda *args, **kw: reports.append(report(*args, **kw)) or reports[-1])
+    rep = tmp_path / "rep.json"
+    solution = tripped_solution if tripped else three_center_solution
+    assert cli.main(["verify", "--solution", str(solution), "--z-samples", "12",
+                     "--s-samples", "6", "--report", str(rep)]) == int(tripped)
+    written = json.loads(rep.read_text())
+    assert len(reports) == 1 and written["cnorm_report"]["boundary_samples"] == 12
+    failing = [c for c in written["checks"] if c["name"] in GRID_CHECKS and not c["passed"]]
+    assert {c["name"] for c in failing} >= ({"residual_resample", "bezout_identity"}
+                                            if tripped else set())
+    for check in failing:
+        assert abs(abs(complex(*check["witness"]["z"])) - 1.0) <= 1e-15, check
+
+
 def test_cli_eval_grid_refuses_a_tripped_phi_guard(tmp_path, capsys, tripped_solution):
     out = tmp_path / "grid.csv"
     assert cli.main(["eval-grid", "--solution", str(tripped_solution),
@@ -411,8 +440,8 @@ def test_every_failing_verify_check_has_a_witness(tmp_path, capsys, monkeypatch,
         return out
 
     def scaled_second_order(evaluator, s, order, own_z=False):
-        g, f, breach = solution_jets(evaluator, s, order, own_z)
-        return np.concatenate([g[:2], 1.001 * g[2:]]), f, breach  # 1-D: entry 2 is order 2
+        g, f, values = solution_jets(evaluator, s, order, own_z)
+        return np.concatenate([g[:2], 1.001 * g[2:]]), f, values  # 1-D: entry 2 is order 2
 
     monkeypatch.setattr(PartitionOfUnity, "weight_jets", scaled_weight)
     monkeypatch.setattr(smoothness, "_solution_jets", scaled_second_order)
@@ -859,7 +888,7 @@ def test_verification_fails_a_nan_cnorm_and_reports_strict_json(tmp_path, steep_
     glued = dataclasses.replace(steep_solution, points=glue.PointSolutionSet(tuple(sols)))
     report = cli.RunReport(command="verify")
     with np.errstate(all="ignore"):
-        cli.run_verification(_load("steep_family.json"), glued, 6, 6, 9, 2, report)
+        cli.run_verification(_load("steep_family.json"), glued, 6, 9, 2, report)
     checks = {c["name"]: c for c in report.checks}
     check = checks["cnorm_finite"]
     assert not check["passed"] and math.isnan(check["witness"]["g"])

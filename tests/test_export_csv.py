@@ -107,20 +107,23 @@ def worked_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("n", [6, 12, 20])
-def test_the_csv_and_verify_sample_the_certificates_polar_grid(
+def test_the_csv_samples_the_polar_grid_and_verify_the_circle(
         tmp_path, monkeypatch, worked_file, n):
     # at these counts 2 pi k / n and 2 pi k * (1 / n) round apart, so only
-    # one formula for the nodes passes
-    swept, sweep = [], glue.GluedEvaluator.sweep
+    # one formula for the nodes passes; every z array that verify evaluates
+    # at all its parameter points is the circle's (the Taylor test reads
+    # each point at its own z)
+    shared, jets = [], glue.GluedEvaluator.jets
 
-    def recording(self, axes):
-        swept.append(self.z)
-        return sweep(self, axes)
+    def recording(self, s, order, own_z=False):
+        if not own_z:
+            shared.append(self.z)
+        return jets(self, s, order, own_z)
 
-    monkeypatch.setattr(glue.GluedEvaluator, "sweep", recording)
+    monkeypatch.setattr(glue.GluedEvaluator, "jets", recording)
     assert cli.main(["verify", "--solution", str(worked_file), "--z-samples", str(n),
                      "--s-samples", "2", "--alpha", "0"]) == 0
-    assert len(swept) == 1 and same_bits(swept[0], hnorm.disc_points(n, n))
+    assert shared and all(same_bits(z, hnorm.boundary_points(n)) for z in shared)
 
     out = tmp_path / "grid.csv"
     assert cli.main(["eval-grid", "--solution", str(worked_file), "--out", str(out),

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from conftest import (components, family_values, frozen_values, partial_s, rando
                       same_bits, stack, three_component_family, with_zero_component,
                       worked_family)
 from coronaglue import glue, hnorm, jets
+from coronaglue.config import ProblemConfig, load_config
 from coronaglue.cover_pou import PartitionOfUnity
 from coronaglue.errors import DomainError
 from coronaglue.polyalg import (
@@ -429,3 +433,38 @@ def test_eval_sgrid_gives_each_component_its_bits_alone(rng, counts):
     for value, comp in zip(values, comps):
         alone = comp.eval_sgrid(comp.sgrid_table(axes)[:, 1:5], comp.z_powers(z))
         assert same_bits(value, alone[0])
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _shipped_families():
+    """(name, family) of every shipped config and every benchmark family at
+    seed 1."""
+    out = [(path.stem, load_config(path).to_family())
+           for path in sorted((REPO / "configs").glob("*.json"))
+           if path.name != "corrupted_solution.json"]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for name in workloads.NAMES:
+        out += [(f"{name}/{fam.name}", ProblemConfig.from_dict(fam.config()).to_family())
+                for fam in workloads.build(name, 1).families]
+    return out
+
+
+@pytest.mark.parametrize("family", [pytest.param(f, id=name) for name, f in _shipped_families()])
+def test_taylor_coeffs_entries_do_not_depend_on_the_truncation(family):
+    # a one-row jet table (order 0) and a taller one take different matrix
+    # product kernels unless every entry is its own one-row product
+    lows, highs = np.array(family.box).T
+    points = lows + (highs - lows) * np.array([[0.3], [0.71], [0.05]])
+    for q in (12, 20, 256):
+        z = hnorm.boundary_points(q)[None]
+        first = {}
+        for order in range(5):
+            jet = family.poly.taylor_coeffs(points, order, z)
+            for entry, alpha in zip(jet, jets.multi_indices(family.dim, order)):
+                assert same_bits(entry, first.setdefault(alpha, entry)), (q, order, alpha)

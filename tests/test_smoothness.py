@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import component_reference
-from conftest import (family_values, partial_s, same_bits, stack, steep_family,
+from conftest import (family_values, glued_on, partial_s, same_bits, stack, steep_family,
                       three_component_family, with_zero_component, worked_family)
 from coronaglue import glue, hnorm, jets, smoothness
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
-from coronaglue.cover_pou import build_cover
+from coronaglue.cover_pou import PartitionOfUnity, build_cover
 from coronaglue.polyalg import ParamFamily, SPoly, ZSPoly
 
 
@@ -334,3 +334,35 @@ def test_cnorm_report_nan_sticks(steep_solution):
     assert all(math.isnan(row["g"]) and math.isnan(row["ratio"]) for row in rep.per_order)
     assert any(math.isnan(g) for _, g, _ in rep.per_index)
     assert str(rep.breach).startswith("|phi| = nan < 1/2")
+
+
+def _four_center_2d_solution():
+    """((z + 2 + 2.4 s1) / 6, (2 - z + 2.4 s2) / 6) on [0, 1]^2, glued on
+    four centers."""
+    sixth = 1.0 / 6.0
+    f1 = ZSPoly([[SPoly([[2 * sixth], [0.4]]), SPoly([[sixth]])]])
+    f2 = ZSPoly([[SPoly([[2 * sixth, 0.4]]), SPoly([[-sixth]])]])
+    cover = PartitionOfUnity(((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)),
+                             0.41666666666666674)
+    return glued_on(ParamFamily(stack(f1, f2), [(0.0, 1.0), (0.0, 1.0)]), cover)
+
+
+@pytest.mark.parametrize("which", ["steep", "four-center-2d"])
+def test_the_sampled_sups_lie_on_the_circle(request, which):
+    # |1 - phi|, ||gtilde|| and ||g|| = ||gtilde|| / |phi| with |phi| >= 1/2
+    # are subharmonic in z, so verify samples them on |z| = 1 alone: no
+    # inner ring exceeds the circle at any parameter point
+    glued = (request.getfixturevalue("steep_solution") if which == "steep"
+             else _four_center_2d_solution())
+    axes = hnorm.box_axes(glued.family.box, 9)
+
+    def maxima(z):
+        evaluator = glue.GluedEvaluator(glued.family, glued.cover, glued.points, z)
+        return np.concatenate([
+            np.stack([np.abs(1.0 - block.phi).max(1), hnorm.l2(block.gtilde, 1).max(1),
+                      hnorm.l2(block.g(), 1).max(1)])
+            for block in evaluator.sweep(axes)], axis=1)
+
+    circle = maxima(hnorm.boundary_points(4096))
+    for r in (0.0, 0.5, 0.9):
+        assert (maxima(r * hnorm.boundary_points(256)) <= circle * (1.0 + 1e-12)).all(), r

@@ -49,7 +49,7 @@ def _checks(glued):
     are solved with the default solver settings, which are all that
     verification reads of the configuration."""
     report = cli.RunReport(command="verify")
-    cli.run_verification(ProblemConfig((), glued.family.box), glued, 6, 6, 5, 2, report)
+    cli.run_verification(ProblemConfig((), glued.family.box), glued, 6, 5, 2, report)
     return {c["name"]: c for c in report.checks}
 
 
@@ -67,8 +67,8 @@ def _g_jet_mutant(monkeypatch, degree, factor):
     solution_jets = smoothness._solution_jets
 
     def mutant(evaluator, s, order, own_z=False):
-        g, f, breach = solution_jets(evaluator, s, order, own_z)
-        return _scale_orders(g, evaluator.family.dim, order, {degree}, factor), f, breach
+        g, f, values = solution_jets(evaluator, s, order, own_z)
+        return _scale_orders(g, evaluator.family.dim, order, {degree}, factor), f, values
 
     monkeypatch.setattr(smoothness, "_solution_jets", mutant)
 
@@ -113,7 +113,7 @@ def test_alpha_one_gets_the_order_one_check(monkeypatch, solution):
 
     def check():
         report = cli.RunReport(command="verify")
-        cli.run_verification(config, solution, 6, 6, 5, 1, report)  # --alpha 1
+        cli.run_verification(config, solution, 6, 5, 1, report)  # --alpha 1
         names = [c["name"] for c in report.checks]
         assert "taylor_order_1" in names and "taylor_order_2" not in names
         return report.checks[names.index("taylor_order_1")]
@@ -217,5 +217,5 @@ def test_every_solve_passes_its_own_verify(config):
         config = load_config(CONFIGS / config)
     glued, _ = glue.solve(config.to_family(), config.solver)
     report = cli.RunReport(command="verify")
-    cli.run_verification(config, glued, 20, 20, 20, 2, report)  # verify's defaults
+    cli.run_verification(config, glued, 256, 20, 2, report)  # verify's defaults
     assert [c for c in report.checks if not c["passed"]] == []
