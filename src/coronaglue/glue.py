@@ -31,6 +31,9 @@ block of parameter points; a value is the order-0 jet.  The lower end of
 block within EVAL_BUDGET elements (one point per block when its z array
 alone is larger); verify's C^k report (its sampled checks too) and Taylor
 test and ``g_partial`` in :mod:`coronaglue.smoothness` read jets.
+:meth:`EvalBlock.of_jets` builds every block of values from order-0 jets,
+and :meth:`EvalBlock.quotient` is the one g = gtilde / phi, also the
+order-0 entry of the jet of g in :mod:`coronaglue.smoothness`.
 :meth:`EvalBlock.breach` is the one |phi| >= 1/2 guard (NaN fails it):
 :func:`g_eval`, ``g_partial`` and the CSV export raise it, the C^k report
 carries it, and verify records it as a failed check with its witness.
@@ -147,6 +150,11 @@ class EvalBlock:
     f: np.ndarray
     phi: np.ndarray
 
+    @classmethod
+    def of_jets(cls, s, z, gtilde, f, phi):
+        """The block of the order-0 entries of :meth:`GluedEvaluator.jets`."""
+        return cls(s, z, gtilde[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
+
     def point(self, i: int) -> dict:
         """The (z, s) point of flat index ``i`` into an (n, q) array."""
         z, s = self.z[i % self.z.size], self.s[i // self.phi.shape[1]]
@@ -164,11 +172,15 @@ class EvalBlock:
             f"|phi| = {mods.flat[i]:.4g} < 1/2 at z = {complex(*witness['z']):.6g}, "
             f"s = {witness['s']}: residual certificate was wrong", witness=witness)
 
+    def quotient(self):
+        """g = gtilde / phi, (n, N_f, q), unguarded: past a breach too."""
+        return self.gtilde / self.phi[:, None]
+
     def g(self):
-        """g = gtilde / phi behind the guard."""
+        """:meth:`quotient` behind the guard."""
         if (exc := self.breach()) is not None:
             raise exc
-        return self.gtilde / self.phi[:, None]
+        return self.quotient()
 
 
 class GluedEvaluator:
@@ -232,8 +244,7 @@ class GluedEvaluator:
         row: the order-0 slice of :meth:`jets`.  Any other shape raises
         ``DomainError``."""
         s = np.asarray(s, dtype=float)
-        gtilde, f, phi = self.jets(s, 0)
-        return EvalBlock(s, self.z, gtilde[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
+        return EvalBlock.of_jets(s, self.z, *self.jets(s, 0))
 
     def sweep(self, axes):
         """Blocks over the tensor grid of ``axes`` in row-major order."""

@@ -15,7 +15,8 @@ Three layers:
   over z-powers runs once per run of components of equal z-count
   (``ZSPoly.z_groups``), so the padding of a short component costs nothing.
   One kernel substitutes s, once per axis: :func:`_taylor_shift`, Horner at
-  order 0, for freezes, s-grid tables, coefficient bounds and jets alike.
+  order 0, for freezes, s-grid tables, coefficient bounds and jets alike,
+  and evaluates a ``CPoly`` in z.
   The jets come from ``ZSPoly.taylor_coeffs``, which takes its points as an
   (n, d) block only, with z of shape (1, q) or (n, q).
 
@@ -34,12 +35,15 @@ from .errors import DomainError
 _BOX_EPS = 1e-12
 
 
-def _trim1d(arr):
-    """Strip trailing zero coefficients; canonical zero is length 1."""
-    n = len(arr)
-    while n > 1 and arr[n - 1] == 0:
-        n -= 1
-    return arr[:n]
+def _trim_ndarray(arr, first=0):
+    """Strip trailing zero slices along every axis from ``first`` on (keep
+    shape >= (1,)*d there)."""
+    nonzero = arr != 0
+    keep = [slice(None)] * first
+    for axis in range(first, arr.ndim):
+        used = np.flatnonzero(nonzero.any(axis=tuple(i for i in range(arr.ndim) if i != axis)))
+        keep.append(slice(0, used[-1] + 1 if used.size else 1))
+    return arr[tuple(keep)]
 
 
 class CPoly:
@@ -55,7 +59,7 @@ class CPoly:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if arr.ndim != 1 or not arr.size:
             raise ValueError("CPoly coefficients must be a nonempty 1-D array")
-        arr = _trim1d(arr).copy()
+        arr = _trim_ndarray(arr).copy()
         arr.setflags(write=False)
         self.coeffs = arr
 
@@ -101,29 +105,13 @@ class CPoly:
         return f"CPoly({list(self.coeffs)})"
 
     def eval(self, z):
-        """Evaluate by nested multiplication; ``z`` may be a scalar or array."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        if acc.ndim == 0:
-            return complex(acc)
-        return acc
+        """Horner's rule, :func:`_taylor_shift` at order 0, with numpy's
+        polyval bits: an array of z's shape, or a complex scalar."""
+        return _taylor_shift(self.coeffs, np.asarray(z, dtype=complex), 0)[0]
 
 
 # ---------------------------------------------------------------------------
 # Parameter polynomials
-
-
-def _trim_ndarray(arr, first=0):
-    """Strip trailing zero slices along every axis from ``first`` on (keep
-    shape >= (1,)*d there)."""
-    nonzero = arr != 0
-    keep = [slice(None)] * first
-    for axis in range(first, arr.ndim):
-        used = np.flatnonzero(nonzero.any(axis=tuple(i for i in range(arr.ndim) if i != axis)))
-        keep.append(slice(0, used[-1] + 1 if used.size else 1))
-    return arr[tuple(keep)]
 
 
 def _padded(arrays):
@@ -299,10 +287,7 @@ class ZSPoly:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if s.shape != (self.dim,):
             raise ValueError(f"point has {len(s)} coordinates, expected {self.dim}")
-        table = self._s_leading()
-        for x in s:
-            table = _taylor_shift(table, x, 0)[0]
-        return tuple(map(CPoly, table))
+        return tuple(map(CPoly, self.sgrid_table(s[:, None]).reshape(len(self.coeffs), -1)))
 
     def sgrid_table(self, axes):
         """The z-coefficients on the tensor s-grid spanned by ``axes``: an

@@ -4,8 +4,9 @@ One derivative mechanism everywhere: truncated jets in the parameter (see
 :mod:`coronaglue.jets`).  :meth:`coronaglue.glue.GluedEvaluator.jets` is the
 one pass that builds the jets of gtilde, f and phi (the weights through the
 bump machinery, the data through exact Taylor coefficients of its parameter
-polynomials); this module forms the quotient g = gtilde / phi through the
-jet reciprocal, which is valid wherever |phi| >= 1/2.
+polynomials); this module forms the jet of g = gtilde / phi, valid wherever
+|phi| >= 1/2: the evaluator's one quotient at order 0, so that ``g_partial``
+has :func:`coronaglue.glue.g_eval`'s bits there, the jet reciprocal above.
 
 Every jet carries a trailing axis over a block of parameter points: the C^k
 report, which verify alone runs, walks the evaluator's blocks of its s-grid
@@ -45,18 +46,20 @@ from .polyalg import as_alpha, sum_in_order
 def _solution_jets(evaluator: GluedEvaluator, s, order, own_z=False):
     """(g jets, f jets, values) at the (n, d) block of parameter points ``s``:
     jets of shape (jet size, N_f, n, q), g = gtilde / phi from those of
-    :meth:`GluedEvaluator.jets` at the same ``order`` and ``own_z``, and the
+    :meth:`GluedEvaluator.jets` at the same ``order`` and ``own_z`` (order 0:
+    the :meth:`EvalBlock.quotient` of ``values``), and ``values``, the
     :class:`EvalBlock` of their order-0 entries (:meth:`GluedEvaluator.at`'s bits)."""
     dim = evaluator.family.dim
     gt, f, phi = evaluator.jets(s, order, own_z)
-    values = EvalBlock(s, evaluator.z, gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0])
-    inv = jets.jet_reciprocal(phi, dim, order)
-    return jets.jet_mul(gt, inv[:, None], dim, order), f, values
+    values = EvalBlock.of_jets(s, evaluator.z, gt, f, phi)
+    g = jets.jet_mul(gt, jets.jet_reciprocal(phi, dim, order)[:, None], dim, order)
+    g[0] = values.quotient().swapaxes(0, 1)
+    return g, f, values
 
 
 def g_partial(glued: GluedSolution, z, s, alpha) -> np.ndarray:
-    """d^alpha_s of the glued solution at (z, s); order 0 reproduces the
-    plain evaluator.  ``z`` may be scalar or an array.  Raises the |phi|
+    """d^alpha_s of the glued solution at (z, s); order 0 returns
+    :func:`g_eval`'s bits.  ``z`` may be scalar or an array.  Raises the |phi|
     guard's InternalInconsistency, as :func:`g_eval` does."""
     alpha = as_alpha(alpha, glued.family.dim)
     z = np.asarray(z, dtype=complex)
@@ -113,14 +116,14 @@ def taylor_orders(glued: GluedSolution, s, z, directions, order: int, h0: float)
         # the step actually taken: the ladder point is rounded, and the
         # Taylor polynomial is evaluated where g is
         offset = ladder - s[p]
-        gt, f, phi = GluedEvaluator(family, cover, glued.points, z[p]).jets(ladder, 0, True)
-        gt, f, phi = gt[0].swapaxes(0, 1), f[0].swapaxes(0, 1), phi[0]
-        breach = breach or EvalBlock(ladder, z[p], gt, f, phi).breach()
+        block = EvalBlock.of_jets(
+            ladder, z[p], *GluedEvaluator(family, cover, glued.points, z[p]).jets(ladder, 0, True))
+        breach = breach or block.breach()
         # the Taylor polynomial at each row's step h v, term by term in
         # layout order
         monomials = np.prod(offset[:, None] ** indices, axis=2)
         taylor = sum_in_order(jet[:, :, p] * monomials.T[:, None])
-        remainders[rows] = hnorm.l2(gt[..., 0].T / phi[:, 0] - taylor)
+        remainders[rows] = hnorm.l2(block.quotient()[..., 0].T - taylor)
     remainders = remainders.reshape(shape)
     # rounding a coordinate s_i moves g by up to eps max(|a_i|, |b_i|) times
     # its first derivative, so the floor's scale adds those terms
@@ -183,7 +186,7 @@ class CAlphaReport:
     """Grid estimates of the C^k norms of the solution and the data, k = 0..order:
     ``per_index`` holds (alpha, g, f) maxima in lexicographic alpha order; the
     :class:`hnorm.Worst` fields, the sampled maxima of |1 - phi|, ||gtilde||,
-    |g^T f - 1| and ||g|| (g = gtilde / phi past a breach too) with (z, s)
+    |g^T f - 1| and ||g|| (g its jet's order 0, past a breach too) with (z, s)
     witnesses; ``breach`` the first block's tripped |phi| >= 1/2 guard, or None."""
 
     order: int
@@ -226,7 +229,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
     the maximum principle applies).  One jet pass per block of grid points
     gives both, at every order up to ``order``: the derivatives of f are those
     of the data jets that :func:`_solution_jets` builds phi from, reduced the
-    same way as g's.  The same pass's values give verify's sampled maxima,
+    same way as g's.  The same pass's order 0 gives verify's sampled maxima,
     whose sups over the disc sit on the circle too (|1 - phi|, ||gtilde||
     and ||g|| = ||gtilde|| / |phi| with |phi| >= 1/2 are subharmonic in z).
     Past a tripped |phi| guard the report carries it."""
@@ -249,7 +252,7 @@ def cnorm_report(glued: GluedSolution, order: int, axis_samples: int = 33,
         breach = breach or block.breach()
         g_best = np.maximum(g_best, maxima(g_jets))
         f_best = np.maximum(f_best, maxima(f_jets))
-        g = block.gtilde / block.phi[:, None]
+        g = g_jets[0].swapaxes(0, 1)
         residual.update(np.abs(1.0 - block.phi), block.point)
         gtilde_norm.update(hnorm.l2(block.gtilde, axis=1), block.point)
         identity.update(np.abs(sum_in_order(g * block.f, axis=1) - 1.0), block.point)

@@ -3,9 +3,11 @@
 
 ``solution_jets`` is ``smoothness._solution_jets`` as it was when a family
 held one ``ZSPoly`` per component: one jet list entry, one Taylor shift and
-one ``jet_mul`` per component.  The one-table code must give the same bits,
-up to the sign of a coefficient that is exactly zero (zero padding adds +-0
-terms).
+one ``jet_mul`` per component, with g's order-0 entry the quotient
+gtilde / phi itself, as ``glue.EvalBlock.quotient`` forms it, and its other
+entries gtilde times the reciprocal jet of phi.  The one-table code must
+give the same bits, up to the sign of a coefficient that is exactly zero
+(zero padding adds +-0 terms).
 """
 
 import numpy as np
@@ -39,4 +41,7 @@ def solution_jets(evaluator, s, order, own_z=False):
     for gm, fm in zip(gt, f):
         phi = phi + jets.jet_mul(gm, fm, dim, order)
     inv = jets.jet_reciprocal(phi, dim, order)
-    return [jets.jet_mul(g, inv, dim, order) for g in gt], f
+    g = [jets.jet_mul(gm, inv, dim, order) for gm in gt]
+    for gm, gtm in zip(g, gt):
+        gm[0] = gtm[0] / phi[0]
+    return g, f

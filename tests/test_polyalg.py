@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -468,3 +469,42 @@ def test_taylor_coeffs_entries_do_not_depend_on_the_truncation(family):
             jet = family.poly.taylor_coeffs(points, order, z)
             for entry, alpha in zip(jet, jets.multi_indices(family.dim, order)):
                 assert same_bits(entry, first.setdefault(alpha, entry)), (q, order, alpha)
+
+
+@pytest.mark.parametrize("family", [pytest.param(f, id=name) for name, f in _shipped_families()])
+def test_freeze_is_the_per_axis_substitution(family):
+    # freeze reads the s-grid table at one node per axis: the bits of
+    # substituting each parameter axis in turn, s1 first, by numpy's polyval
+    for s in itertools.product(*[(a, 0.37 * a + 0.63 * b, b) for a, b in family.box]):
+        table = family.poly.coeffs
+        for x in s:
+            table = npp.polyval(x, np.moveaxis(table, 2, 0))
+        frozen = family.poly.freeze(s)
+        assert len(frozen) == len(table)
+        for got, want in zip(frozen, table):
+            assert same_bits(got.coeffs, CPoly(want).coeffs), s
+
+
+def test_cpoly_eval_is_numpys_polyval_bit_for_bit():
+    # CPoly.eval is the Taylor-shift kernel at order 0: Horner's rule started
+    # as polyval starts it, so values, types and signed zeros match.  Both
+    # read z as a complex array: numpy's scalar arithmetic, which polyval
+    # runs on a Python scalar, can round apart from its array loops
+    rng = np.random.default_rng(64)
+    polys = [CPoly.zero()]
+    for degree in range(65):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        # exact zeros of either sign in some real and some imaginary parts
+        for part in (coeffs.real, coeffs.imag):
+            mask = rng.random(degree + 1) < 0.3
+            part[mask] = rng.choice([0.0, -0.0], int(mask.sum()))
+        polys.append(CPoly(coeffs))
+    z = np.concatenate([rng.standard_normal(8) + 1j * rng.standard_normal(8),
+                        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), -1.5, 2j,
+                         complex(-0.5, -0.0)]])
+    scalars = [0j, complex(-0.0, -0.0), -1.5, complex(0.25, -0.0), 0.3 - 0.7j]
+    for p in polys:
+        assert same_bits(p.eval(z.reshape(2, 7)), npp.polyval(z.reshape(2, 7), p.coeffs))
+        for x in scalars:
+            got, want = p.eval(x), npp.polyval(np.asarray(x, dtype=complex), p.coeffs)
+            assert type(got) is type(want) and same_bits(got, want), (p, x)

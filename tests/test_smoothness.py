@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import component_reference
 from conftest import (family_values, glued_on, partial_s, same_bits, stack, steep_family,
                       three_component_family, with_zero_component, worked_family)
 from coronaglue import glue, hnorm, jets, smoothness
+from coronaglue.config import load_config
 from coronaglue.errors import InternalInconsistency
 from coronaglue.polyalg import CPoly
 from coronaglue.cover_pou import PartitionOfUnity, build_cover
@@ -366,3 +368,29 @@ def test_the_sampled_sups_lie_on_the_circle(request, which):
     circle = maxima(hnorm.boundary_points(4096))
     for r in (0.0, 0.5, 0.9):
         assert (maxima(r * hnorm.boundary_points(256)) <= circle * (1.0 + 1e-12)).all(), r
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SOLVING = sorted(p.name for p in CONFIGS.glob("*.json")
+                 if not p.name.startswith(("negative_", "corrupted_")))
+
+
+@pytest.mark.parametrize("which", [*SOLVING, "steep", "four-center-2d"])
+def test_g_partial_at_order_zero_is_g_eval_bit_for_bit(request, which):
+    # one quotient gtilde / phi: the order-0 entry of g's jet, the plain
+    # evaluator and the C^k report's ||g|| all read it
+    if which == "steep":
+        glued = request.getfixturevalue("steep_solution")
+    elif which == "four-center-2d":
+        glued = _four_center_2d_solution()
+    else:
+        config = load_config(CONFIGS / which)
+        glued, _ = glue.solve(config.to_family(), config.solver)
+    rng = np.random.default_rng(33)
+    lows, highs = np.array(glued.family.box).T
+    z = np.concatenate([hnorm.boundary_points(64), 0.9 * hnorm.disc_points(4, 8)])
+    for s in [lows, highs, *rng.uniform(lows, highs, (20, glued.family.dim))]:
+        assert same_bits(smoothness.g_partial(glued, z, s, (0,) * glued.family.dim),
+                         glue.g_eval(glued, z, s)), s
+    rep = smoothness.cnorm_report(glued, 2, axis_samples=9, boundary_samples=64)
+    assert same_bits(np.float64(rep.per_order[0]["g"]), np.float64(rep.g_norm.value))
